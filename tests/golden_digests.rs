@@ -1,0 +1,241 @@
+//! Golden whole-campaign record digests.
+//!
+//! Each row runs one campaign and hashes its records with FNV-1a 64 over
+//! every record's task id, server, outcome code, finish-time bits and
+//! attempts (the fields `casbench`'s `records_digest` hashes). The rows
+//! cover every heuristic × {exhaustive, `topk:4`, `adaptive:2:8`} ×
+//! {single agent, three shards} on the `determinism.rs` farm, the same
+//! farm under crash churn, under admission backpressure and under both,
+//! and a 20-shard farm whose stage-1 walk goes through the group level
+//! of the shard tree.
+//!
+//! `golden_digests.txt` holds the expected table. A change to the
+//! decision stack that moves any decision in any row fails here. On a
+//! mismatch the test prints the whole recomputed table; when the change
+//! in behaviour is intended, replace the file with it by hand.
+
+use casgrid::middleware::GridWorld;
+use casgrid::prelude::*;
+use casgrid::sim::Simulation;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
+
+/// FNV-1a 64 over the decision-bearing fields of every record.
+fn records_digest(records: &[TaskRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in records {
+        eat(&r.task.0.to_le_bytes());
+        eat(&r.server.map_or(u32::MAX, |s| s.0).to_le_bytes());
+        let (code, finished) = match r.outcome {
+            TaskOutcome::Completed { finished } => (0u8, finished.as_secs()),
+            TaskOutcome::Failed => (1, 0.0),
+            TaskOutcome::InFlight => (2, 0.0),
+            TaskOutcome::Dropped { reason } => (3 + reason as u8, 0.0),
+        };
+        eat(&[code]);
+        eat(&finished.to_bits().to_le_bytes());
+        eat(&r.attempts.to_le_bytes());
+    }
+    h
+}
+
+/// The `determinism.rs` farm: the paper's waste-cpu table on its
+/// four-server testbed, with a paper metatask of `n` tasks.
+fn paper_farm(n: usize, seed: u64) -> Farm {
+    let costs = casgrid::workload::wastecpu::cost_table();
+    let servers = casgrid::workload::testbed::set2_servers();
+    let tasks = MetataskSpec {
+        n_tasks: n,
+        ..MetataskSpec::paper(15.0)
+    }
+    .generate(seed);
+    (costs, servers, tasks)
+}
+
+/// A 40-server synthetic farm: at 20 shards the default fan-out of 16
+/// shards per group yields two groups, so the group walk engages.
+fn wide_farm(n: usize, seed: u64) -> Farm {
+    let platform = casgrid::workload::synthetic::SyntheticPlatform {
+        n_servers: 40,
+        ..Default::default()
+    };
+    let tasks = MetataskSpec {
+        n_tasks: n,
+        ..MetataskSpec::paper(0.5)
+    }
+    .generate(seed);
+    (platform.cost_table(seed), platform.servers(seed), tasks)
+}
+
+const SELECTORS: [(&str, SelectorKind); 3] = [
+    ("exhaustive", SelectorKind::Exhaustive),
+    ("topk:4", SelectorKind::TopK { k: 4 }),
+    (
+        "adaptive:2:8",
+        SelectorKind::Adaptive { k_min: 2, k_max: 8 },
+    ),
+];
+
+const SHARDINGS: [(&str, Sharding); 2] = [
+    ("single", Sharding::Single),
+    ("fed3", Sharding::Federated { shards: 3 }),
+];
+
+/// What one campaign leaves behind besides its digest.
+struct Run {
+    digest: u64,
+    group_visits: u64,
+    rebalances: u64,
+}
+
+type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>);
+
+/// A named transformation of a row's config (churn, admission, …).
+type Variant = (&'static str, fn(ExperimentConfig) -> ExperimentConfig);
+
+fn run(cfg: ExperimentConfig, farm: &Farm) -> Run {
+    let (costs, servers, tasks) = farm.clone();
+    let mut sim = Simulation::new(GridWorld::new(cfg, costs, servers, tasks));
+    sim.run_to_completion();
+    let world = sim.into_world();
+    assert_eq!(world.remaining(), 0, "every task must end terminal");
+    Run {
+        digest: records_digest(world.records()),
+        group_visits: world.agent().skyline_stats().group_visits,
+        rebalances: world.churn_stats().rebalances,
+    }
+}
+
+/// Every row of the table, in file order: its label, its config and
+/// whether it runs on the wide farm.
+fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
+    let mut out = Vec::new();
+    // The full heuristic × selector × sharding matrix, static farm.
+    for kind in HeuristicKind::ALL {
+        for (sel_name, selector) in SELECTORS {
+            for (shard_name, shards) in SHARDINGS {
+                let cfg = ExperimentConfig::paper(kind, 99)
+                    .with_selector(selector)
+                    .with_shards(shards);
+                let label = format!("{}/{sel_name}/{shard_name}/static", kind.name());
+                out.push((label, cfg, false));
+            }
+        }
+    }
+    // Churn, admission and both, on the same matrix of sharding modes.
+    let variants: [Variant; 3] = [
+        ("churn", |c| c.with_churn(400.0, 60.0).with_churn_seed(7)),
+        ("admission", |c| c.with_admission(2, 6, 90.0)),
+        ("churn+admission", |c| {
+            c.with_churn(400.0, 60.0)
+                .with_churn_seed(7)
+                .with_admission(2, 6, 90.0)
+        }),
+    ];
+    for (variant, apply) in variants {
+        for kind in HeuristicKind::ALL {
+            for (sel_name, selector) in [SELECTORS[0], SELECTORS[2]] {
+                for (shard_name, shards) in SHARDINGS {
+                    let cfg = apply(
+                        ExperimentConfig::paper(kind, 99)
+                            .with_selector(selector)
+                            .with_shards(shards),
+                    );
+                    let label = format!("{}/{sel_name}/{shard_name}/{variant}", kind.name());
+                    out.push((label, cfg, false));
+                }
+            }
+        }
+    }
+    // More than 16 shards: the stage-1 walk prunes whole groups.
+    for kind in HeuristicKind::PAPER {
+        for (sel_name, selector) in [SELECTORS[1], SELECTORS[2]] {
+            let cfg = ExperimentConfig::paper(kind, 99)
+                .with_selector(selector)
+                .with_shards(Sharding::Federated { shards: 20 });
+            out.push((
+                format!("{}/{sel_name}/fed20/static", kind.name()),
+                cfg,
+                true,
+            ));
+        }
+    }
+    out
+}
+
+/// Runs every job, spread over a few threads (each campaign is
+/// deterministic on its own, so the split cannot change a digest).
+fn rows() -> Vec<(String, Run)> {
+    let paper = paper_farm(100, 1);
+    let wide = wide_farm(150, 2);
+    let jobs = jobs();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let mut runs: Vec<Option<Run>> = (0..jobs.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for (t, slots) in runs.chunks_mut(jobs.len().div_ceil(threads)).enumerate() {
+            let (jobs, paper, wide) = (&jobs, &paper, &wide);
+            scope.spawn(move || {
+                let first = t * jobs.len().div_ceil(threads);
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let (_, cfg, on_wide) = &jobs[first + i];
+                    *slot = Some(run(*cfg, if *on_wide { wide } else { paper }));
+                }
+            });
+        }
+    });
+    jobs.into_iter()
+        .zip(runs)
+        .map(|((label, _, _), r)| (label, r.expect("every job ran")))
+        .collect()
+}
+
+fn render(rows: &[(String, Run)]) -> String {
+    let mut text = String::from(
+        "# FNV-1a 64 record digests, one campaign per row (tests/golden_digests.rs).\n",
+    );
+    for (label, r) in rows {
+        text.push_str(&format!("{label} {:016x}\n", r.digest));
+    }
+    text
+}
+
+#[test]
+fn campaign_record_digests_match_the_golden_table() {
+    let rows = rows();
+    for (label, r) in &rows {
+        assert!(
+            !label.contains("/fed20/") || r.group_visits > 0,
+            "{label}: the group walk never ran"
+        );
+    }
+    assert!(
+        rows.iter()
+            .filter(|(label, _)| label.contains("/fed3/churn"))
+            .any(|(_, r)| r.rebalances > 0),
+        "no churn row rebalanced its federation"
+    );
+    let table = render(&rows);
+    let expected = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+    let data = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+            .map(str::to_owned)
+            .collect()
+    };
+    let (got, want) = (data(&table), data(&expected));
+    if got != want {
+        let changed: Vec<&String> = got.iter().filter(|l| !want.contains(l)).collect();
+        panic!(
+            "{} of {} rows differ from {GOLDEN} (first: {:?}); recomputed table:\n{table}",
+            changed.len().max(want.len().abs_diff(got.len())),
+            got.len(),
+            changed.first()
+        );
+    }
+}
