@@ -132,26 +132,13 @@ fn loaded_htm64(per_server: usize) -> Htm {
     htm
 }
 
-/// The tentpole gate: one full decision (a what-if query per candidate over
-/// all 64 servers) through the clone-based reference path vs the
-/// generation-cached zero-clone engine.
+/// One full decision (a what-if query per candidate over all 64 servers)
+/// through the generation-cached zero-clone engine.
 fn bench_predict_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("decision_cost_64srv");
     let probe = TaskInstance::new(TaskId(1), ProblemId(0), SimTime::from_secs(500.0));
     let candidates: Vec<ServerId> = (0..64u32).map(ServerId).collect();
     for per_server in [8usize, 32, 128] {
-        group.bench_with_input(
-            BenchmarkId::new("clone_baseline", per_server),
-            &per_server,
-            |b, &n| {
-                let mut htm = loaded_htm64(n);
-                b.iter(|| {
-                    for &s in &candidates {
-                        black_box(htm.predict_reference(probe.arrival, s, &probe));
-                    }
-                });
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("cached_batched", per_server),
             &per_server,

@@ -1,13 +1,9 @@
 //! Decision-cost smoke benchmark, JSON output.
 //!
 //! Measures the cost of one full scheduling decision — a what-if query per
-//! candidate across a 64-server platform — through the two prediction
-//! paths:
-//!
-//! * `clone_baseline` — [`Htm::predict_reference`], the original
-//!   clone-and-drain implementation;
-//! * `cached_batched` — [`Htm::predict_all`], the generation-cached,
-//!   zero-clone, batch engine.
+//! candidate across a 64-server platform — through [`Htm::predict_all`],
+//! the generation-cached, zero-clone, batch engine. (The clone-and-drain
+//! oracle it is proven bit-identical to lives in `htm.rs`'s tests.)
 //!
 //! Two workload modes bracket reality: `steady` issues decisions with no
 //! commits in between (every server's baseline cache stays warm) and
@@ -19,14 +15,8 @@
 //! consumer (`resident_estimate`, the memory-aware veto's per-decision
 //! read). Each round replays the engine's exact order — predict the
 //! chosen server, commit, read the baseline — and times only the
-//! commit-and-read portion:
-//!
-//! * `commit_full_redrain` — PR-1 behaviour ([`RepairPolicy::FullRedrain`]):
-//!   the commit invalidates the baseline and the read pays a full
-//!   re-drain of the server's trace;
-//! * `commit_incremental` — [`RepairPolicy::Incremental`] (the default):
-//!   the commit adopts the memoised speculative after-schedule, so the
-//!   read is a cache hit.
+//! commit-and-read portion. The commit adopts the memoised speculative
+//! after-schedule, so the read is a cache hit.
 //!
 //! A third section measures the **prediction memo**: the speculative
 //! after-drain is keyed on (problem costs, instant, trace generation) —
@@ -36,13 +26,12 @@
 //! ([`cas_core::MemoStats`]).
 //!
 //! Writes `BENCH_decision_cost.json` (path overridable as argv[1]) with
-//! per-configuration timings and speedups; CI runs this as the perf gate
-//! (decision gate ≥ 3x vs clone, commit-path gate ≥ 2x vs full re-drain).
+//! per-configuration timings, and exits non-zero when the memo section
+//! records no cross-task hit (a dead memo).
 
-use cas_core::{Htm, MemoStats, RepairPolicy, SyncPolicy};
+use cas_core::{Htm, MemoStats, SyncPolicy};
 use cas_platform::{CostTable, PhaseCosts, Problem, ProblemId, ServerId, TaskId, TaskInstance};
 use cas_sim::SimTime;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -86,12 +75,6 @@ fn loaded_htm(per_server: usize) -> Htm {
 }
 
 #[derive(Clone, Copy, PartialEq)]
-enum Path {
-    CloneBaseline,
-    CachedBatched,
-}
-
-#[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// Decisions only; no trace mutation between rounds.
     Steady,
@@ -100,7 +83,7 @@ enum Mode {
 }
 
 /// Runs `rounds` decisions and returns the mean microseconds per decision.
-fn run(path: Path, mode: Mode, per_server: usize, rounds: usize) -> f64 {
+fn run(mode: Mode, per_server: usize, rounds: usize) -> f64 {
     let mut htm = loaded_htm(per_server);
     let candidates: Vec<ServerId> = (0..N_SERVERS).map(ServerId).collect();
     let mut next_id = 500_000u64;
@@ -109,16 +92,7 @@ fn run(path: Path, mode: Mode, per_server: usize, rounds: usize) -> f64 {
     for _ in 0..3 {
         let probe = TaskInstance::new(TaskId(next_id), ProblemId(0), SimTime::from_secs(now));
         next_id += 1;
-        match path {
-            Path::CloneBaseline => {
-                for &s in &candidates {
-                    black_box(htm.predict_reference(probe.arrival, s, &probe));
-                }
-            }
-            Path::CachedBatched => {
-                black_box(htm.predict_all(probe.arrival, &probe, &candidates));
-            }
-        }
+        black_box(htm.predict_all(probe.arrival, &probe, &candidates));
     }
     let start = Instant::now();
     for round in 0..rounds {
@@ -129,29 +103,13 @@ fn run(path: Path, mode: Mode, per_server: usize, rounds: usize) -> f64 {
             SimTime::from_secs(now),
         );
         next_id += 1;
-        let pick = match path {
-            Path::CloneBaseline => {
-                let mut best: Option<(ServerId, f64)> = None;
-                for &s in &candidates {
-                    if let Some(p) = htm.predict_reference(probe.arrival, s, &probe) {
-                        let v = p.completion.as_secs();
-                        if best.is_none_or(|(_, bv)| v < bv) {
-                            best = Some((s, v));
-                        }
-                    }
-                }
-                best.map(|(s, _)| s)
-            }
-            Path::CachedBatched => {
-                let preds = htm.predict_all(probe.arrival, &probe, &candidates);
-                candidates
-                    .iter()
-                    .zip(&preds)
-                    .filter_map(|(&s, p)| p.as_ref().map(|p| (s, p.completion.as_secs())))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite completion"))
-                    .map(|(s, _)| s)
-            }
-        };
+        let preds = htm.predict_all(probe.arrival, &probe, &candidates);
+        let pick = candidates
+            .iter()
+            .zip(&preds)
+            .filter_map(|(&s, p)| p.as_ref().map(|p| (s, p.completion.as_secs())))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite completion"))
+            .map(|(s, _)| s);
         if mode == Mode::Churn {
             let server = pick.expect("some server solves every problem");
             htm.commit(probe.arrival, server, &probe);
@@ -162,13 +120,11 @@ fn run(path: Path, mode: Mode, per_server: usize, rounds: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / rounds as f64
 }
 
-/// Times the commit path (commit + first baseline read) under `policy`,
-/// returning mean microseconds per commit. The surrounding predict matches
-/// the engine's decision order and is excluded from the measurement — it
-/// costs the same under both policies.
-fn run_commit_path(policy: RepairPolicy, per_server: usize, rounds: usize) -> f64 {
+/// Times the commit path (commit + first baseline read), returning mean
+/// microseconds per commit. The surrounding predict matches the engine's
+/// decision order and is excluded from the measurement.
+fn run_commit_path(per_server: usize, rounds: usize) -> f64 {
     let mut htm = loaded_htm(per_server);
-    htm.set_repair_policy(policy);
     let mut next_id = 900_000u64;
     let mut now = 500.0f64;
     // Warm-up: fault in every server's baseline cache and scratch.
@@ -233,82 +189,39 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_decision_cost.json".to_string());
-    // The acceptance target is 3x (what this repo's dev runs record); a
-    // noisy shared CI runner can override the *exit* gate downward without
-    // changing the recorded target.
-    let gate: f64 = std::env::var("DECISION_COST_GATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
-    let commit_gate: f64 = std::env::var("COMMIT_PATH_GATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let mut results = String::new();
-    let mut min_speedup = f64::INFINITY;
-    let mut first = true;
+    let mut results = Vec::new();
     for &per_server in &[8usize, 32, 128] {
         for (mode, mode_name) in [(Mode::Steady, "steady"), (Mode::Churn, "churn")] {
-            // Keep the clone-path round count bounded: it is the slow side.
             let rounds = match per_server {
                 128 => 40,
                 32 => 120,
                 _ => 400,
             };
-            let baseline_us = run(Path::CloneBaseline, mode, per_server, rounds);
-            let cached_us = run(Path::CachedBatched, mode, per_server, rounds);
-            let speedup = baseline_us / cached_us;
-            min_speedup = min_speedup.min(speedup);
+            let cached_us = run(mode, per_server, rounds);
             eprintln!(
                 "64 servers × {per_server:>3} tasks, {mode_name:<6}: \
-                 clone {baseline_us:>10.1} µs/decision, cached {cached_us:>8.1} µs/decision, \
-                 speedup {speedup:>6.1}x"
+                 {cached_us:>8.1} µs/decision"
             );
-            if !first {
-                results.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                results,
+            results.push(format!(
                 "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
                  \"mode\": \"{mode_name}\", \"rounds\": {rounds}, \
-                 \"clone_baseline_us_per_decision\": {baseline_us:.2}, \
-                 \"cached_batched_us_per_decision\": {cached_us:.2}, \
-                 \"speedup\": {speedup:.2}}}"
-            );
+                 \"cached_batched_us_per_decision\": {cached_us:.2}}}"
+            ));
         }
     }
-    // Commit-path section: full re-drain (PR 1) vs incremental splice.
-    let mut commit_results = String::new();
-    let mut commit_min_speedup = f64::INFINITY;
-    let mut commit_first = true;
+    let mut commit_results = Vec::new();
     for &per_server in &[8usize, 32, 128] {
         let rounds = match per_server {
             128 => 192,
             32 => 640,
             _ => 1920,
         };
-        let full_us = run_commit_path(RepairPolicy::FullRedrain, per_server, rounds);
-        let inc_us = run_commit_path(RepairPolicy::Incremental, per_server, rounds);
-        let speedup = full_us / inc_us;
-        commit_min_speedup = commit_min_speedup.min(speedup);
-        eprintln!(
-            "64 servers × {per_server:>3} tasks, commit : \
-             full redrain {full_us:>10.2} µs/commit, incremental {inc_us:>8.2} µs/commit, \
-             speedup {speedup:>6.1}x"
-        );
-        if !commit_first {
-            commit_results.push_str(",\n");
-        }
-        commit_first = false;
-        let _ = write!(
-            commit_results,
+        let inc_us = run_commit_path(per_server, rounds);
+        eprintln!("64 servers × {per_server:>3} tasks, commit : {inc_us:>8.2} µs/commit");
+        commit_results.push(format!(
             "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
-             \"rounds\": {rounds}, \
-             \"full_redrain_us_per_commit\": {full_us:.2}, \
-             \"incremental_us_per_commit\": {inc_us:.2}, \
-             \"speedup\": {speedup:.2}}}"
-        );
+             \"rounds\": {rounds}, \"incremental_us_per_commit\": {inc_us:.2}}}"
+        ));
     }
     // Prediction-memo section: same-instant, same-problem probes must be
     // answered from the problem-keyed memo instead of re-draining.
@@ -321,38 +234,30 @@ fn main() {
         memo.hit_rate(),
         memo.cross_task_hits
     );
+    let memo_live = memo.cross_task_hits > 0;
     let json = format!(
         "{{\n  \"bench\": \"decision_cost\",\n  \"unit\": \"microseconds per scheduling decision \
-         (one what-if query per candidate server)\",\n  \"baseline\": \"Htm::predict_reference \
-         (clone-and-drain per query)\",\n  \"candidate\": \"Htm::predict_all (generation-cached \
-         baseline + zero-clone scratch drain + batched fan-out)\",\n  \"results\": [\n{results}\n  ],\n\
+         (one what-if query per candidate server)\",\n  \"engine\": \"Htm::predict_all \
+         (generation-cached baseline + zero-clone scratch drain + batched fan-out)\",\n  \
+         \"results\": [\n{}\n  ],\n\
   \"commit_path\": {{\n    \"unit\": \"microseconds per commit (commit + first baseline read, \
-         predict excluded)\",\n    \"baseline\": \"RepairPolicy::FullRedrain (PR 1: invalidate, \
-         re-drain on next read)\",\n    \"candidate\": \"RepairPolicy::Incremental (splice: adopt \
-         the memoised after-schedule)\",\n    \"results\": [\n{commit_results}\n    ],\n\
-    \"acceptance\": {{\"required_min_speedup\": 2.0, \"observed_min_speedup\": \
-         {commit_min_speedup:.2}, \"pass\": {}}}\n  }},\n\
+         predict excluded; the commit splices the memoised after-schedule)\",\n    \
+         \"results\": [\n{}\n    ]\n  }},\n\
   \"prediction_memo\": {{\n    \"unit\": \"microseconds per 64-candidate batch (same instant, \
          same problem, different task id)\",\n    \"first_probe_us_per_batch\": {first_us:.2},\n    \
     \"same_problem_repeat_us_per_batch\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
     \"drains\": {},\n    \"hits\": {},\n    \"cross_task_hits\": {},\n    \
-    \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {}}}\n  }},\n\
-  \"acceptance\": {{\"required_min_speedup\": 3.0, \"observed_min_speedup\": {min_speedup:.2}, \
-         \"pass\": {}}}\n}}\n",
-        commit_min_speedup >= 2.0,
+    \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }}\n}}\n",
+        results.join(",\n"),
+        commit_results.join(",\n"),
         memo.drains,
         memo.hits,
         memo.cross_task_hits,
         memo.hit_rate(),
-        memo.cross_task_hits > 0,
-        min_speedup >= 3.0
     );
     std::fs::write(&out_path, &json).expect("write bench json");
-    eprintln!(
-        "wrote {out_path}; min decision speedup {min_speedup:.2}x (exit gate: >= {gate}x), \
-         min commit-path speedup {commit_min_speedup:.2}x (exit gate: >= {commit_gate}x)"
-    );
-    if min_speedup < gate || commit_min_speedup < commit_gate {
+    eprintln!("wrote {out_path}; prediction memo live: {memo_live}");
+    if !memo_live {
         std::process::exit(1);
     }
 }

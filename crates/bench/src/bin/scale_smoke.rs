@@ -20,47 +20,43 @@
 //!    default min(tasks, 100k)) under the exhaustive selector and checks
 //!    that pruning moves the completion rate by at most
 //!    `SCALE_COMPLETION_DELTA_GATE` (default 1 %);
-//! 4. reruns the comparison campaign in **both stage-2 modes** —
-//!    truncated prefix-sharing fast drains (the default) versus the full
-//!    pre-optimisation engine kept as the executable spec — requiring
-//!    bit-identical records, gating the isolated `stage2_predict` phase
-//!    time at ≥ `STAGE2_GATE` (default 1.5×; CI uses 1.2×) and requiring
-//!    the drain counters (drains, truncations, prefix-cursor reuses)
-//!    live in the new `stage2` JSON section;
+//! 4. reruns the comparison arrivals squeezed to 0.9 mean load, where
+//!    queues run deep, and requires the **stage-2 drain counters**
+//!    (drains, truncations, prefix-cursor reuses) live in the `stage2`
+//!    JSON section — a silent fall-back to full drains would keep the
+//!    records and lose the speed;
 //! 5. reruns the headline campaign through the **shard federation**
 //!    (`SCALE_SMOKE_SHARDS`, default `auto`) and checks the sharded
 //!    completion rate within the same delta gate of the unsharded run;
 //! 6. checks **group-walk equality**: the comparison campaign rerun with
 //!    every shard its own group (`auto:1`) must be record-identical to
 //!    the flat lazy walk — the two-level tree may prune walks, never
-//!    decisions (exact gate, like the skyline-on/off arm);
+//!    decisions (exact gate);
 //! 7. measures the **decision pipeline at production width** — one full
 //!    two-stage decision plus commit and complete hooks per task through
 //!    the real router — at `SHARD_BENCH_SERVERS` (default 10k) servers,
 //!    unsharded versus `SHARD_BENCH_SHARDS` (default auto ⇒ 16) shards
-//!    (gate: ≥ `SHARD_DECISION_GATE`, default 3×);
+//!    (recorded, not gated);
 //! 8. measures the **two-level walk** against the flat skyline walk at
 //!    `SHARD_TREE_SHARDS` (default 1024, the auto cap — the walk shape a
 //!    million-server federation pays) over the same farm (gate: ≥
 //!    `SHARD_TREE_GATE`, default 1.3×, with both per-level skip counters
 //!    required live);
-//! 9. measures the **hot path** twice: the stage-1 decision loop in
-//!    isolation — k-best walk + re-rank hooks, flat ladder versus the
-//!    BTree executable spec (gate: ≥ `HOTPATH_GATE`, default 1.3×) —
-//!    and the full pipeline against the previous PR's decision path
-//!    replayed through its executable-spec knobs (gates: bit-identical
-//!    decisions, no-regression within `HOTPATH_PIPELINE_TOLERANCE`);
-//! 10. reruns the sharded campaign under a **fault schedule**
-//!     (`SCALE_CHURN_MTBF`, default 400 s — far below the campaign
-//!     length — and `SCALE_CHURN_MTTR`, default 60 s) and gates on
-//!     accounting: every task must end terminal, completed or dropped
-//!     with a reason code; nothing may be lost in flight;
-//! 11. replays a **fitted trace** whose crest class outruns the bounded
+//! 9. reruns the sharded campaign under a **fault schedule**
+//!    (`SCALE_CHURN_MTBF`, default 400 s — far below the campaign length
+//!    — and `SCALE_CHURN_MTTR`, default 60 s) and gates on accounting:
+//!    every task must end terminal, completed or dropped with a reason
+//!    code; nothing may be lost in flight;
+//! 10. replays a **fitted trace** whose crest class outruns the bounded
 //!     admission buffer on its own compiled farm, gating on an
 //!     uncontended gate being bit-invisible, deterministic and
 //!     shard-invariant replay, exact terminal accounting against the
 //!     admission counters, and live backpressure counters — the JSON
 //!     gains a `trace` section with per-user-class SLOs.
+//!
+//! Equivalences between optimised paths and their oracles (eager merge,
+//! flat rankings, full drains) are proven in the crates' tests and by the
+//! golden record digests, not replayed here.
 //!
 //! The whole run executes under the always-on phase profiler: the JSON
 //! gains a `profile` section (per-phase totals, estimated span overhead
@@ -79,7 +75,7 @@
 //! binary (`scale_100k`, writing `BENCH_scale_100k.json`).
 
 use cas_core::heuristics::HeuristicKind;
-use cas_core::{Htm, MemoStats, SelectorKind, Stage2Mode, SyncPolicy};
+use cas_core::{Htm, MemoStats, SelectorKind, SyncPolicy};
 use cas_metrics::{prof, MetricSet};
 use cas_middleware::shard::DecisionInputs;
 use cas_middleware::{
@@ -87,8 +83,7 @@ use cas_middleware::{
     GridWorld, Sharding, SkylineStats,
 };
 use cas_platform::{
-    CostTable, IndexScoring, LoadReport, ProblemId, RankingsBackend, ServerId, StaticIndex, TaskId,
-    TaskInstance,
+    CostTable, IndexScoring, LoadReport, ProblemId, ServerId, StaticIndex, TaskId, TaskInstance,
 };
 use cas_sim::{RngStream, SimTime, Simulation, StreamKind};
 use cas_workload::synthetic::{BurstArrivals, SyntheticPlatform};
@@ -271,12 +266,11 @@ fn decision_microbench(costs: &CostTable, k: usize, per_server: usize) -> (f64, 
 /// once the in-flight window fills — completes the oldest task, i.e. the
 /// commit *and* complete hooks (model repair + index re-rank) are timed
 /// as part of the pipeline, exactly as a live campaign pays them.
-/// Returns µs/task for the pre-federation engine, the unsharded single
-/// agent, the eager-merge federation and the skyline-merge federation
-/// over the same platform (plus the skyline arm's skipped-shard rate):
-/// the sharded contrasts are purely structural (per-engine state `O(n)`
-/// vs `O(n/S)`, scatter `O(S)` walks vs skyline-pruned), since worker
-/// fan-out cannot change results and this host measures the serial path.
+/// Returns µs/task for the unsharded single agent and the federation over
+/// the same platform (plus the federation's skipped-shard rate): the
+/// contrast is purely structural (per-engine state `O(n)` vs `O(n/S)`,
+/// skyline-pruned shard walks), since worker fan-out cannot change
+/// results.
 fn sharding_microbench(
     costs: &CostTable,
     specs: &[cas_platform::ServerSpec],
@@ -284,7 +278,7 @@ fn sharding_microbench(
     per_server: usize,
     width: usize,
     rounds: usize,
-) -> (f64, f64, f64, f64, f64) {
+) -> (f64, f64, f64) {
     let n_servers = costs.n_servers();
     let reports: Vec<LoadReport> = (0..n_servers as u32)
         .map(|i| LoadReport::initial(ServerId(i)))
@@ -296,17 +290,7 @@ fn sharding_microbench(
     // selector's calm floor (8) — its standing width in the campaign.
     let selector = SelectorKind::TopK { k: width };
 
-    // `legacy_scan` replays the pre-federation engine's per-decision
-    // O(n) platform scan (it collected every server's admission limit on
-    // every arrival — the line the federation PR hoisted into the world
-    // build) and pins the arm to that engine's decision internals —
-    // BTree rankings and batched stage 2, both since rebuilt by the
-    // hot-path PR — so the arm keeps measuring the engine as it stood
-    // before the federation, the same way `decision_cost` keeps the
-    // exhaustive loop as its predecessor baseline. Without the pin the
-    // baseline silently inherits every later single-agent speedup and
-    // the structural contrast this section gates on erodes.
-    let run = |shards: Option<usize>, legacy_scan: bool, skyline: bool| -> (f64, SkylineStats) {
+    let run = |shards: Option<usize>| -> (f64, SkylineStats) {
         // ForceFinish so completions actually leave the traces — the
         // standing state of a live campaign — and so the complete hook
         // exercises the incremental repair the federation routes to one
@@ -317,13 +301,7 @@ fn sharding_microbench(
             selector,
             IndexScoring::RemainingWork,
             SyncPolicy::ForceFinish,
-        )
-        .with_skyline(skyline);
-        if legacy_scan {
-            router = router
-                .with_rankings(RankingsBackend::Btree)
-                .with_batch_predict(true);
-        }
+        );
         let mut heuristic = HeuristicKind::Hmct.build();
         let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
         let mut id = 50_000_000u64;
@@ -362,11 +340,6 @@ fn sharding_microbench(
                     ProblemId((round % costs.n_problems()) as u32),
                     when,
                 );
-                let legacy_mem: Vec<f64> = if legacy_scan {
-                    specs.iter().map(|s| s.total_mem_mb()).collect()
-                } else {
-                    Vec::new()
-                };
                 let pick = router
                     .decide(
                         DecisionInputs {
@@ -374,11 +347,7 @@ fn sharding_microbench(
                             task,
                             costs,
                             reports: &reports,
-                            server_mem: if legacy_scan {
-                                &legacy_mem
-                            } else {
-                                &server_mem
-                            },
+                            server_mem: &server_mem,
                             admit: &admit,
                         },
                         heuristic,
@@ -430,14 +399,12 @@ fn sharding_microbench(
     // differ by orders of magnitude, so one-shot means are at the mercy
     // of host noise.
     let reps = 5;
-    let mut samples = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let (mut unsharded, mut sharded) = (Vec::new(), Vec::new());
     let mut skip_rate = 0.0;
     for _ in 0..reps {
-        samples[0].push(run(None, true, true).0);
-        samples[1].push(run(None, false, true).0);
-        samples[2].push(run(Some(n_shards), false, false).0);
-        let (us, stats) = run(Some(n_shards), false, true);
-        samples[3].push(us);
+        unsharded.push(run(None).0);
+        let (us, stats) = run(Some(n_shards));
+        sharded.push(us);
         // Deterministic: every rep sees the same decisions, so any rep's
         // skip counters are the run's skip counters.
         skip_rate = stats.skip_rate();
@@ -446,24 +413,21 @@ fn sharding_microbench(
         v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         v[v.len() / 2]
     };
-    let [mut legacy, mut unsharded, mut eager, mut skyline] = samples;
-    (
-        median(&mut legacy),
-        median(&mut unsharded),
-        median(&mut eager),
-        median(&mut skyline),
-        skip_rate,
-    )
+    (median(&mut unsharded), median(&mut sharded), skip_rate)
 }
 
 /// Group-walk microbench at federation scale: µs per task through the
 /// full decision pipeline (as [`sharding_microbench`]) with the skyline
-/// federation's **flat** shard walk versus the **two-level tree** walk
-/// over the same `n_shards` — the contrast is purely the per-decision
-/// walk bookkeeping (flat: build + sort an `O(S)` order vector and test
-/// every shard's skyline key; tree: sort `O(S/G)` group keys and descend
-/// only into groups whose group skyline survives), since both walks
-/// visit the identical shard set and run identical stage-2 batches.
+/// federation's **flat** shard walk (one group spanning every shard)
+/// versus the **two-level tree** walk over the same `n_shards` — the
+/// contrast is purely the per-decision walk bookkeeping (flat: build +
+/// sort an `O(S)` order vector and test every shard's skyline key; tree:
+/// sort `O(S/G)` group keys and descend only into groups whose group
+/// skyline survives), since both walks visit the identical shard set and
+/// run identical stage-2 batches. Both arms are pinned to the serial
+/// walk: on a multi-core host the tree arm would otherwise take the
+/// parallel per-group scatter, which prunes no group by cut line and so
+/// measures a different walk.
 /// `n_shards` defaults to the auto-shard cap (1024): the walk shape a
 /// million-server federation pays, hosted on the 10k bench farm.
 /// Returns (flat µs/task, tree µs/task, tree-arm counters).
@@ -491,12 +455,8 @@ fn tree_walk_microbench(
             IndexScoring::RemainingWork,
             SyncPolicy::ForceFinish,
         )
-        .with_skyline(true);
-        router = if grouped {
-            router.with_group_size(group_size)
-        } else {
-            router.with_tree(false)
-        };
+        .with_group_size(if grouped { group_size } else { usize::MAX })
+        .with_parallel_stage1(false);
         let mut heuristic = HeuristicKind::Hmct.build();
         let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
         let mut id = 70_000_000u64;
@@ -580,195 +540,6 @@ fn tree_walk_microbench(
     (median(&mut flat), median(&mut tree), tree_stats)
 }
 
-/// Hot-path microbench: the full decision pipeline (as
-/// [`sharding_microbench`]'s skyline arm) under the **current** decision
-/// path — flat rankings, direct zero-allocation stage 2 — versus the
-/// **previous PR's** path replayed through its executable-spec knobs:
-/// BTree rankings (`RankingsBackend::Btree`) and the batch `predict_all`
-/// stage 2 (`with_batch_predict`). Both arms are proven bit-identical in
-/// decisions (differential suites + the in-run pick comparison here), so
-/// the contrast is pure constant factors: ranking-walk cache behaviour,
-/// re-rank cost on the commit/complete hooks, and per-decision
-/// allocation. Returns (baseline µs/task, current µs/task,
-/// decisions-equal).
-fn hotpath_microbench(
-    costs: &CostTable,
-    specs: &[cas_platform::ServerSpec],
-    n_shards: usize,
-    per_server: usize,
-    width: usize,
-    rounds: usize,
-) -> (f64, f64, bool) {
-    let n_servers = costs.n_servers();
-    let reports: Vec<LoadReport> = (0..n_servers as u32)
-        .map(|i| LoadReport::initial(ServerId(i)))
-        .collect();
-    let server_mem: Vec<f64> = specs.iter().map(|s| s.total_mem_mb()).collect();
-    let selector = SelectorKind::TopK { k: width };
-
-    let run = |baseline: bool| -> (f64, Vec<ServerId>) {
-        let mut router = AgentRouter::new(
-            costs,
-            Some(n_shards),
-            selector,
-            IndexScoring::RemainingWork,
-            SyncPolicy::ForceFinish,
-        )
-        .with_skyline(true);
-        if baseline {
-            router = router
-                .with_rankings(RankingsBackend::Btree)
-                .with_batch_predict(true);
-        }
-        let mut heuristic = HeuristicKind::Hmct.build();
-        let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
-        let mut id = 90_000_000u64;
-        for s in (0..n_servers as u32).filter(|s| s % 2 == 1) {
-            for t in 0..per_server {
-                let task = TaskInstance::new(
-                    TaskId(id),
-                    ProblemId((t % costs.n_problems()) as u32),
-                    SimTime::from_secs(t as f64 * 0.5),
-                );
-                let work = costs
-                    .unloaded_duration(task.problem, ServerId(s))
-                    .expect("synthetic tables are fully solvable");
-                router.on_commit(task.arrival, ServerId(s), &task, work);
-                id += 1;
-            }
-        }
-        let mut now = per_server as f64;
-        let mut inflight: VecDeque<(TaskId, ServerId, f64)> = VecDeque::new();
-        let mut picks = Vec::with_capacity(rounds);
-        let admit = |_: ServerId| true;
-        let mut round_trip =
-            |now: f64, id: u64, round: usize, router: &mut AgentRouter| -> ServerId {
-                let when = SimTime::from_secs(now);
-                let task = TaskInstance::new(
-                    TaskId(id),
-                    ProblemId((round % costs.n_problems()) as u32),
-                    when,
-                );
-                let pick = router
-                    .decide(
-                        DecisionInputs {
-                            now: when,
-                            task,
-                            costs,
-                            reports: &reports,
-                            server_mem: &server_mem,
-                            admit: &admit,
-                        },
-                        heuristic.as_mut(),
-                        &mut tie_rng,
-                    )
-                    .expect("synthetic tables are fully solvable");
-                let work = costs
-                    .unloaded_duration(task.problem, pick)
-                    .expect("picked implies solvable");
-                router.on_commit(when, pick, &task, work);
-                inflight.push_back((task.id, pick, work));
-                if inflight.len() > 64 {
-                    let (done, server, w) = inflight.pop_front().expect("window is full");
-                    router.on_complete(when, server, done, w, now, now * 0.95);
-                }
-                pick
-            };
-        for warm in 0..4 {
-            now += 0.01;
-            round_trip(now, id, warm, &mut router);
-            id += 1;
-        }
-        let start = Instant::now();
-        for round in 0..rounds {
-            now += 0.01;
-            picks.push(round_trip(now, id, round, &mut router));
-            id += 1;
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / rounds as f64;
-        (us, picks)
-    };
-
-    let reps = 5;
-    let (mut baseline, mut current) = (Vec::new(), Vec::new());
-    let mut decisions_equal = true;
-    for _ in 0..reps {
-        let (us_b, picks_b) = run(true);
-        baseline.push(us_b);
-        let (us_c, picks_c) = run(false);
-        current.push(us_c);
-        // Deterministic: every rep replays the same decisions, and the
-        // two arms must pick identical servers round for round.
-        decisions_equal &= picks_b == picks_c;
-    }
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    (median(&mut baseline), median(&mut current), decisions_equal)
-}
-
-/// Decision-loop microbench: the stage-1 layer's steady-state loop in
-/// isolation — one k-best walk plus the commit/complete re-rank hooks
-/// per round against a standing load — flat ladder versus the BTree
-/// executable spec on identical index state. This is the layer the flat
-/// rankings rewrite targets, so the ≥1.3× constant-factor claim is
-/// gated here (the full pipeline above it is dominated by stage-2 HTM
-/// drains — see the `profile` section — and is gated on record equality
-/// plus no-regression instead, the same layer-isolation precedent as
-/// the exhaustive-vs-topk decision gate). Returns (btree µs/round, flat
-/// µs/round).
-fn decision_loop_microbench(costs: &CostTable, k: usize, rounds: usize) -> (f64, f64) {
-    let n_servers = costs.n_servers();
-    let run = |backend: RankingsBackend| -> f64 {
-        let mut index = StaticIndex::new(costs);
-        index.set_backend(backend);
-        // Standing load on every odd server, so ranks are non-trivial.
-        for s in (0..n_servers as u32).filter(|s| s % 2 == 1) {
-            let w = costs
-                .unloaded_duration(ProblemId(0), ServerId(s))
-                .expect("synthetic tables are fully solvable");
-            index.on_commit(ServerId(s), w);
-        }
-        let admit = |_: ServerId| true;
-        let mut scored = Vec::new();
-        let mut inflight: VecDeque<(ServerId, f64)> = VecDeque::new();
-        let mut round_trip = |index: &mut StaticIndex, round: usize| {
-            let p = ProblemId((round % costs.n_problems()) as u32);
-            index.k_best(p, k, &admit, &mut scored);
-            let (winner, _) = scored[0];
-            let w = costs
-                .unloaded_duration(p, winner)
-                .expect("shortlisted implies solvable");
-            index.on_commit(winner, w);
-            inflight.push_back((winner, w));
-            if inflight.len() > 64 {
-                let (s, w) = inflight.pop_front().expect("window is full");
-                index.on_complete(s, w);
-            }
-        };
-        for r in 0..200 {
-            round_trip(&mut index, r);
-        }
-        let start = Instant::now();
-        for r in 0..rounds {
-            round_trip(&mut index, r);
-        }
-        start.elapsed().as_secs_f64() * 1e6 / rounds as f64
-    };
-    let reps = 5;
-    let (mut btree, mut flat) = (Vec::new(), Vec::new());
-    for _ in 0..reps {
-        btree.push(run(RankingsBackend::Btree));
-        flat.push(run(RankingsBackend::Flat));
-    }
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    (median(&mut btree), median(&mut flat))
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -779,7 +550,6 @@ fn main() {
     let compare_tasks = env_or("SCALE_SMOKE_COMPARE_TASKS", n_tasks.min(100_000) as f64) as usize;
     let decision_gate = env_or("SCALE_DECISION_GATE", 5.0);
     let delta_gate = env_or("SCALE_COMPLETION_DELTA_GATE", 0.01);
-    let skyline_gate = env_or("SKYLINE_DECISION_GATE", 1.5);
     let selector_spec =
         std::env::var("SCALE_SMOKE_SELECTOR").unwrap_or_else(|_| "adaptive:8:64".to_string());
     let selector = SelectorKind::parse(&selector_spec)
@@ -797,7 +567,6 @@ fn main() {
     let shard_bench_per_server = env_or("SHARD_BENCH_PER_SERVER", 1.0) as usize;
     let shard_bench_width = env_or("SHARD_BENCH_WIDTH", 8.0) as usize;
     let shard_bench_rounds = env_or("SHARD_BENCH_ROUNDS", 400.0) as usize;
-    let shard_gate = env_or("SHARD_DECISION_GATE", 3.0);
     // The group-walk microbench runs at the auto-shard cap by default:
     // the flat-vs-tree contrast is the per-decision walk bookkeeping,
     // and 1024 shards is the walk shape the auto policy hands a
@@ -808,11 +577,6 @@ fn main() {
         cas_platform::ShardTree::DEFAULT_GROUP_SHARDS as f64,
     ) as usize;
     let tree_gate = env_or("SHARD_TREE_GATE", 1.3);
-    let hotpath_gate = env_or("HOTPATH_GATE", 1.3);
-    // Stage-2 drain-engine gate: the isolated `stage2_predict` phase of
-    // the fast engine versus the full executable-spec replay. 1.5× is
-    // the local floor; CI overrides to 1.2× for noisy shared runners.
-    let stage2_gate = env_or("STAGE2_GATE", 1.5);
     let profile_overhead_gate = env_or("SCALE_PROFILE_OVERHEAD_GATE", 0.02);
     // Queue-pressure ceiling: the pre-generated arrivals dominate the
     // pending set (~n_tasks), periodic per-server reports add ~n_servers
@@ -940,25 +704,14 @@ fn main() {
         pruned_m.meanstretch, exh_m.meanstretch
     );
 
-    // 3b. Stage-2 drain engine: the comparison campaign rerun in both
-    // stage-2 modes. `fast` (the default) answers each what-if with a
-    // truncated drain resumed from the per-server baseline-prefix cursor
-    // and scatters large batches over the pool; `full` replays the
-    // pre-optimisation engine kept as the executable spec. Three gates:
-    // records bit-identical (the optimisation may never move a
-    // decision), the isolated `stage2_predict` phase ≥ `STAGE2_GATE`×
-    // faster, and the drain counters live — a silent fallback to full
-    // drains would pass equality while surrendering the speedup.
-    //
-    // The arm squeezes the comparison arrival pattern to ~`STAGE2_LOAD`
-    // mean utilisation (default 0.9; the headline sits at 0.5). At half
-    // load most candidate servers are idle at decision time and both
-    // engines answer a what-if in O(1), so the differential would mostly
-    // measure shared overhead; near saturation the bursty crests run
-    // past capacity, queues deepen, and the gate measures drain cost
-    // where draining is the work. Deep queues also keep the truncation
-    // counter robustly live instead of a near-zero fluke.
-    let stage2_load = env_or("SCALE_SMOKE_STAGE2_LOAD", 0.9);
+    // 3b. Stage-2 drain engine: the comparison arrivals squeezed to 0.9
+    // mean utilisation (the headline sits at 0.5). At half load most
+    // candidate servers are idle at decision time and a what-if is O(1);
+    // near saturation the bursty crests run past capacity, queues
+    // deepen, and drains truncate and resume the shared prefix. The gate
+    // is liveness: drains, truncations and prefix reuses must all be
+    // non-zero, or the engine has silently fallen back to full drains.
+    let stage2_load = 0.9;
     let squeeze = stage2_load / 0.5;
     let stage2_arrivals = BurstArrivals {
         n_tasks: compare_tasks,
@@ -968,35 +721,17 @@ fn main() {
     };
     let stage2_workload = stage2_arrivals.generate(seed);
     let prof_fast0 = prof::snapshot();
-    let stage2_fast_run =
-        run_campaign(cfg, costs.clone(), servers.clone(), stage2_workload.clone());
-    let stage2_fast_ns = prof::snapshot()
+    let stage2_run = run_campaign(cfg, costs.clone(), servers.clone(), stage2_workload);
+    let stage2_ns = prof::snapshot()
         .since(&prof_fast0)
         .nanos_of(prof::Phase::Stage2Predict);
-    let prof_full0 = prof::snapshot();
-    let stage2_full_run = run_campaign(
-        cfg.with_stage2(Stage2Mode::Full),
-        costs.clone(),
-        servers.clone(),
-        stage2_workload,
-    );
-    let stage2_full_ns = prof::snapshot()
-        .since(&prof_full0)
-        .nanos_of(prof::Phase::Stage2Predict);
-    let stage2_equal = stage2_fast_run.records == stage2_full_run.records;
-    let stage2_speedup = stage2_full_ns as f64 / stage2_fast_ns.max(1) as f64;
-    let s2 = stage2_fast_run.stage2;
-    let ok_stage2_equal = stage2_equal;
-    let ok_stage2_speed = stage2_speedup >= stage2_gate;
+    let s2 = stage2_run.stage2;
     let ok_stage2_counters = s2.drains > 0 && s2.truncated > 0 && s2.prefix_hits > 0;
     eprintln!(
         "stage-2 drain engine over {compare_tasks} tasks at {stage2_load:.2} mean load: \
-         records equal: {stage2_equal}; \
-         stage2_predict {:.2} s fast vs {:.2} s full, speedup {stage2_speedup:.2}x \
-         (gate >= {stage2_gate}x); {} drains ({} truncated, {:.1}%), {} memo hits \
+         stage2_predict {:.2} s; {} drains ({} truncated, {:.1}%), {} memo hits \
          ({:.1}% hit rate), {} prefix-cursor reuses ({:.1}% of drains)",
-        stage2_fast_ns as f64 / 1e9,
-        stage2_full_ns as f64 / 1e9,
+        stage2_ns as f64 / 1e9,
         s2.drains,
         s2.truncated,
         100.0 * s2.truncation_rate(),
@@ -1039,53 +774,18 @@ fn main() {
         headline.peak_pending,
     );
 
-    // 4b. Skyline-on/off whole-run equality at the comparison size: the
-    // lazy merge must not move a single record. The delta gate here is
-    // exact (= 0) — pruning the walk may never prune the semantics.
-    let sky_on = run_campaign(
-        cfg_sharded,
+    // 4b. Group-walk whole-run equality: the two-level tree rerun of the
+    // comparison campaign (`auto:1` — every shard its own group, so the
+    // group walk drives every decision) must be record-identical to the
+    // flat lazy walk at the same shard count. Exact gate: the tree may
+    // only prune walks, never decisions.
+    let flat_ref = run_campaign(
+        cfg.with_shards(Sharding::AUTO)
+            .with_aggregated_reports(true),
         costs.clone(),
         servers.clone(),
         compare_workload.clone(),
     );
-    let sky_off = run_campaign(
-        cfg_sharded.with_skyline(false),
-        costs.clone(),
-        servers.clone(),
-        compare_workload,
-    );
-    let skyline_equal = sky_on.records == sky_off.records;
-    let skyline_delta = ((sky_on.metrics.completed as f64 - sky_off.metrics.completed as f64)
-        / compare_tasks as f64)
-        .abs();
-    eprintln!(
-        "skyline equivalence over {compare_tasks} tasks ({n_shards} shards): records equal: \
-         {skyline_equal}, completion delta {skyline_delta} (gate = 0 exactly), \
-         {:.1} s wall skyline-on vs {:.1} s skyline-off, skipped-shard-rate {:.3}",
-        sky_on.wall,
-        sky_off.wall,
-        sky_on.skyline.skip_rate(),
-    );
-
-    // 4c. Group-walk whole-run equality: the two-level tree rerun of the
-    // comparison campaign (`auto:1` — every shard its own group, so the
-    // group walk drives every decision) must be record-identical to the
-    // flat lazy walk at the same shard count. Exact gate, like 4b: the
-    // tree may only prune walks, never decisions.
-    let cfg_flat_auto = cfg
-        .with_shards(Sharding::AUTO)
-        .with_aggregated_reports(true);
-    let flat_auto = if sharding == Sharding::AUTO {
-        None // `sky_on` already ran exactly this configuration.
-    } else {
-        Some(run_campaign(
-            cfg_flat_auto,
-            costs.clone(),
-            servers.clone(),
-            compare_arrivals.generate(seed),
-        ))
-    };
-    let flat_ref = flat_auto.as_ref().unwrap_or(&sky_on);
     let grouped = run_campaign(
         cfg.with_shards(Sharding::Auto {
             group_size: Some(1),
@@ -1093,7 +793,7 @@ fn main() {
         .with_aggregated_reports(true),
         costs.clone(),
         servers.clone(),
-        compare_arrivals.generate(seed),
+        compare_workload,
     );
     let auto_shards_n = Sharding::AUTO.resolve(n_servers).unwrap_or(1);
     let tree_equal = grouped.records == flat_ref.records;
@@ -1121,27 +821,20 @@ fn main() {
     };
     let shard_costs = shard_platform.cost_table(seed);
     let shard_specs = shard_platform.servers(seed);
-    let (legacy_us, unsharded_us, sharded_eager_us, sharded_us, bench_skip_rate) =
-        sharding_microbench(
-            &shard_costs,
-            &shard_specs,
-            shard_bench_shards,
-            shard_bench_per_server,
-            shard_bench_width,
-            shard_bench_rounds,
-        );
-    let shard_speedup = legacy_us / sharded_us;
-    let shard_speedup_cached = unsharded_us / sharded_us;
-    let skyline_speedup = sharded_eager_us / sharded_us;
+    let (unsharded_us, sharded_us, bench_skip_rate) = sharding_microbench(
+        &shard_costs,
+        &shard_specs,
+        shard_bench_shards,
+        shard_bench_per_server,
+        shard_bench_width,
+        shard_bench_rounds,
+    );
+    let shard_speedup = unsharded_us / sharded_us;
     eprintln!(
         "decision pipeline at {shard_bench_servers} servers x {shard_bench_per_server} tasks, \
-         width {shard_bench_width}: pre-federation engine {legacy_us:.1} µs/task, \
-         unsharded (mem scan hoisted) {unsharded_us:.1} µs/task, \
-         {shard_bench_shards} shards eager merge {sharded_eager_us:.1} µs/task, \
-         skyline merge {sharded_us:.1} µs/task; speedup {shard_speedup:.2}x \
-         vs pre-federation (gate >= {shard_gate}x), {shard_speedup_cached:.2}x vs hoisted \
-         unsharded, {skyline_speedup:.2}x vs eager merge (gate >= {skyline_gate}x, \
-         skipped-shard-rate {bench_skip_rate:.3})"
+         width {shard_bench_width}: unsharded {unsharded_us:.1} µs/task, \
+         {shard_bench_shards} shards {sharded_us:.1} µs/task, speedup {shard_speedup:.2}x \
+         (skipped-shard-rate {bench_skip_rate:.3})"
     );
 
     // 5b. Group-walk microbench: flat versus two-level skyline walk at
@@ -1171,43 +864,6 @@ fn main() {
         tree_stats.group_skips,
         tree_stats.group_visits + tree_stats.group_skips,
         100.0 * tree_stats.skip_rate(),
-    );
-
-    // 5c. Hot-path microbenches, two layers. The decision loop —
-    // stage-1 k-best walk + commit/complete re-rank hooks in isolation
-    // at the bench farm's full width — carries the ≥1.3× flat-vs-btree
-    // constant-factor gate (layer isolation, the exhaustive-vs-topk
-    // precedent). The full pipeline — current path (flat rankings,
-    // direct zero-allocation stage 2) against the previous PR's path
-    // replayed through its executable-spec knobs (BTree rankings, batch
-    // `predict_all` stage 2) — is dominated by stage-2 HTM drains (see
-    // the profile section), so it gates on bit-identical decisions plus
-    // no-regression instead.
-    let hotpath_loop_rounds = env_or("HOTPATH_LOOP_ROUNDS", 20_000.0) as usize;
-    let hotpath_pipeline_tolerance = env_or("HOTPATH_PIPELINE_TOLERANCE", 1.05);
-    let (loop_btree_us, loop_flat_us) =
-        decision_loop_microbench(&shard_costs, shard_bench_width, hotpath_loop_rounds);
-    let loop_speedup = loop_btree_us / loop_flat_us;
-    let (hotpath_baseline_us, hotpath_us, hotpath_equal) = hotpath_microbench(
-        &shard_costs,
-        &shard_specs,
-        shard_bench_shards,
-        shard_bench_per_server,
-        shard_bench_width,
-        shard_bench_rounds,
-    );
-    let hotpath_speedup = hotpath_baseline_us / hotpath_us;
-    let ok_hotpath = loop_speedup >= hotpath_gate
-        && hotpath_equal
-        && hotpath_us <= hotpath_baseline_us * hotpath_pipeline_tolerance;
-    eprintln!(
-        "hot path at {shard_bench_servers} servers: decision loop (stage-1 walk + re-rank, \
-         width {shard_bench_width}) btree {loop_btree_us:.3} µs/round, flat ladder \
-         {loop_flat_us:.3} µs/round, speedup {loop_speedup:.2}x (gate >= {hotpath_gate}x); \
-         full pipeline over {shard_bench_shards} shards: previous-PR replay (btree rankings, \
-         batch stage 2) {hotpath_baseline_us:.2} µs/task, current (flat rankings, direct \
-         stage 2) {hotpath_us:.2} µs/task, speedup {hotpath_speedup:.2}x (gates: decisions \
-         equal: {hotpath_equal}, no-regression <= {hotpath_pipeline_tolerance}x)"
     );
 
     // 6. The living-farm gate: the sharded campaign rerun under a fault
@@ -1409,23 +1065,14 @@ fn main() {
     let ok_decision = decision_speedup >= decision_gate;
     let ok_delta = completion_delta <= delta_gate;
     let ok_shard_delta = shard_delta <= delta_gate && sharded_m.completed == n_tasks;
-    let ok_shard_decision = shard_speedup >= shard_gate;
-    let ok_skyline_equal = skyline_equal && skyline_delta == 0.0;
-    let ok_skyline_decision = skyline_speedup >= skyline_gate && bench_skip_rate > 0.0;
     let ok = ok_campaign
         && ok_decision
         && ok_delta
         && ok_shard_delta
-        && ok_shard_decision
-        && ok_skyline_equal
-        && ok_skyline_decision
         && ok_tree_equal
         && ok_tree_decision
         && ok_churn
         && ok_trace
-        && ok_hotpath
-        && ok_stage2_equal
-        && ok_stage2_speed
         && ok_stage2_counters
         && ok_profile
         && ok_peak_pending;
@@ -1485,37 +1132,17 @@ fn main() {
          \"peak_pending_events_unsharded\": {},\n      \
          \"note\": \"aggregated mode fires one kernel event per shard per period (O(S)) instead \
          of one per server (O(n)); the unsharded headline arm keeps the per-server schedule\"\n    }},\n    \
-         \"skyline\": {{\n      \"equivalence\": {{\n        \"tasks\": {compare_tasks},\n        \
-         \"records_equal\": {skyline_equal},\n        \
-         \"completion_delta\": {skyline_delta:.6},\n        \
-         \"wall_on_s\": {:.3},\n        \"wall_off_s\": {:.3},\n        \
-         \"skipped_shard_rate\": {:.4},\n        \
-         \"acceptance\": {{\"required\": \"records bit-identical, delta exactly 0\", \
-         \"pass\": {ok_skyline_equal}}}\n      }},\n      \
-         \"decision_path\": {{\n        \"eager_merge_us_per_task\": {sharded_eager_us:.2},\n        \
-         \"skyline_merge_us_per_task\": {sharded_us:.2},\n        \
-         \"speedup_vs_eager\": {skyline_speedup:.2},\n        \
-         \"skipped_shard_rate\": {bench_skip_rate:.4},\n        \
-         \"acceptance\": {{\"required_min_speedup\": {skyline_gate}, \
-         \"required_skip_rate\": \"> 0\", \"pass\": {ok_skyline_decision}}}\n      }}\n    }},\n    \
          \"decision_path\": {{\n      \"unit\": \"microseconds per task through the full decision \
          pipeline (two-stage decision, commit hook, complete hook; HMCT, TopK width \
          {shard_bench_width})\",\n      \
          \"servers\": {shard_bench_servers},\n      \"shards\": {shard_bench_shards},\n      \
          \"per_server_tasks\": {shard_bench_per_server},\n      \
-         \"pre_federation_us_per_task\": {legacy_us:.2},\n      \
          \"unsharded_us_per_task\": {unsharded_us:.2},\n      \
-         \"sharded_eager_us_per_task\": {sharded_eager_us:.2},\n      \
          \"sharded_us_per_task\": {sharded_us:.2},\n      \
-         \"speedup_vs_pre_federation\": {shard_speedup:.2},\n      \
-         \"speedup_vs_unsharded\": {shard_speedup_cached:.2},\n      \
-         \"note\": \"pre_federation replays the engine as it stood before the federation \
-         (per-decision O(n) platform scan, BTree rankings, batched stage 2), the predecessor \
-         baseline this section gates against — the same convention decision_cost uses with the \
-         exhaustive loop; unsharded_us_per_task is the current single-agent path with the scan \
-         hoisted; sharded_us_per_task is the production skyline \
-         merge (sharded_eager_us_per_task replays the eager full scatter)\",\n      \
-         \"acceptance\": {{\"required_min_speedup\": {shard_gate}, \"pass\": {ok_shard_decision}}}\n    }},\n",
+         \"speedup_vs_unsharded\": {shard_speedup:.2},\n      \
+         \"skipped_shard_rate\": {bench_skip_rate:.4},\n      \
+         \"note\": \"recorded, not gated: the federation's per-task cost against the single \
+         agent on the same farm\"\n    }},\n",
         sharded_m.completed,
         sharded_m.meanstretch,
         sharded.skyline.group_visits,
@@ -1525,9 +1152,6 @@ fn main() {
         headline.report_events,
         sharded.peak_pending,
         headline.peak_pending,
-        sky_on.wall,
-        sky_off.wall,
-        sky_on.skyline.skip_rate(),
     );
     let _ = write!(
         json,
@@ -1643,49 +1267,9 @@ fn main() {
     );
     let _ = write!(
         json,
-        "  \"hotpath\": {{\n    \
-         \"servers\": {shard_bench_servers},\n    \
-         \"decision_loop\": {{\n      \
-         \"unit\": \"microseconds per round of the stage-1 steady-state loop (k-best walk + \
-         commit + complete re-rank hooks, width {shard_bench_width})\",\n      \
-         \"btree_us_per_round\": {loop_btree_us:.3},\n      \
-         \"flat_us_per_round\": {loop_flat_us:.3},\n      \
-         \"speedup\": {loop_speedup:.2}\n    }},\n    \
-         \"pipeline\": {{\n      \
-         \"unit\": \"microseconds per task through the full decision pipeline (two-stage \
-         decision, commit hook, complete hook; HMCT, TopK width {shard_bench_width}, \
-         {shard_bench_shards} shards)\",\n      \
-         \"baseline_us_per_task\": {hotpath_baseline_us:.2},\n      \
-         \"current_us_per_task\": {hotpath_us:.2},\n      \
-         \"speedup\": {hotpath_speedup:.2},\n      \
-         \"decisions_equal\": {hotpath_equal}\n    }},\n    \
-         \"note\": \"the decision loop isolates the layer the flat-ladder rankings rewrite \
-         targets and carries the constant-factor gate; the pipeline arm replays the previous \
-         PR's decision path through its executable-spec knobs — BTree rankings and the batch \
-         predict_all stage 2 — on the same farm, is dominated by stage-2 HTM drains (see the \
-         profile section), and gates on bit-identical decisions (differential suites + the \
-         in-run pick comparison) plus no-regression\",\n    \
-         \"acceptance\": {{\"required_min_decision_loop_speedup\": {hotpath_gate}, \
-         \"required_max_pipeline_ratio\": {hotpath_pipeline_tolerance}, \
-         \"required\": \"decisions bit-identical across pipeline arms\", \
-         \"pass\": {ok_hotpath}}}\n  }},\n"
-    );
-    let _ = write!(
-        json,
-        "  \"stage2\": {{\n    \"mode_default\": \"fast\",\n    \
-         \"mean_load\": {stage2_load:.2},\n    \
-         \"equivalence\": {{\n      \"tasks\": {compare_tasks},\n      \
-         \"records_equal\": {stage2_equal},\n      \
-         \"wall_fast_s\": {:.3},\n      \"wall_full_s\": {:.3},\n      \
-         \"acceptance\": {{\"required\": \"whole-campaign records bit-identical fast vs \
-         full\", \"pass\": {ok_stage2_equal}}}\n    }},\n    \
-         \"phase\": {{\n      \"unit\": \"seconds of stage2_predict phase time over the \
-         squeezed comparison campaign, per mode\",\n      \
-         \"fast_stage2_predict_s\": {:.3},\n      \
-         \"full_stage2_predict_s\": {:.3},\n      \
-         \"speedup\": {stage2_speedup:.2},\n      \
-         \"acceptance\": {{\"required_min_speedup\": {stage2_gate}, \
-         \"pass\": {ok_stage2_speed}}}\n    }},\n    \
+        "  \"stage2\": {{\n    \"mean_load\": {stage2_load:.2},\n    \
+         \"tasks\": {compare_tasks},\n    \"wall_run_s\": {:.3},\n    \
+         \"stage2_predict_s\": {:.3},\n    \
          \"counters\": {{\n      \"drains_run\": {},\n      \"memo_hits\": {},\n      \
          \"memo_hit_rate\": {:.4},\n      \"cross_task_hits\": {},\n      \
          \"truncated\": {},\n      \"truncation_rate\": {:.4},\n      \
@@ -1693,16 +1277,10 @@ fn main() {
          \"headline_campaign\": {{\"drains_run\": {}, \"truncated\": {}, \
          \"prefix_reuses\": {}, \"memo_hit_rate\": {:.4}}},\n      \
          \"acceptance\": {{\"required\": \"drains, truncations and prefix reuses all > 0 \
-         (the fast engine must actually run, truncate and resume)\", \
-         \"pass\": {ok_stage2_counters}}}\n    }},\n    \
-         \"note\": \"fast answers each what-if with a truncated drain resumed from the \
-         per-server prefix cursor and scatters large batches over the worker pool; full \
-         replays the pre-optimisation engine kept as the executable spec — equality gates \
-         on whole-campaign records, speedup on the isolated stage2_predict phase\"\n  }},\n",
-        stage2_fast_run.wall,
-        stage2_full_run.wall,
-        stage2_fast_ns as f64 / 1e9,
-        stage2_full_ns as f64 / 1e9,
+         (the drain engine must actually run, truncate and resume)\", \
+         \"pass\": {ok_stage2_counters}}}\n    }}\n  }},\n",
+        stage2_run.wall,
+        stage2_ns as f64 / 1e9,
         s2.drains,
         s2.hits,
         s2.hit_rate(),
@@ -1729,16 +1307,11 @@ fn main() {
         json,
         "  \"acceptance\": {{\"budget_wall_s\": {budget_secs}, \"all_tasks_complete\": {}, \
          \"decision_gate_pass\": {ok_decision}, \"completion_delta_pass\": {ok_delta}, \
-         \"shard_delta_pass\": {ok_shard_delta}, \"shard_decision_gate_pass\": {ok_shard_decision}, \
-         \"skyline_equivalence_pass\": {ok_skyline_equal}, \
-         \"skyline_decision_gate_pass\": {ok_skyline_decision}, \
+         \"shard_delta_pass\": {ok_shard_delta}, \
          \"tree_equivalence_pass\": {ok_tree_equal}, \
          \"tree_decision_gate_pass\": {ok_tree_decision}, \
          \"churn_gate_pass\": {ok_churn}, \
          \"trace_gate_pass\": {ok_trace}, \
-         \"hotpath_gate_pass\": {ok_hotpath}, \
-         \"stage2_equivalence_pass\": {ok_stage2_equal}, \
-         \"stage2_gate_pass\": {ok_stage2_speed}, \
          \"stage2_counters_pass\": {ok_stage2_counters}, \
          \"profile_gate_pass\": {ok_profile}, \
          \"peak_pending_gate_pass\": {ok_peak_pending}, \

@@ -205,10 +205,9 @@ fn sweep_crest() {
 
 /// Shard-count sweep: the same bursty campaign on a synthetic farm,
 /// through the single agent and through federations of growing width.
-/// Charts completion, mean stretch, wall time (skyline merge and eager
-/// merge) and the skyline's skipped-shard rate per shard count — the
-/// quality side of the federation (`--shards N` must not move the
-/// metrics, skyline-on must equal skyline-off exactly) next to its cost
+/// Charts completion, mean stretch, wall time and the skyline's
+/// skipped-shard rate per shard count — the quality side of the
+/// federation (`--shards N` must not move the metrics) next to its cost
 /// side (`BENCH_scale.json`'s sharding section).
 fn sweep_shards() {
     const SHARD_COUNTS: [Sharding; 5] = [
@@ -249,7 +248,6 @@ fn sweep_shards() {
             "meanstretch".into(),
             "maxstretch".into(),
             "wall s".into(),
-            "eager s".into(),
             "skip %".into(),
         ],
     );
@@ -273,11 +271,6 @@ fn sweep_shards() {
             })
             .with_shards(sharding);
         let (recs, wall, skip) = run(cfg);
-        let (eager_recs, eager_wall, _) = run(cfg.with_skyline(false));
-        assert_eq!(
-            recs, eager_recs,
-            "{sharding:?}: skyline on/off must be record-identical"
-        );
         let m = MetricSet::compute(&recs);
         let label = match sharding {
             Sharding::Single => "single agent".to_string(),
@@ -291,7 +284,6 @@ fn sweep_shards() {
                 m.meanstretch,
                 m.maxstretch,
                 wall,
-                eager_wall,
                 100.0 * skip,
             ],
             3,
@@ -300,9 +292,8 @@ fn sweep_shards() {
     println!("{}", table.render());
     println!(
         "The single-agent row and the 1-shard row must agree exactly (the S = 1
-         invariant), and every row is asserted record-identical between the
-         skyline merge (`wall s`) and the eager scatter (`eager s`) — `skip %`
-         is the fraction of shard walks the skyline avoided. Wider federations
+         invariant); `skip %` is the fraction of shard walks the skyline
+         avoided. Wider federations
          may move placements slightly (each shard adapts its own stage-1 width)
          but completion and stretch stay flat."
     );

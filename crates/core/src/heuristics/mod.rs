@@ -187,10 +187,6 @@ pub struct SchedView<'a> {
     memo: MemoSlot<'a>,
     /// Whether the candidate list has been batch-predicted already.
     batched: bool,
-    /// Forces the batch `predict_all` arm regardless of candidate count —
-    /// the pre-direct-path decision shape, kept as the executable spec
-    /// the zero-allocation direct path benches and proves against.
-    batch_only: bool,
     /// Per-server admission limits (RAM + swap), MB — set by the engine
     /// when memory-aware policies are in play.
     server_mem: Option<&'a [f64]>,
@@ -220,7 +216,6 @@ impl<'a> SchedView<'a> {
             rng,
             memo: MemoSlot::Owned(DecisionMemo::new()),
             batched: false,
-            batch_only: false,
             server_mem: None,
         }
     }
@@ -238,16 +233,6 @@ impl<'a> SchedView<'a> {
     pub fn with_memo(mut self, memo: &'a mut DecisionMemo) -> Self {
         memo.begin(self.costs.n_servers());
         self.memo = MemoSlot::Shared(memo);
-        self
-    }
-
-    /// Forces the batch [`predict_all`](crate::Htm::predict_all) stage-2
-    /// arm even for short candidate lists — the decision shape before the
-    /// direct zero-allocation path existed. Answers are bit-identical
-    /// either way; the hot-path bench keeps this arm as its same-run
-    /// baseline.
-    pub fn with_batch_predict(mut self, batch_only: bool) -> Self {
-        self.batch_only = batch_only;
         self
     }
 
@@ -298,7 +283,7 @@ impl<'a> SchedView<'a> {
         if !self.memo.get().queried(server) {
             if !self.batched && self.candidates.contains(&server) {
                 self.batched = true;
-                if self.candidates.len() <= DIRECT_PREDICT_MAX && !self.batch_only {
+                if self.candidates.len() <= DIRECT_PREDICT_MAX {
                     // Short list: one routed query per candidate, each
                     // written into the memo's reusable slot. Bit-identical
                     // to the batch path (the federated backend already

@@ -45,27 +45,25 @@
 //!   server's scratch state is independent, so parallelism cannot change
 //!   results).
 //!
-//! * **Incremental baseline repair.** A commit used to invalidate the
-//!   server's baseline and pay a full re-drain on the next query. But the
-//!   speculative *after*-schedule computed for `(task, now)` — which the
-//!   engine has almost always just computed, since every commit follows a
-//!   prediction for the winning server — **is** the post-commit baseline:
-//!   the commit mutates the trace into exactly the state that drain
-//!   describes. Under [`RepairPolicy::Incremental`] (the default), commit
-//!   therefore splices: it adopts the memoised after-schedule (recomputing
-//!   it on the spot only if no matching query preceded the commit) and
-//!   the trace mutation costs O(advance) instead of O(full re-drain).
-//!   Retract and observe repair the same way through
-//!   [`ServerTrace::drain_schedule_without`]. The differential proptests
-//!   below additionally assert, after every mutation, that the repaired
-//!   baseline is bit-for-bit identical to a from-scratch re-drain.
+//! * **Incremental baseline repair.** The speculative *after*-schedule
+//!   computed for `(task, now)` — which the engine has almost always just
+//!   computed, since every commit follows a prediction for the winning
+//!   server — **is** the post-commit baseline: the commit mutates the
+//!   trace into exactly the state that drain describes. Commit therefore
+//!   splices: it adopts the memoised after-schedule (recomputing it on
+//!   the spot only if no matching query preceded the commit), so the
+//!   trace mutation costs O(advance) instead of O(full re-drain). Retract
+//!   and observe repair the same way through
+//!   [`ServerTrace::drain_schedule_without`]. The proptests below assert
+//!   after every mutation that [`Htm::cached_baseline`] equals a
+//!   from-scratch [`ServerTrace::drain_schedule`], bit for bit.
 //!
-//! # The stage-2 drain engine ([`Stage2Mode`])
+//! # The stage-2 drain engine
 //!
 //! Profiling showed the speculative drains above — phase `stage2_predict`
-//! of the decision pipeline — dominating campaign wall time. Under
-//! [`Stage2Mode::Fast`] (the default) two further optimisations apply,
-//! each bit-identical to the full drain by construction:
+//! of the decision pipeline — dominating campaign wall time. Three
+//! further optimisations apply, each bit-identical to a full drain by
+//! construction:
 //!
 //! * **Truncated drains.** When the configured heuristic only reads the
 //!   probe's completion (HMCT and the non-perturbation policies — see
@@ -83,21 +81,15 @@
 //!   full re-drain) resume from the snapshot instead of replaying the
 //!   trace's whole event history.
 //! * **Parallel scatter.** [`Htm::predict_all`] batches fan out across
-//!   [`cas_sim::pool`] whenever more than one worker is available (the
-//!   conservative load floor of the full mode is dropped), mirroring the
-//!   stage-1 walk's parallel arm; the slot-indexed reduce keeps results
-//!   deterministic.
+//!   [`cas_sim::pool`] whenever more than one worker is available,
+//!   mirroring the stage-1 walk's parallel arm; the slot-indexed reduce
+//!   keeps results deterministic.
 //!
-//! [`Stage2Mode::Full`] keeps the previous engine untouched — fresh
-//! scratch load and complete drain per memo miss, load-gated threading —
-//! as the executable specification: differential proptests drive both
-//! modes through arbitrary interleavings and assert bit-for-bit equality.
-//!
-//! [`Htm::predict_reference`] keeps the original clone-and-drain
-//! implementation; the differential proptests below drive both paths
+//! The oracle for all of this lives in the test module: it clones the
+//! trace, inserts the probe and drains the clone — the original what-if
+//! implementation. The proptests below drive the engine and the oracle
 //! through arbitrary commit/predict/retract/observe interleavings and
-//! assert bit-for-bit agreement, and the `decision_cost` bench uses it as
-//! the baseline the fast path is gated against.
+//! assert bit-for-bit agreement.
 //!
 //! Per-task metadata (assignment + problem of every committed task) lives
 //! in a [`cas_platform::Arena`]: contiguous records, recycled slots, one
@@ -113,9 +105,6 @@ use std::collections::HashMap;
 /// set and the simulated load are both large enough to amortise job
 /// queueing (a loaded drain is tens of µs).
 const PARALLEL_MIN_CANDIDATES: usize = 8;
-
-/// Minimum total active tasks across candidate traces before threading.
-const PARALLEL_MIN_ACTIVE: usize = 1024;
 
 /// After-schedules at most this long answer completion/perturbation
 /// lookups by linear scan instead of rebuilding the per-query hash map —
@@ -135,60 +124,6 @@ pub enum SyncPolicy {
     /// synchronization between the HTM and the execution of the tasks"
     /// future work).
     ForceFinish,
-}
-
-/// How the HTM keeps each server's cached baseline consistent across
-/// trace mutations (commit / retract / observe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairPolicy {
-    /// Splice the mutation into the cached schedule: a commit adopts the
-    /// speculative after-schedule of the committed task (memoised from
-    /// the preceding prediction in the common case), a retract adopts the
-    /// without-task drain. The baseline never goes stale, so mutations
-    /// cost O(advance), not O(full re-drain).
-    #[default]
-    Incremental,
-    /// PR-1 behaviour: invalidate on mutation, full re-drain on the next
-    /// query. Kept as the executable specification of `Incremental` (the
-    /// differential proptests compare the two) and as the baseline of the
-    /// `decision_cost` commit-path bench.
-    FullRedrain,
-}
-
-/// Which stage-2 drain engine answers what-if queries (see the module
-/// docs). Selected per run via the `--stage2` CLI flag; both modes produce
-/// bit-identical predictions and therefore bit-identical decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stage2Mode {
-    /// Truncated, prefix-sharing drains with the multi-core scatter —
-    /// the production engine.
-    #[default]
-    Fast,
-    /// The pre-optimisation engine: full drain per memo miss from a fresh
-    /// scratch load, threading only above the conservative load floor.
-    /// Kept as the executable specification `Fast` is differentially
-    /// tested against, and as the same-run baseline of the stage-2 bench
-    /// gate.
-    Full,
-}
-
-impl Stage2Mode {
-    /// Canonical flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage2Mode::Fast => "fast",
-            Stage2Mode::Full => "full",
-        }
-    }
-
-    /// Parses a `--stage2` flag value (case-insensitive).
-    pub fn parse(s: &str) -> Option<Stage2Mode> {
-        match s.to_ascii_lowercase().as_str() {
-            "fast" => Some(Stage2Mode::Fast),
-            "full" => Some(Stage2Mode::Full),
-            _ => None,
-        }
-    }
 }
 
 /// What a memoised speculative drain depends on: the probe's phase costs
@@ -247,10 +182,9 @@ struct PredictState {
     /// truncated prefix ending at the probe's completion (`false`). A
     /// truncated memo answers completion-only queries; a consumer that
     /// needs the whole schedule (commit's splice, perturbation fills)
-    /// re-drains. Only ever `false` under [`Stage2Mode::Fast`] with
-    /// completion-only depth.
+    /// re-drains. Only ever `false` under completion-only depth.
     after_complete: bool,
-    /// Fast-mode baseline-prefix snapshot shared by all probes against one
+    /// Baseline-prefix snapshot shared by all probes against one
     /// `(generation, now)`; invalidated implicitly by generation bumps.
     prefix: PrefixCursor,
     /// Speculative drains actually run (memo misses).
@@ -274,7 +208,7 @@ impl PredictState {
     /// Recomputes the baseline if the trace mutated since the cached copy.
     fn refresh_baseline(&mut self, trace: &ServerTrace) {
         if self.baseline_gen != trace.generation() {
-            trace.drain_schedule_into(&mut self.scratch, None, &mut self.baseline);
+            trace.drain_schedule_into(&mut self.scratch, &mut self.baseline);
             self.baseline_gen = trace.generation();
         }
     }
@@ -289,16 +223,15 @@ impl PredictState {
     /// drain wholesale and only the probe's own entry is relabelled.
     ///
     /// `truncate` grants permission to stop the drain at the probe's
-    /// completion (only taken under [`Stage2Mode::Fast`]); a memoised
-    /// *truncated* schedule never satisfies a `!truncate` caller — the
-    /// drain re-runs to completion, resuming the shared prefix.
+    /// completion; a memoised *truncated* schedule never satisfies a
+    /// `!truncate` caller — the drain re-runs to completion, resuming the
+    /// shared prefix.
     fn refresh_after(
         &mut self,
         trace: &ServerTrace,
         now: SimTime,
         task: TaskId,
         costs: PhaseCosts,
-        mode: Stage2Mode,
         truncate: bool,
     ) {
         let key = AfterKey::new(costs, now, trace.generation());
@@ -327,30 +260,18 @@ impl PredictState {
             }
             self.memo_hits += 1;
         } else {
-            match mode {
-                Stage2Mode::Full => {
-                    trace.drain_schedule_into(
-                        &mut self.scratch,
-                        Some((now, task, costs)),
-                        &mut self.after,
-                    );
-                    self.after_complete = true;
-                }
-                Stage2Mode::Fast => {
-                    let (prefix_hit, truncated) = trace.drain_schedule_into_fast(
-                        &mut self.scratch,
-                        &mut self.prefix,
-                        now,
-                        task,
-                        costs,
-                        truncate,
-                        &mut self.after,
-                    );
-                    self.prefix_hits += prefix_hit as u64;
-                    self.truncated += truncated as u64;
-                    self.after_complete = !truncated;
-                }
-            }
+            let (prefix_hit, truncated) = trace.drain_schedule_into_fast(
+                &mut self.scratch,
+                &mut self.prefix,
+                now,
+                task,
+                costs,
+                truncate,
+                &mut self.after,
+            );
+            self.prefix_hits += prefix_hit as u64;
+            self.truncated += truncated as u64;
+            self.after_complete = !truncated;
             self.after_query = Some((key, task));
             self.drains += 1;
         }
@@ -366,19 +287,18 @@ impl PredictState {
 
     /// Answers one what-if query against `trace` without touching it.
     ///
-    /// Bit-for-bit identical to the clone-based reference path (see
-    /// [`Htm::predict_reference`]).
+    /// Bit-for-bit identical to the clone-and-drain oracle of the test
+    /// module.
     fn predict(
         &mut self,
         trace: &ServerTrace,
         now: SimTime,
         task: TaskId,
         costs: PhaseCosts,
-        mode: Stage2Mode,
         completion_only: bool,
     ) -> Prediction {
         let mut out = Prediction::empty();
-        self.predict_into(trace, now, task, costs, mode, completion_only, &mut out);
+        self.predict_into(trace, now, task, costs, completion_only, &mut out);
         out
     }
 
@@ -388,25 +308,22 @@ impl PredictState {
     /// to the server's active-task count. Same lookups, same floats,
     /// same order as the returning variant — which is now defined
     /// through this one.
-    #[allow(clippy::too_many_arguments)]
     fn predict_into(
         &mut self,
         trace: &ServerTrace,
         now: SimTime,
         task: TaskId,
         costs: PhaseCosts,
-        mode: Stage2Mode,
         completion_only: bool,
         out: &mut Prediction,
     ) {
-        // Completion-only depth (fast mode): nothing reads the
-        // perturbations, so skip the baseline refresh and the
-        // perturbation fill entirely and let the drain stop at the
-        // probe's completion. The completion value is bit-identical —
-        // truncation only cuts the schedule *after* the probe's entry.
-        let truncate = completion_only && mode == Stage2Mode::Fast;
-        if truncate {
-            self.refresh_after(trace, now, task, costs, mode, true);
+        // Completion-only depth: nothing reads the perturbations, so skip
+        // the baseline refresh and the perturbation fill entirely and let
+        // the drain stop at the probe's completion. The completion value
+        // is bit-identical — truncation only cuts the schedule *after* the
+        // probe's entry.
+        if completion_only {
+            self.refresh_after(trace, now, task, costs, true);
             // Scan from the back: a truncated drain stops at the probe's
             // completion, so the probe is the last entry (or within its
             // same-instant tie batch). Task ids are unique in `after`, so
@@ -423,7 +340,7 @@ impl PredictState {
             return;
         }
         self.refresh_baseline(trace);
-        self.refresh_after(trace, now, task, costs, mode, false);
+        self.refresh_after(trace, now, task, costs, false);
         // Small schedules answer by linear scan: rebuilding the task →
         // completion hash map costs more than scanning a few contiguous
         // pairs, and a campaign-realistic trace holds a handful of active
@@ -485,10 +402,10 @@ pub struct MemoStats {
     /// key.
     pub cross_task_hits: u64,
     /// The subset of `drains` that stopped early at the probe's
-    /// completion (fast mode, completion-only depth).
+    /// completion (completion-only depth).
     pub truncated: u64,
     /// The subset of `drains` that resumed the shared baseline-prefix
-    /// cursor instead of replaying the trace's event history (fast mode).
+    /// cursor instead of replaying the trace's event history.
     pub prefix_hits: u64,
 }
 
@@ -560,9 +477,7 @@ pub struct Htm {
     /// the single id-keyed map left on the commit path.
     by_task: HashMap<TaskId, ArenaKey<CommittedTask>>,
     sync: SyncPolicy,
-    repair: RepairPolicy,
-    stage2: Stage2Mode,
-    /// Fast-mode depth: when `true`, the configured heuristic only ever
+    /// Query depth: when `true`, the configured heuristic only ever
     /// reads the probe's completion, so queries skip the perturbation
     /// fill and drains may truncate.
     completion_only: bool,
@@ -584,43 +499,16 @@ impl Htm {
             committed: Arena::new(),
             by_task: HashMap::new(),
             sync,
-            repair: RepairPolicy::default(),
-            stage2: Stage2Mode::default(),
             completion_only: false,
             parallel_override: None,
             predictions_made: 0,
         }
     }
 
-    /// Selects how cached baselines are repaired across mutations (default
-    /// [`RepairPolicy::Incremental`]; the full-re-drain fallback exists
-    /// for differential testing and the commit-path bench).
-    pub fn set_repair_policy(&mut self, repair: RepairPolicy) {
-        self.repair = repair;
-    }
-
-    /// The active baseline-repair policy.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.repair
-    }
-
-    /// Selects the stage-2 drain engine (default [`Stage2Mode::Fast`];
-    /// the full engine exists for differential testing and as the
-    /// same-run baseline of the stage-2 bench gate).
-    pub fn set_stage2_mode(&mut self, mode: Stage2Mode) {
-        self.stage2 = mode;
-    }
-
-    /// The active stage-2 drain engine.
-    pub fn stage2_mode(&self) -> Stage2Mode {
-        self.stage2
-    }
-
     /// Declares whether the run's heuristic reads only the probe's
-    /// completion from predictions (no perturbations). Under
-    /// [`Stage2Mode::Fast`] this lets speculative drains stop at the
-    /// probe's completion; predictions then carry an empty perturbation
-    /// list. Has no effect under [`Stage2Mode::Full`].
+    /// completion from predictions (no perturbations). This lets
+    /// speculative drains stop at the probe's completion; predictions then
+    /// carry an empty perturbation list.
     pub fn set_completion_only(&mut self, completion_only: bool) {
         self.completion_only = completion_only;
     }
@@ -698,9 +586,8 @@ impl Htm {
     }
 
     /// The cached baseline schedule of `server`, if it is fresh for the
-    /// trace's current generation. Under [`RepairPolicy::Incremental`]
-    /// this is always `Some` (repair keeps the cache consistent through
-    /// every mutation); the splice ≡ re-drain differential proptests
+    /// trace's current generation. Always `Some` in practice (the splice
+    /// keeps the cache consistent through every mutation); the proptests
     /// compare it bitwise against [`ServerTrace::drain_schedule`].
     pub fn cached_baseline(&self, server: ServerId) -> Option<&[(TaskId, SimTime)]> {
         let state = &self.predict_states[server.index()];
@@ -725,14 +612,7 @@ impl Htm {
         self.predictions_made += 1;
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
-        Some(state.predict(
-            trace,
-            now,
-            task.id,
-            costs,
-            self.stage2,
-            self.completion_only,
-        ))
+        Some(state.predict(trace, now, task.id, costs, self.completion_only))
     }
 
     /// [`Self::predict`] into caller-owned storage: returns `false` (and
@@ -755,52 +635,8 @@ impl Htm {
         self.predictions_made += 1;
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
-        state.predict_into(
-            trace,
-            now,
-            task.id,
-            costs,
-            self.stage2,
-            self.completion_only,
-            out,
-        );
+        state.predict_into(trace, now, task.id, costs, self.completion_only, out);
         true
-    }
-
-    /// The original clone-and-drain what-if path, kept as the executable
-    /// specification of [`Self::predict`]: the differential proptests
-    /// assert both produce bit-identical predictions over arbitrary
-    /// interleavings, and the `decision_cost` bench uses this as the
-    /// baseline the cached engine is gated against.
-    pub fn predict_reference(
-        &mut self,
-        now: SimTime,
-        server: ServerId,
-        task: &TaskInstance,
-    ) -> Option<Prediction> {
-        let costs = self.costs.costs(task.problem, server)?;
-        self.predictions_made += 1;
-        let trace = &self.traces[server.index()];
-        let before: Vec<(TaskId, SimTime)> = trace.drain_schedule();
-        let mut with = trace.clone();
-        with.add_task(now, task.id, costs);
-        let after: HashMap<TaskId, SimTime> = with.drain_schedule().into_iter().collect();
-        let completion = after[&task.id];
-        let perturbations = before
-            .iter()
-            .filter_map(|(j, f_before)| {
-                // Tasks that finish before `now` drop out of the schedule
-                // once the clone advances; they carry no perturbation.
-                after
-                    .get(j)
-                    .map(|f_after| (*j, (*f_after - *f_before).as_secs().max(0.0)))
-            })
-            .collect();
-        Some(Prediction {
-            completion,
-            queried_at: now,
-            perturbations,
-        })
     }
 
     /// Answers one what-if query per candidate in a single batch.
@@ -818,31 +654,17 @@ impl Htm {
         task: &TaskInstance,
         candidates: &[ServerId],
     ) -> Vec<Option<Prediction>> {
-        let (mode, completion_only) = (self.stage2, self.completion_only);
-        // Fast mode scatters whenever more than one worker exists (the
-        // per-drain work is already minimised, so the fan-out pays from
-        // small batches); full mode keeps the conservative load floor of
-        // the pre-optimisation engine. Tests force either arm through the
-        // override, mirroring the stage-1 walk. Gated on the raw
-        // candidate list (selectors produce distinct, solvable-heavy
-        // lists) so the serial path below never pays for the batch
-        // machinery.
+        let completion_only = self.completion_only;
+        // Scatter whenever more than one worker exists (the per-drain work
+        // is already minimised, so the fan-out pays from small batches).
+        // Tests force either arm through the override, mirroring the
+        // stage-1 walk. Gated on the raw candidate list (selectors produce
+        // distinct, solvable-heavy lists) so the serial path below never
+        // pays for the batch machinery.
         let parallel = candidates.len() > 1
-            && match mode {
-                Stage2Mode::Fast => self.parallel_override.unwrap_or_else(|| {
-                    candidates.len() >= PARALLEL_MIN_CANDIDATES
-                        && cas_sim::pool::global().workers() > 1
-                }),
-                Stage2Mode::Full => {
-                    candidates.len() >= PARALLEL_MIN_CANDIDATES && {
-                        let total_active: usize = candidates
-                            .iter()
-                            .map(|&s| self.traces[s.index()].active_len())
-                            .sum();
-                        total_active >= PARALLEL_MIN_ACTIVE
-                    }
-                }
-            };
+            && self.parallel_override.unwrap_or_else(|| {
+                candidates.len() >= PARALLEL_MIN_CANDIDATES && cas_sim::pool::global().workers() > 1
+            });
         if !parallel {
             // Serial path: one routed query per candidate, straight
             // through the per-server memo and scratch — no slot map, no
@@ -857,7 +679,7 @@ impl Htm {
                     self.predictions_made += 1;
                     let trace = &self.traces[s.index()];
                     let state = &mut self.predict_states[s.index()];
-                    Some(state.predict(trace, now, task.id, costs, mode, completion_only))
+                    Some(state.predict(trace, now, task.id, costs, completion_only))
                 })
                 .collect();
         }
@@ -900,7 +722,7 @@ impl Htm {
                             let c = costs[*slot].expect("selected implies solvable");
                             out.push((
                                 *slot,
-                                state.predict(trace, now, task_id, c, mode, completion_only),
+                                state.predict(trace, now, task_id, c, completion_only),
                             ));
                         }
                     });
@@ -929,11 +751,11 @@ impl Htm {
     /// line). The mapping becomes part of the historical trace used by all
     /// later predictions.
     ///
-    /// Under [`RepairPolicy::Incremental`] the server's cached baseline is
-    /// spliced rather than invalidated: the speculative after-schedule for
-    /// `(task, now)` — memoised from the prediction that invariably
-    /// precedes a commit, or recomputed here if none did — *is* the
-    /// post-commit baseline, so the next query pays no re-drain.
+    /// The server's cached baseline is spliced rather than invalidated:
+    /// the speculative after-schedule for `(task, now)` — memoised from
+    /// the prediction that invariably precedes a commit, or recomputed
+    /// here if none did — *is* the post-commit baseline, so the next query
+    /// pays no re-drain.
     ///
     /// # Panics
     /// Panics if the server cannot solve the problem or the task was
@@ -948,20 +770,16 @@ impl Htm {
             "task {} committed twice",
             task.id
         );
-        if self.repair == RepairPolicy::Incremental {
-            let trace = &self.traces[server.index()];
-            let state = &mut self.predict_states[server.index()];
-            // The splice needs the *complete* after-schedule: a truncated
-            // memo entry (completion-only fast mode) is re-drained to the
-            // end here, resuming the shared prefix the prediction saved.
-            state.refresh_after(trace, now, task.id, costs, self.stage2, false);
-            state.adopt_after_as_baseline();
-            let trace = &mut self.traces[server.index()];
-            trace.add_task(now, task.id, costs);
-            state.baseline_gen = trace.generation();
-        } else {
-            self.traces[server.index()].add_task(now, task.id, costs);
-        }
+        let trace = &self.traces[server.index()];
+        let state = &mut self.predict_states[server.index()];
+        // The splice needs the *complete* after-schedule: a truncated memo
+        // entry (completion-only depth) is re-drained to the end here,
+        // resuming the shared prefix the prediction saved.
+        state.refresh_after(trace, now, task.id, costs, false);
+        state.adopt_after_as_baseline();
+        let trace = &mut self.traces[server.index()];
+        trace.add_task(now, task.id, costs);
+        state.baseline_gen = trace.generation();
         let key = self.committed.insert(CommittedTask {
             server,
             problem: task.problem,
@@ -970,25 +788,20 @@ impl Htm {
     }
 
     /// Force-finishes `task` on `server`'s trace, splicing the cached
-    /// baseline under [`RepairPolicy::Incremental`] (the without-task
-    /// drain becomes the new baseline; see
+    /// baseline (the without-task drain becomes the new baseline; see
     /// [`ServerTrace::drain_schedule_without`]). Returns whether the task
     /// was still active.
     fn force_finish_repaired(&mut self, now: SimTime, server: ServerId, task: TaskId) -> bool {
-        if self.repair == RepairPolicy::Incremental {
-            let trace = &self.traces[server.index()];
-            let state = &mut self.predict_states[server.index()];
-            let removed_predicted =
-                trace.drain_schedule_without(&mut state.scratch, now, task, &mut state.after);
-            state.adopt_after_as_baseline();
-            let trace = &mut self.traces[server.index()];
-            let removed = trace.force_finish(now, task);
-            debug_assert_eq!(removed, removed_predicted);
-            state.baseline_gen = trace.generation();
-            removed
-        } else {
-            self.traces[server.index()].force_finish(now, task)
-        }
+        let trace = &self.traces[server.index()];
+        let state = &mut self.predict_states[server.index()];
+        let removed_predicted =
+            trace.drain_schedule_without(&mut state.scratch, now, task, &mut state.after);
+        state.adopt_after_as_baseline();
+        let trace = &mut self.traces[server.index()];
+        let removed = trace.force_finish(now, task);
+        debug_assert_eq!(removed, removed_predicted);
+        state.baseline_gen = trace.generation();
+        removed
     }
 
     /// Un-commits a task (the real server rejected it and the client will
@@ -1107,6 +920,38 @@ mod tests {
         TaskInstance::new(TaskId(id), cas_platform::ProblemId(0), t(arrival))
     }
 
+    /// The oracle of the prediction engine: the original clone-and-drain
+    /// what-if path. Drains the trace as it stands, drains a clone with
+    /// the probe inserted at `now`, and diffs the two schedules.
+    pub(super) fn predict_reference(
+        htm: &Htm,
+        now: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) -> Option<Prediction> {
+        let costs = htm.costs().costs(task.problem, server)?;
+        let trace = htm.trace(server);
+        let before: Vec<(TaskId, SimTime)> = trace.drain_schedule();
+        let mut with = trace.clone();
+        with.add_task(now, task.id, costs);
+        let after: HashMap<TaskId, SimTime> = with.drain_schedule().into_iter().collect();
+        let perturbations = before
+            .iter()
+            .filter_map(|(j, f_before)| {
+                // Tasks that finish before `now` drop out of the schedule
+                // once the clone advances; they carry no perturbation.
+                after
+                    .get(j)
+                    .map(|f_after| (*j, (*f_after - *f_before).as_secs().max(0.0)))
+            })
+            .collect();
+        Some(Prediction {
+            completion: after[&task.id],
+            queried_at: now,
+            perturbations,
+        })
+    }
+
     #[test]
     fn predict_empty_server_is_unloaded_cost() {
         let mut htm = Htm::new(table(), SyncPolicy::None);
@@ -1177,24 +1022,22 @@ mod tests {
     }
 
     /// Edge case for the crash path: retracting the *last* in-flight
-    /// task of a server must return its trace to pristine under both
-    /// repair policies — the ledger empties, the resident estimate
-    /// zeroes, and the next prediction is the unloaded cost.
+    /// task of a server must return its trace to pristine — the ledger
+    /// empties, the spliced baseline is the empty re-drain, the resident
+    /// estimate zeroes, and the next prediction is the unloaded cost.
     #[test]
     fn retracting_last_in_flight_task_resets_server() {
-        for repair in [RepairPolicy::Incremental, RepairPolicy::FullRedrain] {
-            let mut htm = Htm::new(table(), SyncPolicy::ForceFinish);
-            htm.set_repair_policy(repair);
-            htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
-            htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
-            assert!(htm.retract(t(10.0), TaskId(2)));
-            assert!(htm.retract(t(10.0), TaskId(1)), "{repair:?}: last task");
-            assert_eq!(htm.active_on(ServerId(0)), 0, "{repair:?}");
-            assert_eq!(htm.resident_estimate(t(10.0), ServerId(0)), 0.0);
-            let p = htm.predict(t(10.0), ServerId(0), &task(3, 10.0)).unwrap();
-            assert!(p.perturbations.is_empty(), "{repair:?}");
-            assert_eq!(p.completion, t(110.0), "{repair:?}");
-        }
+        let mut htm = Htm::new(table(), SyncPolicy::ForceFinish);
+        htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
+        htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
+        assert!(htm.retract(t(10.0), TaskId(2)));
+        assert!(htm.retract(t(10.0), TaskId(1)), "last task");
+        assert_eq!(htm.active_on(ServerId(0)), 0);
+        assert_eq!(htm.cached_baseline(ServerId(0)), Some(&[][..]));
+        assert_eq!(htm.resident_estimate(t(10.0), ServerId(0)), 0.0);
+        let p = htm.predict(t(10.0), ServerId(0), &task(3, 10.0)).unwrap();
+        assert!(p.perturbations.is_empty());
+        assert_eq!(p.completion, t(110.0));
     }
 
     /// Edge case for the crash path: a single-task retraction racing
@@ -1319,9 +1162,7 @@ mod tests {
         // Same costs at the same instant: identical numbers, relabelled.
         assert_eq!(a.completion, b.completion);
         assert_eq!(a.perturbations, b.perturbations);
-        let reference = htm
-            .predict_reference(t(5.0), ServerId(0), &task(101, 5.0))
-            .unwrap();
+        let reference = predict_reference(&htm, t(5.0), ServerId(0), &task(101, 5.0)).unwrap();
         assert_eq!(b, reference);
     }
 
@@ -1350,7 +1191,7 @@ mod tests {
             for s in [ServerId(0), ServerId(1)] {
                 let probe = task(99, now);
                 let fast = htm.predict(t(now), s, &probe).unwrap();
-                let slow = htm.predict_reference(t(now), s, &probe).unwrap();
+                let slow = predict_reference(&htm, t(now), s, &probe).unwrap();
                 assert_eq!(fast, slow, "now={now}, server={s}");
             }
         }
@@ -1384,7 +1225,7 @@ mod tests {
         let batch = htm.predict_all(t(60.0), &probe, &candidates);
         assert_eq!(batch.len(), candidates.len());
         for (s, got) in candidates.iter().zip(&batch) {
-            let expected = htm.predict_reference(t(60.0), *s, &probe);
+            let expected = predict_reference(&htm, t(60.0), *s, &probe);
             assert_eq!(got.as_ref(), expected.as_ref(), "server {s}");
         }
     }
@@ -1395,7 +1236,6 @@ mod tests {
     #[test]
     fn spliced_baseline_matches_full_redrain() {
         let mut htm = Htm::new(table(), SyncPolicy::None);
-        assert_eq!(htm.repair_policy(), RepairPolicy::Incremental);
         // Cold commits: no predict in between.
         htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
         htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
@@ -1418,8 +1258,8 @@ mod tests {
         assert!(!htm.retract(t(11.0), TaskId(99)));
     }
 
-    /// Completion-only fast mode must truncate drains (the counters say
-    /// so) while reporting the exact completion the full engine computes,
+    /// Completion-only depth must truncate drains (the counters say so)
+    /// while reporting the exact completion a full-depth query computes,
     /// and a commit after a truncated prediction must still splice a
     /// complete baseline.
     #[test]
@@ -1436,8 +1276,6 @@ mod tests {
         let mut fast = Htm::new(c.clone(), SyncPolicy::None);
         fast.set_completion_only(true);
         let mut full = Htm::new(c, SyncPolicy::None);
-        full.set_stage2_mode(Stage2Mode::Full);
-        assert_eq!(fast.stage2_mode(), Stage2Mode::Fast);
         // Queue long tasks so a short probe completes strictly first and
         // the truncated drain has a tail to skip.
         for id in 0..4 {
@@ -1453,7 +1291,7 @@ mod tests {
             b.completion.as_secs().to_bits()
         );
         assert!(a.perturbations.is_empty(), "completion-only depth");
-        assert!(!b.perturbations.is_empty(), "full engine keeps them");
+        assert!(!b.perturbations.is_empty(), "full depth keeps them");
         let stats = fast.memo_stats();
         assert!(stats.truncated > 0, "drain must have stopped early");
         assert!(stats.truncation_rate() > 0.0);
@@ -1574,7 +1412,7 @@ mod tests {
         let probe = task(800_000, 40.0);
         let batch = parallel.predict_all(t(40.0), &probe, &candidates);
         for (s, got) in candidates.iter().zip(&batch) {
-            let expected = serial.predict_reference(t(40.0), *s, &probe);
+            let expected = predict_reference(&serial, t(40.0), *s, &probe);
             assert_eq!(got.as_ref(), expected.as_ref(), "server {s}");
         }
     }
@@ -1598,6 +1436,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::predict_reference;
     use super::*;
     use cas_platform::{PhaseCosts, Problem, ProblemId};
     use proptest::prelude::*;
@@ -1745,7 +1584,7 @@ mod proptests {
                         next_id += 1;
                         for s in 0..N_SERVERS as u32 {
                             let fast = htm.predict(when, ServerId(s), &probe);
-                            let slow = htm.predict_reference(when, ServerId(s), &probe);
+                            let slow = predict_reference(&htm, when, ServerId(s), &probe);
                             match (&fast, &slow) {
                                 (None, None) => {}
                                 (Some(f), Some(r)) => assert_bit_identical(f, r)?,
@@ -1789,142 +1628,9 @@ mod proptests {
             }
         }
 
-        /// The two repair policies are observationally equivalent: an HTM
-        /// running incremental splice repair and one running PR-1's
-        /// invalidate-and-re-drain answer every query identically over the
-        /// same interleaving.
-        #[test]
-        fn repair_policies_are_observationally_equal(
-            costs in proptest::collection::vec(arb_costs(), 6),
-            ops in proptest::collection::vec(
-                (0u32..10, 0u32..3, 0u32..2, 0.0f64..20.0),
-                1..40,
-            ),
-        ) {
-            let solvable = vec![true; 6];
-            let table = build_table(&costs, &solvable);
-            let mut inc = Htm::new(table.clone(), SyncPolicy::ForceFinish);
-            let mut full = Htm::new(table, SyncPolicy::ForceFinish);
-            full.set_repair_policy(RepairPolicy::FullRedrain);
-            prop_assert_eq!(inc.repair_policy(), RepairPolicy::Incremental);
-            let mut now = 0.0f64;
-            let mut next_id = 0u64;
-            let mut committed: Vec<TaskId> = Vec::new();
-            for (kind, server, problem, gap) in ops {
-                now += gap;
-                let when = t(now);
-                match kind {
-                    0..=4 => {
-                        let probe = TaskInstance::new(
-                            TaskId(1_000_000 + next_id),
-                            ProblemId(problem),
-                            when,
-                        );
-                        next_id += 1;
-                        for s in 0..N_SERVERS as u32 {
-                            let a = inc.predict(when, ServerId(s), &probe);
-                            let b = full.predict(when, ServerId(s), &probe);
-                            match (&a, &b) {
-                                (None, None) => {}
-                                (Some(f), Some(r)) => assert_bit_identical(f, r)?,
-                                _ => prop_assert!(false, "solvability disagreement on {}", s),
-                            }
-                        }
-                    }
-                    5..=7 => {
-                        let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
-                        next_id += 1;
-                        inc.commit(when, ServerId(server), &task);
-                        full.commit(when, ServerId(server), &task);
-                        committed.push(task.id);
-                    }
-                    8 => {
-                        if let Some(id) = committed.pop() {
-                            prop_assert_eq!(inc.retract(when, id), full.retract(when, id));
-                        }
-                    }
-                    _ => {
-                        if let Some(&id) = committed.first() {
-                            inc.observe_completion(when, id);
-                            full.observe_completion(when, id);
-                        }
-                    }
-                }
-            }
-        }
-
-        /// The two stage-2 drain engines are observationally equivalent:
-        /// an HTM on the default [`Stage2Mode::Fast`] path (prefix-sharing
-        /// drains, memoised truncation bookkeeping) and one pinned to
-        /// [`Stage2Mode::Full`] (the pre-optimisation executable spec)
-        /// answer every query bit-identically over arbitrary interleavings
-        /// of commit / predict / retract / observe, and the Fast side's
-        /// spliced baselines always equal a from-scratch re-drain.
-        #[test]
-        fn stage2_modes_are_observationally_equal(
-            costs in proptest::collection::vec(arb_costs(), 6),
-            ops in proptest::collection::vec(
-                (0u32..10, 0u32..3, 0u32..2, 0.0f64..20.0),
-                1..40,
-            ),
-        ) {
-            let solvable = vec![true; 6];
-            let table = build_table(&costs, &solvable);
-            let mut fast = Htm::new(table.clone(), SyncPolicy::ForceFinish);
-            let mut full = Htm::new(table, SyncPolicy::ForceFinish);
-            full.set_stage2_mode(Stage2Mode::Full);
-            prop_assert_eq!(fast.stage2_mode(), Stage2Mode::Fast);
-            let mut now = 0.0f64;
-            let mut next_id = 0u64;
-            let mut committed: Vec<TaskId> = Vec::new();
-            for (kind, server, problem, gap) in ops {
-                now += gap;
-                let when = t(now);
-                match kind {
-                    0..=4 => {
-                        let probe = TaskInstance::new(
-                            TaskId(1_000_000 + next_id),
-                            ProblemId(problem),
-                            when,
-                        );
-                        next_id += 1;
-                        for s in 0..N_SERVERS as u32 {
-                            let a = fast.predict(when, ServerId(s), &probe);
-                            let b = full.predict(when, ServerId(s), &probe);
-                            match (&a, &b) {
-                                (None, None) => {}
-                                (Some(f), Some(r)) => assert_bit_identical(f, r)?,
-                                _ => prop_assert!(false, "solvability disagreement on {}", s),
-                            }
-                        }
-                    }
-                    5..=7 => {
-                        let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
-                        next_id += 1;
-                        fast.commit(when, ServerId(server), &task);
-                        full.commit(when, ServerId(server), &task);
-                        committed.push(task.id);
-                        assert_baselines_match_full_redrain(&fast)?;
-                    }
-                    8 => {
-                        if let Some(id) = committed.pop() {
-                            prop_assert_eq!(fast.retract(when, id), full.retract(when, id));
-                            assert_baselines_match_full_redrain(&fast)?;
-                        }
-                    }
-                    _ => {
-                        if let Some(&id) = committed.first() {
-                            fast.observe_completion(when, id);
-                            full.observe_completion(when, id);
-                        }
-                    }
-                }
-            }
-        }
-
         /// Completion-only depth (the truncated-drain path taken for
         /// heuristics that never read perturbations) reports the same
-        /// completion **bits** as the Full engine over arbitrary
+        /// completion **bits** as the clone-and-drain oracle over arbitrary
         /// interleavings — truncation may cut only the tail *after* the
         /// probe's own entry — and the splice-on-commit still leaves
         /// baselines equal to a full re-drain even when the preceding
@@ -1939,11 +1645,9 @@ mod proptests {
         ) {
             let solvable = vec![true; 6];
             let table = build_table(&costs, &solvable);
-            let mut fast = Htm::new(table.clone(), SyncPolicy::ForceFinish);
+            let mut fast = Htm::new(table, SyncPolicy::ForceFinish);
             fast.set_completion_only(true);
             prop_assert!(fast.completion_only());
-            let mut full = Htm::new(table, SyncPolicy::ForceFinish);
-            full.set_stage2_mode(Stage2Mode::Full);
             let mut now = 0.0f64;
             let mut next_id = 0u64;
             let mut committed: Vec<TaskId> = Vec::new();
@@ -1960,7 +1664,7 @@ mod proptests {
                         next_id += 1;
                         for s in 0..N_SERVERS as u32 {
                             let a = fast.predict(when, ServerId(s), &probe);
-                            let b = full.predict(when, ServerId(s), &probe);
+                            let b = predict_reference(&fast, when, ServerId(s), &probe);
                             match (&a, &b) {
                                 (None, None) => {}
                                 (Some(f), Some(r)) => {
@@ -1985,20 +1689,19 @@ mod proptests {
                         let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
                         next_id += 1;
                         fast.commit(when, ServerId(server), &task);
-                        full.commit(when, ServerId(server), &task);
                         committed.push(task.id);
                         assert_baselines_match_full_redrain(&fast)?;
                     }
                     8 => {
                         if let Some(id) = committed.pop() {
-                            prop_assert_eq!(fast.retract(when, id), full.retract(when, id));
+                            fast.retract(when, id);
                             assert_baselines_match_full_redrain(&fast)?;
                         }
                     }
                     _ => {
                         if let Some(&id) = committed.first() {
                             fast.observe_completion(when, id);
-                            full.observe_completion(when, id);
+                            assert_baselines_match_full_redrain(&fast)?;
                         }
                     }
                 }

@@ -48,28 +48,28 @@
 //!    server, reuses one cached baseline.
 //! 3. **Replay fidelity.** The speculative drain
 //!    ([`trace::DrainScratch`]) performs the same floating-point
-//!    operations in the same order as the clone-and-drain reference
-//!    ([`Htm::predict_reference`]), so predictions agree bit for bit.
-//!    When touching the trace event loop or the fair-share arithmetic,
-//!    update both paths together.
-//! 4. **Splice ≡ re-drain.** Under [`htm::RepairPolicy::Incremental`]
-//!    (the default) a commit adopts the committed task's speculative
-//!    after-schedule as the new baseline and a retract adopts the
-//!    without-task drain, instead of invalidating and re-draining. By
-//!    invariant 3 the adopted schedule is bit-identical to what a full
-//!    re-drain of the mutated trace would produce; the proptests assert
-//!    this directly after every mutation.
-//! 5. **Fast ≡ Full.** Under [`htm::Stage2Mode::Fast`] (the default) the
-//!    drain engine truncates speculative drains at the probe's completion
+//!    operations in the same order as cloning the trace, inserting the
+//!    probe and draining the clone — the clone-and-drain oracle in
+//!    `htm.rs`'s test module — so predictions agree bit for bit. When
+//!    touching the trace event loop or the fair-share arithmetic, keep
+//!    the two in step; the proptests catch a drift.
+//! 4. **Splice ≡ re-drain.** A commit adopts the committed task's
+//!    speculative after-schedule as the new baseline and a retract adopts
+//!    the without-task drain, instead of invalidating and re-draining. By
+//!    invariant 3 the adopted schedule is bit-identical to a full
+//!    re-drain of the mutated trace; the proptests assert
+//!    [`Htm::cached_baseline`] `==` [`ServerTrace::drain_schedule`] after
+//!    every mutation.
+//! 5. **Truncation, prefix sharing and scatter are pure.** The drain
+//!    engine truncates speculative drains at the probe's completion
 //!    (completion-only heuristics), resumes a shared baseline-prefix
 //!    cursor saved at event boundaries, and scatters batches across the
-//!    worker pool. All three are bit-identity-preserving by construction
-//!    — truncation cuts only the tail after the probe's entry, the prefix
+//!    worker pool. All three preserve bit identity by construction —
+//!    truncation cuts only the tail after the probe's entry, the prefix
 //!    snapshot is taken at the last processed event (the only resumable
 //!    point in float arithmetic), and the parallel reduce is slot-indexed
-//!    — and the differential proptests drive Fast and Full
-//!    ([`htm::Stage2Mode::Full`], the pre-optimisation engine kept as the
-//!    executable spec) through arbitrary interleavings.
+//!    — and the proptests check every answer against the
+//!    clone-and-drain oracle over arbitrary interleavings.
 
 pub mod gantt;
 pub mod heuristics;
@@ -84,7 +84,7 @@ pub use heuristics::{
     DecisionMemo, Heuristic, HeuristicKind, Hmct, Mct, MinLoad, Mni, Mp, Msf, Olb, RandomChoice,
     RoundRobin, SchedView,
 };
-pub use htm::{Htm, MemoStats, RepairPolicy, Stage2Mode, SyncPolicy};
+pub use htm::{Htm, MemoStats, SyncPolicy};
 pub use prediction::Prediction;
 pub use selector::{Adaptive, CandidateSelector, Exhaustive, SelectorInput, SelectorKind, TopK};
 pub use trace::{DrainScratch, PrefixCursor, ServerTrace};

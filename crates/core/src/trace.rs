@@ -23,13 +23,15 @@
 //! What-if questions ("when would these tasks finish if X were inserted
 //! now?") used to clone the whole trace per query. They now run through
 //! [`DrainScratch`], a reusable flat-buffer copy of the three fair-share
-//! lanes: [`ServerTrace::drain_schedule_into`] loads the scratch from the
-//! live trace (no heap allocation once the buffers are warm), optionally
-//! injects one hypothetical task, and replays the exact event arithmetic of
-//! [`ServerTrace::advance`]/[`ServerTrace::drain`]. The replay performs the
-//! same floating-point operations in the same order as the clone-and-drain
-//! path, so results agree **bit for bit** — a property enforced by the
-//! differential proptests in `htm.rs`.
+//! lanes: [`ServerTrace::drain_schedule_into`] and
+//! [`ServerTrace::drain_schedule_into_fast`] load the scratch from the
+//! live trace (no heap allocation once the buffers are warm), the latter
+//! injecting one hypothetical task, and replay the exact event arithmetic
+//! of [`ServerTrace::advance`]/[`ServerTrace::drain`]. The replay performs
+//! the same floating-point operations in the same order as cloning the
+//! trace, inserting the task and draining the clone, so results agree
+//! **bit for bit** — a property the tests below and in `htm.rs` check
+//! against that clone-and-drain oracle.
 
 use cas_platform::{FairShareResource, Phase, PhaseCosts, TaskId};
 use cas_sim::{Generation, SimTime};
@@ -344,58 +346,25 @@ impl ServerTrace {
         self.jobs.get(&task).map(|j| j.arrival)
     }
 
-    /// Drains the schedule into `out` through a reusable scratch buffer,
-    /// optionally with one hypothetical task inserted — the zero-clone
-    /// what-if primitive behind [`crate::Htm`]'s prediction engine.
-    ///
-    /// * `insert = None` reproduces [`Self::drain_schedule`] bit for bit
-    ///   (completion order and float values), without cloning the trace.
-    /// * `insert = Some((now, task, costs))` reproduces the clone-based
-    ///   reference path `{ let mut c = trace.clone(); c.add_task(now, task,
-    ///   costs); c.drain_schedule() }` bit for bit: the scratch advances to
-    ///   `now` with the same event arithmetic, injects the task into the
-    ///   input lane, and drains.
+    /// Drains the schedule into `out` through a reusable scratch buffer —
+    /// [`Self::drain_schedule`] bit for bit (completion order and float
+    /// values), without cloning the trace. The HTM's baseline refresh.
     ///
     /// `out` is cleared first. The trace itself is not modified, and after
     /// the scratch buffers have grown to the high-water mark no heap
     /// allocation happens per call.
-    ///
-    /// # Panics
-    /// Panics if `insert` is before the cursor or names a task already
-    /// mapped here (mirrors [`Self::add_task`]).
     pub fn drain_schedule_into(
         &self,
         scratch: &mut DrainScratch,
-        insert: Option<(SimTime, TaskId, PhaseCosts)>,
         out: &mut Vec<(TaskId, SimTime)>,
     ) {
         out.clear();
         scratch.load(self);
-        match insert {
-            None => scratch.drain(&self.jobs, None, out),
-            Some((now, task, costs)) => {
-                assert!(now >= self.cursor, "trace cannot rewind");
-                assert!(
-                    !self.jobs.contains_key(&task),
-                    "task {task} already mapped on this trace"
-                );
-                // Same op order as `add_task` on a clone: advance to `now`
-                // first (the extra task is not yet present), then enter the
-                // input lane. Completions reached while advancing land in
-                // the clone's `finished` list, which `drain_schedule`
-                // excludes — mirror that by discarding them.
-                let mut pre = std::mem::take(&mut scratch.pre_now);
-                pre.clear();
-                scratch.advance_to(now, &self.jobs, None, &mut pre);
-                scratch.pre_now = pre;
-                scratch.lanes[0].entries.push((task, costs.input));
-                scratch.drain(&self.jobs, Some((task, costs)), out);
-            }
-        }
+        scratch.drain(&self.jobs, None, out);
     }
 
     /// Drains the schedule into `out` as if `task` had been force-finished
-    /// at `now` — the retract-side twin of [`Self::drain_schedule_into`],
+    /// at `now` — the retract-side twin of [`Self::drain_schedule_into_fast`],
     /// and the primitive behind the HTM's incremental baseline repair on
     /// retract/observe.
     ///
@@ -430,17 +399,19 @@ impl ServerTrace {
         removed
     }
 
-    /// The fast-mode what-if drain: [`Self::drain_schedule_into`] with a
-    /// hypothetical task, accelerated by the baseline-prefix cursor and —
-    /// when `truncate` is set — an early exit once the probe's completion
-    /// is known.
+    /// The what-if drain: the schedule with a hypothetical task inserted at
+    /// `now`, accelerated by the baseline-prefix cursor and — when
+    /// `truncate` is set — an early exit once the probe's completion is
+    /// known.
     ///
-    /// Produces values bit-identical to `drain_schedule_into(scratch,
-    /// Some((now, task, costs)), out)` by construction: the prefix cursor
-    /// only ever resumes the event loop from a state every full replay
-    /// passes through, and truncation only cuts the tail of `out` *after*
-    /// the probe's entry. When `truncate` is `false`, `out` is the complete
-    /// after-schedule, bit for bit.
+    /// Produces values bit-identical to the clone-and-drain path `{ let
+    /// mut c = trace.clone(); c.add_task(now, task, costs);
+    /// c.drain_schedule() }`: the scratch advances to `now` with the same
+    /// event arithmetic before the task enters the input lane, the prefix
+    /// cursor only ever resumes the event loop from a state every full
+    /// replay passes through, and truncation only cuts the tail of `out`
+    /// *after* the probe's entry. When `truncate` is `false`, `out` is the
+    /// complete after-schedule, bit for bit.
     ///
     /// Returns `(prefix_hit, truncated)`: whether the shared prefix was
     /// resumed from `prefix` instead of replayed from the live trace, and
@@ -450,7 +421,7 @@ impl ServerTrace {
     ///
     /// # Panics
     /// Panics if `now` is before the cursor or names a task already mapped
-    /// here (mirrors [`Self::drain_schedule_into`]).
+    /// here (mirrors [`Self::add_task`]).
     #[allow(clippy::too_many_arguments)]
     pub fn drain_schedule_into_fast(
         &self,
@@ -856,6 +827,19 @@ mod tests {
         PhaseCosts::new(i, c, o)
     }
 
+    /// The what-if oracle: clone the trace, insert the probe at `now`,
+    /// drain the clone.
+    pub(super) fn clone_and_drain(
+        tr: &ServerTrace,
+        now: SimTime,
+        probe: TaskId,
+        pc: PhaseCosts,
+    ) -> Vec<(TaskId, SimTime)> {
+        let mut c = tr.clone();
+        c.add_task(now, probe, pc);
+        c.drain_schedule()
+    }
+
     #[test]
     fn single_task_three_phases() {
         let mut tr = ServerTrace::new();
@@ -1085,7 +1069,7 @@ mod tests {
     }
 
     /// The fast what-if drain (prefix cursor + truncation) must agree bit
-    /// for bit with `drain_schedule_into` on the probe's completion —
+    /// for bit with the clone-and-drain oracle on the probe's completion —
     /// across repeated probes at the same `now` (prefix hits), later `now`s
     /// (prefix resume), and after trace mutations (prefix invalidation).
     #[test]
@@ -1097,7 +1081,7 @@ mod tests {
         let mut scratch = DrainScratch::new();
         let mut prefix = PrefixCursor::new();
         let mut fast = Vec::new();
-        let mut slow = Vec::new();
+        let mut slow;
         let mut hits = 0usize;
         let mut mutated_at = 0;
         for (i, now) in [4.0, 4.0, 4.0, 9.0, 9.0, 25.0, 25.0]
@@ -1124,7 +1108,7 @@ mod tests {
                         &mut fast,
                     );
                     hits += hit as usize;
-                    tr.drain_schedule_into(&mut scratch, Some((t(now), probe, pc)), &mut slow);
+                    slow = clone_and_drain(&tr, t(now), probe, pc);
                     if truncate && truncated {
                         assert!(fast.len() < slow.len(), "truncated output must be shorter");
                     } else {
@@ -1293,11 +1277,11 @@ mod proptests {
             sorted_nows.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let mut scratch = DrainScratch::new();
             let mut prefix = PrefixCursor::new();
-            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            let mut fast = Vec::new();
             for (k, now) in sorted_nows.iter().enumerate() {
                 let now = t(now.max(tr.cursor().as_secs()));
                 let probe = TaskId(1000 + k as u64);
-                tr.drain_schedule_into(&mut scratch, Some((now, probe, probe_costs)), &mut slow);
+                let slow = super::tests::clone_and_drain(&tr, now, probe, probe_costs);
                 let (_, truncated) = tr.drain_schedule_into_fast(
                     &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                 );

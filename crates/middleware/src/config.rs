@@ -1,8 +1,8 @@
 //! Experiment configuration.
 
 use cas_core::heuristics::HeuristicKind;
-use cas_core::{SelectorKind, Stage2Mode, SyncPolicy};
-use cas_platform::{IndexScoring, MemoryModel, RankingsBackend, ShardMap};
+use cas_core::{SelectorKind, SyncPolicy};
+use cas_platform::{IndexScoring, MemoryModel, ShardMap};
 
 /// How the agent's decision state is partitioned across the farm.
 ///
@@ -127,26 +127,6 @@ pub struct ExperimentConfig {
     /// Which static proxy orders the stage-1 index: predicted remaining
     /// work (default) or the count-based baseline.
     pub index_scoring: IndexScoring,
-    /// Which data structure stores the stage-1 rankings
-    /// (`--rankings flat|btree`, default flat): the cache-friendly flat
-    /// ladder, or the original per-problem `BTreeSet` — the executable
-    /// spec the flat backend is differentially proven bit-identical to.
-    pub rankings: RankingsBackend,
-    /// Which stage-2 drain engine answers what-if queries
-    /// (`--stage2 full|fast`, default fast): truncated prefix-sharing
-    /// drains with the parallel scatter, or the pre-optimisation
-    /// engine kept as the executable spec the fast path is
-    /// differentially proven bit-identical to.
-    pub stage2: Stage2Mode,
-    /// Lazy federation merge (`--skyline on|off`, default on): the router
-    /// visits shards in skyline order and skips shards whose best stage-1
-    /// score provably cannot reach the merged shortlist. A pure pruning
-    /// of the merge — decisions are bit-identical either way (proven by
-    /// the differential harness) — so `false` exists only as the
-    /// executable-spec arm of those differential runs. Ignored by the
-    /// single-agent path and by exhaustive selectors (which always take
-    /// the full union).
-    pub skyline: bool,
     /// Collapse the periodic per-server load-report events into one
     /// aggregated event per shard (default off): each firing refreshes
     /// the whole shard block in a single kernel event, cutting report
@@ -233,9 +213,6 @@ impl ExperimentConfig {
             selector: SelectorKind::Exhaustive,
             shards: Sharding::Single,
             index_scoring: IndexScoring::RemainingWork,
-            rankings: RankingsBackend::Flat,
-            stage2: Stage2Mode::Fast,
-            skyline: true,
             aggregated_reports: false,
             sync: SyncPolicy::None,
             seed,
@@ -267,9 +244,6 @@ impl ExperimentConfig {
             selector: SelectorKind::Exhaustive,
             shards: Sharding::Single,
             index_scoring: IndexScoring::RemainingWork,
-            rankings: RankingsBackend::Flat,
-            stage2: Stage2Mode::Fast,
-            skyline: true,
             aggregated_reports: false,
             sync: SyncPolicy::None,
             seed,
@@ -321,26 +295,6 @@ impl ExperimentConfig {
     /// Returns a copy with a different stage-1 index scoring proxy.
     pub fn with_index_scoring(mut self, scoring: IndexScoring) -> Self {
         self.index_scoring = scoring;
-        self
-    }
-
-    /// Returns a copy with a different stage-1 ranking storage backend.
-    pub fn with_rankings(mut self, rankings: RankingsBackend) -> Self {
-        self.rankings = rankings;
-        self
-    }
-
-    /// Returns a copy with a different stage-2 drain engine (differential
-    /// runs pin `Full` to replay the pre-optimisation engine).
-    pub fn with_stage2(mut self, stage2: Stage2Mode) -> Self {
-        self.stage2 = stage2;
-        self
-    }
-
-    /// Returns a copy with the skyline lazy merge toggled (differential
-    /// runs pin it off to replay the eager full-scatter router).
-    pub fn with_skyline(mut self, skyline: bool) -> Self {
-        self.skyline = skyline;
         self
     }
 

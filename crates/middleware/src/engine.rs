@@ -34,8 +34,8 @@
 //! stage 2, the heuristic runs its batched HTM what-if queries on the
 //! merged shortlist only, routed to the owning shards. The default
 //! configuration is a single agent owning the whole farm (the paper's
-//! model, and the executable spec the federation is differentially
-//! tested against); `ExperimentConfig::shards` partitions the farm so
+//! model, and the reference the federation is differentially tested
+//! against); `ExperimentConfig::shards` partitions the farm so
 //! no decision structure scales with its size. The exhaustive selector
 //! reproduces the paper's every-solver loop bit for bit in both modes.
 
@@ -357,13 +357,9 @@ impl GridWorld {
             cfg.index_scoring,
             cfg.sync,
         )
-        .with_rankings(cfg.rankings)
-        .with_skyline(cfg.skyline)
-        .with_stage2(cfg.stage2)
         // The run binds one heuristic for its whole lifetime, so the
         // drain depth is a run-level property: a policy that never reads
-        // perturbations lets fast-mode drains truncate at the probe's
-        // completion.
+        // perturbations lets drains truncate at the probe's completion.
         .with_completion_only(!heuristic.needs_perturbations())
         // History replay is what populates rebuilt blocks on a
         // rebalance, and only a churning federation ever rebalances.
@@ -484,8 +480,7 @@ impl GridWorld {
     }
 
     /// Consumes the world, returning the per-task records without a
-    /// copy (for benches that keep whole-campaign records around, e.g.
-    /// the skyline-on/off equality arms at 10⁶ tasks).
+    /// copy (for benches that keep whole-campaign records around).
     pub fn into_records(self) -> Vec<TaskRecord> {
         self.records
     }
@@ -1952,163 +1947,6 @@ mod tests {
         }
     }
 
-    /// The skyline acceptance property, end to end: whole-campaign
-    /// record equality, skyline-on versus skyline-off, for **every**
-    /// heuristic × selector backend at S = 4 — same servers, same
-    /// attempts, same completion dates, bit for bit, including the
-    /// retry/memory/noise machinery. The lazy merge may only prune
-    /// walks, never decisions.
-    #[test]
-    fn skyline_campaigns_bitwise_match_eager_end_to_end() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(24);
-        for kind in HeuristicKind::ALL {
-            for selector in [
-                cas_core::SelectorKind::Exhaustive,
-                cas_core::SelectorKind::TopK { k: 1 },
-                cas_core::SelectorKind::TopK { k: 64 },
-                cas_core::SelectorKind::Adaptive { k_min: 1, k_max: 3 },
-            ] {
-                let cfg = ExperimentConfig::paper(kind, 27)
-                    .with_selector(selector)
-                    .with_shards(Sharding::Federated { shards: 4 });
-                assert!(cfg.skyline, "lazy merge is the default");
-                let lazy = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
-                let eager = run_experiment(
-                    cfg.with_skyline(false),
-                    costs.clone(),
-                    servers.clone(),
-                    tasks.clone(),
-                );
-                assert_eq!(
-                    lazy, eager,
-                    "{kind:?}/{selector:?} diverged between skyline on and off"
-                );
-            }
-        }
-    }
-
-    /// The flat-rankings acceptance property, end to end: whole-campaign
-    /// record equality, flat ladder versus the BTree spec, for **every**
-    /// heuristic × selector backend, unsharded and at S = 4 — same
-    /// servers, same attempts, same completion dates, bit for bit. The
-    /// ranking storage is pure representation; it may never change a
-    /// decision.
-    #[test]
-    fn flat_rankings_campaigns_bitwise_match_btree_end_to_end() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(24);
-        for kind in HeuristicKind::ALL {
-            for selector in [
-                cas_core::SelectorKind::Exhaustive,
-                cas_core::SelectorKind::TopK { k: 1 },
-                cas_core::SelectorKind::TopK { k: 64 },
-                cas_core::SelectorKind::Adaptive { k_min: 1, k_max: 3 },
-            ] {
-                for shards in [Sharding::Single, Sharding::Federated { shards: 4 }] {
-                    let cfg = ExperimentConfig::paper(kind, 41)
-                        .with_selector(selector)
-                        .with_shards(shards);
-                    assert_eq!(
-                        cfg.rankings,
-                        cas_platform::RankingsBackend::Flat,
-                        "flat ladder is the default"
-                    );
-                    let flat = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
-                    let btree = run_experiment(
-                        cfg.with_rankings(cas_platform::RankingsBackend::Btree),
-                        costs.clone(),
-                        servers.clone(),
-                        tasks.clone(),
-                    );
-                    assert_eq!(
-                        flat, btree,
-                        "{kind:?}/{selector:?}/{shards:?} diverged between rankings backends"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The stage-2 acceptance property, end to end: whole-campaign
-    /// record equality, fast drain engine (the default: truncated
-    /// prefix-sharing drains) versus the full pre-optimisation engine,
-    /// for **every** heuristic × selector backend, unsharded and at
-    /// S = 4 — same servers, same attempts, same completion dates, bit
-    /// for bit. Covers both drain depths: completion-only heuristics
-    /// (HMCT, MCT, …) truncate, perturbation readers (MP, MSF, MNI)
-    /// drain full-length through the shared prefix.
-    #[test]
-    fn stage2_fast_campaigns_bitwise_match_full_end_to_end() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(24);
-        for kind in HeuristicKind::ALL {
-            for selector in [
-                cas_core::SelectorKind::Exhaustive,
-                cas_core::SelectorKind::TopK { k: 1 },
-                cas_core::SelectorKind::TopK { k: 64 },
-                cas_core::SelectorKind::Adaptive { k_min: 1, k_max: 3 },
-            ] {
-                for shards in [Sharding::Single, Sharding::Federated { shards: 4 }] {
-                    let cfg = ExperimentConfig::paper(kind, 53)
-                        .with_selector(selector)
-                        .with_shards(shards);
-                    assert_eq!(
-                        cfg.stage2,
-                        cas_core::Stage2Mode::Fast,
-                        "fast drain engine is the default"
-                    );
-                    let fast = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
-                    let full = run_experiment(
-                        cfg.with_stage2(cas_core::Stage2Mode::Full),
-                        costs.clone(),
-                        servers.clone(),
-                        tasks.clone(),
-                    );
-                    assert_eq!(
-                        fast, full,
-                        "{kind:?}/{selector:?}/{shards:?} diverged between stage-2 engines"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The two stage-2 engines stay bit-identical through churn and the
-    /// rebalances it triggers, and the rebuilt blocks keep the configured
-    /// engine: under `Full` the fast-path counters must stay zero even
-    /// after blocks were rebuilt mid-campaign, while the default fast run
-    /// of the same completion-only campaign truncates drains.
-    #[test]
-    fn stage2_engines_survive_churn_and_rebalance_bitwise() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(30);
-        let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 29)
-            .with_shards(Sharding::Federated { shards: 3 })
-            .with_churn(120.0, 30.0)
-            .with_churn_seed(7);
-        let run = |cfg: ExperimentConfig| {
-            let world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
-            let mut sim = cas_sim::Simulation::new(world);
-            sim.run_to_completion();
-            let world = sim.into_world();
-            let stats = world.agent().stage2_stats();
-            (world.records().to_vec(), stats)
-        };
-        let (fast, fast_stats) = run(cfg);
-        let (full, full_stats) = run(cfg.with_stage2(cas_core::Stage2Mode::Full));
-        assert_eq!(fast, full, "stage-2 engines diverged under churn");
-        // A rebalance rebuilds blocks with fresh HTMs (counters restart at
-        // the replay), so only mode retention is asserted here: the full
-        // engine never touches the prefix cursor, rebuilt blocks included.
-        assert!(fast_stats.drains > 0, "{fast_stats:?}");
-        assert_eq!(
-            full_stats.prefix_hits, 0,
-            "a rebuilt block fell back to the fast engine: {full_stats:?}"
-        );
-        assert_eq!(full_stats.truncated, 0, "full mode never truncates");
-    }
-
     /// The fast engine's counters are live through the whole stack: a
     /// completion-only campaign (HMCT) truncates drains and resumes the
     /// shared prefix; a perturbation-reading campaign (MSF) never
@@ -2167,28 +2005,6 @@ mod tests {
             run(false),
             "forced-parallel stage 2 diverged from forced-serial"
         );
-    }
-
-    /// Flat and BTree rankings stay bit-identical through the full
-    /// lifecycle machinery: churn (crashes, repairs, retraction replay)
-    /// plus the rebalances it triggers — the rebuilt blocks must keep
-    /// the configured backend.
-    #[test]
-    fn flat_rankings_survive_churn_and_rebalance_bitwise() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(30);
-        let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 23)
-            .with_shards(Sharding::Federated { shards: 3 })
-            .with_churn(120.0, 30.0)
-            .with_churn_seed(7);
-        let flat = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
-        let btree = run_experiment(
-            cfg.with_rankings(cas_platform::RankingsBackend::Btree),
-            costs,
-            servers,
-            tasks,
-        );
-        assert_eq!(flat, btree, "rankings backends diverged under churn");
     }
 
     /// Aggregated load reports fire O(n_shards) kernel events per period

@@ -2,9 +2,9 @@
 //!
 //! Every structural optimisation of the decision stack in this repo —
 //! incremental HTM repair, the two-stage candidate pipeline, the shard
-//! federation, and now the lazy skyline merge — ships with the same kind
-//! of proof: drive the optimised implementation and its executable
-//! specification through arbitrary interleavings of
+//! federation, the lazy skyline merge — ships with the same kind of
+//! proof: drive the optimised implementation and a test-only oracle
+//! through arbitrary interleavings of
 //! decide / commit / retract / complete and demand **bit-identical**
 //! picks, predictions and resting model state. This module is that proof
 //! engine, factored out once so the federation's proptests, the skyline
@@ -17,9 +17,9 @@
 //!   to be diffed: one two-stage decision (returning the pick *and* the
 //!   winning prediction), the three model-mutation hooks, and the
 //!   resting simulated-completion map. Implemented by [`AgentRouter`]
-//!   (any shard count, skyline on or off) and by
+//!   (any shard count), by the eager-merge oracle in `shard.rs` and by
 //!   [`SingleAgentReference`], the inline replica of the pre-federation
-//!   single-agent loop kept as the specification.
+//!   single-agent loop kept as the oracle of the federation.
 //! * [`DiffHarness`] — owns the static world (cost table, initial load
 //!   reports, admission limits) and replays an [`Op`] sequence against
 //!   two agents in lockstep, returning a description of the first
@@ -160,8 +160,7 @@ impl DecisionAgent for AgentRouter {
 
 /// The single-agent decision loop, replicated inline: one farm-wide HTM,
 /// one index, one selector — the pre-federation `engine` path, kept as
-/// the executable specification every router configuration is diffed
-/// against.
+/// the oracle every router configuration is diffed against.
 pub struct SingleAgentReference {
     htm: Htm,
     index: StaticIndex,
@@ -270,11 +269,6 @@ impl DiffHarness {
             server_mem: vec![512.0; n],
             table,
         }
-    }
-
-    /// The cost table the harness was built over.
-    pub fn table(&self) -> &CostTable {
-        &self.table
     }
 
     /// Replays `ops` against both agents in lockstep from a fresh

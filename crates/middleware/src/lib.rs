@@ -27,7 +27,8 @@
 pub mod config;
 pub mod engine;
 pub mod event;
-pub mod harness;
+#[cfg(test)]
+mod harness;
 pub mod runner;
 pub mod shard;
 pub mod validate;
@@ -37,7 +38,6 @@ pub use engine::{
     run_experiment, run_experiment_with_users, AdmissionStats, ChurnStats, GridWorld,
 };
 pub use event::GridEvent;
-pub use harness::{DecisionAgent, DiffHarness, DiffSession, Op, SingleAgentReference};
 pub use runner::{
     run_heuristic_matrix, run_replications, run_replications_sequential, MatrixResult,
 };

@@ -40,19 +40,20 @@
 //! batches over the same HTM. The differential proptests in this module
 //! drive the router against an inline replica of the single-agent
 //! decision loop over arbitrary commit/decide/retract/complete
-//! interleavings, and the engine's end-to-end tests assert whole-campaign
-//! record equality for every heuristic × selector backend. With more
-//! shards, pruning selectors may legitimately diverge (each shard adapts
-//! its own width); an exhaustive selector must not — and that too is
-//! asserted end to end.
+//! interleavings; the lazy merge, the group walk and the incremental
+//! rebalance are each diffed against a test-only oracle (the eager
+//! merge, the flat walk, the rebuild-everything rebalance) the same way.
+//! With more shards, pruning selectors may legitimately diverge (each
+//! shard adapts its own width); an exhaustive selector must not — and
+//! that too is asserted end to end.
 
 use cas_core::heuristics::{DecisionMemo, Heuristic, SchedView};
 use cas_core::selector::{CandidateSelector, SelectorInput};
 use cas_core::whatif::WhatIf;
-use cas_core::{Htm, MemoStats, Prediction, SelectorKind, Stage2Mode, SyncPolicy};
+use cas_core::{Htm, MemoStats, Prediction, SelectorKind, SyncPolicy};
 use cas_platform::{
-    CostTable, IndexScoring, LoadReport, PhaseCosts, ProblemId, RankingsBackend, ServerId,
-    ShardMap, ShardTree, StaticIndex, TaskId, TaskInstance,
+    CostTable, IndexScoring, LoadReport, PhaseCosts, ProblemId, ServerId, ShardMap, ShardTree,
+    StaticIndex, TaskId, TaskInstance,
 };
 use cas_sim::{prof, RngStream, SimTime};
 use std::collections::HashMap;
@@ -98,13 +99,12 @@ impl ShardEngine {
         len: usize,
         selector: SelectorKind,
         scoring: IndexScoring,
-        rankings: RankingsBackend,
         sync: SyncPolicy,
     ) -> Self {
         let local_costs = costs.restrict(start, len);
         ShardEngine {
             start,
-            index: StaticIndex::with_backend(&local_costs, scoring, rankings),
+            index: StaticIndex::with_scoring(&local_costs, scoring),
             htm: Htm::new(local_costs, sync),
             selector: selector.build(),
             shortlist: Vec::new(),
@@ -340,21 +340,14 @@ pub struct AgentRouter {
     /// (`Sharding::Federated`); `false` is the single-agent fast path
     /// (requires exactly one shard).
     federated: bool,
-    /// Exhaustive selectors merge by union, without truncation.
+    /// Exhaustive selectors merge by union, without truncation; pruning
+    /// selectors take the lazy skyline merge.
     exhaustive: bool,
-    /// Lazy skyline merge on (default): shards are visited in skyline
-    /// order and skipped once they provably cannot contribute. Off
-    /// replays the PR-4 eager full scatter — the executable spec the
-    /// differential harness diffs the lazy merge against.
-    skyline: bool,
     /// The two-level shard tree: groups of shards with cached group
     /// skylines, so the lazy walk prunes whole groups before touching a
-    /// member shard. Rebuilt whenever the shard count changes.
+    /// member shard. Rebuilt whenever the shard count changes; with one
+    /// group the walk is flat.
     tree: ShardTree,
-    /// Group walk on (default): with more than one group the lazy merge
-    /// walks groups first. Off forces the flat per-shard walk — the
-    /// executable spec the group walk is differentially proven against.
-    tree_enabled: bool,
     /// Requested shards-per-group fan-out (the tree clamps it).
     group_size: usize,
     /// Per-`(group, problem)` cached [`GroupKey`]s, indexed by
@@ -369,10 +362,6 @@ pub struct AgentRouter {
     parallel_override: Option<bool>,
     /// Cumulative visit/skip counters of the skyline merge.
     stats: SkylineStats,
-    /// Forces every decision's stage 2 through the batch `predict_all`
-    /// arm — the decision shape before the direct zero-allocation path
-    /// existed; the hot-path bench keeps it as its same-run baseline.
-    batch_predict: bool,
     /// Run-wide decision memo lent to each decision's `SchedView`
     /// (dense by *global* server index).
     memo: DecisionMemo,
@@ -394,15 +383,10 @@ pub struct AgentRouter {
     /// partition changes under churn.
     selector_kind: SelectorKind,
     scoring: IndexScoring,
-    rankings: RankingsBackend,
     sync: SyncPolicy,
-    /// Stage-2 drain engine on every shard HTM (fast by default; the full
-    /// pre-optimisation engine behind `--stage2 full`). Remembered so any
-    /// block a rebalance rebuilds keeps the chosen engine.
-    stage2: Stage2Mode,
     /// Completion-only drain depth — set when the run's heuristic never
-    /// reads perturbations, letting fast-mode drains truncate at the
-    /// probe's completion. Remembered across rebuilds like `stage2`.
+    /// reads perturbations, letting drains truncate at the probe's
+    /// completion. Remembered so any block a rebalance rebuilds keeps it.
     completion_only: bool,
     /// Forced on/off override for the stage-2 parallel scatter inside
     /// each shard HTM (tests drive both arms on any host).
@@ -412,6 +396,9 @@ pub struct AgentRouter {
     /// it exactly when churn can trigger a rebalance.
     record_history: bool,
     history: Vec<ModelOp>,
+    /// Stage-2 counters of the engines a rebalance dropped, so
+    /// [`AgentRouter::stage2_stats`] never goes backwards.
+    retired: MemoStats,
 }
 
 impl AgentRouter {
@@ -431,19 +418,8 @@ impl AgentRouter {
             Some(s) => (true, s),
         };
         let map = ShardMap::new(n, count);
-        let rankings = RankingsBackend::default();
         let shards: Vec<ShardEngine> = (0..map.n_shards())
-            .map(|k| {
-                ShardEngine::new(
-                    costs,
-                    map.start(k),
-                    map.len(k),
-                    selector,
-                    scoring,
-                    rankings,
-                    sync,
-                )
-            })
+            .map(|k| ShardEngine::new(costs, map.start(k), map.len(k), selector, scoring, sync))
             .collect();
         let tree = ShardTree::new(map.n_shards(), ShardTree::DEFAULT_GROUP_SHARDS);
         let n_problems = costs.n_problems();
@@ -453,15 +429,12 @@ impl AgentRouter {
             shards,
             federated,
             exhaustive: selector == SelectorKind::Exhaustive,
-            skyline: true,
             tree,
-            tree_enabled: true,
             group_size: ShardTree::DEFAULT_GROUP_SHARDS,
             group_cache,
             n_problems,
             parallel_override: None,
             stats: SkylineStats::default(),
-            batch_predict: false,
             memo: DecisionMemo::new(),
             pred_scratch: Prediction::empty(),
             merged: Vec::new(),
@@ -469,22 +442,20 @@ impl AgentRouter {
             candidates: Vec::new(),
             selector_kind: selector,
             scoring,
-            rankings,
             sync,
-            stage2: Stage2Mode::default(),
             completion_only: false,
             parallel_stage2: None,
             record_history: false,
             history: Vec::new(),
+            retired: MemoStats::default(),
         }
     }
 
     /// Applies the router's remembered stage-2 settings to one engine's
     /// HTM — every construction site (initial build, rebalance rebuild)
     /// funnels through this so no shard can silently run the wrong
-    /// drain engine.
+    /// drain depth.
     fn apply_stage2(&self, e: &mut ShardEngine) {
-        e.htm.set_stage2_mode(self.stage2);
         e.htm.set_completion_only(self.completion_only);
         e.htm.set_parallel_stage2(self.parallel_stage2);
     }
@@ -499,47 +470,10 @@ impl AgentRouter {
         self
     }
 
-    /// Selects the stage-1 ranking storage backend on every shard index
-    /// (flat ladder by default; the BTree spec behind the config flag).
-    /// Decisions are proven bit-identical either way, and any block a
-    /// later rebalance rebuilds keeps the chosen backend.
-    pub fn with_rankings(mut self, rankings: RankingsBackend) -> Self {
-        self.rankings = rankings;
-        for shard in &mut self.shards {
-            shard.index.set_backend(rankings);
-        }
-        self
-    }
-
-    /// Forces every stage-2 evaluation through the batch `predict_all`
-    /// arm instead of the direct per-candidate path (off by default).
-    /// Decisions are bit-identical either way — this is the executable
-    /// spec arm the hot-path bench baselines against.
-    pub fn with_batch_predict(mut self, batch_only: bool) -> Self {
-        self.batch_predict = batch_only;
-        self
-    }
-
-    /// Toggles the lazy skyline merge (on by default). Off replays the
-    /// eager full scatter; decisions are proven bit-identical either way,
-    /// so this exists for the differential runs and as an escape hatch.
-    pub fn with_skyline(mut self, skyline: bool) -> Self {
-        self.skyline = skyline;
-        self
-    }
-
-    /// Toggles the two-level group walk (on by default, and inert until
-    /// the tree actually has more than one group). Off forces the flat
-    /// per-shard walk — the executable spec the group walk is proven
-    /// bit-identical against.
-    pub fn with_tree(mut self, enabled: bool) -> Self {
-        self.tree_enabled = enabled;
-        self
-    }
-
     /// Overrides the shards-per-group fan-out (default
     /// [`ShardTree::DEFAULT_GROUP_SHARDS`]) and rebuilds the tree. The
-    /// tree clamps degenerate values; `0` is treated as `1`.
+    /// tree clamps degenerate values; `0` is treated as `1`, and
+    /// `usize::MAX` yields one group — the flat per-shard walk.
     pub fn with_group_size(mut self, group_size: usize) -> Self {
         self.group_size = group_size.max(1);
         self.rebuild_tree();
@@ -556,21 +490,8 @@ impl AgentRouter {
         self
     }
 
-    /// Selects the stage-2 drain engine on every shard HTM
-    /// ([`Stage2Mode::Fast`] by default; `Full` is the pre-optimisation
-    /// executable spec). Decisions are proven bit-identical either way,
-    /// and any block a later rebalance rebuilds keeps the chosen engine.
-    pub fn with_stage2(mut self, mode: Stage2Mode) -> Self {
-        self.stage2 = mode;
-        for shard in &mut self.shards {
-            shard.htm.set_stage2_mode(mode);
-        }
-        self
-    }
-
     /// Declares that this run's heuristic never reads perturbations, so
-    /// fast-mode drains may truncate at the probe's completion (inert
-    /// under [`Stage2Mode::Full`]). Sourced from
+    /// drains may truncate at the probe's completion. Sourced from
     /// [`Heuristic::needs_perturbations`] by the engine.
     pub fn with_completion_only(mut self, completion_only: bool) -> Self {
         self.completion_only = completion_only;
@@ -591,12 +512,14 @@ impl AgentRouter {
     }
 
     /// Aggregated stage-2 drain counters across every shard HTM: drains
-    /// run, memo hits, truncated drains, prefix resumes.
+    /// run, memo hits, truncated drains, prefix resumes — including the
+    /// engines earlier rebalances dropped, so the counters never go
+    /// backwards.
     pub fn stage2_stats(&self) -> MemoStats {
         self.shards
             .iter()
             .map(|s| s.htm.memo_stats())
-            .fold(MemoStats::default(), |a, b| a.merge(b))
+            .fold(self.retired, |a, b| a.merge(b))
     }
 
     /// The two-level shard tree (degenerate — one group — when the farm
@@ -606,8 +529,7 @@ impl AgentRouter {
     }
 
     /// Cumulative skyline visit/skip counters (zero when the lazy merge
-    /// never ran: single-agent path, exhaustive selector, or skyline
-    /// off).
+    /// never ran: single-agent path or exhaustive selector).
     pub fn skyline_stats(&self) -> SkylineStats {
         self.stats
     }
@@ -726,8 +648,7 @@ impl AgentRouter {
                     tie_rng,
                 )
                 .with_server_mem(inp.server_mem)
-                .with_memo(&mut self.memo)
-                .with_batch_predict(self.batch_predict);
+                .with_memo(&mut self.memo);
                 heuristic.select(&mut view)
             };
             if let Some(s) = pick {
@@ -737,16 +658,14 @@ impl AgentRouter {
         }
         let walk = prof::span(prof::Phase::Stage1Walk);
 
-        // Stage 1. Exhaustive selectors always run the eager full
-        // scatter (the every-solver loop must stay exact and keeps the
-        // whole union anyway); pruning selectors take the lazy skyline
-        // merge unless it was explicitly switched off for a differential
-        // run.
+        // Stage 1. Exhaustive selectors run the eager full scatter (the
+        // every-solver loop must stay exact and keeps the whole union
+        // anyway); pruning selectors take the lazy skyline merge.
         let problem = inp.task.problem;
         let admit = inp.admit;
         self.merged.clear();
         self.candidates.clear();
-        if self.exhaustive || !self.skyline {
+        if self.exhaustive {
             // Eager scatter: every shard shortlists from its own index.
             // Each shard writes only its own scratch, so the pool
             // fan-out cannot reorder anything.
@@ -762,47 +681,18 @@ impl AgentRouter {
                     shard.stage1(problem, admit, true);
                 }
             }
-
-            // Merge by stage-1 score (ties by global id), truncated to
-            // the widest shard's width: with balanced shards this
-            // behaves like one shard-wide selector of that width.
-            // Exhaustive selectors keep the whole union — the
-            // every-solver loop must stay exact.
-            if self.exhaustive {
-                // Per-shard shortlists are ascending-local, shards
-                // ascending blocks: concatenation is already ascending
-                // global id.
-                for shard in &self.shards {
-                    self.candidates.extend(shard.scored.iter().map(|&(_, s)| s));
-                }
-            } else {
-                let widest = self
-                    .shards
-                    .iter()
-                    .map(|s| s.scored.len())
-                    .max()
-                    .unwrap_or(0);
-                for shard in &self.shards {
-                    self.merged.extend_from_slice(&shard.scored);
-                }
-                if self.merged.len() > widest && widest > 0 {
-                    // Keep the `widest` best by (score, id): a partial
-                    // select beats sorting the whole S×k merge, and the
-                    // kept *set* is unique (keys are distinct pairs), so
-                    // this is bit-identical to sort-then-truncate.
-                    self.merged.select_nth_unstable(widest - 1);
-                    self.merged.truncate(widest);
-                }
-                self.candidates.extend(self.merged.iter().map(|&(_, s)| s));
-                self.candidates.sort_unstable();
+            // The whole union: per-shard shortlists are ascending-local,
+            // shards ascending blocks, so concatenation is already
+            // ascending global id.
+            for shard in &self.shards {
+                self.candidates.extend(shard.scored.iter().map(|&(_, s)| s));
             }
         } else {
-            // Pruning selector with the skyline merge on. With a real
-            // tree (more than one group) the walk goes through the
-            // group level — parallel when the pool pays (or a
-            // differential run forces the arm), serial otherwise; a
-            // degenerate tree falls back to the flat per-shard walk.
-            let grouped = self.tree_enabled && !self.tree.is_empty();
+            // With a real tree (more than one group) the walk goes
+            // through the group level — parallel when the pool pays (or
+            // a differential run forces the arm), serial otherwise; a
+            // degenerate tree takes the flat per-shard walk.
+            let grouped = !self.tree.is_empty();
             let parallel = self
                 .parallel_override
                 .unwrap_or_else(|| cas_sim::pool::global().workers() > 1);
@@ -818,10 +708,19 @@ impl AgentRouter {
         }
 
         drop(walk);
+        self.gather(inp, heuristic, tie_rng)
+    }
 
-        // Stage 2, gather: the heuristic runs over the federation through
-        // the routed what-if backend; the merged candidate list is lent
-        // as a slice, not copied.
+    /// Stage 2 of a federated decision: the heuristic runs over
+    /// `self.candidates` through the routed what-if backend (the list is
+    /// lent as a slice, not copied), and the pick is reported to the
+    /// owning shard's selector.
+    fn gather(
+        &mut self,
+        inp: DecisionInputs<'_>,
+        heuristic: &mut dyn Heuristic,
+        tie_rng: &mut RngStream,
+    ) -> Option<ServerId> {
         let pick = {
             let _predict = prof::span(prof::Phase::Stage2Predict);
             let mut backend = FederatedWhatIf {
@@ -838,8 +737,7 @@ impl AgentRouter {
                 tie_rng,
             )
             .with_server_mem(inp.server_mem)
-            .with_memo(&mut self.memo)
-            .with_batch_predict(self.batch_predict);
+            .with_memo(&mut self.memo);
             heuristic.select(&mut view)
         };
         if let Some(s) = pick {
@@ -853,7 +751,7 @@ impl AgentRouter {
         pick
     }
 
-    /// The lazy skyline merge. Semantically it computes exactly what the
+    /// The lazy skyline merge. Semantically it computes exactly what an
     /// eager scatter-then-truncate computes — the `W`-best `(score bits,
     /// global id)` entries of the union of per-shard shortlists, where
     /// `W` is the widest shard's width — but it visits shards in
@@ -872,8 +770,8 @@ impl AgentRouter {
     /// Both facts are conservative (the skyline ignores `admit`, which
     /// only removes candidates; bounds only overestimate widths), so the
     /// lazy merge is a *pure pruning of the walk, never of the result* —
-    /// the differential harness proves the picks bit-identical to the
-    /// eager router's. Shards with no solvable server for the problem
+    /// the proptests prove the picks bit-identical to the test module's
+    /// eager-merge oracle. Shards with no solvable server for the problem
     /// skip unconditionally: their shortlist is empty under any filter.
     ///
     /// Leaves `self.merged` holding the final cut, sorted ascending by
@@ -939,8 +837,8 @@ impl AgentRouter {
     /// the group bound upper-bounds every member bound, the group
     /// condition implies the flat condition for **each member** — so the
     /// group walk prunes a superset of nothing the flat walk would keep,
-    /// and the merged cut is bit-identical (the differential proptests
-    /// prove it against both the flat walk and the eager scatter).
+    /// and the merged cut is bit-identical (the proptests prove it
+    /// against the flat walk).
     /// Inside a visited group, members run the flat per-shard condition
     /// unchanged.
     fn tree_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
@@ -1012,7 +910,7 @@ impl AgentRouter {
     /// concatenates per-shard scratch in shard order and keeps the
     /// `W`-best by partial select — the kept *set* equals
     /// sort-then-truncate (keys are unique pairs), which is exactly the
-    /// eager merge, which the serial walks are proven identical to.
+    /// eager merge the serial walks are proven identical to.
     /// Shards with no skyline clear their scratch and skip: their
     /// shortlist is empty under any admit filter.
     fn parallel_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
@@ -1203,6 +1101,7 @@ impl AgentRouter {
         changed
     }
 
+    /// Shared preconditions of every re-partition.
     fn check_rebalance(&self, costs: &CostTable, new_map: &ShardMap) {
         assert!(self.federated, "rebalance requires the federated router");
         assert!(
@@ -1233,7 +1132,6 @@ impl AgentRouter {
             len,
             self.selector_kind,
             self.scoring,
-            self.rankings,
             self.sync,
         );
         self.apply_stage2(&mut e);
@@ -1287,11 +1185,12 @@ impl AgentRouter {
     /// reuse and replay agree; every other block is rebuilt by replay.
     /// Stage-1 selector adaptation restarts fresh on **every** shard and
     /// the decision memo resets, making an incremental rebalance
-    /// observably identical to [`AgentRouter::rebalance_full`] — the
-    /// executable spec that rebuilds everything — which the rebalance
-    /// proptests prove bit for bit. Under the exhaustive selector (whose
-    /// merge is the untruncated union) a rebalance is additionally
-    /// invisible against a router that *never* rebalanced.
+    /// observably identical to rebuilding every block — the test-only
+    /// oracle the rebalance proptests diff it against, bit for bit. Under
+    /// the exhaustive selector (whose merge is the untruncated union) a
+    /// rebalance is additionally invisible against a router that *never*
+    /// rebalanced. Dropped engines hand their stage-2 counters to
+    /// [`AgentRouter::stage2_stats`].
     pub fn rebalance(&mut self, costs: &CostTable, new_map: ShardMap) {
         self.check_rebalance(costs, &new_map);
         let old_blocks: Vec<(u32, usize)> = (0..self.map.n_shards())
@@ -1314,20 +1213,11 @@ impl AgentRouter {
             };
             shards.push(engine);
         }
+        for dropped in old.into_iter().flatten() {
+            self.retired = self.retired.merge(dropped.htm.memo_stats());
+        }
         self.map = new_map;
         self.shards = shards;
-        self.rebuild_tree();
-        self.memo = DecisionMemo::new();
-    }
-
-    /// The executable spec of [`AgentRouter::rebalance`]: rebuilds
-    /// **every** block from scratch by history replay, reusing nothing.
-    pub fn rebalance_full(&mut self, costs: &CostTable, new_map: ShardMap) {
-        self.check_rebalance(costs, &new_map);
-        self.shards = (0..new_map.n_shards())
-            .map(|k| self.rebuilt_engine(costs, new_map.start(k), new_map.len(k)))
-            .collect();
-        self.map = new_map;
         self.rebuild_tree();
         self.memo = DecisionMemo::new();
     }
@@ -1496,12 +1386,119 @@ impl WhatIf for FederatedWhatIf<'_> {
     }
 }
 
+/// Test-only oracles of the router's optimised paths: the eager merge
+/// the lazy skyline walk prunes, and the rebuild-everything rebalance the
+/// incremental one reuses blocks against. (The flat walk, the group
+/// walk's oracle, needs no code here: `with_group_size(usize::MAX)`
+/// yields one group.)
+#[cfg(test)]
+mod oracles {
+    use super::*;
+    use crate::harness::DecisionAgent;
+
+    /// A router whose pruning-selector decisions take the eager merge:
+    /// every shard shortlists, and the union is cut to the widest shard's
+    /// width by `(score bits, global id)`. Exhaustive decisions are the
+    /// production path already (the untruncated union).
+    pub(super) struct EagerMerge(pub(super) AgentRouter);
+
+    impl EagerMerge {
+        fn decide_eager(
+            &mut self,
+            inp: DecisionInputs<'_>,
+            heuristic: &mut dyn Heuristic,
+            tie_rng: &mut RngStream,
+        ) -> Option<ServerId> {
+            let router = &mut self.0;
+            if router.exhaustive || !router.federated {
+                return router.decide(inp, heuristic, tie_rng);
+            }
+            router.merged.clear();
+            router.candidates.clear();
+            let mut widest = 0;
+            for shard in router.shards.iter_mut() {
+                shard.stage1(inp.task.problem, inp.admit, true);
+                widest = widest.max(shard.scored.len());
+                router.merged.extend_from_slice(&shard.scored);
+            }
+            router.merged.sort_unstable();
+            router.merged.truncate(widest);
+            router
+                .candidates
+                .extend(router.merged.iter().map(|&(_, s)| s));
+            router.candidates.sort_unstable();
+            router.gather(inp, heuristic, tie_rng)
+        }
+    }
+
+    impl DecisionAgent for EagerMerge {
+        fn decide(
+            &mut self,
+            inp: DecisionInputs<'_>,
+            heuristic: &mut dyn Heuristic,
+            tie_rng: &mut RngStream,
+        ) -> Option<(ServerId, Prediction)> {
+            let (now, task) = (inp.now, inp.task);
+            let pick = self.decide_eager(inp, heuristic, tie_rng)?;
+            let p = self
+                .0
+                .predict(now, pick, &task)
+                .expect("picked server is solvable");
+            Some((pick, p))
+        }
+
+        fn commit(&mut self, now: SimTime, server: ServerId, task: &TaskInstance, work: f64) {
+            self.0.on_commit(now, server, task, work);
+        }
+
+        fn retract(&mut self, now: SimTime, server: ServerId, task: TaskId, work: f64) {
+            self.0.on_retract(now, server, task, work);
+        }
+
+        fn complete(
+            &mut self,
+            now: SimTime,
+            server: ServerId,
+            task: TaskId,
+            work: f64,
+            observed: f64,
+            predicted: f64,
+        ) {
+            self.0
+                .on_complete(now, server, task, work, observed, predicted);
+        }
+
+        fn completions(&self) -> HashMap<TaskId, SimTime> {
+            self.0.simulated_completions()
+        }
+
+        fn set_available(&mut self, server: ServerId, up: bool) {
+            self.0.set_available(server, up);
+        }
+    }
+
+    impl AgentRouter {
+        /// The oracle of [`AgentRouter::rebalance`]: rebuilds **every**
+        /// block from scratch by history replay, reusing nothing.
+        pub(super) fn rebalance_full(&mut self, costs: &CostTable, new_map: ShardMap) {
+            self.check_rebalance(costs, &new_map);
+            self.shards = (0..new_map.n_shards())
+                .map(|k| self.rebuilt_engine(costs, new_map.start(k), new_map.len(k)))
+                .collect();
+            self.map = new_map;
+            self.rebuild_tree();
+            self.memo = DecisionMemo::new();
+        }
+    }
+}
+
 #[cfg(test)]
 mod skyline_edge {
     //! Edge cases of the skyline maintenance and the lazy merge, pinned
     //! as fixed fixtures (the proptests cover the space; these document
     //! the corners by name).
 
+    use super::oracles::EagerMerge;
     use super::*;
     use crate::harness::{DiffHarness, Op, SingleAgentReference};
     use cas_platform::{PhaseCosts, Problem};
@@ -1526,15 +1523,14 @@ mod skyline_edge {
         costs
     }
 
-    fn routers(table: &CostTable, selector: SelectorKind) -> (AgentRouter, AgentRouter) {
-        let eager = AgentRouter::new(
+    fn routers(table: &CostTable, selector: SelectorKind) -> (EagerMerge, AgentRouter) {
+        let eager = EagerMerge(AgentRouter::new(
             table,
             Some(3),
             selector,
             IndexScoring::default(),
             SyncPolicy::None,
-        )
-        .with_skyline(false);
+        ));
         let lazy = AgentRouter::new(
             table,
             Some(3),
@@ -1573,7 +1569,6 @@ mod skyline_edge {
             SyncPolicy::None,
         )
         .with_history(true)
-        .with_stage2(Stage2Mode::Full)
         .with_completion_only(true);
         router.set_parallel_stage2(Some(true));
         for i in 0..4u64 {
@@ -1585,12 +1580,56 @@ mod skyline_edge {
         router.rebalance(&table, ShardMap::new(6, 2));
         assert_eq!(router.n_shards(), 2);
         for shard in &router.shards {
-            assert_eq!(shard.htm.stage2_mode(), Stage2Mode::Full);
             assert!(shard.htm.completion_only());
         }
         // And the replayed model state is intact: 4 tasks are active
         // across the federation.
         assert_eq!(router.simulated_completions().len(), 4);
+    }
+
+    /// A rebalance drops the engines whose blocks changed; their stage-2
+    /// counters must survive in [`AgentRouter::stage2_stats`], which
+    /// never goes backwards.
+    #[test]
+    fn stage2_stats_never_decrease_across_rebalance() {
+        let table = edge_table();
+        let mut router = AgentRouter::new(
+            &table,
+            Some(3),
+            SelectorKind::TopK { k: 2 },
+            IndexScoring::default(),
+            SyncPolicy::None,
+        )
+        .with_history(true)
+        .with_completion_only(true);
+        for i in 0..6u64 {
+            let now = SimTime::from_secs(i as f64);
+            let task = TaskInstance::new(TaskId(i), ProblemId(0), now);
+            let server = ServerId((i % 6) as u32);
+            // Probes at several instants run drains that no replay redoes.
+            for s in 0..6 {
+                let probe = TaskInstance::new(TaskId(100 + i), ProblemId(0), now);
+                router.predict(now, ServerId(s), &probe);
+            }
+            router.predict(now, server, &task);
+            router.on_commit(now, server, &task, 10.0);
+        }
+        let before = router.stage2_stats();
+        assert!(before.drains > 0 && before.prefix_hits > 0, "{before:?}");
+        router.rebalance(&table, ShardMap::new(6, 2));
+        let after = router.stage2_stats();
+        let fields = |m: MemoStats| {
+            [
+                m.drains,
+                m.hits,
+                m.cross_task_hits,
+                m.truncated,
+                m.prefix_hits,
+            ]
+        };
+        for (b, a) in fields(before).into_iter().zip(fields(after)) {
+            assert!(a >= b, "a counter went backwards: {before:?} → {after:?}");
+        }
     }
 
     /// A problem with zero solvable servers in a shard: the shard has no
@@ -1939,14 +1978,13 @@ mod skyline_edge {
             scoring,
             SyncPolicy::None,
         );
-        let mut b = AgentRouter::new(
+        let mut b = EagerMerge(AgentRouter::new(
             &table,
             Some(3),
             SelectorKind::Exhaustive,
             scoring,
             SyncPolicy::None,
-        )
-        .with_skyline(false);
+        ));
         harness.run(&mut a, &mut b, &decide_ops(4)).unwrap();
         assert_eq!(a.skyline_stats(), SkylineStats::default());
         // Single-agent fast path.
@@ -1973,6 +2011,7 @@ mod skyline_edge {
 
 #[cfg(test)]
 mod proptests {
+    use super::oracles::EagerMerge;
     use super::*;
     use crate::harness::{DiffHarness, Op, SingleAgentReference};
     use cas_platform::PhaseCosts;
@@ -2016,7 +2055,7 @@ mod proptests {
     }
 
     /// Drives the router decision-by-decision against the inline
-    /// single-agent reference (the harness's executable spec) over
+    /// single-agent reference (the harness's oracle) over
     /// arbitrary interleavings of decide / commit / retract / complete:
     /// picks and winning predictions must agree **bit for bit**.
     fn run_reference_differential(
@@ -2047,9 +2086,9 @@ mod proptests {
         Ok(())
     }
 
-    /// Drives the skyline-merged router against the eager full-scatter
-    /// router (PR-4 semantics, `with_skyline(false)`): the lazy merge
-    /// must be a pure pruning of the *walk*, never of the result.
+    /// Drives the skyline-merged router against the eager-merge oracle:
+    /// the lazy merge must be a pure pruning of the *walk*, never of the
+    /// result.
     fn run_skyline_differential(
         n_servers: usize,
         costs: Vec<PhaseCosts>,
@@ -2062,8 +2101,13 @@ mod proptests {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
         let scoring = IndexScoring::default();
-        let mut eager =
-            AgentRouter::new(&table, Some(n_shards), selector, scoring, sync).with_skyline(false);
+        let mut eager = EagerMerge(AgentRouter::new(
+            &table,
+            Some(n_shards),
+            selector,
+            scoring,
+            sync,
+        ));
         let mut lazy = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync);
         let ops: Vec<Op> = ops.into_iter().map(Op::from).collect();
         if let Err(e) = harness.run(&mut eager, &mut lazy, &ops) {
@@ -2071,7 +2115,7 @@ mod proptests {
         }
         // The eager arm never enters the lazy merge; the lazy arm
         // accounts for every shard on every pruned decision.
-        prop_assert_eq!(eager.skyline_stats(), SkylineStats::default());
+        prop_assert_eq!(eager.0.skyline_stats(), SkylineStats::default());
         let stats = lazy.skyline_stats();
         prop_assert_eq!(
             stats.shard_visits + stats.shard_skips,
@@ -2082,7 +2126,7 @@ mod proptests {
 
     /// Drives the group-walking router (and, when `parallel`, the
     /// forced parallel stage-1 arm) against the flat per-shard walk
-    /// (`with_tree(false)` — the executable spec): the group level must
+    /// (`with_group_size(usize::MAX)`: one group): the group level must
     /// be a pure pruning of the *walk*, never of the result. Also pins
     /// the per-level counter invariants of [`SkylineStats`].
     #[allow(clippy::too_many_arguments)]
@@ -2101,7 +2145,7 @@ mod proptests {
         let harness = DiffHarness::new(table.clone());
         let scoring = IndexScoring::default();
         let mut flat = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_tree(false)
+            .with_group_size(usize::MAX)
             .with_parallel_stage1(false);
         let mut tree = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
             .with_group_size(group_size)
@@ -2171,9 +2215,9 @@ mod proptests {
 
     /// Runs `prefix`, re-partitions both routers to the same new map —
     /// one through the incremental [`AgentRouter::rebalance`], the other
-    /// through the rebuild-everything [`AgentRouter::rebalance_full`]
-    /// spec — then demands the `suffix` stays bit-identical and the
-    /// resting models agree.
+    /// through the rebuild-everything `rebalance_full` oracle — then
+    /// demands the `suffix` stays bit-identical and the resting models
+    /// agree.
     #[allow(clippy::too_many_arguments)]
     fn run_rebalance_differential(
         n_servers: usize,
@@ -2288,9 +2332,9 @@ mod proptests {
             )?;
         }
 
-        /// The tentpole property: the skyline-merged router is
-        /// **bit-identical** to the PR-4 eager full-scatter router over
-        /// arbitrary interleavings, for every selector backend and
+        /// The skyline property: the skyline-merged router is
+        /// **bit-identical** to the eager-merge oracle over arbitrary
+        /// interleavings, for every selector backend and
         /// `S ∈ {1, 2, 3, 16}` on an 18-server farm — the skyline prunes
         /// the merge's walk, never its semantics.
         #[test]
@@ -2370,7 +2414,7 @@ mod proptests {
         /// The rebalance proof, half one: re-partitioning mid-run through
         /// the incremental block-reusing `rebalance` is **bit-identical**
         /// — on the suffix ops and the resting model — to the
-        /// rebuild-everything `rebalance_full` spec, for every selector
+        /// rebuild-everything `rebalance_full` oracle, for every selector
         /// backend, shard count transition and fault schedule.
         #[test]
         fn rebalance_incremental_is_bitwise_full_rebuild(
@@ -2450,7 +2494,7 @@ mod proptests {
         /// the group walk (fan-out 2), one re-partitioned through the
         /// incremental `rebalance` (which rebuilds the tree and drops
         /// every cached group key), the other through the full-rebuild
-        /// spec — prefix and suffix full of crashes and repairs, picks
+        /// oracle — prefix and suffix full of crashes and repairs, picks
         /// bit-identical throughout, resting models equal.
         #[test]
         fn tree_rebalance_stays_bitwise_across_churn(

@@ -36,31 +36,27 @@
 //! are non-negative finite), with the server id as tie-break, so every
 //! ordering question has one deterministic answer.
 //!
-//! # Ranking storage: flat ladder vs BTree
+//! # Ranking storage: the flat ladder
 //!
-//! Two interchangeable backends store the per-problem orderings,
-//! selectable via [`RankingsBackend`]:
+//! Each problem's ordering is a *bucketed ladder* of flat sorted runs of
+//! `(score bits, server)` keys with lazy repair: a re-rank marks the old
+//! key stale in O(1) (a per-server `current` stamp is the single source
+//! of liveness truth) and inserts the new key into a 32-key top run; when
+//! the top run overflows it merges down into geometrically larger runs,
+//! so a re-rank costs amortised O(log n) contiguous key copies — never
+//! the O(n) fold a single sorted vector would pay, and never a balanced
+//! tree's pointer surgery. Reads merge the ladder's ≲4 runs, skipping
+//! stale keys; every step is a linear scan over contiguous 12-byte keys —
+//! no pointer chasing — which is what the decision path's skyline reads
+//! and k-best walks want at shard scale.
 //!
-//! * **[`RankingsBackend::Flat`]** (default) — a *bucketed ladder* of
-//!   flat sorted runs of `(score bits, server)` keys with lazy repair: a
-//!   re-rank marks the old key stale in O(1) (a per-server `current`
-//!   stamp is the single source of liveness truth) and inserts the new
-//!   key into a 32-key top run; when the top run overflows it merges
-//!   down into geometrically larger runs, so a re-rank costs amortised
-//!   O(log n) contiguous key copies — never the O(n) fold a single
-//!   sorted vector would pay, and never a rebalance's pointer surgery.
-//!   Reads merge the ladder's ≲4 runs, skipping stale keys; every step
-//!   is a linear scan over contiguous 12-byte keys — no pointer chasing
-//!   — which is what the decision path's skyline reads and k-best walks
-//!   want at shard scale.
-//! * **[`RankingsBackend::Btree`]** — the original `BTreeSet<RankKey>`,
-//!   kept as the executable spec: the flat backend is proven
-//!   bit-identical against it by the differential tests below and by
-//!   whole-campaign record-equality suites in `cas-middleware`.
+//! The oracle is a plain per-problem `BTreeSet<(u64, u32)>` of the live
+//! keys, kept in the test module: the proptests drive the index through
+//! arbitrary commit/complete/crash/repair streams and diff every query
+//! surface against it after every op.
 
 use crate::cost::CostTable;
 use crate::ids::{ProblemId, ServerId};
-use std::collections::BTreeSet;
 
 /// Ordered key of one server inside one problem's ranking: score bits,
 /// then server id (deterministic total order).
@@ -123,39 +119,6 @@ impl IndexScoring {
     }
 }
 
-/// Which data structure stores the per-problem rankings. Both answer
-/// every query bit-identically; they differ only in constant factors
-/// (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankingsBackend {
-    /// Flat sorted-vec ladder with lazy repair — cache-friendly walks,
-    /// the default.
-    #[default]
-    Flat,
-    /// Per-problem `BTreeSet`, the executable spec the flat backend is
-    /// differentially proven against.
-    Btree,
-}
-
-impl RankingsBackend {
-    /// Parses `flat` / `vec` or `btree` / `tree` (case-insensitive).
-    pub fn parse(s: &str) -> Option<RankingsBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "flat" | "vec" => Some(RankingsBackend::Flat),
-            "btree" | "tree" => Some(RankingsBackend::Btree),
-            _ => None,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RankingsBackend::Flat => "flat",
-            RankingsBackend::Btree => "btree",
-        }
-    }
-}
-
 /// `current` stamp of a server absent from a ranking (down, or never
 /// solvable there). `u64::MAX` is the bit pattern of a negative NaN —
 /// never a valid non-negative finite score, so it cannot collide with a
@@ -187,7 +150,7 @@ fn run_cap(r: usize) -> usize {
 /// `(score bits, server)` keys that may contain stale entries, plus a
 /// per-server `current` stamp that is the single source of truth for
 /// liveness — the key `(bits, s)` is live iff `current[s] == bits`. The
-/// live keys across all runs are exactly the BTree backend's set at all
+/// live keys across all runs are exactly the ranking's ordered set at all
 /// times.
 ///
 /// Inserts go into run 0 (capacity [`RUN0_CAP`]); an overflowing run
@@ -232,28 +195,6 @@ impl FlatRanking {
             total: 0,
             scratch: Vec::new(),
         }
-    }
-
-    /// Builds a ranking holding exactly `keys` (ascending, all live) as
-    /// one run, leaving run 0 free for fresh inserts.
-    fn from_sorted_live(keys: Vec<RankKey>, n_servers: usize) -> Self {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        let mut r = FlatRanking::new(n_servers);
-        for &(bits, s) in &keys {
-            r.current[s as usize] = bits;
-        }
-        r.live = keys.len();
-        r.total = keys.len();
-        let mut j = 0;
-        while run_cap(j) < keys.len() {
-            j += 1;
-        }
-        while r.runs.len() <= j {
-            r.runs.push(Vec::new());
-            r.heads.push(0);
-        }
-        r.runs[j] = keys;
-        r
     }
 
     /// Whether the key `(bits, s)` is live (stale keys stay in storage
@@ -487,34 +428,6 @@ impl Iterator for FlatIter<'_> {
     }
 }
 
-/// Per-problem ranking storage, one variant per [`RankingsBackend`].
-#[derive(Debug, Clone)]
-enum RankStore {
-    Flat(Vec<FlatRanking>),
-    Btree(Vec<BTreeSet<RankKey>>),
-}
-
-/// Ascending live-key iterator over one problem's ranking, whichever
-/// backend stores it (an enum so the read path never boxes — the
-/// variant size gap is deliberate: this lives on the stack of the
-/// zero-allocation decision loop).
-#[allow(clippy::large_enum_variant)]
-enum RankedKeys<'a> {
-    Flat(FlatIter<'a>),
-    Btree(std::collections::btree_set::Iter<'a, RankKey>),
-}
-
-impl Iterator for RankedKeys<'_> {
-    type Item = RankKey;
-
-    fn next(&mut self) -> Option<RankKey> {
-        match self {
-            RankedKeys::Flat(it) => it.next(),
-            RankedKeys::Btree(it) => it.next().copied(),
-        }
-    }
-}
-
 /// The agent's incrementally maintained static placement index.
 #[derive(Debug, Clone)]
 pub struct StaticIndex {
@@ -536,32 +449,20 @@ pub struct StaticIndex {
     /// reflect the live farm only.
     available: Vec<bool>,
     /// Per problem: solvable **available** servers ordered by
-    /// `(score_bits, id)`, in the configured backend.
-    ranked: RankStore,
+    /// `(score_bits, id)`.
+    ranked: Vec<FlatRanking>,
 }
 
 impl StaticIndex {
     /// Builds the index from the static cost table with the default
-    /// [`IndexScoring::RemainingWork`] proxy and the default
-    /// [`RankingsBackend::Flat`] storage; every server starts with zero
-    /// believed load.
+    /// [`IndexScoring::RemainingWork`] proxy; every server starts with
+    /// zero believed load.
     pub fn new(costs: &CostTable) -> Self {
         Self::with_scoring(costs, IndexScoring::default())
     }
 
-    /// Builds the index with an explicit scoring proxy (default flat
-    /// ranking storage).
+    /// Builds the index with an explicit scoring proxy.
     pub fn with_scoring(costs: &CostTable, scoring: IndexScoring) -> Self {
-        Self::with_backend(costs, scoring, RankingsBackend::default())
-    }
-
-    /// Builds the index with an explicit scoring proxy and ranking
-    /// storage backend.
-    pub fn with_backend(
-        costs: &CostTable,
-        scoring: IndexScoring,
-        backend: RankingsBackend,
-    ) -> Self {
         let n_servers = costs.n_servers();
         let n_problems = costs.n_problems();
         let mut durations = Vec::with_capacity(n_problems * n_servers);
@@ -577,14 +478,9 @@ impl StaticIndex {
             remaining: vec![0.0; n_servers],
             durations,
             available: vec![true; n_servers],
-            ranked: match backend {
-                RankingsBackend::Flat => RankStore::Flat(
-                    (0..n_problems)
-                        .map(|_| FlatRanking::new(n_servers))
-                        .collect(),
-                ),
-                RankingsBackend::Btree => RankStore::Btree(vec![BTreeSet::new(); n_problems]),
-            },
+            ranked: (0..n_problems)
+                .map(|_| FlatRanking::new(n_servers))
+                .collect(),
         };
         for p in 0..n_problems {
             for s in 0..n_servers {
@@ -596,71 +492,16 @@ impl StaticIndex {
         idx
     }
 
-    /// The ranking storage backend in use.
-    pub fn backend(&self) -> RankingsBackend {
-        match &self.ranked {
-            RankStore::Flat(_) => RankingsBackend::Flat,
-            RankStore::Btree(_) => RankingsBackend::Btree,
-        }
-    }
-
-    /// Converts the ranking storage to `backend` in place (a no-op when
-    /// already there). Both backends represent the same ordered sets, so
-    /// the conversion is exact in either direction — the differential
-    /// tests rebuild one backend from the other and diff every query.
-    pub fn set_backend(&mut self, backend: RankingsBackend) {
-        if self.backend() == backend {
-            return;
-        }
-        let n_problems = self.durations.len() / self.n_servers.max(1);
-        let live: Vec<Vec<RankKey>> = (0..n_problems)
-            .map(|p| self.ranked_keys(ProblemId(p as u32)).collect())
-            .collect();
-        self.ranked = match backend {
-            RankingsBackend::Flat => RankStore::Flat(
-                live.into_iter()
-                    .map(|keys| FlatRanking::from_sorted_live(keys, self.n_servers))
-                    .collect(),
-            ),
-            RankingsBackend::Btree => RankStore::Btree(
-                live.into_iter()
-                    .map(|keys| keys.into_iter().collect())
-                    .collect(),
-            ),
-        };
-    }
-
     /// Inserts the live key `(bits, s)` into problem `p`'s ranking.
     fn insert_key(&mut self, p: usize, s: u32, bits: u64) {
-        match &mut self.ranked {
-            RankStore::Flat(ranks) => ranks[p].activate(s, bits),
-            RankStore::Btree(sets) => {
-                sets[p].insert((bits, s));
-            }
-        }
+        self.ranked[p].activate(s, bits);
     }
 
     /// Removes the live key of `s` from problem `p`'s ranking; `bits` is
     /// the key it must currently be live at.
     fn remove_key(&mut self, p: usize, s: u32, bits: u64) {
-        match &mut self.ranked {
-            RankStore::Flat(ranks) => {
-                let was = ranks[p].deactivate(s);
-                debug_assert_eq!(was, bits, "server {s} stale in ranking of P{p}");
-            }
-            RankStore::Btree(sets) => {
-                let removed = sets[p].remove(&(bits, s));
-                debug_assert!(removed, "server {s} missing from ranking of P{p}");
-            }
-        }
-    }
-
-    /// Ascending live keys of `problem`'s ranking.
-    fn ranked_keys(&self, problem: ProblemId) -> RankedKeys<'_> {
-        match &self.ranked {
-            RankStore::Flat(ranks) => RankedKeys::Flat(ranks[problem.index()].iter()),
-            RankStore::Btree(sets) => RankedKeys::Btree(sets[problem.index()].iter()),
-        }
+        let was = self.ranked[p].deactivate(s);
+        debug_assert_eq!(was, bits, "server {s} stale in ranking of P{p}");
     }
 
     /// Number of servers covered.
@@ -692,11 +533,9 @@ impl StaticIndex {
     /// exact. A shard federation reads it per decision to decide whether a
     /// shard can possibly contribute to the merged shortlist.
     pub fn best_key(&self, problem: ProblemId) -> Option<(u64, ServerId)> {
-        match &self.ranked {
-            RankStore::Flat(ranks) => ranks[problem.index()].first(),
-            RankStore::Btree(sets) => sets[problem.index()].iter().next().copied(),
-        }
-        .map(|(bits, s)| (bits, ServerId(s)))
+        self.ranked[problem.index()]
+            .first()
+            .map(|(bits, s)| (bits, ServerId(s)))
     }
 
     /// Number of servers able to solve `problem` (the size of its
@@ -704,10 +543,7 @@ impl StaticIndex {
     /// problem, used alongside [`StaticIndex::best_key`] by the lazy
     /// merge.
     pub fn solvable_count(&self, problem: ProblemId) -> usize {
-        match &self.ranked {
-            RankStore::Flat(ranks) => ranks[problem.index()].live,
-            RankStore::Btree(sets) => sets[problem.index()].len(),
-        }
+        self.ranked[problem.index()].live
     }
 
     /// The stage-1 score of `server` for `problem` at the current believed
@@ -794,10 +630,8 @@ impl StaticIndex {
         self.active.push(0);
         self.remaining.push(0.0);
         self.available.push(true);
-        if let RankStore::Flat(ranks) = &mut self.ranked {
-            for r in ranks.iter_mut() {
-                r.push_slot();
-            }
+        for r in &mut self.ranked {
+            r.push_slot();
         }
         let scoring = self.scoring;
         for (p, d) in durations.iter().enumerate() {
@@ -853,13 +687,14 @@ impl StaticIndex {
     /// Walks `problem`'s ranking in ascending score order, best first,
     /// skipping servers rejected by `admit`. The iterator is lazy: taking
     /// `k` items touches `k + rejected` keys (plus any stale keys the
-    /// flat backend skips on the way), not all `n`.
+    /// ladder skips on the way), not all `n`.
     pub fn ranked_iter<'a>(
         &'a self,
         problem: ProblemId,
         admit: &'a dyn Fn(ServerId) -> bool,
     ) -> impl Iterator<Item = (ServerId, f64)> + 'a {
-        self.ranked_keys(problem)
+        self.ranked[problem.index()]
+            .iter()
             .map(|(bits, s)| (ServerId(s), f64::from_bits(bits)))
             .filter(move |&(s, _)| admit(s))
     }
@@ -888,8 +723,7 @@ mod tests {
     use crate::cost::PhaseCosts;
     use crate::task::Problem;
     use proptest::prelude::*;
-
-    const BACKENDS: [RankingsBackend; 2] = [RankingsBackend::Flat, RankingsBackend::Btree];
+    use std::collections::BTreeSet;
 
     /// 3 servers; P0 durations 100/150/300, P1 solvable only on S1 (50).
     fn table() -> CostTable {
@@ -917,36 +751,31 @@ mod tests {
 
     #[test]
     fn initial_ranking_is_static_cost_order() {
-        for backend in BACKENDS {
-            let idx = StaticIndex::with_backend(&table(), IndexScoring::default(), backend);
-            assert_eq!(idx.backend(), backend);
-            assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
-            assert_eq!(best(&idx, 0, 2), vec![0, 1]);
-            assert_eq!(best(&idx, 1, 3), vec![1], "only S1 solves P1");
-            assert_eq!(idx.score(ProblemId(0), ServerId(2)), Some(300.0));
-            assert_eq!(idx.score(ProblemId(1), ServerId(0)), None);
-        }
+        let idx = StaticIndex::new(&table());
+        assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
+        assert_eq!(best(&idx, 0, 2), vec![0, 1]);
+        assert_eq!(best(&idx, 1, 3), vec![1], "only S1 solves P1");
+        assert_eq!(idx.score(ProblemId(0), ServerId(2)), Some(300.0));
+        assert_eq!(idx.score(ProblemId(1), ServerId(0)), None);
     }
 
     #[test]
     fn commit_reorders_and_complete_restores() {
-        for backend in BACKENDS {
-            let mut idx = StaticIndex::with_backend(&table(), IndexScoring::ActiveCount, backend);
-            // Two commits on S0: score(P0,S0) = 100·3 = 300, ties S2's 300 →
-            // id order keeps S0 ahead of S2.
-            idx.on_commit(ServerId(0), 100.0);
-            idx.on_commit(ServerId(0), 100.0);
-            assert_eq!(idx.active(ServerId(0)), 2);
-            assert_eq!(best(&idx, 0, 3), vec![1, 0, 2]);
-            // A third commit pushes S0 last.
-            idx.on_commit(ServerId(0), 100.0);
-            assert_eq!(best(&idx, 0, 3), vec![1, 2, 0]);
-            idx.on_complete(ServerId(0), 100.0);
-            idx.on_retract(ServerId(0), 100.0);
-            idx.on_complete(ServerId(0), 100.0);
-            assert_eq!(idx.active(ServerId(0)), 0);
-            assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
-        }
+        let mut idx = StaticIndex::with_scoring(&table(), IndexScoring::ActiveCount);
+        // Two commits on S0: score(P0,S0) = 100·3 = 300, ties S2's 300 →
+        // id order keeps S0 ahead of S2.
+        idx.on_commit(ServerId(0), 100.0);
+        idx.on_commit(ServerId(0), 100.0);
+        assert_eq!(idx.active(ServerId(0)), 2);
+        assert_eq!(best(&idx, 0, 3), vec![1, 0, 2]);
+        // A third commit pushes S0 last.
+        idx.on_commit(ServerId(0), 100.0);
+        assert_eq!(best(&idx, 0, 3), vec![1, 2, 0]);
+        idx.on_complete(ServerId(0), 100.0);
+        idx.on_retract(ServerId(0), 100.0);
+        idx.on_complete(ServerId(0), 100.0);
+        assert_eq!(idx.active(ServerId(0)), 0);
+        assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
     }
 
     /// Edge case for the crash path: retracting the *last* in-flight
@@ -954,15 +783,13 @@ mod tests {
     /// the pristine static order.
     #[test]
     fn retracting_last_in_flight_task_restores_static_rank() {
-        for backend in BACKENDS {
-            let mut idx = StaticIndex::with_backend(&table(), IndexScoring::default(), backend);
-            idx.on_commit(ServerId(0), 500.0);
-            assert_eq!(best(&idx, 0, 3), vec![1, 2, 0]);
-            idx.on_retract(ServerId(0), 500.0);
-            assert_eq!(idx.remaining(ServerId(0)), 0.0);
-            assert_eq!(idx.active(ServerId(0)), 0);
-            assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
-        }
+        let mut idx = StaticIndex::new(&table());
+        idx.on_commit(ServerId(0), 500.0);
+        assert_eq!(best(&idx, 0, 3), vec![1, 2, 0]);
+        idx.on_retract(ServerId(0), 500.0);
+        assert_eq!(idx.remaining(ServerId(0)), 0.0);
+        assert_eq!(idx.active(ServerId(0)), 0);
+        assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
     }
 
     /// Edge case for the crash path: a retract racing the server's
@@ -1057,20 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_roundtrip() {
-        assert_eq!(RankingsBackend::parse("flat"), Some(RankingsBackend::Flat));
-        assert_eq!(
-            RankingsBackend::parse("BTREE"),
-            Some(RankingsBackend::Btree)
-        );
-        assert_eq!(RankingsBackend::parse("nope"), None);
-        assert_eq!(RankingsBackend::default(), RankingsBackend::Flat);
-        for b in BACKENDS {
-            assert_eq!(RankingsBackend::parse(b.name()), Some(b));
-        }
-    }
-
-    #[test]
     fn k_larger_than_n_and_zero() {
         let idx = StaticIndex::new(&table());
         assert_eq!(best(&idx, 0, 100), vec![0, 1, 2]);
@@ -1090,37 +903,35 @@ mod tests {
     /// `None` where nothing can solve the problem.
     #[test]
     fn skyline_follows_hooks() {
-        for backend in BACKENDS {
-            let mut idx = StaticIndex::with_backend(&table(), IndexScoring::default(), backend);
-            assert_eq!(
-                idx.best_key(ProblemId(0)),
-                Some((100.0f64.to_bits(), ServerId(0)))
-            );
-            assert_eq!(
-                idx.best_key(ProblemId(1)),
-                Some((50.0f64.to_bits(), ServerId(1)))
-            );
-            assert_eq!(idx.solvable_count(ProblemId(0)), 3);
-            assert_eq!(idx.solvable_count(ProblemId(1)), 1);
-            // Loading S0 past S1's 150 moves the P0 skyline to S1…
-            idx.on_commit(ServerId(0), 200.0);
-            assert_eq!(
-                idx.best_key(ProblemId(0)),
-                Some((150.0f64.to_bits(), ServerId(1)))
-            );
-            // …and a retract repairs it back (stale-then-repaired).
-            idx.on_retract(ServerId(0), 200.0);
-            assert_eq!(
-                idx.best_key(ProblemId(0)),
-                Some((100.0f64.to_bits(), ServerId(0)))
-            );
-            // A problem nobody solves has no skyline and zero width.
-            let mut costs = table();
-            costs.add_problem(Problem::new("p2", 0.0, 0.0, 0.0), vec![None, None, None]);
-            let idx = StaticIndex::with_backend(&costs, IndexScoring::default(), backend);
-            assert_eq!(idx.best_key(ProblemId(2)), None);
-            assert_eq!(idx.solvable_count(ProblemId(2)), 0);
-        }
+        let mut idx = StaticIndex::new(&table());
+        assert_eq!(
+            idx.best_key(ProblemId(0)),
+            Some((100.0f64.to_bits(), ServerId(0)))
+        );
+        assert_eq!(
+            idx.best_key(ProblemId(1)),
+            Some((50.0f64.to_bits(), ServerId(1)))
+        );
+        assert_eq!(idx.solvable_count(ProblemId(0)), 3);
+        assert_eq!(idx.solvable_count(ProblemId(1)), 1);
+        // Loading S0 past S1's 150 moves the P0 skyline to S1…
+        idx.on_commit(ServerId(0), 200.0);
+        assert_eq!(
+            idx.best_key(ProblemId(0)),
+            Some((150.0f64.to_bits(), ServerId(1)))
+        );
+        // …and a retract repairs it back (stale-then-repaired).
+        idx.on_retract(ServerId(0), 200.0);
+        assert_eq!(
+            idx.best_key(ProblemId(0)),
+            Some((100.0f64.to_bits(), ServerId(0)))
+        );
+        // A problem nobody solves has no skyline and zero width.
+        let mut costs = table();
+        costs.add_problem(Problem::new("p2", 0.0, 0.0, 0.0), vec![None, None, None]);
+        let idx = StaticIndex::with_scoring(&costs, IndexScoring::default());
+        assert_eq!(idx.best_key(ProblemId(2)), None);
+        assert_eq!(idx.solvable_count(ProblemId(2)), 0);
     }
 
     #[test]
@@ -1135,35 +946,33 @@ mod tests {
     /// ledger hooks fired while it is down are honoured on re-entry.
     #[test]
     fn availability_moves_rankings_and_skylines() {
-        for backend in BACKENDS {
-            let mut idx = StaticIndex::with_backend(&table(), IndexScoring::default(), backend);
-            assert!(idx.is_available(ServerId(0)));
-            assert!(idx.set_available(ServerId(0), false));
-            assert!(!idx.set_available(ServerId(0), false), "idempotent");
-            assert!(!idx.is_available(ServerId(0)));
-            assert_eq!(best(&idx, 0, 3), vec![1, 2]);
-            assert_eq!(idx.solvable_count(ProblemId(0)), 2);
-            assert_eq!(
-                idx.best_key(ProblemId(0)),
-                Some((150.0f64.to_bits(), ServerId(1)))
-            );
-            // The score query itself still answers (the ledger survives).
-            assert_eq!(idx.score(ProblemId(0), ServerId(0)), Some(100.0));
-            // Ledger mutations while down re-rank nothing but are kept:
-            // the server re-enters at the loaded score.
-            idx.on_commit(ServerId(0), 200.0);
-            assert_eq!(best(&idx, 0, 3), vec![1, 2]);
-            assert!(idx.set_available(ServerId(0), true));
-            assert_eq!(idx.score(ProblemId(0), ServerId(0)), Some(300.0));
-            assert_eq!(best(&idx, 0, 3), vec![1, 0, 2], "300 ties S2, id wins");
-            // Draining the task restores the static order.
-            idx.on_complete(ServerId(0), 200.0);
-            assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
-            // Downing every solver of P1 empties its skyline.
-            idx.set_available(ServerId(1), false);
-            assert_eq!(idx.best_key(ProblemId(1)), None);
-            assert_eq!(idx.solvable_count(ProblemId(1)), 0);
-        }
+        let mut idx = StaticIndex::new(&table());
+        assert!(idx.is_available(ServerId(0)));
+        assert!(idx.set_available(ServerId(0), false));
+        assert!(!idx.set_available(ServerId(0), false), "idempotent");
+        assert!(!idx.is_available(ServerId(0)));
+        assert_eq!(best(&idx, 0, 3), vec![1, 2]);
+        assert_eq!(idx.solvable_count(ProblemId(0)), 2);
+        assert_eq!(
+            idx.best_key(ProblemId(0)),
+            Some((150.0f64.to_bits(), ServerId(1)))
+        );
+        // The score query itself still answers (the ledger survives).
+        assert_eq!(idx.score(ProblemId(0), ServerId(0)), Some(100.0));
+        // Ledger mutations while down re-rank nothing but are kept:
+        // the server re-enters at the loaded score.
+        idx.on_commit(ServerId(0), 200.0);
+        assert_eq!(best(&idx, 0, 3), vec![1, 2]);
+        assert!(idx.set_available(ServerId(0), true));
+        assert_eq!(idx.score(ProblemId(0), ServerId(0)), Some(300.0));
+        assert_eq!(best(&idx, 0, 3), vec![1, 0, 2], "300 ties S2, id wins");
+        // Draining the task restores the static order.
+        idx.on_complete(ServerId(0), 200.0);
+        assert_eq!(best(&idx, 0, 3), vec![0, 1, 2]);
+        // Downing every solver of P1 empties its skyline.
+        idx.set_available(ServerId(1), false);
+        assert_eq!(idx.best_key(ProblemId(1)), None);
+        assert_eq!(idx.solvable_count(ProblemId(1)), 0);
     }
 
     /// A completion may arrive while the server is down (leave-drain):
@@ -1182,7 +991,7 @@ mod tests {
     }
 
     /// Online extension is bit-identical to a fresh build over the
-    /// extended table, for both scoring proxies and both backends.
+    /// extended table, for both scoring proxies.
     #[test]
     fn push_server_matches_fresh_build() {
         let mut extended = table();
@@ -1190,37 +999,35 @@ mod tests {
             Some(PhaseCosts::new(0.0, 120.0, 0.0)),
             Some(PhaseCosts::new(0.0, 40.0, 0.0)),
         ]);
-        for backend in BACKENDS {
-            for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-                let mut grown = StaticIndex::with_backend(&table(), scoring, backend);
-                grown.push_server(&[Some(120.0), Some(40.0)]);
-                let fresh = StaticIndex::with_backend(&extended, scoring, backend);
-                assert_eq!(grown.n_servers(), 4);
-                for p in 0..2u32 {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    grown.k_best(ProblemId(p), 4, &|_| true, &mut a);
-                    fresh.k_best(ProblemId(p), 4, &|_| true, &mut b);
-                    assert_eq!(a, b, "{scoring:?} {backend:?} P{p}");
-                    assert_eq!(grown.best_key(ProblemId(p)), fresh.best_key(ProblemId(p)));
-                }
-                // The new server takes P1's skyline (40 < 50) and ranks by
-                // load like any other afterwards.
-                assert_eq!(
-                    grown.best_key(ProblemId(1)),
-                    Some((40.0f64.to_bits(), ServerId(3)))
-                );
-                grown.on_commit(ServerId(3), 100.0);
-                assert_eq!(
-                    grown.best_key(ProblemId(1)),
-                    Some((50.0f64.to_bits(), ServerId(1)))
-                );
+        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
+            let mut grown = StaticIndex::with_scoring(&table(), scoring);
+            grown.push_server(&[Some(120.0), Some(40.0)]);
+            let fresh = StaticIndex::with_scoring(&extended, scoring);
+            assert_eq!(grown.n_servers(), 4);
+            for p in 0..2u32 {
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                grown.k_best(ProblemId(p), 4, &|_| true, &mut a);
+                fresh.k_best(ProblemId(p), 4, &|_| true, &mut b);
+                assert_eq!(a, b, "{scoring:?} P{p}");
+                assert_eq!(grown.best_key(ProblemId(p)), fresh.best_key(ProblemId(p)));
             }
+            // The new server takes P1's skyline (40 < 50) and ranks by
+            // load like any other afterwards.
+            assert_eq!(
+                grown.best_key(ProblemId(1)),
+                Some((40.0f64.to_bits(), ServerId(3)))
+            );
+            grown.on_commit(ServerId(3), 100.0);
+            assert_eq!(
+                grown.best_key(ProblemId(1)),
+                Some((50.0f64.to_bits(), ServerId(1)))
+            );
         }
     }
 
     /// The incremental ranking always equals a from-scratch recompute,
-    /// under both scoring proxies and both backends.
+    /// under both scoring proxies.
     #[test]
     fn incremental_matches_rescan_after_churn() {
         let costs = table();
@@ -1235,27 +1042,25 @@ mod tests {
             (2, false, 7.25),
             (1, false, 0.0),
         ];
-        for backend in BACKENDS {
-            for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-                let mut idx = StaticIndex::with_backend(&costs, scoring, backend);
-                for (s, up, work) in ops {
-                    if up {
-                        idx.on_commit(ServerId(s), work);
-                    } else {
-                        idx.on_complete(ServerId(s), work);
-                    }
-                    for p in 0..costs.n_problems() as u32 {
-                        let got = best(&idx, p, 3);
-                        let mut expect: Vec<(u64, u32)> = (0..3u32)
-                            .filter_map(|sv| {
-                                idx.score(ProblemId(p), ServerId(sv))
-                                    .map(|sc| (sc.to_bits(), sv))
-                            })
-                            .collect();
-                        expect.sort_unstable();
-                        let expect: Vec<u32> = expect.into_iter().map(|(_, sv)| sv).collect();
-                        assert_eq!(got, expect, "{scoring:?} problem {p} after ({s}, {up})");
-                    }
+        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
+            let mut idx = StaticIndex::with_scoring(&costs, scoring);
+            for (s, up, work) in ops {
+                if up {
+                    idx.on_commit(ServerId(s), work);
+                } else {
+                    idx.on_complete(ServerId(s), work);
+                }
+                for p in 0..costs.n_problems() as u32 {
+                    let got = best(&idx, p, 3);
+                    let mut expect: Vec<(u64, u32)> = (0..3u32)
+                        .filter_map(|sv| {
+                            idx.score(ProblemId(p), ServerId(sv))
+                                .map(|sc| (sc.to_bits(), sv))
+                        })
+                        .collect();
+                    expect.sort_unstable();
+                    let expect: Vec<u32> = expect.into_iter().map(|(_, sv)| sv).collect();
+                    assert_eq!(got, expect, "{scoring:?} problem {p} after ({s}, {up})");
                 }
             }
         }
@@ -1274,12 +1079,25 @@ mod tests {
         proptest::collection::vec((0u32..4, 0..n, arb_work()), 0..120)
     }
 
-    /// Drives the same op stream into a flat-backed and a BTree-backed
-    /// index and diffs **every** query after every op: skyline, ranking
-    /// cardinality, full ordered walk, filtered k-best. The op volume
-    /// runs far past `RUN0_CAP`, so ladder merges, revive-in-place and
-    /// the stale-head advance all fire many times per case.
-    fn diff_backends(n_servers: usize, ops: &[(u32, u32, f64)]) {
+    /// The oracle: each problem's ranking as a `BTreeSet` of `(score
+    /// bits, server)` keys, rebuilt from scratch out of the index's own
+    /// ledgers — every available server that solves the problem, at its
+    /// current score.
+    fn model(idx: &StaticIndex, problem: ProblemId) -> BTreeSet<(u64, u32)> {
+        (0..idx.n_servers() as u32)
+            .map(ServerId)
+            .filter(|&s| idx.is_available(s))
+            .filter_map(|s| idx.score(problem, s).map(|sc| (sc.to_bits(), s.0)))
+            .collect()
+    }
+
+    /// Drives an op stream into the index and diffs **every** query
+    /// surface against the `BTreeSet` model after every op: skyline,
+    /// ranking cardinality, full ordered walk, filtered k-best. The op
+    /// volume runs far past `RUN0_CAP`, so ladder merges,
+    /// revive-in-place and the stale-head advance all fire many times per
+    /// case.
+    fn diff_against_model(n_servers: usize, ops: &[(u32, u32, f64)]) {
         let mut costs = CostTable::new(n_servers);
         for p in 0..3usize {
             costs.add_problem(
@@ -1295,91 +1113,77 @@ mod tests {
             );
         }
         for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            let mut flat = StaticIndex::with_backend(&costs, scoring, RankingsBackend::Flat);
-            let mut spec = StaticIndex::with_backend(&costs, scoring, RankingsBackend::Btree);
+            let mut idx = StaticIndex::with_scoring(&costs, scoring);
             let mut in_flight: Vec<Vec<f64>> = vec![Vec::new(); n_servers];
             for &(kind, s, work) in ops {
                 let server = ServerId(s);
                 match kind {
                     0 => {
-                        flat.on_commit(server, work);
-                        spec.on_commit(server, work);
+                        idx.on_commit(server, work);
                         in_flight[s as usize].push(work);
                     }
                     1 => {
                         if let Some(w) = in_flight[s as usize].pop() {
-                            flat.on_complete(server, w);
-                            spec.on_complete(server, w);
+                            idx.on_complete(server, w);
                         }
                     }
                     2 => {
-                        flat.set_available(server, false);
-                        spec.set_available(server, false);
+                        idx.set_available(server, false);
                     }
                     _ => {
-                        flat.set_available(server, true);
-                        spec.set_available(server, true);
+                        idx.set_available(server, true);
                     }
                 }
                 for p in 0..costs.n_problems() as u32 {
                     let problem = ProblemId(p);
+                    let want = model(&idx, problem);
                     assert_eq!(
-                        flat.best_key(problem),
-                        spec.best_key(problem),
+                        idx.best_key(problem),
+                        want.first().map(|&(bits, sv)| (bits, ServerId(sv))),
                         "skyline P{p}"
                     );
-                    assert_eq!(
-                        flat.solvable_count(problem),
-                        spec.solvable_count(problem),
-                        "cardinality P{p}"
-                    );
-                    let walk_f: Vec<_> = flat.ranked_iter(problem, &|_| true).collect();
-                    let walk_b: Vec<_> = spec.ranked_iter(problem, &|_| true).collect();
-                    assert_eq!(walk_f, walk_b, "ordered walk P{p}");
+                    assert_eq!(idx.solvable_count(problem), want.len(), "cardinality P{p}");
+                    let walk: Vec<_> = idx.ranked_iter(problem, &|_| true).collect();
+                    let want_walk: Vec<_> = want
+                        .iter()
+                        .map(|&(bits, sv)| (ServerId(sv), f64::from_bits(bits)))
+                        .collect();
+                    assert_eq!(walk, want_walk, "ordered walk P{p}");
                     let admit = |sv: ServerId| sv.0.is_multiple_of(2);
-                    let (mut kf, mut kb) = (Vec::new(), Vec::new());
-                    flat.k_best(problem, 3, &admit, &mut kf);
-                    spec.k_best(problem, 3, &admit, &mut kb);
-                    assert_eq!(kf, kb, "filtered k-best P{p}");
+                    let mut k_best = Vec::new();
+                    idx.k_best(problem, 3, &admit, &mut k_best);
+                    let want_k: Vec<_> = want_walk
+                        .into_iter()
+                        .filter(|&(sv, _)| admit(sv))
+                        .take(3)
+                        .collect();
+                    assert_eq!(k_best, want_k, "filtered k-best P{p}");
                 }
-            }
-            // Conversion in both directions preserves every ranking.
-            let mut converted = flat.clone();
-            converted.set_backend(RankingsBackend::Btree);
-            let mut back = converted.clone();
-            back.set_backend(RankingsBackend::Flat);
-            for p in 0..costs.n_problems() as u32 {
-                let problem = ProblemId(p);
-                let walk: Vec<_> = flat.ranked_iter(problem, &|_| true).collect();
-                let conv: Vec<_> = converted.ranked_iter(problem, &|_| true).collect();
-                let round: Vec<_> = back.ranked_iter(problem, &|_| true).collect();
-                assert_eq!(walk, conv, "flat→btree conversion P{p}");
-                assert_eq!(walk, round, "btree→flat round trip P{p}");
             }
         }
     }
 
     proptest! {
-        /// The flat ladder is bit-identical to the BTree spec under
+        /// The flat ladder is bit-identical to the `BTreeSet` model under
         /// arbitrary commit/complete/crash/repair interleavings, for
         /// every query surface and both scoring proxies.
         #[test]
-        fn flat_rankings_match_btree_spec(ops in arb_index_ops(7)) {
-            diff_backends(7, &ops);
+        fn flat_rankings_match_btree_model(ops in arb_index_ops(7)) {
+            diff_against_model(7, &ops);
         }
 
         /// Same property on a farm of two servers — the degenerate
         /// rankings where head maintenance and compaction corner cases
         /// concentrate.
         #[test]
-        fn flat_rankings_match_btree_spec_tiny_farm(ops in arb_index_ops(2)) {
-            diff_backends(2, &ops);
+        fn flat_rankings_match_btree_model_tiny_farm(ops in arb_index_ops(2)) {
+            diff_against_model(2, &ops);
         }
     }
 
     /// Deterministic hammer past the proptest budget: thousands of
-    /// hooks on one index, forcing many compaction cycles, with a full
-    /// walk diffed against the BTree spec at every step.
+    /// hooks on one index, forcing many compaction cycles, with every
+    /// query diffed against the `BTreeSet` model at every step.
     #[test]
     fn flat_ladder_survives_long_churn() {
         let mut state = 0x243F_6A88_85A3_08D3u64;
@@ -1394,6 +1198,6 @@ mod tests {
         for _ in 0..3000 {
             ops.push((next(4) as u32, next(7) as u32, next(8) as f64 * 0.25));
         }
-        diff_backends(7, &ops);
+        diff_against_model(7, &ops);
     }
 }

@@ -23,9 +23,7 @@
 //!   per-problem server rankings by static cost × believed load, re-ranked
 //!   by commit/retract/complete hooks so candidate pruning never rescans
 //!   the platform per arrival. Rankings live in a cache-friendly flat
-//!   sorted-vec ladder by default, with the original `BTreeSet` storage
-//!   selectable as the executable spec it is differentially tested
-//!   against.
+//!   sorted-vec ladder, tested against a `BTreeSet` model.
 //! * [`shard`] — deterministic contiguous partitioning of the farm into
 //!   shards, the substrate of the middleware's federated agent: pure in
 //!   `(n_servers, n_shards)`, so sharded runs reproduce on any host.
@@ -54,7 +52,7 @@ pub use arena::{Arena, ArenaKey};
 pub use cost::{CostTable, PhaseCosts};
 pub use fairshare::FairShareResource;
 pub use ids::{ProblemId, ServerId, TaskId};
-pub use index::{IndexScoring, RankingsBackend, StaticIndex};
+pub use index::{IndexScoring, StaticIndex};
 pub use monitor::{LoadAverage, LoadReport};
 pub use server::{AdmitOutcome, MemoryModel, ServerRuntime, ServerSpec};
 pub use shard::{ShardMap, ShardTree};

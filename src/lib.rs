@@ -60,8 +60,7 @@ pub use cas_workload as workload;
 pub mod prelude {
     pub use cas_core::heuristics::{Heuristic, HeuristicKind, SchedView};
     pub use cas_core::{
-        CandidateSelector, Gantt, Htm, Prediction, SelectorKind, ServerTrace, Stage2Mode,
-        SyncPolicy,
+        CandidateSelector, Gantt, Htm, Prediction, SelectorKind, ServerTrace, SyncPolicy,
     };
     pub use cas_metrics::{
         finish_sooner_count, per_class_slo, ClassSlo, MetricSet, Summary, Table, TaskOutcome,
@@ -69,8 +68,8 @@ pub mod prelude {
     };
     pub use cas_middleware::{
         run_experiment, run_experiment_with_users, run_heuristic_matrix, run_replications,
-        run_replications_sequential, AdmissionStats, AgentRouter, DecisionAgent, DiffHarness,
-        ExperimentConfig, FaultTolerance, Sharding, SingleAgentReference, SkylineStats,
+        run_replications_sequential, AdmissionStats, AgentRouter, ExperimentConfig, FaultTolerance,
+        Sharding, SkylineStats,
     };
     pub use cas_platform::{
         CostTable, IndexScoring, MemoryModel, PhaseCosts, Problem, ProblemId, ServerId, ServerSpec,

@@ -18,7 +18,6 @@
 //! hand-rolled to keep the dependency set to the sanctioned list.
 
 use casgrid::metrics::prof;
-use casgrid::platform::RankingsBackend;
 use casgrid::prelude::*;
 use casgrid::workload::synthetic::BurstArrivals;
 use std::process::ExitCode;
@@ -46,10 +45,7 @@ struct Args {
     burst_period: f64,
     selector: String,
     shards: String,
-    skyline: String,
     index_scoring: String,
-    rankings: String,
-    stage2: String,
     /// Print the always-on phase profiler's per-phase wall-time table
     /// after the run. Replications fan out over the pool as usual: each
     /// one flushes its spans into the process-wide ledger and the table
@@ -87,10 +83,7 @@ impl Default for Args {
             burst_period: 1800.0,
             selector: "exhaustive".into(),
             shards: "single".into(),
-            skyline: "on".into(),
             index_scoring: "work".into(),
-            rankings: "flat".into(),
-            stage2: "fast".into(),
             profile: false,
             mtbf: f64::INFINITY,
             mttr: 60.0,
@@ -138,25 +131,9 @@ fn usage() -> &'static str {
                                   agent path; 1 runs the router over one\n\
                                   shard, bit-identical to the single\n\
                                   agent)  [single]\n\
-     --skyline on|off             lazy federation merge: visit shards in\n\
-                                  skyline order, skip shards that cannot\n\
-                                  contribute (proven decision-identical;\n\
-                                  off replays the eager full scatter for\n\
-                                  differential runs)     [on]\n\
      --index-scoring work|count   stage-1 static-index proxy: predicted\n\
                                   remaining work, or the count-based\n\
                                   baseline              [work]\n\
-     --rankings flat|btree        stage-1 ranking storage: the cache-\n\
-                                  friendly flat ladder, or the BTree\n\
-                                  executable spec (bit-identical\n\
-                                  decisions, differentially proven)\n\
-                                  [flat]\n\
-     --stage2 fast|full           stage-2 drain engine: truncated\n\
-                                  prefix-sharing drains with the\n\
-                                  parallel scatter, or the full pre-\n\
-                                  optimisation executable spec (bit-\n\
-                                  identical decisions, differentially\n\
-                                  proven)                [fast]\n\
      --profile                    print the always-on phase profiler's\n\
                                   per-phase wall-time table after the\n\
                                   run (merged across the pool's\n\
@@ -249,13 +226,6 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 }
                 args.shards = v;
             }
-            "--skyline" => {
-                let v = take(&mut i)?;
-                if !v.eq_ignore_ascii_case("on") && !v.eq_ignore_ascii_case("off") {
-                    return Err(format!("--skyline: expected \"on\" or \"off\", got {v:?}"));
-                }
-                args.skyline = v;
-            }
             "--index-scoring" => {
                 let v = take(&mut i)?;
                 if IndexScoring::parse(&v).is_none() {
@@ -264,24 +234,6 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                     ));
                 }
                 args.index_scoring = v;
-            }
-            "--rankings" => {
-                let v = take(&mut i)?;
-                if RankingsBackend::parse(&v).is_none() {
-                    return Err(format!(
-                        "--rankings: expected \"flat\" or \"btree\", got {v:?}"
-                    ));
-                }
-                args.rankings = v;
-            }
-            "--stage2" => {
-                let v = take(&mut i)?;
-                if Stage2Mode::parse(&v).is_none() {
-                    return Err(format!(
-                        "--stage2: expected \"fast\" or \"full\", got {v:?}"
-                    ));
-                }
-                args.stage2 = v;
             }
             "--profile" => args.profile = true,
             "--mtbf" => {
@@ -412,9 +364,6 @@ fn config_of(args: &Args, kind: HeuristicKind) -> ExperimentConfig {
         Sharding::parse(&args.shards).expect("validated at parse time")
     };
     cfg.index_scoring = IndexScoring::parse(&args.index_scoring).expect("validated at parse time");
-    cfg.rankings = RankingsBackend::parse(&args.rankings).expect("validated at parse time");
-    cfg.stage2 = Stage2Mode::parse(&args.stage2).expect("validated at parse time");
-    cfg.skyline = args.skyline.eq_ignore_ascii_case("on");
     if !args.memory {
         cfg.memory = MemoryModel::disabled();
     }
@@ -689,10 +638,7 @@ fn cmd_list() {
                     behind the deterministic router; auto picks from\n  \
                     the farm size, auto:G overrides the skyline tree's\n  \
                     shards-per-group fan-out (default 16);\n  \
-                    --shards 1 is bit-identical to single\n  \
-         --skyline on|off  lazy merge: shards visited in skyline order,\n  \
-                    non-contributing shards skipped (on by default;\n  \
-                    proven decision-identical to the eager scatter)"
+                    --shards 1 is bit-identical to single"
     );
 }
 
@@ -782,21 +728,25 @@ mod tests {
         assert!(parse(&argv("run --workers 3")).is_err());
     }
 
+    /// The retired executable-spec flags are gone: each takes the
+    /// standard unknown-flag path (first line names the flag, usage
+    /// follows) instead of parsing or panicking.
     #[test]
-    fn parse_skyline_flag() {
-        let (_, args) = parse(&argv("run")).unwrap();
-        assert_eq!(args.skyline, "on");
-        assert!(config_of(&args, HeuristicKind::Hmct).skyline);
-        let (_, args) = parse(&argv("run --shards 4 --skyline off")).unwrap();
-        assert!(!config_of(&args, HeuristicKind::Hmct).skyline);
-        let (_, args) = parse(&argv("run --skyline ON")).unwrap();
-        assert!(config_of(&args, HeuristicKind::Hmct).skyline);
-        let err = parse(&argv("run --skyline sideways")).unwrap_err();
-        assert!(
-            err.starts_with("--skyline") && err.contains("expected"),
-            "{err}"
-        );
-        assert!(parse(&argv("run --skyline")).is_err());
+    fn retired_spec_flags_are_rejected() {
+        for (cmdline, flag) in [
+            ("run --stage2 fast", "--stage2"),
+            ("run --rankings btree", "--rankings"),
+            ("run --skyline off", "--skyline"),
+        ] {
+            let err = parse(&argv(cmdline)).unwrap_err();
+            assert_eq!(
+                err.lines().next(),
+                Some(format!("unknown flag {flag}").as_str()),
+                "{cmdline}: {err}"
+            );
+            assert!(err.contains("USAGE:"), "{cmdline}: {err}");
+            assert!(!usage().contains(flag), "{flag} still documented");
+        }
     }
 
     #[test]
@@ -832,45 +782,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_rankings_and_profile_flags() {
+    fn parse_profile_flag() {
         let (_, args) = parse(&argv("run")).unwrap();
-        assert_eq!(args.rankings, "flat");
         assert!(!args.profile);
-        assert_eq!(
-            config_of(&args, HeuristicKind::Hmct).rankings,
-            RankingsBackend::Flat
-        );
-        let (_, args) = parse(&argv("run --rankings btree --profile")).unwrap();
+        let (_, args) = parse(&argv("run --profile")).unwrap();
         assert!(args.profile);
-        assert_eq!(
-            config_of(&args, HeuristicKind::Hmct).rankings,
-            RankingsBackend::Btree
-        );
-        // `tree`/`vec` are accepted spellings, like the library parser.
-        let (_, args) = parse(&argv("run --rankings TREE")).unwrap();
-        assert_eq!(
-            config_of(&args, HeuristicKind::Hmct).rankings,
-            RankingsBackend::Btree
-        );
-        let err = parse(&argv("run --rankings linkedlist")).unwrap_err();
-        assert!(
-            err.starts_with("--rankings") && err.contains("expected"),
-            "{err}"
-        );
-        assert!(parse(&argv("run --rankings")).is_err());
-        // --stage2 follows the same grammar: fast (default) or full.
-        let (_, args) = parse(&argv("run")).unwrap();
-        assert_eq!(args.stage2, "fast");
-        assert_eq!(
-            config_of(&args, HeuristicKind::Hmct).stage2,
-            Stage2Mode::Fast
-        );
-        let (_, args) = parse(&argv("run --stage2 FULL")).unwrap();
-        assert_eq!(
-            config_of(&args, HeuristicKind::Hmct).stage2,
-            Stage2Mode::Full
-        );
-        assert!(parse(&argv("run --stage2")).is_err());
         // `--profile` is `run`-only: compare fans replications out across
         // the pool, away from the measuring thread.
         let (_, args) = parse(&argv("compare --profile --tasks 5")).unwrap();
@@ -939,10 +855,7 @@ mod tests {
             ("run --shards none", "--shards"),
             ("run --shards auto:", "--shards"),
             ("run --selector best", "--selector"),
-            ("run --skyline maybe", "--skyline"),
             ("run --index-scoring vibes", "--index-scoring"),
-            ("run --rankings linkedlist", "--rankings"),
-            ("run --stage2 turbo", "--stage2"),
             ("run --mtbf sometimes", "--mtbf"),
             ("run --mtbf 0", "--mtbf"),
             ("run --mtbf -100", "--mtbf"),

@@ -52,9 +52,8 @@ fn workload_identical_across_heuristics() {
 
 /// The sharded twin of the bit-identity guarantee: a federated run is
 /// deterministic across repeats, and — under the paper's exhaustive
-/// selector — bit-identical to the single-agent run it federates, with
-/// the skyline merge on or off. A router regression can no longer hide
-/// behind the single-agent path.
+/// selector — bit-identical to the single-agent run it federates. A
+/// router regression can no longer hide behind the single-agent path.
 #[test]
 fn sharded_runs_are_bit_identical_and_match_single() {
     let (costs, servers, tasks) = setup(120, 6);
@@ -73,13 +72,6 @@ fn sharded_runs_are_bit_identical_and_match_single() {
             a, single,
             "{kind:?} federation diverged from the single agent"
         );
-        let eager = run_experiment(
-            cfg.with_skyline(false),
-            costs.clone(),
-            servers.clone(),
-            tasks.clone(),
-        );
-        assert_eq!(a, eager, "{kind:?} skyline on/off diverged");
     }
 }
 
