@@ -132,19 +132,24 @@ fn loaded_htm64(per_server: usize) -> Htm {
     htm
 }
 
-/// One full decision (a what-if query per candidate over all 64 servers)
-/// through the generation-cached zero-clone engine.
+/// One full decision (a what-if query per candidate over all 64 servers,
+/// each through `Htm::predict`) on the generation-cached zero-clone
+/// engine.
 fn bench_predict_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("decision_cost_64srv");
     let probe = TaskInstance::new(TaskId(1), ProblemId(0), SimTime::from_secs(500.0));
     let candidates: Vec<ServerId> = (0..64u32).map(ServerId).collect();
     for per_server in [8usize, 32, 128] {
         group.bench_with_input(
-            BenchmarkId::new("cached_batched", per_server),
+            BenchmarkId::new("cached", per_server),
             &per_server,
             |b, &n| {
                 let mut htm = loaded_htm64(n);
-                b.iter(|| black_box(htm.predict_all(probe.arrival, &probe, &candidates)));
+                b.iter(|| {
+                    for &s in &candidates {
+                        black_box(htm.predict(probe.arrival, s, &probe));
+                    }
+                });
             },
         );
     }

@@ -1,9 +1,11 @@
 //! Decision-cost smoke benchmark, JSON output.
 //!
 //! Measures the cost of one full scheduling decision — a what-if query per
-//! candidate across a 64-server platform — through [`Htm::predict_all`],
-//! the generation-cached, zero-clone, batch engine. (The clone-and-drain
-//! oracle it is proven bit-identical to lives in `htm.rs`'s tests.)
+//! candidate across a 64-server platform — through [`Htm::predict`], the
+//! generation-cached, zero-clone engine. (The clone-and-drain oracle it
+//! is proven bit-identical to lives in `htm.rs`'s tests.) Every candidate
+//! is queried, as MP and MNI do; HMCT and MSF prune the walk by lower
+//! bound, which this per-query figure does not show.
 //!
 //! Two workload modes bracket reality: `steady` issues decisions with no
 //! commits in between (every server's baseline cache stays warm) and
@@ -21,7 +23,7 @@
 //! A third section measures the **prediction memo**: the speculative
 //! after-drain is keyed on (problem costs, instant, trace generation) —
 //! not the probe id — so same-instant probes of the same problem share
-//! one drain. The section times a second same-problem batch against the
+//! one drain. The section times a second same-problem sweep against the
 //! first and reports the memo's hit-rate counters
 //! ([`cas_core::MemoStats`]).
 //!
@@ -74,6 +76,21 @@ fn loaded_htm(per_server: usize) -> Htm {
     htm
 }
 
+/// One what-if query per candidate through [`Htm::predict`]; returns the
+/// earliest-completion candidate (ties to the first), HMCT's pick.
+fn predict_each(htm: &mut Htm, probe: &TaskInstance, candidates: &[ServerId]) -> Option<ServerId> {
+    let mut best: Option<(ServerId, f64)> = None;
+    for &s in candidates {
+        if let Some(p) = htm.predict(probe.arrival, s, probe) {
+            let c = p.completion.as_secs();
+            if best.is_none_or(|(_, b)| c < b) {
+                best = Some((s, c));
+            }
+        }
+    }
+    best.map(|(s, _)| s)
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// Decisions only; no trace mutation between rounds.
@@ -92,7 +109,7 @@ fn run(mode: Mode, per_server: usize, rounds: usize) -> f64 {
     for _ in 0..3 {
         let probe = TaskInstance::new(TaskId(next_id), ProblemId(0), SimTime::from_secs(now));
         next_id += 1;
-        black_box(htm.predict_all(probe.arrival, &probe, &candidates));
+        black_box(predict_each(&mut htm, &probe, &candidates));
     }
     let start = Instant::now();
     for round in 0..rounds {
@@ -103,13 +120,7 @@ fn run(mode: Mode, per_server: usize, rounds: usize) -> f64 {
             SimTime::from_secs(now),
         );
         next_id += 1;
-        let preds = htm.predict_all(probe.arrival, &probe, &candidates);
-        let pick = candidates
-            .iter()
-            .zip(&preds)
-            .filter_map(|(&s, p)| p.as_ref().map(|p| (s, p.completion.as_secs())))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite completion"))
-            .map(|(s, _)| s);
+        let pick = predict_each(&mut htm, &probe, &candidates);
         if mode == Mode::Churn {
             let server = pick.expect("some server solves every problem");
             htm.commit(probe.arrival, server, &probe);
@@ -151,9 +162,9 @@ fn run_commit_path(per_server: usize, rounds: usize) -> f64 {
     in_commit.as_secs_f64() * 1e6 / rounds as f64
 }
 
-/// Times same-instant same-problem probe batches: the first batch drains,
-/// the second must be answered from the problem-keyed memo. Returns
-/// (first µs/batch, repeat µs/batch, final memo stats).
+/// Times same-instant same-problem probe sweeps over every candidate: the
+/// first sweep drains, the second must be answered from the problem-keyed
+/// memo. Returns (first µs/sweep, repeat µs/sweep, final memo stats).
 fn run_memo_probe(per_server: usize, rounds: usize) -> (f64, f64, MemoStats) {
     let mut htm = loaded_htm(per_server);
     let candidates: Vec<ServerId> = (0..N_SERVERS).map(ServerId).collect();
@@ -162,7 +173,7 @@ fn run_memo_probe(per_server: usize, rounds: usize) -> (f64, f64, MemoStats) {
     // Warm-up.
     let probe = TaskInstance::new(TaskId(next_id), ProblemId(0), SimTime::from_secs(now));
     next_id += 1;
-    black_box(htm.predict_all(probe.arrival, &probe, &candidates));
+    black_box(predict_each(&mut htm, &probe, &candidates));
     let (mut in_first, mut in_repeat) = (std::time::Duration::ZERO, std::time::Duration::ZERO);
     for round in 0..rounds {
         now += 0.01;
@@ -172,10 +183,10 @@ fn run_memo_probe(per_server: usize, rounds: usize) -> (f64, f64, MemoStats) {
         let repeat = TaskInstance::new(TaskId(next_id + 1), problem, when);
         next_id += 2;
         let start = Instant::now();
-        black_box(htm.predict_all(when, &first, &candidates));
+        black_box(predict_each(&mut htm, &first, &candidates));
         in_first += start.elapsed();
         let start = Instant::now();
-        black_box(htm.predict_all(when, &repeat, &candidates));
+        black_box(predict_each(&mut htm, &repeat, &candidates));
         in_repeat += start.elapsed();
     }
     (
@@ -205,7 +216,7 @@ fn main() {
             results.push(format!(
                 "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
                  \"mode\": \"{mode_name}\", \"rounds\": {rounds}, \
-                 \"cached_batched_us_per_decision\": {cached_us:.2}}}"
+                 \"cached_us_per_decision\": {cached_us:.2}}}"
             ));
         }
     }
@@ -228,8 +239,8 @@ fn main() {
     let (first_us, repeat_us, memo) = run_memo_probe(32, 200);
     let memo_speedup = first_us / repeat_us;
     eprintln!(
-        "64 servers ×  32 tasks, memo  : first probe {first_us:>10.1} µs/batch, same-problem \
-         repeat {repeat_us:>8.1} µs/batch, speedup {memo_speedup:>6.1}x \
+        "64 servers ×  32 tasks, memo  : first probe {first_us:>10.1} µs/sweep, same-problem \
+         repeat {repeat_us:>8.1} µs/sweep, speedup {memo_speedup:>6.1}x \
          (hit rate {:.3}, {} cross-task hits)",
         memo.hit_rate(),
         memo.cross_task_hits
@@ -237,15 +248,15 @@ fn main() {
     let memo_live = memo.cross_task_hits > 0;
     let json = format!(
         "{{\n  \"bench\": \"decision_cost\",\n  \"unit\": \"microseconds per scheduling decision \
-         (one what-if query per candidate server)\",\n  \"engine\": \"Htm::predict_all \
-         (generation-cached baseline + zero-clone scratch drain + batched fan-out)\",\n  \
+         (one what-if query per candidate server)\",\n  \"engine\": \"Htm::predict per \
+         candidate (generation-cached baseline + zero-clone scratch drain)\",\n  \
          \"results\": [\n{}\n  ],\n\
   \"commit_path\": {{\n    \"unit\": \"microseconds per commit (commit + first baseline read, \
          predict excluded; the commit splices the memoised after-schedule)\",\n    \
          \"results\": [\n{}\n    ]\n  }},\n\
-  \"prediction_memo\": {{\n    \"unit\": \"microseconds per 64-candidate batch (same instant, \
-         same problem, different task id)\",\n    \"first_probe_us_per_batch\": {first_us:.2},\n    \
-    \"same_problem_repeat_us_per_batch\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
+  \"prediction_memo\": {{\n    \"unit\": \"microseconds per 64-candidate sweep (same instant, \
+         same problem, different task id)\",\n    \"first_probe_us_per_sweep\": {first_us:.2},\n    \
+    \"same_problem_repeat_us_per_sweep\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
     \"drains\": {},\n    \"hits\": {},\n    \"cross_task_hits\": {},\n    \
     \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }}\n}}\n",
         results.join(",\n"),

@@ -186,11 +186,12 @@ fn decision_microbench(costs: &CostTable, k: usize, per_server: usize) -> (f64, 
     };
     let all: Vec<ServerId> = (0..n_servers as u32).map(ServerId).collect();
     let decide = |htm: &mut Htm, probe: &TaskInstance, candidates: &[ServerId]| {
-        let preds = htm.predict_all(probe.arrival, probe, candidates);
         candidates
             .iter()
-            .zip(&preds)
-            .filter_map(|(&s, p)| p.as_ref().map(|p| (s, p.completion.as_secs())))
+            .filter_map(|&s| {
+                htm.predict(probe.arrival, s, probe)
+                    .map(|p| (s, p.completion.as_secs()))
+            })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite completion"))
             .map(|(s, _)| s)
             .expect("synthetic tables are fully solvable")
@@ -284,7 +285,7 @@ fn sharding_microbench(
         .map(|i| LoadReport::initial(ServerId(i)))
         .collect();
     let server_mem: Vec<f64> = specs.iter().map(|s| s.total_mem_mb()).collect();
-    // Fixed width so both arms run identical stage-2 batches: the
+    // Fixed width so both arms run identical stage-2 shortlists: the
     // contrast under measurement is the structural O(n) vs O(n/S) cost,
     // not selector-width dynamics. The default width is the adaptive
     // selector's calm floor (8) — its standing width in the campaign.
@@ -424,7 +425,7 @@ fn sharding_microbench(
 /// sort an `O(S)` order vector and test every shard's skyline key; tree:
 /// sort `O(S/G)` group keys and descend only into groups whose group
 /// skyline survives), since both walks visit the identical shard set and
-/// run identical stage-2 batches. Both arms are pinned to the serial
+/// run identical stage-2 shortlists. Both arms are pinned to the serial
 /// walk: on a multi-core host the tree arm would otherwise take the
 /// parallel per-group scatter, which prunes no group by cut line and so
 /// measures a different walk.
@@ -840,7 +841,7 @@ fn main() {
     // 5b. Group-walk microbench: flat versus two-level skyline walk at
     // `SHARD_TREE_SHARDS` shards (default: the 1024 auto cap) over the
     // same bench farm. Both arms visit the identical shard set and run
-    // identical stage-2 batches — the contrast is the walk bookkeeping
+    // identical stage-2 shortlists — the contrast is the walk bookkeeping
     // the tree exists to collapse.
     let tree_groups = tree_shards.div_ceil(tree_group);
     let (flat_walk_us, tree_walk_us, tree_stats) = tree_walk_microbench(

@@ -10,9 +10,37 @@
 //! | MP     | `Σ_j π(i, j)` (sum of perturbations)        | completion date|
 //! | MSF    | `Σ_j π(i, j) + d(i, n_i+1)` (sum-flow delta)| lowest id      |
 //! | MNI    | number of tasks with `π > 0`                | completion date|
+//!
+//! HMCT and MSF take their argmin through
+//! [`SchedView::argmin_bounded`]: under the HTM's fair-share lanes a
+//! probe never finishes sooner than it would alone, so the unloaded
+//! duration `d` bounds both objectives from below and the walk stops
+//! once no unvisited bound can beat the incumbent. MP and MNI keep the
+//! full scan — their objectives have no such bound.
 
 use super::{Heuristic, SchedView, TIE_EPS};
 use cas_platform::ServerId;
+
+/// Relative slack on the stage-2 lower bounds. In exact arithmetic the
+/// probe's completion is at least `now + d`; the drain's float rounding
+/// grows with the absolute clock, so the slack scales with `now + d`. A
+/// looser bound only costs pruning, a tighter one would move decisions.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// HMCT's lower bound on a server where the probe's unloaded duration is
+/// `d`: the probe's completion date is at least `now + d`, because it
+/// passes through three sequential fair-share lanes, each serving it at
+/// a rate of at most 1.
+pub(crate) fn hmct_lower_bound(now: f64, d: f64) -> f64 {
+    (now + d) * (1.0 - BOUND_SLACK)
+}
+
+/// MSF's lower bound: its objective `Σπ + (completion − now)` is at
+/// least `d`, since every π is clamped at zero and the flow time is at
+/// least the unloaded duration (see [`hmct_lower_bound`]).
+pub(crate) fn msf_lower_bound(now: f64, d: f64) -> f64 {
+    d - BOUND_SLACK * (now + d)
+}
 
 /// Historical Minimum Completion Time (Fig. 2): MCT's objective computed on
 /// the HTM's simulation instead of load averages.
@@ -35,7 +63,15 @@ impl Heuristic for Hmct {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        view.argmin(|v, s| v.predict(s).map(|p| p.completion.as_secs()))
+        let now = view.now.as_secs();
+        view.argmin_bounded(
+            |v, s| {
+                v.costs()
+                    .unloaded_duration(v.task.problem, s)
+                    .map(|d| hmct_lower_bound(now, d))
+            },
+            |v, s| v.predict(s).map(|p| p.completion.as_secs()),
+        )
     }
 }
 
@@ -91,7 +127,15 @@ impl Heuristic for Msf {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        view.argmin(|v, s| v.predict(s).map(|p| p.msf_objective()))
+        let now = view.now.as_secs();
+        view.argmin_bounded(
+            |v, s| {
+                v.costs()
+                    .unloaded_duration(v.task.problem, s)
+                    .map(|d| msf_lower_bound(now, d))
+            },
+            |v, s| v.predict(s).map(|p| p.msf_objective()),
+        )
     }
 }
 

@@ -11,7 +11,8 @@
 //!   perturbations). HMCT, MP, MSF and MNI are built on this.
 //!
 //! Selections are deterministic: all argmin scans break exact ties by
-//! lowest server id (and [`RandomChoice`] draws from its own dedicated RNG
+//! candidate-list position — ascending server id on every list the
+//! engine builds — (and [`RandomChoice`] draws from its own dedicated RNG
 //! stream), so experiments are reproducible bit-for-bit.
 
 mod htm_based;
@@ -19,6 +20,8 @@ mod mct;
 mod memaware;
 mod simple;
 
+#[cfg(test)]
+pub(crate) use htm_based::{hmct_lower_bound, msf_lower_bound};
 pub use htm_based::{Hmct, Mni, Mp, Msf};
 pub use mct::Mct;
 pub use memaware::MemAware;
@@ -34,13 +37,6 @@ use std::borrow::Cow;
 /// "if all π are equal" test of Fig. 3). Objectives are sums of simulated
 /// seconds, so an absolute epsilon in seconds is appropriate.
 pub const TIE_EPS: f64 = 1e-9;
-
-/// Candidate lists at most this long take the direct per-candidate
-/// `predict_into` path instead of `predict_all` on the first what-if
-/// query. Matches the federated router's small-run threshold, where
-/// per-candidate queries are already the proven-identical fast path for
-/// short runs; above it the batch path's pool fan-out starts to pay.
-const DIRECT_PREDICT_MAX: usize = 16;
 
 /// Reusable storage for one decision's memoised what-if answers.
 ///
@@ -69,6 +65,9 @@ pub struct DecisionMemo {
     /// Reusable prediction storage; `preds[s]` is meaningful only when
     /// `stamps[s]` is current and `solvable[s]`.
     preds: Vec<Prediction>,
+    /// Visit order of [`SchedView::argmin_bounded`]: `(lower bound,
+    /// candidate-list position)`, rebuilt per walk in place.
+    bounds: Vec<(f64, usize)>,
 }
 
 impl DecisionMemo {
@@ -105,23 +104,10 @@ impl DecisionMemo {
         (self.queried(server) && self.solvable[i]).then(|| &self.preds[i])
     }
 
-    fn set(&mut self, server: ServerId, p: Option<Prediction>) {
-        self.grow_to(server.index() + 1);
-        let i = server.index();
-        self.stamps[i] = self.stamp;
-        match p {
-            Some(pred) => {
-                self.solvable[i] = true;
-                self.preds[i] = pred;
-            }
-            None => self.solvable[i] = false,
-        }
-    }
-
     /// Writes `server`'s slot in place: `fill` receives the slot's
     /// reusable [`Prediction`] storage and returns whether the server
     /// can solve (`false` memoises "cannot solve" without touching the
-    /// buffer). The zero-allocation direct path writes through here.
+    /// buffer). Every what-if query writes through here.
     fn fill_with(&mut self, server: ServerId, fill: impl FnOnce(&mut Prediction) -> bool) {
         self.grow_to(server.index() + 1);
         let i = server.index();
@@ -156,16 +142,15 @@ impl MemoSlot<'_> {
 
 /// The agent's window onto the world at one scheduling decision.
 ///
-/// Predictions are memoised and evaluated over the whole candidate list
-/// on the first what-if query: short lists (≤ [`DIRECT_PREDICT_MAX`])
-/// take one routed `predict_into` per candidate, written straight into
-/// the memo's reusable slots — the steady-state decision loop allocates
-/// nothing — while longer lists batch through [`Htm::predict_all`] (one
-/// generation-cached, zero-clone drain per candidate, threaded when the
-/// load justifies it). Every later query — MP re-reading the winner's
-/// completion date, MNI's tie-breaks — is a memo lookup. A query for a
-/// server outside the candidate list (a wrapper heuristic restoring a
-/// wider list) falls back to a single routed query.
+/// A what-if query answers only the server it names: one routed
+/// `predict_into`, written straight into the memo's reusable slot, so
+/// the steady-state decision loop allocates nothing. Every repeat query
+/// — MP re-reading the winner's completion date, MNI's tie-breaks — is
+/// a memo lookup. Which servers get queried at all is the heuristic's
+/// business: HMCT and MSF walk the list through
+/// [`SchedView::argmin_bounded`] and stop once no unvisited candidate's
+/// lower bound can beat the incumbent; the other HTM policies query
+/// every candidate.
 pub struct SchedView<'a> {
     /// Decision time.
     pub now: SimTime,
@@ -185,8 +170,6 @@ pub struct SchedView<'a> {
     /// Memoised what-if answers, dense by server index; "cannot solve" is
     /// recorded so unsolvable servers are not re-queried.
     memo: MemoSlot<'a>,
-    /// Whether the candidate list has been batch-predicted already.
-    batched: bool,
     /// Per-server admission limits (RAM + swap), MB — set by the engine
     /// when memory-aware policies are in play.
     server_mem: Option<&'a [f64]>,
@@ -215,7 +198,6 @@ impl<'a> SchedView<'a> {
             htm,
             rng,
             memo: MemoSlot::Owned(DecisionMemo::new()),
-            batched: false,
             server_mem: None,
         }
     }
@@ -274,53 +256,20 @@ impl<'a> SchedView<'a> {
         Some(c.input + c.compute * (load + 1.0) + c.output)
     }
 
-    /// HTM what-if query, memoised per decision; the first query
-    /// evaluates the whole candidate list — per candidate in place for
-    /// short lists, via [`Htm::predict_all`] for long ones.
+    /// HTM what-if query for `server`, memoised per decision.
     ///
     /// Returns `None` if the server cannot solve the problem.
     pub fn predict(&mut self, server: ServerId) -> Option<&Prediction> {
         if !self.memo.get().queried(server) {
-            if !self.batched && self.candidates.contains(&server) {
-                self.batched = true;
-                if self.candidates.len() <= DIRECT_PREDICT_MAX {
-                    // Short list: one routed query per candidate, each
-                    // written into the memo's reusable slot. Bit-identical
-                    // to the batch path (the federated backend already
-                    // serves short same-shard runs per candidate); a
-                    // duplicate candidate re-queries instead of cloning,
-                    // which only nudges the predictions-made counter —
-                    // the answer comes from the same memoised drain.
-                    let Self {
-                        now,
-                        ref task,
-                        ref candidates,
-                        ref mut htm,
-                        ref mut memo,
-                        ..
-                    } = *self;
-                    let memo = memo.get_mut();
-                    for &s in candidates.iter() {
-                        memo.fill_with(s, |out| htm.predict_into(now, s, task, out));
-                    }
-                } else {
-                    let results = self.htm.predict_all(self.now, &self.task, &self.candidates);
-                    let memo = self.memo.get_mut();
-                    for (&s, p) in self.candidates.iter().zip(results) {
-                        memo.set(s, p);
-                    }
-                }
-            } else {
-                let Self {
-                    now,
-                    ref task,
-                    ref mut htm,
-                    ref mut memo,
-                    ..
-                } = *self;
-                memo.get_mut()
-                    .fill_with(server, |out| htm.predict_into(now, server, task, out));
-            }
+            let Self {
+                now,
+                ref task,
+                ref mut htm,
+                ref mut memo,
+                ..
+            } = *self;
+            memo.get_mut()
+                .fill_with(server, |out| htm.predict_into(now, server, task, out));
         }
         self.memo.get().lookup(server)
     }
@@ -332,7 +281,7 @@ impl<'a> SchedView<'a> {
 
     /// Generic deterministic argmin over candidates: evaluates `objective`
     /// for each candidate (skipping `None`s) and returns the server with
-    /// the smallest value, ties to the lowest id.
+    /// the smallest value, ties to the earliest list position.
     pub fn argmin<F>(&mut self, mut objective: F) -> Option<ServerId>
     where
         F: FnMut(&mut Self, ServerId) -> Option<f64>,
@@ -353,6 +302,67 @@ impl<'a> SchedView<'a> {
             };
         }
         best.map(|(s, _)| s)
+    }
+
+    /// [`SchedView::argmin`] as a branch-and-bound: returns exactly the
+    /// server `argmin(objective)` returns, evaluating `objective` only
+    /// where it could still matter.
+    ///
+    /// `bound(view, s)` must never exceed `objective(view, s)` when the
+    /// latter is `Some`; `None` means "no bound" and forces an
+    /// evaluation. Candidates are visited in ascending `(bound, list
+    /// position)` order, and the walk stops at the first candidate whose
+    /// bound exceeds the incumbent's value, or equals it from a later
+    /// list position — every candidate from there on is at least as bad
+    /// and loses the position tie-break. Ties between evaluated
+    /// candidates go to the earlier list position, so the pick equals
+    /// `argmin`'s first minimum for any list order. The visit order is
+    /// kept in the memo's reusable buffer: the walk allocates nothing.
+    pub fn argmin_bounded<B, F>(&mut self, mut bound: B, mut objective: F) -> Option<ServerId>
+    where
+        B: FnMut(&Self, ServerId) -> Option<f64>,
+        F: FnMut(&mut Self, ServerId) -> Option<f64>,
+    {
+        let candidates = self.candidates.clone();
+        let mut order = std::mem::take(&mut self.memo.get_mut().bounds);
+        order.clear();
+        order.extend(
+            candidates
+                .iter()
+                .enumerate()
+                .map(|(pos, &s)| (bound(self, s).unwrap_or(f64::NEG_INFINITY), pos)),
+        );
+        // `partial_cmp`, not `total_cmp`: the stop rule compares bounds
+        // with `==`, under which -0.0 and 0.0 are one value, so they must
+        // also sort as one value (by position).
+        order.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("lower bounds are never NaN")
+                .then(a.1.cmp(&b.1))
+        });
+        let mut best: Option<(usize, f64)> = None;
+        for &(b, pos) in &order {
+            if let Some((best_pos, best_v)) = best {
+                if b > best_v || (b == best_v && pos > best_pos) {
+                    break;
+                }
+            }
+            let s = candidates[pos];
+            let Some(v) = objective(self, s) else {
+                continue;
+            };
+            debug_assert!(v.is_finite(), "objective for {s} is not finite");
+            debug_assert!(b <= v, "lower bound {b} exceeds objective {v} on {s}");
+            best = match best {
+                Some((best_pos, best_v)) if v < best_v || (v == best_v && pos < best_pos) => {
+                    Some((pos, v))
+                }
+                None => Some((pos, v)),
+                other => other,
+            };
+        }
+        self.memo.get_mut().bounds = order;
+        best.map(|(pos, _)| candidates[pos])
     }
 }
 
@@ -539,6 +549,23 @@ mod tests {
     use crate::htm::{Htm, SyncPolicy};
     use cas_sim::SimTime;
 
+    /// Writes a solvable answer completing at `secs`, with `perturbations`
+    /// copied into the slot's reusable storage.
+    fn fill_solvable(
+        memo: &mut DecisionMemo,
+        server: ServerId,
+        secs: f64,
+        perturbations: &[(cas_platform::TaskId, f64)],
+    ) {
+        memo.fill_with(server, |out| {
+            out.completion = SimTime::from_secs(secs);
+            out.queried_at = SimTime::ZERO;
+            out.perturbations.clear();
+            out.perturbations.extend_from_slice(perturbations);
+            true
+        });
+    }
+
     /// The run-wide memo must forget the previous decision's entries on
     /// `begin` — no stale prediction may leak into the next decision.
     /// The reset is a single stamp bump, so nothing is walked or cleared.
@@ -546,15 +573,8 @@ mod tests {
     fn decision_memo_stamp_reset_between_decisions() {
         let mut memo = DecisionMemo::new();
         memo.begin(4);
-        memo.set(ServerId(1), None);
-        memo.set(
-            ServerId(3),
-            Some(Prediction {
-                completion: SimTime::from_secs(5.0),
-                queried_at: SimTime::ZERO,
-                perturbations: vec![],
-            }),
-        );
+        memo.fill_with(ServerId(1), |_| false);
+        fill_solvable(&mut memo, ServerId(3), 5.0, &[]);
         assert!(memo.queried(ServerId(1)), "cannot-solve is memoised");
         assert!(
             memo.lookup(ServerId(1)).is_none(),
@@ -569,26 +589,24 @@ mod tests {
         }
     }
 
-    /// Setting the same server twice within one decision keeps the last
+    /// Filling the same server twice within one decision keeps the last
     /// answer, and the slot's perturbation storage survives across
     /// decisions so in-place fills reuse it instead of reallocating.
     #[test]
     fn decision_memo_overwrites_and_reuses_slot_storage() {
         let mut memo = DecisionMemo::new();
         memo.begin(2);
-        memo.set(
+        fill_solvable(
+            &mut memo,
             ServerId(0),
-            Some(Prediction {
-                completion: SimTime::from_secs(1.0),
-                queried_at: SimTime::ZERO,
-                perturbations: vec![(cas_platform::TaskId(9), 2.0)],
-            }),
+            1.0,
+            &[(cas_platform::TaskId(9), 2.0)],
         );
-        memo.set(ServerId(0), None);
+        memo.fill_with(ServerId(0), |_| false);
         assert!(memo.queried(ServerId(0)));
         assert!(memo.lookup(ServerId(0)).is_none(), "last write wins");
-        // Next decision: the in-place fill finds the buffer adopted by
-        // the first `set` still in the slot.
+        // Next decision: the in-place fill finds the buffer the first
+        // fill wrote still in the slot.
         memo.begin(2);
         memo.fill_with(ServerId(0), |out| {
             assert!(!out.perturbations.is_empty(), "slot storage persisted");
@@ -612,7 +630,7 @@ mod tests {
     fn decision_memo_grows_on_demand() {
         let mut memo = DecisionMemo::new();
         memo.begin(2);
-        memo.set(ServerId(7), None);
+        memo.fill_with(ServerId(7), |_| false);
         assert!(memo.queried(ServerId(7)));
         assert!(!memo.queried(ServerId(6)));
         memo.begin(8);
@@ -663,6 +681,123 @@ mod tests {
             after > before,
             "second decision must see the committed task: {before:?} vs {after:?}"
         );
+    }
+
+    /// Runs `f` on a stand-alone view over `candidates`; the objective
+    /// and bound closures of the argmin tests read their own tables, so
+    /// the view's cost table and HTM only have to exist.
+    fn with_view<R>(candidates: Vec<ServerId>, f: impl FnOnce(&mut SchedView<'_>) -> R) -> R {
+        let costs = table3();
+        let loads = loads3();
+        let mut htm = Htm::new(costs.clone(), SyncPolicy::None);
+        let mut rng = cas_sim::RngStream::derive(7, cas_sim::StreamKind::TieBreak);
+        let t = task(1, 0.0);
+        let mut view = SchedView::new(t.arrival, t, candidates, &costs, &loads, &mut htm, &mut rng);
+        f(&mut view)
+    }
+
+    /// An earlier-position candidate that ties the incumbent's objective
+    /// still wins, although its higher bound puts it later in the walk:
+    /// the tie-break is list position, exactly as in `argmin`.
+    #[test]
+    fn bounded_stage2_earlier_tie_with_higher_bound_wins() {
+        let objective = |_: ServerId| Some(10.0);
+        let bound = |s: ServerId| Some(if s == ServerId(0) { 5.0 } else { 1.0 });
+        let mut visited = Vec::new();
+        let (plain, bounded) = with_view(vec![ServerId(0), ServerId(1)], |view| {
+            let plain = view.argmin(|_, s| objective(s));
+            let bounded = view.argmin_bounded(
+                |_, s| bound(s),
+                |_, s| {
+                    visited.push(s);
+                    objective(s)
+                },
+            );
+            (plain, bounded)
+        });
+        assert_eq!(
+            visited,
+            [ServerId(1), ServerId(0)],
+            "walk is in bound order"
+        );
+        assert_eq!(plain, Some(ServerId(0)));
+        assert_eq!(bounded, Some(ServerId(0)), "earlier position wins the tie");
+    }
+
+    /// The walk stops at the first bound that cannot beat the incumbent.
+    #[test]
+    fn bounded_stage2_stops_at_the_incumbent() {
+        let objective = |s: ServerId| Some([4.0, 2.0, 9.0, 7.0][s.index()]);
+        let bound = |s: ServerId| Some([3.0, 1.0, 8.0, 2.0][s.index()]);
+        let mut visited = Vec::new();
+        let pick = with_view((0..4).map(ServerId).collect(), |view| {
+            view.argmin_bounded(
+                |_, s| bound(s),
+                |_, s| {
+                    visited.push(s);
+                    objective(s)
+                },
+            )
+        });
+        assert_eq!(pick, Some(ServerId(1)));
+        // S1 (bound 1) sets the incumbent at 2; S3's bound 2 ties it from
+        // a later position, so nothing after S1 is evaluated.
+        assert_eq!(visited, [ServerId(1)]);
+    }
+
+    proptest::proptest! {
+        /// The bounded walk returns exactly `argmin`'s pick over arbitrary
+        /// objective tables: small integer objectives force exact ties,
+        /// `None` objectives carry arbitrary (even absurd) bounds, bounds
+        /// sit anywhere from the objective itself down to "no bound" and
+        /// a signed zero under a zero objective, and candidate lists are
+        /// unsorted with duplicates.
+        #[test]
+        fn bounded_stage2_argmin_matches_argmin(
+            // Per server: (objective level, solvable draw, bound gap,
+            // bound kind).
+            table in proptest::collection::vec((0u32..4, 0u32..5, 0.0f64..3.0, 0u32..4), 1..12),
+            picks in proptest::collection::vec(0usize..64, 0..24),
+        ) {
+            let objective: Vec<Option<f64>> = table
+                .iter()
+                .map(|&(level, draw, _, _)| (draw > 0).then_some(f64::from(level)))
+                .collect();
+            let bound: Vec<Option<f64>> = table
+                .iter()
+                .zip(&objective)
+                .map(|(&(_, _, gap, kind), v)| match (kind, *v) {
+                    (2, _) => None,
+                    // Unsolvable: the bound is never checked against
+                    // anything, so it may be arbitrarily high.
+                    (_, None) => Some(10.0 + gap),
+                    (0, Some(v)) => Some(v),
+                    // A zero objective gets the bound -0.0, equal to it
+                    // under `==` but sorted below it by `total_cmp`.
+                    (3, Some(v)) => Some(if v == 0.0 { -0.0 } else { v - gap }),
+                    (_, Some(v)) => Some(v - gap),
+                })
+                .collect();
+            let n = table.len();
+            let candidates: Vec<ServerId> =
+                picks.iter().map(|&k| ServerId((k % n) as u32)).collect();
+            let (plain, bounded) = with_view(candidates.clone(), |view| {
+                let plain = view.argmin(|_, s| objective[s.index()]);
+                let bounded = view.argmin_bounded(
+                    |_, s| bound[s.index()],
+                    |_, s| objective[s.index()],
+                );
+                (plain, bounded)
+            });
+            proptest::prop_assert_eq!(
+                bounded,
+                plain,
+                "candidates {:?}, objectives {:?}, bounds {:?}",
+                &candidates,
+                &objective,
+                &bound
+            );
+        }
     }
 
     #[test]

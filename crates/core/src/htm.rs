@@ -22,8 +22,8 @@
 //! # The prediction engine
 //!
 //! Answering a what-if query is the scheduler's decision cost: every
-//! HTM-based heuristic issues one query per candidate server per incoming
-//! task. The engine therefore avoids all per-query cloning:
+//! HTM-based heuristic issues up to one query per candidate server per
+//! incoming task. The engine therefore avoids all per-query cloning:
 //!
 //! * **Generation-cached baseline.** The *before* schedule (`f(i,j)` of all
 //!   tasks already on a server, with no insertion) only changes when the
@@ -39,12 +39,6 @@
 //!   [`DrainScratch`](crate::trace::DrainScratch): flat reusable buffers
 //!   replaying the exact event arithmetic of the clone-based path, so
 //!   results are bit-for-bit identical without per-query heap allocation.
-//! * **Batched fan-out.** [`Htm::predict_all`] answers one query per
-//!   candidate in a single call and, for large candidate sets with heavily
-//!   loaded traces, fans the per-server work across scoped threads (each
-//!   server's scratch state is independent, so parallelism cannot change
-//!   results).
-//!
 //! * **Incremental baseline repair.** The speculative *after*-schedule
 //!   computed for `(task, now)` — which the engine has almost always just
 //!   computed, since every commit follows a prediction for the winning
@@ -61,9 +55,9 @@
 //! # The stage-2 drain engine
 //!
 //! Profiling showed the speculative drains above — phase `stage2_predict`
-//! of the decision pipeline — dominating campaign wall time. Three
-//! further optimisations apply, each bit-identical to a full drain by
-//! construction:
+//! of the decision pipeline — dominating campaign wall time. Two further
+//! optimisations apply, each bit-identical to a full drain by
+//! construction, and the heuristics run fewer drains (below):
 //!
 //! * **Truncated drains.** When the configured heuristic only reads the
 //!   probe's completion (HMCT and the non-perturbation policies — see
@@ -80,10 +74,26 @@
 //!   keyed by trace generation; subsequent probes (and the commit's
 //!   full re-drain) resume from the snapshot instead of replaying the
 //!   trace's whole event history.
-//! * **Parallel scatter.** [`Htm::predict_all`] batches fan out across
-//!   [`cas_sim::pool`] whenever more than one worker is available,
-//!   mirroring the stage-1 walk's parallel arm; the slot-indexed reduce
-//!   keeps results deterministic.
+//!
+//! # Bounded stage 2
+//!
+//! Queries are serial and answer one server each; HMCT and MSF decide
+//! how many to ask. Each lane of a trace is an equal-share resource of
+//! capacity 1, so a probe inserted at `now` gets a rate of at most 1 in
+//! each of its three sequential phases and completes no earlier than
+//! `now + d`, `d` being its unloaded duration
+//! ([`CostTable::unloaded_duration`]). That bounds HMCT's objective
+//! (the completion date) by `now + d` and MSF's (`Σπ` plus the flow
+//! time) by `d`, because every perturbation is clamped at zero — which
+//! also settles `Σπ ≥ 0` for the three-lane pipeline, where an insertion
+//! can otherwise speed a bystander up. The heuristics walk their
+//! shortlist in ascending bound order through
+//! [`SchedView::argmin_bounded`](crate::heuristics::SchedView::argmin_bounded)
+//! and stop at the first bound that cannot beat the incumbent, so most
+//! candidates of a lightly loaded farm never run a drain at all. The
+//! bounds carry a slack of `1e-9 · (now + d)`, since the drain's rounding
+//! grows with the absolute clock; a proptest below checks both against
+//! the clone-and-drain oracle.
 //!
 //! The oracle for all of this lives in the test module: it clones the
 //! trace, inserts the probe and drains the clone — the original what-if
@@ -100,11 +110,6 @@ use crate::trace::{DrainScratch, PrefixCursor, ServerTrace};
 use cas_platform::{Arena, ArenaKey, CostTable, PhaseCosts, ServerId, TaskId, TaskInstance};
 use cas_sim::{Generation, SimTime};
 use std::collections::HashMap;
-
-/// Fan candidate evaluation across the shared pool only when the candidate
-/// set and the simulated load are both large enough to amortise job
-/// queueing (a loaded drain is tens of µs).
-const PARALLEL_MIN_CANDIDATES: usize = 8;
 
 /// After-schedules at most this long answer completion/perturbation
 /// lookups by linear scan instead of rebuilding the per-query hash map —
@@ -481,10 +486,6 @@ pub struct Htm {
     /// reads the probe's completion, so queries skip the perturbation
     /// fill and drains may truncate.
     completion_only: bool,
-    /// Forces the `predict_all` pool fan-out on (`Some(true)`) or off
-    /// (`Some(false)`) regardless of worker count — the test hook behind
-    /// the forced-parallel equality step, mirroring the stage-1 arm.
-    parallel_override: Option<bool>,
     predictions_made: u64,
 }
 
@@ -500,7 +501,6 @@ impl Htm {
             by_task: HashMap::new(),
             sync,
             completion_only: false,
-            parallel_override: None,
             predictions_made: 0,
         }
     }
@@ -516,13 +516,6 @@ impl Htm {
     /// Whether completion-only query depth is active.
     pub fn completion_only(&self) -> bool {
         self.completion_only
-    }
-
-    /// Forces the batched stage-2 fan-out on or off (`None` restores the
-    /// automatic worker-count gate) — the test hook the forced-parallel
-    /// equality tests drive, mirroring the stage-1 arm's override.
-    pub fn set_parallel_stage2(&mut self, force: Option<bool>) {
-        self.parallel_override = force;
     }
 
     /// Enables Gantt recording on one server's trace (diagnostics, Fig. 1).
@@ -637,114 +630,6 @@ impl Htm {
         let state = &mut self.predict_states[server.index()];
         state.predict_into(trace, now, task.id, costs, self.completion_only, out);
         true
-    }
-
-    /// Answers one what-if query per candidate in a single batch.
-    ///
-    /// `results[k]` corresponds to `candidates[k]`; `None` means that
-    /// server cannot solve the task's problem. Results are identical to
-    /// calling [`Self::predict`] per candidate. For large candidate sets
-    /// over heavily loaded traces the per-server work fans out across the
-    /// shared work-stealing pool ([`cas_sim::pool`]); each server's cache
-    /// and scratch are independent and every result lands in its own
-    /// candidate slot, so the fan-out cannot change any result.
-    pub fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>> {
-        let completion_only = self.completion_only;
-        // Scatter whenever more than one worker exists (the per-drain work
-        // is already minimised, so the fan-out pays from small batches).
-        // Tests force either arm through the override, mirroring the
-        // stage-1 walk. Gated on the raw candidate list (selectors produce
-        // distinct, solvable-heavy lists) so the serial path below never
-        // pays for the batch machinery.
-        let parallel = candidates.len() > 1
-            && self.parallel_override.unwrap_or_else(|| {
-                candidates.len() >= PARALLEL_MIN_CANDIDATES && cas_sim::pool::global().workers() > 1
-            });
-        if !parallel {
-            // Serial path: one routed query per candidate, straight
-            // through the per-server memo and scratch — no slot map, no
-            // state scan, no intermediate buffers. Per-server queries are
-            // independent, so candidate order is as good as index order,
-            // and a duplicate candidate re-queries into the memo it just
-            // filled (bit-identical answer).
-            return candidates
-                .iter()
-                .map(|&s| {
-                    let costs = self.costs.costs(task.problem, s)?;
-                    self.predictions_made += 1;
-                    let trace = &self.traces[s.index()];
-                    let state = &mut self.predict_states[s.index()];
-                    Some(state.predict(trace, now, task.id, costs, completion_only))
-                })
-                .collect();
-        }
-        let mut results: Vec<Option<Prediction>> = Vec::new();
-        results.resize_with(candidates.len(), || None);
-        let costs: Vec<Option<PhaseCosts>> = candidates
-            .iter()
-            .map(|&s| self.costs.costs(task.problem, s))
-            .collect();
-        // Map server index → result slot, so per-server `&mut` state can be
-        // collected disjointly (duplicates keep the last slot and are
-        // back-filled below).
-        let mut slot_of = vec![usize::MAX; self.traces.len()];
-        for (slot, &s) in candidates.iter().enumerate() {
-            if costs[slot].is_some() {
-                slot_of[s.index()] = slot;
-            }
-        }
-        let traces = &self.traces;
-        let mut selected: Vec<(usize, &ServerTrace, &mut PredictState)> = Vec::new();
-        for (idx, state) in self.predict_states.iter_mut().enumerate() {
-            let slot = slot_of[idx];
-            if slot != usize::MAX {
-                selected.push((slot, &traces[idx], state));
-            }
-        }
-        self.predictions_made += selected.len() as u64;
-        {
-            let pool = cas_sim::pool::global();
-            let workers = (pool.workers() + 1).min(selected.len()).min(8);
-            let chunk_len = selected.len().div_ceil(workers);
-            let task_id = task.id;
-            let costs = &costs;
-            let mut computed: Vec<Vec<(usize, Prediction)>> = Vec::new();
-            computed.resize_with(selected.len().div_ceil(chunk_len), Vec::new);
-            pool.scope(|scope| {
-                for (chunk, out) in selected.chunks_mut(chunk_len).zip(computed.iter_mut()) {
-                    scope.spawn(move || {
-                        for (slot, trace, state) in chunk.iter_mut() {
-                            let c = costs[*slot].expect("selected implies solvable");
-                            out.push((
-                                *slot,
-                                state.predict(trace, now, task_id, c, completion_only),
-                            ));
-                        }
-                    });
-                }
-            });
-            // Deterministic reduction: every prediction goes to the slot of
-            // its candidate, regardless of which worker computed it.
-            for batch in computed {
-                for (slot, p) in batch {
-                    results[slot] = Some(p);
-                }
-            }
-        }
-        // Back-fill duplicate candidates (only the last occurrence was
-        // evaluated; queries are pure, so the result is shared).
-        for slot in 0..candidates.len() {
-            if results[slot].is_none() && costs[slot].is_some() {
-                let canonical = slot_of[candidates[slot].index()];
-                results[slot] = results[canonical].clone();
-            }
-        }
-        results
     }
 
     /// Records that `task` has been allocated to `server` (Figs. 2–4, last
@@ -1197,39 +1082,6 @@ mod tests {
         }
     }
 
-    /// `predict_all` must agree with per-candidate `predict` even when the
-    /// candidate set and the load are big enough to trigger the scoped-
-    /// thread fan-out (16 servers × 70 active tasks ≫ the thresholds).
-    #[test]
-    fn predict_all_parallel_path_matches_serial() {
-        let n_servers = 16usize;
-        let mut table = CostTable::new(n_servers);
-        table.add_problem(
-            Problem::new("p", 0.5, 0.2, 0.0),
-            (0..n_servers)
-                .map(|s| Some(PhaseCosts::new(0.3, 20.0 + s as f64, 0.1)))
-                .collect(),
-        );
-        let mut htm = Htm::new(table, SyncPolicy::None);
-        let mut id = 0u64;
-        for s in 0..n_servers as u32 {
-            for k in 0..70 {
-                let tk =
-                    TaskInstance::new(TaskId(id), cas_platform::ProblemId(0), t(k as f64 * 0.25));
-                htm.commit(tk.arrival, ServerId(s), &tk);
-                id += 1;
-            }
-        }
-        let candidates: Vec<ServerId> = (0..n_servers as u32).map(ServerId).collect();
-        let probe = task(500_000, 60.0);
-        let batch = htm.predict_all(t(60.0), &probe, &candidates);
-        assert_eq!(batch.len(), candidates.len());
-        for (s, got) in candidates.iter().zip(&batch) {
-            let expected = predict_reference(&htm, t(60.0), *s, &probe);
-            assert_eq!(got.as_ref(), expected.as_ref(), "server {s}");
-        }
-    }
-
     /// Incremental repair keeps the baseline fresh through commits that
     /// were *not* preceded by a matching prediction (cold splice) and
     /// through retracts, matching a from-scratch re-drain exactly.
@@ -1368,76 +1220,13 @@ mod tests {
         // cannot have resumed the pre-retract snapshot.
         assert_eq!(s2.prefix_hits, s1.prefix_hits, "no stale prefix resume");
     }
-
-    /// The forced-pool stage-2 scatter must answer bit-identically to the
-    /// forced-serial path — the equality step the CI job runs by name.
-    #[test]
-    fn forced_parallel_stage2_matches_forced_serial() {
-        let n_servers = 12usize;
-        let mut table = CostTable::new(n_servers);
-        table.add_problem(
-            Problem::new("p", 0.5, 0.2, 0.0),
-            (0..n_servers)
-                .map(|s| Some(PhaseCosts::new(0.3, 15.0 + s as f64, 0.1)))
-                .collect(),
-        );
-        let build = || {
-            let mut htm = Htm::new(table.clone(), SyncPolicy::None);
-            let mut id = 0u64;
-            for s in 0..n_servers as u32 {
-                for k in 0..9 {
-                    let tk = TaskInstance::new(
-                        TaskId(id),
-                        cas_platform::ProblemId(0),
-                        t(k as f64 * 0.5),
-                    );
-                    htm.commit(tk.arrival, ServerId(s), &tk);
-                    id += 1;
-                }
-            }
-            htm
-        };
-        let mut parallel = build();
-        parallel.set_parallel_stage2(Some(true));
-        let mut serial = build();
-        serial.set_parallel_stage2(Some(false));
-        let candidates: Vec<ServerId> = (0..n_servers as u32).map(ServerId).collect();
-        for (k, now) in [10.0, 10.0, 30.0].into_iter().enumerate() {
-            let probe = task(700_000 + k as u64, now);
-            let a = parallel.predict_all(t(now), &probe, &candidates);
-            let b = serial.predict_all(t(now), &probe, &candidates);
-            assert_eq!(a, b, "scatter changed an answer at now={now}");
-        }
-        // Both sides agree with the clone-and-drain reference too.
-        let probe = task(800_000, 40.0);
-        let batch = parallel.predict_all(t(40.0), &probe, &candidates);
-        for (s, got) in candidates.iter().zip(&batch) {
-            let expected = predict_reference(&serial, t(40.0), *s, &probe);
-            assert_eq!(got.as_ref(), expected.as_ref(), "server {s}");
-        }
-    }
-
-    /// Duplicate candidates are evaluated once and back-filled.
-    #[test]
-    fn predict_all_handles_duplicates_and_unsolvable() {
-        let mut c = CostTable::new(2);
-        c.add_problem(
-            Problem::new("only-s1", 0.0, 0.0, 0.0),
-            vec![None, Some(PhaseCosts::new(0.0, 10.0, 0.0))],
-        );
-        let mut htm = Htm::new(c, SyncPolicy::None);
-        let probe = task(1, 0.0);
-        let res = htm.predict_all(t(0.0), &probe, &[ServerId(0), ServerId(1), ServerId(1)]);
-        assert!(res[0].is_none(), "unsolvable server predicts None");
-        assert!(res[1].is_some());
-        assert_eq!(res[1], res[2], "duplicate candidate shares the result");
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::tests::predict_reference;
     use super::*;
+    use crate::heuristics::{hmct_lower_bound, msf_lower_bound};
     use cas_platform::{PhaseCosts, Problem, ProblemId};
     use proptest::prelude::*;
 
@@ -1450,6 +1239,14 @@ mod proptests {
 
     prop_compose! {
         fn arb_costs()(i in 0.0f64..4.0, c in 0.1f64..40.0, o in 0.0f64..4.0) -> PhaseCosts {
+            PhaseCosts::new(i, c, o)
+        }
+    }
+
+    prop_compose! {
+        /// Phase costs with all three phases nonzero.
+        fn arb_costs_all_phases()(i in 0.01f64..4.0, c in 0.1f64..40.0, o in 0.01f64..4.0)
+            -> PhaseCosts {
             PhaseCosts::new(i, c, o)
         }
     }
@@ -1622,6 +1419,98 @@ mod proptests {
                         if let Some(&id) = committed.first() {
                             htm.observe_completion(when, id);
                             assert_baselines_match_full_redrain(&htm)?;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The stage-2 lower bounds HMCT and MSF prune with never exceed
+        /// the objective they bound, measured on the clone-and-drain
+        /// oracle: `now + d` (slackened) against the probe's completion
+        /// date, `d` (slackened) against `Σπ + flow`. Drives arbitrary
+        /// commit / predict / retract / observe interleavings with every
+        /// phase nonzero — so all three lanes shape each drain — at
+        /// clocks from 0 up to 1e7 s, where drain rounding is largest.
+        #[test]
+        fn bounded_stage2_lower_bounds_never_exceed_the_oracle(
+            costs in proptest::collection::vec(arb_costs_all_phases(), 6),
+            solvable in proptest::collection::vec(proptest::bool::ANY, 6),
+            mantissa in 0.0f64..10.0,
+            exponent in 0i32..7,
+            ops in proptest::collection::vec(
+                (0u32..10, 0u32..3, 0u32..2, 0.0f64..20.0),
+                1..50,
+            ),
+            force_finish in proptest::bool::ANY,
+        ) {
+            let table = build_table(&costs, &solvable);
+            let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
+            let mut htm = Htm::new(table, sync);
+            let mut now = mantissa * 10f64.powi(exponent);
+            let mut next_id = 0u64;
+            let mut committed: Vec<TaskId> = Vec::new();
+            for (kind, server, problem, gap) in ops {
+                now += gap;
+                let when = t(now);
+                match kind {
+                    0..=4 => {
+                        let probe = TaskInstance::new(
+                            TaskId(1_000_000 + next_id),
+                            ProblemId(problem),
+                            when,
+                        );
+                        next_id += 1;
+                        for s in 0..N_SERVERS as u32 {
+                            let Some(oracle) = predict_reference(&htm, when, ServerId(s), &probe)
+                            else {
+                                continue;
+                            };
+                            let d = htm
+                                .costs()
+                                .unloaded_duration(probe.problem, ServerId(s))
+                                .expect("the oracle answered, so the server solves");
+                            let completion = oracle.completion.as_secs();
+                            let hmct = hmct_lower_bound(now, d);
+                            prop_assert!(
+                                hmct <= completion,
+                                "HMCT bound {} > completion {} on {} at {}",
+                                hmct,
+                                completion,
+                                s,
+                                now
+                            );
+                            let msf = msf_lower_bound(now, d);
+                            let objective = oracle.msf_objective();
+                            prop_assert!(
+                                msf <= objective,
+                                "MSF bound {} > objective {} on {} at {}",
+                                msf,
+                                objective,
+                                s,
+                                now
+                            );
+                        }
+                    }
+                    5..=7 => {
+                        let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
+                        next_id += 1;
+                        let target = if htm.costs().costs(task.problem, ServerId(server)).is_some() {
+                            ServerId(server)
+                        } else {
+                            ServerId(0) // always solvable by construction
+                        };
+                        htm.commit(when, target, &task);
+                        committed.push(task.id);
+                    }
+                    8 => {
+                        if let Some(id) = committed.pop() {
+                            htm.retract(when, id);
+                        }
+                    }
+                    _ => {
+                        if let Some(&id) = committed.first() {
+                            htm.observe_completion(when, id);
                         }
                     }
                 }

@@ -34,18 +34,18 @@
 //! # Prediction-cache invariants
 //!
 //! The what-if engine ([`htm`]) is zero-clone and generation-cached; its
-//! correctness rests on three invariants, enforced by the differential
+//! correctness rests on these invariants, enforced by the differential
 //! proptests in `htm.rs`:
 //!
 //! 1. **Stamp soundness.** Every observable mutation of a [`ServerTrace`]
 //!    (task added, task force-finished, cursor advanced past an event or a
 //!    time span) bumps [`ServerTrace::generation`]. Equal stamps ⇒
 //!    bit-identical trace state ⇒ the cached baseline schedule is valid.
-//! 2. **Queries are pure.** [`Htm::predict`] and [`Htm::predict_all`] never
-//!    mutate a trace (in particular they do *not* advance it to the query
-//!    time — the trace stays lazy until the next commit/retract/sync), so
-//!    a whole decision round, and every round until the next commit on that
-//!    server, reuses one cached baseline.
+//! 2. **Queries are pure.** [`Htm::predict`] and [`Htm::predict_into`]
+//!    never mutate a trace (in particular they do *not* advance it to the
+//!    query time — the trace stays lazy until the next
+//!    commit/retract/sync), so a whole decision round, and every round
+//!    until the next commit on that server, reuses one cached baseline.
 //! 3. **Replay fidelity.** The speculative drain
 //!    ([`trace::DrainScratch`]) performs the same floating-point
 //!    operations in the same order as cloning the trace, inserting the
@@ -60,16 +60,21 @@
 //!    re-drain of the mutated trace; the proptests assert
 //!    [`Htm::cached_baseline`] `==` [`ServerTrace::drain_schedule`] after
 //!    every mutation.
-//! 5. **Truncation, prefix sharing and scatter are pure.** The drain
-//!    engine truncates speculative drains at the probe's completion
-//!    (completion-only heuristics), resumes a shared baseline-prefix
-//!    cursor saved at event boundaries, and scatters batches across the
-//!    worker pool. All three preserve bit identity by construction —
-//!    truncation cuts only the tail after the probe's entry, the prefix
-//!    snapshot is taken at the last processed event (the only resumable
-//!    point in float arithmetic), and the parallel reduce is slot-indexed
-//!    — and the proptests check every answer against the
-//!    clone-and-drain oracle over arbitrary interleavings.
+//! 5. **Truncation and prefix sharing are pure.** The drain engine
+//!    truncates speculative drains at the probe's completion
+//!    (completion-only heuristics) and resumes a shared baseline-prefix
+//!    cursor saved at event boundaries. Both preserve bit identity by
+//!    construction — truncation cuts only the tail after the probe's
+//!    entry, and the prefix snapshot is taken at the last processed
+//!    event (the only resumable point in float arithmetic) — and the
+//!    proptests check every answer against the clone-and-drain oracle
+//!    over arbitrary interleavings.
+//! 6. **Bounds never exceed objectives.** HMCT and MSF skip candidates
+//!    whose lower bound cannot beat the incumbent
+//!    ([`heuristics::SchedView::argmin_bounded`]); the skip is exact
+//!    only while every bound stays at or below its objective, which a
+//!    proptest checks against the oracle and a `debug_assert!` checks on
+//!    every evaluated candidate.
 
 pub mod gantt;
 pub mod heuristics;

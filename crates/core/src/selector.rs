@@ -12,8 +12,9 @@
 //!    the agent's believed in-flight count — no HTM query, no O(n)
 //!    platform rescan);
 //! 2. the [`Heuristic`](crate::heuristics::Heuristic) runs its HTM
-//!    predictions (still batched through `predict_all`) on the shortlist
-//!    only.
+//!    predictions on the shortlist only — HMCT and MSF on fewer still,
+//!    walking it in lower-bound order and stopping at the incumbent
+//!    ([`SchedView::argmin_bounded`](crate::heuristics::SchedView::argmin_bounded)).
 //!
 //! Three backends ship:
 //!

@@ -1,20 +1,19 @@
 //! The what-if query surface heuristics schedule against.
 //!
-//! Every HTM-based heuristic asks three questions at decision time:
-//! *what if* the task ran on a candidate (one prediction per candidate,
-//! batched), *what if* it ran on some server outside the shortlist (a
-//! wrapper heuristic restoring a wider list), and *how much memory* does
-//! the model believe a server holds right now. [`WhatIf`] is exactly that
-//! surface, object-safe so a [`SchedView`](crate::heuristics::SchedView)
-//! can be built over either:
+//! Every HTM-based heuristic asks two questions at decision time: *what
+//! if* the task ran on this server (one prediction per query, asked
+//! serially — HMCT and MSF stop asking once no remaining candidate's
+//! lower bound can beat the best answer so far), and *how much memory*
+//! does the model believe a server holds right now. [`WhatIf`] is exactly
+//! that surface, object-safe so a
+//! [`SchedView`](crate::heuristics::SchedView) can be built over either:
 //!
 //! * one [`Htm`] — the single-agent configuration, and the executable
 //!   spec of everything below, or
 //! * a **shard federation** (`cas-middleware`'s router): per-shard HTMs,
-//!   with each query routed to the shard owning the server and batched
-//!   queries dispatched per shard. The heuristics cannot tell the
-//!   difference — which is the point: the paper's policies run unchanged
-//!   on a partitioned farm.
+//!   with each query routed to the shard owning the server. The
+//!   heuristics cannot tell the difference — which is the point: the
+//!   paper's policies run unchanged on a partitioned farm.
 //!
 //! Implementations must answer in terms of **global** server ids; a
 //! federated backend translates at its boundary.
@@ -57,16 +56,6 @@ pub trait WhatIf {
         }
     }
 
-    /// One what-if query per candidate in a single batch; `results[k]`
-    /// corresponds to `candidates[k]`. Must equal calling
-    /// [`WhatIf::predict`] per candidate.
-    fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>>;
-
     /// The model's estimate of `server`'s resident memory at `now`, MB.
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64;
 }
@@ -89,15 +78,6 @@ impl WhatIf for Htm {
         out: &mut Prediction,
     ) -> bool {
         Htm::predict_into(self, now, server, task, out)
-    }
-
-    fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>> {
-        Htm::predict_all(self, now, task, candidates)
     }
 
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {

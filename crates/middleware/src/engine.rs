@@ -31,8 +31,8 @@
 //! shard's configured `CandidateSelector` proposes a shortlist from its
 //! incrementally maintained `StaticIndex` (kept current by the
 //! commit/complete hooks in this file — no per-arrival platform rescan);
-//! stage 2, the heuristic runs its batched HTM what-if queries on the
-//! merged shortlist only, routed to the owning shards. The default
+//! stage 2, the heuristic runs its HTM what-if queries on the merged
+//! shortlist only, routed to the owning shards. The default
 //! configuration is a single agent owning the whole farm (the paper's
 //! model, and the reference the federation is differentially tested
 //! against); `ExperimentConfig::shards` partitions the farm so
@@ -804,8 +804,8 @@ impl GridWorld {
         // The full two-stage decision runs inside the router: stage 1 on
         // every shard's static index (no HTM drain yet; an exhaustive
         // selector reproduces the old solvers-minus-dead candidate list
-        // exactly), stage 2 batched over the merged shortlist on the
-        // owning shards. Regret feedback reaches the picked server's
+        // exactly), stage 2 over the merged shortlist on the owning
+        // shards. Regret feedback reaches the picked server's
         // shard selector inside `decide`.
         let pick = {
             let dead = &self.agent_known_dead;
@@ -1978,33 +1978,6 @@ mod tests {
             "MSF reads perturbations; no drain may truncate: {msf:?}"
         );
         assert!(msf.prefix_hits > 0, "{msf:?}");
-    }
-
-    /// The stage-2 parallel scatter, driven end to end through the
-    /// router: a campaign with the pool arm forced **on** is record-equal
-    /// to one with it forced **off**, wide exhaustive shortlists keeping
-    /// the batch path busy. (CI runs this by name on a multi-core
-    /// runner; on a single-core host the pool scope degenerates to the
-    /// caller draining every job, which still exercises the scatter
-    /// code path.)
-    #[test]
-    fn forced_parallel_stage2_campaign_matches_serial() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(30);
-        let run = |force: bool| {
-            let cfg = ExperimentConfig::paper(HeuristicKind::Msf, 31)
-                .with_shards(Sharding::Federated { shards: 2 });
-            let mut world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
-            world.agent_mut().set_parallel_stage2(Some(force));
-            let mut sim = cas_sim::Simulation::new(world);
-            sim.run_to_completion();
-            sim.into_world().records().to_vec()
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "forced-parallel stage 2 diverged from forced-serial"
-        );
     }
 
     /// Aggregated load reports fire O(n_shards) kernel events per period

@@ -15,9 +15,10 @@
 //! [`AgentRouter`] is the thin layer on top. One decision runs:
 //!
 //! 1. **Stage 1, scatter**: every shard's selector proposes a shortlist
-//!    from its local index (fanned over [`cas_sim::pool`] when it pays;
-//!    results land in per-shard scratch slots, so worker count cannot
-//!    change them).
+//!    from its local index — all shards in turn under an exhaustive
+//!    selector; pruning selectors walk the shard tree lazily, fanning the
+//!    groups over [`cas_sim::pool`] on multi-core hosts (results land in
+//!    per-shard scratch slots, so worker count cannot change them).
 //! 2. **Merge**: shortlists merge by stage-1 score (ties by global
 //!    server id) and truncate to the widest shard's width — under an
 //!    exhaustive selector the union is kept untruncated, preserving the
@@ -25,9 +26,7 @@
 //!    global id, the order the heuristics' tie-breaks require.
 //! 3. **Stage 2, gather**: the heuristic runs unchanged over a
 //!    [`SchedView`] whose [`WhatIf`] backend routes each what-if query
-//!    to the owning shard and dispatches batched `predict_all` calls
-//!    per shard (slot-indexed reduction, bit-identical regardless of
-//!    worker count).
+//!    to the owning shard, one serial query at a time.
 //!
 //! Commit/retract/complete hooks route to the owning shard **only**, so
 //! model repair and index re-ranking cost stops scaling with farm size.
@@ -37,7 +36,7 @@
 //! A federation of one shard is **bit-identical** to the single-agent
 //! engine: the restricted cost table is the full table, local ids equal
 //! global ids, the merge of one shortlist is that shortlist, and stage 2
-//! batches over the same HTM. The differential proptests in this module
+//! queries the same HTM. The differential proptests in this module
 //! drive the router against an inline replica of the single-agent
 //! decision loop over arbitrary commit/decide/retract/complete
 //! interleavings; the lazy merge, the group walk and the incremental
@@ -57,22 +56,6 @@ use cas_platform::{
 };
 use cas_sim::{prof, RngStream, SimTime};
 use std::collections::HashMap;
-
-/// One per-shard stage-2 batch job: the shard, the shard-local candidate
-/// ids, and the (disjoint) slice of the result vector its predictions
-/// land in.
-type BatchJob<'a> = (
-    &'a mut ShardEngine,
-    Vec<ServerId>,
-    &'a mut [Option<Prediction>],
-);
-
-/// Per-shard candidate runs at most this long answer through per-candidate
-/// [`Htm::predict`] instead of [`Htm::predict_all`]: the batch path pays an
-/// O(shard-width) slot map per call, which a federation exists to avoid —
-/// and the two paths are bit-identical (the batch is defined as, and
-/// proptested against, per-candidate prediction).
-const SMALL_RUN_MAX: usize = 16;
 
 /// One shard's complete decision state: the HTM, the stage-1 index and
 /// the stage-1 selector for a contiguous block of the farm, all built
@@ -388,9 +371,6 @@ pub struct AgentRouter {
     /// reads perturbations, letting drains truncate at the probe's
     /// completion. Remembered so any block a rebalance rebuilds keeps it.
     completion_only: bool,
-    /// Forced on/off override for the stage-2 parallel scatter inside
-    /// each shard HTM (tests drive both arms on any host).
-    parallel_stage2: Option<bool>,
     /// Model-op history for rebalance replay. Recorded only when
     /// [`AgentRouter::with_history`] turned it on — the engine enables
     /// it exactly when churn can trigger a rebalance.
@@ -444,20 +424,10 @@ impl AgentRouter {
             scoring,
             sync,
             completion_only: false,
-            parallel_stage2: None,
             record_history: false,
             history: Vec::new(),
             retired: MemoStats::default(),
         }
-    }
-
-    /// Applies the router's remembered stage-2 settings to one engine's
-    /// HTM — every construction site (initial build, rebalance rebuild)
-    /// funnels through this so no shard can silently run the wrong
-    /// drain depth.
-    fn apply_stage2(&self, e: &mut ShardEngine) {
-        e.htm.set_completion_only(self.completion_only);
-        e.htm.set_parallel_stage2(self.parallel_stage2);
     }
 
     /// Turns on model-op history recording (off by default): every
@@ -499,16 +469,6 @@ impl AgentRouter {
             shard.htm.set_completion_only(completion_only);
         }
         self
-    }
-
-    /// Forces the stage-2 parallel scatter inside every shard HTM on or
-    /// off (`None` restores the automatic worker-count gate). Tests use
-    /// this to prove the scatter's determinism on any host.
-    pub fn set_parallel_stage2(&mut self, force: Option<bool>) {
-        self.parallel_stage2 = force;
-        for shard in &mut self.shards {
-            shard.htm.set_parallel_stage2(force);
-        }
     }
 
     /// Aggregated stage-2 drain counters across every shard HTM: drains
@@ -658,7 +618,7 @@ impl AgentRouter {
         }
         let walk = prof::span(prof::Phase::Stage1Walk);
 
-        // Stage 1. Exhaustive selectors run the eager full scatter (the
+        // Stage 1. Exhaustive selectors run the eager full walk (the
         // every-solver loop must stay exact and keeps the whole union
         // anyway); pruning selectors take the lazy skyline merge.
         let problem = inp.task.problem;
@@ -666,20 +626,11 @@ impl AgentRouter {
         self.merged.clear();
         self.candidates.clear();
         if self.exhaustive {
-            // Eager scatter: every shard shortlists from its own index.
-            // Each shard writes only its own scratch, so the pool
-            // fan-out cannot reorder anything.
-            let pool = cas_sim::pool::global();
-            if self.shards.len() > 1 && pool.workers() > 1 {
-                pool.scope(|scope| {
-                    for shard in self.shards.iter_mut() {
-                        scope.spawn(move || shard.stage1(problem, admit, true));
-                    }
-                });
-            } else {
-                for shard in self.shards.iter_mut() {
-                    shard.stage1(problem, admit, true);
-                }
+            // Eager walk: every shard shortlists from its own index,
+            // serially — a pool scope here costs a scope and a boxed job
+            // per shard on every decision, and measured no faster.
+            for shard in self.shards.iter_mut() {
+                shard.stage1(problem, admit, true);
             }
             // The whole union: per-shard shortlists are ascending-local,
             // shards ascending blocks, so concatenation is already
@@ -1134,7 +1085,8 @@ impl AgentRouter {
             self.scoring,
             self.sync,
         );
-        self.apply_stage2(&mut e);
+        // A rebuilt block keeps the run's drain depth.
+        e.htm.set_completion_only(self.completion_only);
         let end = start + len as u32;
         let owned = |s: ServerId| s.0 >= start && s.0 < end;
         for op in &self.history {
@@ -1257,9 +1209,7 @@ impl AgentRouter {
 }
 
 /// The [`WhatIf`] backend over a federation: queries speak global ids
-/// and are routed to the owning shard; batched queries dispatch one
-/// `predict_all` per shard run, fanned over the pool when it pays, with
-/// every prediction landing in its candidate's slot.
+/// and are routed to the owning shard.
 struct FederatedWhatIf<'a> {
     map: &'a ShardMap,
     shards: &'a mut [ShardEngine],
@@ -1287,96 +1237,6 @@ impl WhatIf for FederatedWhatIf<'_> {
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);
         self.shards[owner].htm.predict_into(now, local, task, out)
-    }
-
-    fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>> {
-        let mut results: Vec<Option<Prediction>> = vec![None; candidates.len()];
-        // Split the candidate list into runs of consecutive same-owner
-        // entries. The router emits candidates in ascending global id, so
-        // there is exactly one run per shard touched; any other order
-        // (a wrapper heuristic's widened list) still groups correctly,
-        // just into more runs.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new(); // (owner, from, to)
-        let mut i = 0;
-        while i < candidates.len() {
-            let owner = self.map.owner(candidates[i]);
-            let mut j = i + 1;
-            while j < candidates.len() && self.map.owner(candidates[j]) == owner {
-                j += 1;
-            }
-            runs.push((owner, i, j));
-            i = j;
-        }
-        let pool = cas_sim::pool::global();
-        let ascending_owners = runs.windows(2).all(|w| w[0].0 < w[1].0);
-        if runs.len() > 1 && pool.workers() > 1 && ascending_owners {
-            // Fan one batch per shard over the pool. Owners ascend, so
-            // shards and result slots split into disjoint `&mut` pieces;
-            // each prediction lands in its candidate's slot and the
-            // reduction is the (already-ordered) results vector itself.
-            let mut jobs: Vec<BatchJob<'_>> = Vec::with_capacity(runs.len());
-            let mut shards_rest: &mut [ShardEngine] = self.shards;
-            let mut shards_off = 0usize;
-            let mut results_rest: &mut [Option<Prediction>] = &mut results;
-            let mut results_off = 0usize;
-            for &(owner, from, to) in &runs {
-                let (_, tail) = shards_rest.split_at_mut(owner - shards_off);
-                let (shard, tail) = tail.split_first_mut().expect("owner in range");
-                shards_rest = tail;
-                shards_off = owner + 1;
-                let (_, tail) = results_rest.split_at_mut(from - results_off);
-                let (out, tail) = tail.split_at_mut(to - from);
-                results_rest = tail;
-                results_off = to;
-                let locals: Vec<ServerId> = candidates[from..to]
-                    .iter()
-                    .map(|&s| self.map.to_local(owner, s))
-                    .collect();
-                jobs.push((shard, locals, out));
-            }
-            pool.scope(|scope| {
-                for (shard, locals, out) in jobs {
-                    scope.spawn(move || {
-                        let preds = shard.htm.predict_all(now, task, &locals);
-                        for (slot, p) in out.iter_mut().zip(preds) {
-                            *slot = p;
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut locals: Vec<ServerId> = Vec::new();
-            for &(owner, from, to) in &runs {
-                let shard = &mut self.shards[owner];
-                if to - from <= SMALL_RUN_MAX {
-                    // Short run: per-candidate queries. `predict` is pure
-                    // O(drain) — no per-call slot map over the shard's
-                    // state table — and bit-identical to the batch path
-                    // (both run the same cached speculative drain).
-                    for (slot, &s) in results[from..to].iter_mut().zip(&candidates[from..to]) {
-                        let local = self.map.to_local(owner, s);
-                        *slot = shard.htm.predict(now, local, task);
-                    }
-                } else {
-                    locals.clear();
-                    locals.extend(
-                        candidates[from..to]
-                            .iter()
-                            .map(|&s| self.map.to_local(owner, s)),
-                    );
-                    let preds = shard.htm.predict_all(now, task, &locals);
-                    for (slot, p) in results[from..to].iter_mut().zip(preds) {
-                        *slot = p;
-                    }
-                }
-            }
-        }
-        results
     }
 
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {
@@ -1556,8 +1416,8 @@ mod skyline_edge {
     }
 
     /// A rebalance rebuilds blocks by history replay — and the rebuilt
-    /// engines must keep the router's remembered stage-2 settings, not
-    /// fall back to the defaults.
+    /// engines must keep the router's remembered drain depth, not fall
+    /// back to the default.
     #[test]
     fn rebuilt_blocks_keep_stage2_settings() {
         let table = edge_table();
@@ -1570,7 +1430,6 @@ mod skyline_edge {
         )
         .with_history(true)
         .with_completion_only(true);
-        router.set_parallel_stage2(Some(true));
         for i in 0..4u64 {
             let task = TaskInstance::new(TaskId(i), ProblemId(0), SimTime::from_secs(i as f64));
             router.on_commit(task.arrival, ServerId((i % 6) as u32), &task, 10.0);

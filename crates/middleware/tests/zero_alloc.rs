@@ -68,13 +68,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|n| n.get())
 }
 
-/// A 12-server farm, one problem solvable everywhere with spread costs.
-fn farm() -> CostTable {
-    let mut costs = CostTable::new(12);
+/// An `n`-server farm, one problem solvable everywhere with spread costs.
+fn farm(n: u32) -> CostTable {
+    let mut costs = CostTable::new(n as usize);
     costs.add_problem(
         Problem::new("p", 1.0, 0.5, 0.0),
-        (0..12)
-            .map(|s| Some(PhaseCosts::new(0.4, 10.0 + 3.0 * s as f64, 0.4)))
+        (0..n)
+            .map(|s| Some(PhaseCosts::new(0.4, 10.0 + 3.0 * f64::from(s % 12), 0.4)))
             .collect(),
     );
     costs
@@ -84,29 +84,33 @@ fn task(id: u64, at: f64) -> TaskInstance {
     TaskInstance::new(TaskId(id), ProblemId(0), SimTime::from_secs(at))
 }
 
-/// The steady-state decision loop — stage-1 shortlist walk, stage-2
-/// what-if queries through the memo, argmin — allocates nothing once
-/// its reusable buffers are warm.
-#[test]
-fn steady_state_decisions_allocate_nothing() {
-    let costs = farm();
-    let reports: Vec<LoadReport> = (0..12).map(|i| LoadReport::initial(ServerId(i))).collect();
-    let server_mem = vec![f64::MAX; 12];
+/// Warms a router over an `n`-server farm, then counts the allocations
+/// of 300 further decisions — stage-1 shortlist walk, stage-2 what-if
+/// queries through the memo, argmin — and returns the warm router.
+fn measured_decisions(
+    n: u32,
+    selector: SelectorKind,
+    heuristic: HeuristicKind,
+    shards: Option<usize>,
+) -> (AgentRouter, u64) {
+    let costs = farm(n);
+    let reports: Vec<LoadReport> = (0..n).map(|i| LoadReport::initial(ServerId(i))).collect();
+    let server_mem = vec![f64::MAX; n as usize];
+    let mut heuristic = heuristic.build();
     let mut router = AgentRouter::new(
         &costs,
-        None,
-        SelectorKind::Exhaustive,
+        shards,
+        selector,
         IndexScoring::RemainingWork,
         SyncPolicy::None,
     );
-    let mut heuristic = HeuristicKind::Hmct.build();
     let mut tie_rng = RngStream::derive(11, StreamKind::TieBreak);
     let admit = |_: ServerId| true;
 
     // Load the farm so predictions carry real perturbation lists (their
     // buffers must be grown by the warmup, not the measured run): a few
     // long-running commits per server that stay active throughout.
-    for s in 0..12u32 {
+    for s in 0..n {
         for k in 0..4u64 {
             let t = task(100_000 + u64::from(s) * 8 + k, 0.0);
             router.on_commit(SimTime::ZERO, ServerId(s), &t, 40.0);
@@ -137,13 +141,23 @@ fn steady_state_decisions_allocate_nothing() {
         decide(&mut router, heuristic.as_mut(), i, 0.001 * i as f64);
     }
 
-    // Measured: pure decisions, zero allocations allowed.
+    // Measured: pure decisions.
     let allocs = allocations_in(|| {
         for i in 3000..3300u64 {
             let pick = decide(&mut router, heuristic.as_mut(), i, 3.0 + 0.001 * i as f64);
             assert!(pick.is_some(), "decision {i} found no candidate");
         }
     });
+    (router, allocs)
+}
+
+/// The steady-state decision loop allocates nothing once its reusable
+/// buffers are warm, and neither does the commit path's completion
+/// query.
+#[test]
+fn steady_state_decisions_allocate_nothing() {
+    let (mut router, allocs) =
+        measured_decisions(12, SelectorKind::Exhaustive, HeuristicKind::Hmct, None);
     assert_eq!(
         allocs, 0,
         "steady-state decision loop must not allocate (saw {allocs} allocations over 300 decisions)"
@@ -164,4 +178,27 @@ fn steady_state_decisions_allocate_nothing() {
         allocs, 0,
         "commit-path completion queries must not allocate"
     );
+}
+
+/// Wide shortlists — 40 servers, past any short-list special case —
+/// stay allocation-free under both bounded heuristics, both selector
+/// families and both agent shapes.
+#[test]
+fn wide_shortlist_decisions_allocate_nothing() {
+    let adaptive = SelectorKind::Adaptive {
+        k_min: 8,
+        k_max: 64,
+    };
+    for selector in [SelectorKind::Exhaustive, adaptive] {
+        for heuristic in [HeuristicKind::Hmct, HeuristicKind::Msf] {
+            for shards in [None, Some(3)] {
+                let (_, allocs) = measured_decisions(40, selector, heuristic, shards);
+                assert_eq!(
+                    allocs, 0,
+                    "{selector:?} {heuristic:?} shards {shards:?}: saw {allocs} allocations \
+                     over 300 decisions"
+                );
+            }
+        }
+    }
 }

@@ -11,9 +11,9 @@
 //! global server ids. Two properties follow, and the federation relies on
 //! both:
 //!
-//! * global id order equals `(shard, local id)` lexicographic order, so a
-//!   shortlist sorted by global id groups into per-shard runs of
-//!   consecutive candidates (one `predict_all` batch per run), and
+//! * global id order equals `(shard, local id)` lexicographic order, so
+//!   merging per-shard shortlists in shard order yields a list sorted by
+//!   global id — the order the heuristics' tie-breaks require — and
 //! * the global → local translation is a subtraction, not a table lookup.
 
 use crate::ids::ServerId;

@@ -106,7 +106,7 @@ mod clock {
 
 /// The fixed set of profiled phases. One decision contributes to
 /// `Stage1Walk` (shortlist construction across the shard federation)
-/// and `Stage2Predict` (the heuristic's batched what-if queries); the
+/// and `Stage2Predict` (the heuristic's what-if queries); the
 /// rest of a campaign's work lands in the hook, kernel and periodic
 /// phases. Phases are disjoint by construction — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

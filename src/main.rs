@@ -32,6 +32,21 @@ fn num_flag<T: std::str::FromStr>(flag: &str, value: &str, expected: &str) -> Re
         .map_err(|_| format!("{flag}: expected {expected}, got {value:?}"))
 }
 
+/// [`num_flag`] plus a range check, failing with the same one-line error.
+fn num_flag_where<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let v = num_flag(flag, value, expected)?;
+    if valid(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag}: expected {expected}, got {value:?}"))
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Args {
     workload: String,
@@ -101,63 +116,67 @@ impl Default for Args {
 }
 
 fn usage() -> &'static str {
-    "casgrid — dynamic heuristics in the client-agent-server model\n\
-     \n\
-     USAGE:\n\
-     casgrid run     [OPTS]   run one experiment, print metrics\n\
-     casgrid compare [OPTS]   run several heuristics on the same metatask\n\
-     casgrid list             list available heuristics and workloads\n\
-     \n\
-     OPTIONS:\n\
-     --workload matmul|wastecpu|synthetic:N|trace:FILE\n\
-                                  workload family        [wastecpu]\n\
-                                  (trace:FILE replays an\n\
-                                  arrival_s,user,duration_s CSV on a\n\
-                                  synthetic farm; `run` only)\n\
-     --heuristic NAME             policy for `run`       [MSF]\n\
-     --heuristics A,B,C           policies for `compare` [MCT,HMCT,MP,MSF]\n\
-     --gap SECONDS                mean inter-arrival gap [20]\n\
-     --burst RATIO                peak/trough ratio of bursty (IPPP\n\
-                                  thinning) arrivals at the same mean\n\
-                                  rate; 1 = homogeneous Poisson  [1]\n\
-     --burst-period SECONDS       burst period           [1800]\n\
-     --selector NAME              stage-1 candidate selection:\n\
-                                  exhaustive | topk[:K] | adaptive[:MIN:MAX]\n\
-                                  [exhaustive]\n\
-     --shards N|auto[:G]          federate the agent across N shards\n\
-                                  (auto picks from the farm size; auto:G\n\
-                                  also sets the skyline tree's shards-\n\
-                                  per-group fan-out; omit for the single-\n\
-                                  agent path; 1 runs the router over one\n\
-                                  shard, bit-identical to the single\n\
-                                  agent)  [single]\n\
-     --index-scoring work|count   stage-1 static-index proxy: predicted\n\
-                                  remaining work, or the count-based\n\
-                                  baseline              [work]\n\
-     --profile                    print the always-on phase profiler's\n\
-                                  per-phase wall-time table after the\n\
-                                  run (merged across the pool's\n\
-                                  parallel replications)\n\
-     --mtbf SECONDS               mean time between failures per server\n\
-                                  (exponential); \"inf\" freezes the farm\n\
-                                  [inf]\n\
-     --mttr SECONDS               mean time to repair a crashed server\n\
-                                  (exponential)          [60]\n\
-     --churn-seed N               fault-schedule seed, independent of\n\
-                                  --seed                 [0]\n\
-     --admission CAP:BUF:DEADLINE admission backpressure: at most CAP\n\
-                                  tasks past the gate, BUF buffered\n\
-                                  behind it, each at most DEADLINE\n\
-                                  seconds (\"inf\" = wait forever)\n\
-                                  before being shed; \"off\" disables\n\
-                                  the gate entirely      [off]\n\
-     --tasks N                    metatask size          [500]\n\
-     --seed N                     root seed              [1]\n\
-     --reps N                     replications           [1]\n\
-     --noise SIGMA                speed-noise sigma      [0.03]\n\
-     --format table|csv|json      output format          [table]\n\
-     --no-memory                  disable the memory model\n\
-     --sync                       HTM force-finish synchronisation"
+    // One literal per line: a `\` line continuation would strip the
+    // second column's indentation.
+    concat!(
+        "casgrid — dynamic heuristics in the client-agent-server model\n",
+        "\n",
+        "USAGE:\n",
+        "casgrid run     [OPTS]   run one experiment, print metrics\n",
+        "casgrid compare [OPTS]   run several heuristics on the same metatask\n",
+        "casgrid list             list available heuristics and workloads\n",
+        "\n",
+        "OPTIONS:\n",
+        "--workload matmul|wastecpu|synthetic:N|trace:FILE\n",
+        "                             workload family        [wastecpu]\n",
+        "                             (trace:FILE replays an\n",
+        "                             arrival_s,user,duration_s CSV on a\n",
+        "                             synthetic farm; `run` only)\n",
+        "--heuristic NAME             policy for `run`       [MSF]\n",
+        "--heuristics A,B,C           policies for `compare` [MCT,HMCT,MP,MSF]\n",
+        "--gap SECONDS                mean inter-arrival gap [20]\n",
+        "--burst RATIO                peak/trough ratio of bursty (IPPP\n",
+        "                             thinning) arrivals at the same mean\n",
+        "                             rate; 1 = homogeneous Poisson  [1]\n",
+        "--burst-period SECONDS       burst period           [1800]\n",
+        "--selector NAME              stage-1 candidate selection:\n",
+        "                             exhaustive | topk[:K] | adaptive[:MIN:MAX]\n",
+        "                             [exhaustive]\n",
+        "--shards N|auto[:G]          federate the agent across N shards\n",
+        "                             (auto picks from the farm size; auto:G\n",
+        "                             also sets the skyline tree's shards-\n",
+        "                             per-group fan-out; omit for the single-\n",
+        "                             agent path; 1 runs the router over one\n",
+        "                             shard, bit-identical to the single\n",
+        "                             agent)  [single]\n",
+        "--index-scoring work|count   stage-1 static-index proxy: predicted\n",
+        "                             remaining work, or the count-based\n",
+        "                             baseline              [work]\n",
+        "--profile                    print the always-on phase profiler's\n",
+        "                             per-phase wall-time table after the\n",
+        "                             run (merged across the pool's\n",
+        "                             parallel replications)\n",
+        "--mtbf SECONDS               mean time between failures per server\n",
+        "                             (exponential); \"inf\" freezes the farm\n",
+        "                             [inf]\n",
+        "--mttr SECONDS               mean time to repair a crashed server\n",
+        "                             (exponential)          [60]\n",
+        "--churn-seed N               fault-schedule seed, independent of\n",
+        "                             --seed                 [0]\n",
+        "--admission CAP:BUF:DEADLINE admission backpressure: at most CAP\n",
+        "                             tasks past the gate, BUF buffered\n",
+        "                             behind it, each at most DEADLINE\n",
+        "                             seconds (\"inf\" = wait forever)\n",
+        "                             before being shed; \"off\" disables\n",
+        "                             the gate entirely      [off]\n",
+        "--tasks N                    metatask size          [500]\n",
+        "--seed N                     root seed              [1]\n",
+        "--reps N                     replications           [1]\n",
+        "--noise SIGMA                speed-noise sigma      [0.03]\n",
+        "--format table|csv|json      output format          [table]\n",
+        "--no-memory                  disable the memory model\n",
+        "--sync                       HTM force-finish synchronisation",
+    )
 }
 
 fn parse(argv: &[String]) -> Result<(String, Args), String> {
@@ -184,29 +203,28 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 )
             }
             "--gap" => {
-                args.gap = num_flag("--gap", &take(&mut i)?, "a number of seconds (e.g. 15)")?
+                args.gap = num_flag_where(
+                    "--gap",
+                    &take(&mut i)?,
+                    "a positive, finite number of seconds (e.g. 15)",
+                    |g: &f64| *g > 0.0 && g.is_finite(),
+                )?
             }
             "--burst" => {
-                let v = take(&mut i)?;
-                args.burst = num_flag("--burst", &v, "a peak/trough RATIO >= 1 (e.g. 8)")?;
-                if args.burst < 1.0 {
-                    return Err(format!(
-                        "--burst: expected a peak/trough RATIO >= 1 (e.g. 8), got {v:?}"
-                    ));
-                }
+                args.burst = num_flag_where(
+                    "--burst",
+                    &take(&mut i)?,
+                    "a peak/trough RATIO >= 1 (e.g. 8)",
+                    |b: &f64| *b >= 1.0,
+                )?
             }
             "--burst-period" => {
-                let v = take(&mut i)?;
-                args.burst_period = num_flag(
+                args.burst_period = num_flag_where(
                     "--burst-period",
-                    &v,
+                    &take(&mut i)?,
                     "a positive number of seconds (e.g. 1800)",
-                )?;
-                if args.burst_period <= 0.0 {
-                    return Err(format!(
-                        "--burst-period: expected a positive number of seconds, got {v:?}"
-                    ));
-                }
+                    |p: &f64| *p > 0.0,
+                )?
             }
             "--selector" => {
                 let v = take(&mut i)?;
@@ -237,30 +255,20 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
             }
             "--profile" => args.profile = true,
             "--mtbf" => {
-                let v = take(&mut i)?;
-                args.mtbf = num_flag(
+                args.mtbf = num_flag_where(
                     "--mtbf",
-                    &v,
+                    &take(&mut i)?,
                     "a positive number of seconds or \"inf\" (e.g. 3600)",
-                )?;
-                if args.mtbf <= 0.0 || args.mtbf.is_nan() {
-                    return Err(format!(
-                        "--mtbf: expected a positive number of seconds or \"inf\", got {v:?}"
-                    ));
-                }
+                    |m: &f64| *m > 0.0,
+                )?
             }
             "--mttr" => {
-                let v = take(&mut i)?;
-                args.mttr = num_flag(
+                args.mttr = num_flag_where(
                     "--mttr",
-                    &v,
+                    &take(&mut i)?,
                     "a positive, finite number of seconds (e.g. 60)",
-                )?;
-                if args.mttr <= 0.0 || !args.mttr.is_finite() {
-                    return Err(format!(
-                        "--mttr: expected a positive, finite number of seconds, got {v:?}"
-                    ));
-                }
+                    |m: &f64| *m > 0.0 && m.is_finite(),
+                )?
             }
             "--churn-seed" => {
                 args.churn_seed = num_flag(
@@ -285,10 +293,20 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 args.seed = num_flag("--seed", &take(&mut i)?, "a non-negative integer (e.g. 1)")?
             }
             "--reps" => {
-                args.reps = num_flag("--reps", &take(&mut i)?, "a positive integer (e.g. 3)")?
+                args.reps = num_flag_where(
+                    "--reps",
+                    &take(&mut i)?,
+                    "a positive integer (e.g. 3)",
+                    |r: &usize| *r >= 1,
+                )?
             }
             "--noise" => {
-                args.noise = num_flag("--noise", &take(&mut i)?, "a sigma >= 0 (e.g. 0.03)")?
+                args.noise = num_flag_where(
+                    "--noise",
+                    &take(&mut i)?,
+                    "a finite sigma >= 0 (e.g. 0.03)",
+                    |n: &f64| *n >= 0.0 && n.is_finite(),
+                )?
             }
             "--format" => args.format = take(&mut i)?,
             "--no-memory" => args.memory = false,
@@ -864,6 +882,10 @@ mod tests {
             ("run --mttr soon", "--mttr"),
             ("run --churn-seed x", "--churn-seed"),
             ("run --churn-seed -1", "--churn-seed"),
+            ("run --gap 0", "--gap"),
+            ("run --gap -5", "--gap"),
+            ("run --noise -1", "--noise"),
+            ("run --reps 0", "--reps"),
         ] {
             let err = parse(&argv(cmdline)).unwrap_err();
             assert!(err.starts_with(flag), "{cmdline}: {err}");
@@ -874,6 +896,20 @@ mod tests {
             );
             assert_eq!(err.lines().count(), 1, "{cmdline}: {err}");
         }
+    }
+
+    /// Continuation lines of the help text stay in the second column,
+    /// level with the descriptions that follow a flag on its own line.
+    #[test]
+    fn usage_continuation_lines_keep_their_indent() {
+        let column = |needle: &str| {
+            usage()
+                .lines()
+                .find_map(|line| line.find(needle))
+                .unwrap_or_else(|| panic!("{needle:?} missing from usage"))
+        };
+        assert!(column("workload family") > 0);
+        assert_eq!(column("workload family"), column("policy for `run`"));
     }
 
     #[test]
