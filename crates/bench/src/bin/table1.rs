@@ -4,8 +4,8 @@
 //! compares real completion dates against the HTM's simulated ones,
 //! reporting per-task differences and a mean percentage error below 3 %.
 //!
-//! Here the "real environment" is the noisy ground-truth simulator
-//! (DESIGN.md §2): CPU and link speeds fluctuate (log-normal, σ = 3 %)
+//! Here the "real environment" is the noisy ground-truth simulator (the
+//! `cas-middleware` crate docs): CPU and link speeds fluctuate (log-normal, σ = 3 %)
 //! while the HTM simulates from the noise-free static costs — the same
 //! information asymmetry as paper-vs-testbed.
 

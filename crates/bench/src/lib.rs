@@ -1,6 +1,6 @@
 //! # cas-bench — experiment harness
 //!
-//! One binary per paper table/figure (see DESIGN.md §4):
+//! One binary per paper table/figure:
 //!
 //! | binary | reproduces |
 //! |--------|------------|

@@ -1,9 +1,9 @@
 //! The values the paper reports, for side-by-side comparison.
 //!
 //! Absolute numbers are not expected to match (our substrate is a
-//! simulator, DESIGN.md §2) — what must match is the *shape*: orderings,
-//! rough factors, crossovers. The binaries print these references next to
-//! the measured values and EXPERIMENTS.md records both.
+//! simulator; the `cas-middleware` crate docs describe it) — what must
+//! match is the *shape*: orderings, rough factors, crossovers. The
+//! binaries print these references next to the measured values.
 
 /// One reference cell: heuristic column order MCT, HMCT, MP, MSF.
 pub type Row4 = [f64; 4];

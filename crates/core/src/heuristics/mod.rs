@@ -27,8 +27,8 @@ pub use mct::Mct;
 pub use memaware::MemAware;
 pub use simple::{Kpb, MinLoad, Olb, RandomChoice, RoundRobin};
 
+use crate::htm::Htm;
 use crate::prediction::Prediction;
-use crate::whatif::WhatIf;
 use cas_platform::{CostTable, LoadReport, ServerId, TaskInstance};
 use cas_sim::{RngStream, SimTime};
 use std::borrow::Cow;
@@ -142,7 +142,7 @@ impl MemoSlot<'_> {
 
 /// The agent's window onto the world at one scheduling decision.
 ///
-/// A what-if query answers only the server it names: one routed
+/// A what-if query answers only the server it names: one
 /// `predict_into`, written straight into the memo's reusable slot, so
 /// the steady-state decision loop allocates nothing. Every repeat query
 /// — MP re-reading the winner's completion date, MNI's tie-breaks — is
@@ -163,9 +163,8 @@ pub struct SchedView<'a> {
     pub candidates: Cow<'a, [ServerId]>,
     costs: &'a CostTable,
     loads: &'a [LoadReport],
-    /// The what-if backend: one HTM, or a shard federation routing each
-    /// query to the owning shard — the heuristic cannot tell.
-    htm: &'a mut dyn WhatIf,
+    /// The agent's HTM: one trace per server, global ids.
+    htm: &'a mut Htm,
     rng: &'a mut RngStream,
     /// Memoised what-if answers, dense by server index; "cannot solve" is
     /// recorded so unsolvable servers are not re-queried.
@@ -186,7 +185,7 @@ impl<'a> SchedView<'a> {
         candidates: impl Into<Cow<'a, [ServerId]>>,
         costs: &'a CostTable,
         loads: &'a [LoadReport],
-        htm: &'a mut dyn WhatIf,
+        htm: &'a mut Htm,
         rng: &'a mut RngStream,
     ) -> Self {
         SchedView {

@@ -434,8 +434,7 @@ impl MemoStats {
         }
     }
 
-    /// Field-wise sum — aggregates counters across HTMs (one per shard
-    /// in a federation).
+    /// Field-wise sum of two counter sets.
     pub fn merge(self, other: MemoStats) -> MemoStats {
         MemoStats {
             drains: self.drains + other.drains,

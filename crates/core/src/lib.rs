@@ -82,7 +82,6 @@ pub mod htm;
 pub mod prediction;
 pub mod selector;
 pub mod trace;
-pub mod whatif;
 
 pub use gantt::{Gantt, GanttRow, GanttSegment};
 pub use heuristics::{
@@ -93,4 +92,3 @@ pub use htm::{Htm, MemoStats, SyncPolicy};
 pub use prediction::Prediction;
 pub use selector::{Adaptive, CandidateSelector, Exhaustive, SelectorInput, SelectorKind, TopK};
 pub use trace::{DrainScratch, PrefixCursor, ServerTrace};
-pub use whatif::WhatIf;

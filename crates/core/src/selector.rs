@@ -37,16 +37,15 @@
 //! heuristics break exact objective ties by scan order: a selector must
 //! not be able to change a tie-break by reordering, only by pruning.
 
-use cas_platform::{CostTable, ProblemId, ServerId, StaticIndex};
+use cas_platform::{ProblemId, ServerId, StaticIndex};
 
 /// Everything stage 1 may look at for one decision. Deliberately *no*
 /// HTM access: the whole point is that the shortlist costs no drains.
 pub struct SelectorInput<'a> {
     /// The problem the arriving task instantiates.
     pub problem: ProblemId,
-    /// Static cost information.
-    pub costs: &'a CostTable,
-    /// The incrementally maintained load/static-cost index.
+    /// The incrementally maintained load/static-cost index; it also
+    /// holds every unloaded duration, so it answers solvability.
     pub index: &'a StaticIndex,
 }
 
@@ -138,9 +137,9 @@ impl CandidateSelector for Exhaustive {
     ) {
         out.clear();
         out.extend(
-            (0..input.costs.n_servers() as u32)
+            (0..input.index.n_servers() as u32)
                 .map(ServerId)
-                .filter(|&s| input.costs.costs(input.problem, s).is_some() && admit(s)),
+                .filter(|&s| input.index.solves(input.problem, s) && admit(s)),
         );
     }
 }
@@ -514,7 +513,7 @@ impl SelectorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cas_platform::{PhaseCosts, Problem};
+    use cas_platform::{CostTable, PhaseCosts, Problem};
 
     /// 4 servers; P0 durations 100/150/300/300, P1 only on S2 (50).
     fn table() -> CostTable {
@@ -537,7 +536,6 @@ mod tests {
 
     fn run(
         sel: &mut dyn CandidateSelector,
-        costs: &CostTable,
         index: &StaticIndex,
         problem: u32,
         admit: impl Fn(ServerId) -> bool,
@@ -546,7 +544,6 @@ mod tests {
         sel.shortlist(
             SelectorInput {
                 problem: ProblemId(problem),
-                costs,
                 index,
             },
             &admit,
@@ -560,12 +557,9 @@ mod tests {
         let costs = table();
         let index = StaticIndex::new(&costs);
         let mut sel = Exhaustive;
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![0, 1, 2, 3]);
-        assert_eq!(run(&mut sel, &costs, &index, 1, |_| true), vec![2]);
-        assert_eq!(
-            run(&mut sel, &costs, &index, 0, |s| s.0 != 1),
-            vec![0, 2, 3]
-        );
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![0, 1, 2, 3]);
+        assert_eq!(run(&mut sel, &index, 1, |_| true), vec![2]);
+        assert_eq!(run(&mut sel, &index, 0, |s| s.0 != 1), vec![0, 2, 3]);
     }
 
     #[test]
@@ -578,13 +572,13 @@ mod tests {
             index.on_commit(ServerId(0), 100.0);
         }
         let mut sel = TopK::new(2);
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![1, 2]);
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![1, 2]);
         // k = 1: single best.
         let mut sel = TopK::new(1);
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![1]);
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![1]);
         // k > n: everything, id order — Exhaustive's output.
         let mut sel = TopK::new(100);
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![0, 1, 2, 3]);
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -597,9 +591,9 @@ mod tests {
             &mut TopK::new(3),
             &mut Adaptive::new(1, 4),
         ] {
-            assert_eq!(run(sel, &costs, &index, 0, none), Vec::<u32>::new());
+            assert_eq!(run(sel, &index, 0, none), Vec::<u32>::new());
             // P1 with its only solver rejected is empty too.
-            assert_eq!(run(sel, &costs, &index, 1, |s| s.0 != 2), Vec::<u32>::new());
+            assert_eq!(run(sel, &index, 1, |s| s.0 != 2), Vec::<u32>::new());
         }
     }
 
@@ -610,11 +604,11 @@ mod tests {
         // k_min = 3 cuts between the tied 300-scores of S2/S3: the near-tie
         // rule must absorb S3.
         let mut sel = Adaptive::new(3, 4);
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![0, 1, 2, 3]);
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![0, 1, 2, 3]);
         // With the tie broken (S3 loaded → 600), the cut stays at 3.
         let mut index = StaticIndex::new(&costs);
         index.on_commit(ServerId(3), 300.0);
-        assert_eq!(run(&mut sel, &costs, &index, 0, |_| true), vec![0, 1, 2]);
+        assert_eq!(run(&mut sel, &index, 0, |_| true), vec![0, 1, 2]);
     }
 
     #[test]
@@ -625,7 +619,7 @@ mod tests {
         // Persistent tail picks: stage 2 keeps choosing the worst-ranked
         // shortlist entry → width must grow to k_max.
         for _ in 0..200 {
-            let list = run(&mut sel, &costs, &index, 0, |_| true);
+            let list = run(&mut sel, &index, 0, |_| true);
             let worst = ServerId(*list.last().unwrap());
             sel.observe_selection(worst);
             if sel.current_k() == 4 {
@@ -635,7 +629,7 @@ mod tests {
         assert_eq!(sel.current_k(), 4, "regret must widen the cut");
         // Persistent head picks: regret decays, width shrinks back.
         for _ in 0..400 {
-            let list = run(&mut sel, &costs, &index, 0, |_| true);
+            let list = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(list[0]));
         }
         assert_eq!(sel.current_k(), 2, "calm decisions must shrink the cut");
@@ -647,7 +641,7 @@ mod tests {
         let index = StaticIndex::new(&costs);
         let mut sel = Adaptive::new(2, 4);
         for _ in 0..200 {
-            let _ = run(&mut sel, &costs, &index, 0, |_| true);
+            let _ = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(3)); // never shortlisted at k=2
             if sel.current_k() == 4 {
                 break;
@@ -686,14 +680,14 @@ mod tests {
             sel.observe_outcome(150.0, 100.0);
         }
         for _ in 0..100 {
-            let list = run(&mut sel, &costs, &index, 0, |_| true);
+            let list = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(list[0]));
             sel.observe_outcome(150.0, 100.0);
         }
         assert_eq!(sel.current_k(), 4, "late completions must block decay");
         // On-time completions let both EWMAs decay and the width shrink.
         for _ in 0..600 {
-            let list = run(&mut sel, &costs, &index, 0, |_| true);
+            let list = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(list[0]));
             sel.observe_outcome(100.0, 100.0);
         }
@@ -793,10 +787,10 @@ mod tests {
         // k_max = 3 pins the cap.
         let mut sel = Adaptive::new(3, 3);
         assert_eq!(sel.width_cap(), Some(3));
-        let out = run(&mut sel, &costs, &index, 0, |_| true);
+        let out = run(&mut sel, &index, 0, |_| true);
         assert_eq!(out.len(), 3);
         let mut topk = TopK::new(2);
-        assert!(run(&mut topk, &costs, &index, 0, |_| true).len() <= 2);
+        assert!(run(&mut topk, &index, 0, |_| true).len() <= 2);
     }
 
     /// The adaptive cap is *live*: a calm selector at base width `k`
@@ -810,7 +804,7 @@ mod tests {
         assert_eq!(sel.width_cap(), Some(4), "2·k, far below k_max");
         // Regret doubles the base width; the cap follows.
         for _ in 0..200 {
-            let _ = run(&mut sel, &costs, &index, 0, |_| true);
+            let _ = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(3));
             if sel.current_k() == 4 {
                 break;
@@ -820,7 +814,7 @@ mod tests {
         assert_eq!(sel.width_cap(), Some(8));
         // Calm windows shrink it again, and the floor is k_min.
         for _ in 0..400 {
-            let list = run(&mut sel, &costs, &index, 0, |_| true);
+            let list = run(&mut sel, &index, 0, |_| true);
             sel.observe_selection(ServerId(list[0]));
         }
         assert_eq!(sel.current_k(), 2);
@@ -835,7 +829,7 @@ mod proptests {
     use super::*;
     use crate::heuristics::{HeuristicKind, SchedView};
     use crate::htm::{Htm, SyncPolicy};
-    use cas_platform::{LoadReport, PhaseCosts, Problem, TaskId, TaskInstance};
+    use cas_platform::{CostTable, LoadReport, PhaseCosts, Problem, TaskId, TaskInstance};
     use cas_sim::{RngStream, SimTime, StreamKind};
     use proptest::prelude::*;
 
@@ -909,12 +903,12 @@ mod proptests {
                         let admit = |s: ServerId| s.0 != excl;
                         let (mut a, mut b) = (Vec::new(), Vec::new());
                         exhaustive.shortlist(
-                            SelectorInput { problem: probe.problem, costs: &table, index: &index },
+                            SelectorInput { problem: probe.problem, index: &index },
                             &admit,
                             &mut a,
                         );
                         topk.shortlist(
-                            SelectorInput { problem: probe.problem, costs: &table, index: &index },
+                            SelectorInput { problem: probe.problem, index: &index },
                             &admit,
                             &mut b,
                         );
@@ -1000,7 +994,6 @@ mod proptests {
             let admit = |s: ServerId| s.0 != excl;
             let input = || SelectorInput {
                 problem: ProblemId(problem),
-                costs: &table,
                 index: &index,
             };
             let mut full = Vec::new();
@@ -1049,7 +1042,7 @@ mod proptests {
                 prop_assert!(quoted <= k_max && quoted >= k_min.min(k_max));
                 let mut out = Vec::new();
                 sel.shortlist(
-                    SelectorInput { problem: ProblemId(problem), costs: &table, index: &index },
+                    SelectorInput { problem: ProblemId(problem), index: &index },
                     &|_| true,
                     &mut out,
                 );

@@ -2,8 +2,8 @@
 //!
 //! The paper reports, per cell, the mean over repeated executions of the
 //! same metatask ("values of a metatask are the mean of N executions").
-//! [`Summary`] carries the mean plus dispersion measures so EXPERIMENTS.md
-//! can report uncertainty alongside.
+//! [`Summary`] carries the mean plus dispersion measures so the result
+//! tables can report uncertainty alongside.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,7 +88,7 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// The relative change `100 · (b − a) / a` in percent — used when comparing
-/// a heuristic's metric to the MCT baseline in EXPERIMENTS.md.
+/// a heuristic's metric to the MCT baseline.
 pub fn relative_change_pct(a: f64, b: f64) -> f64 {
     if a == 0.0 {
         return 0.0;

@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries print their reproduction of each paper table
 //! through [`Table`]; the same structure serialises to CSV and JSON so
-//! EXPERIMENTS.md and downstream analysis read from one source.
+//! downstream analysis reads from one source.
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -88,7 +88,7 @@ impl Table {
         out
     }
 
-    /// Serialises to JSON (for EXPERIMENTS.md regeneration tooling).
+    /// Serialises to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("table serialises")
     }

@@ -31,13 +31,14 @@
 //! shard's configured `CandidateSelector` proposes a shortlist from its
 //! incrementally maintained `StaticIndex` (kept current by the
 //! commit/complete hooks in this file — no per-arrival platform rescan);
-//! stage 2, the heuristic runs its HTM what-if queries on the merged
-//! shortlist only, routed to the owning shards. The default
+//! stage 2, the heuristic runs its what-if queries on the merged
+//! shortlist only, against the farm-wide HTM. The default
 //! configuration is a single agent owning the whole farm (the paper's
 //! model, and the reference the federation is differentially tested
-//! against); `ExperimentConfig::shards` partitions the farm so
-//! no decision structure scales with its size. The exhaustive selector
-//! reproduces the paper's every-solver loop bit for bit in both modes.
+//! against); `ExperimentConfig::shards` partitions stage 1 so no
+//! ranking or stage-1 walk scales with the farm's size. The exhaustive
+//! selector reproduces the paper's every-solver loop bit for bit in both
+//! modes.
 
 use crate::config::{ExperimentConfig, FaultTolerance};
 use crate::event::GridEvent;
@@ -263,9 +264,10 @@ pub struct GridWorld {
     servers: Vec<ServerRuntime>,
     monitors: Vec<LoadAverage>,
     reports: Vec<LoadReport>,
-    /// The agent's entire decision stack: per-shard HTMs, static indices
-    /// and stage-1 selectors behind the deterministic router (a single
-    /// shard owning the whole farm by default — the paper's agent).
+    /// The agent's entire decision stack: the farm-wide HTM plus
+    /// per-shard static indices and stage-1 selectors behind the
+    /// deterministic router (a single shard owning the whole farm by
+    /// default — the paper's agent).
     agent: AgentRouter,
     heuristic: Box<dyn Heuristic>,
     /// Per-server admission limits (RAM + swap, MB), cached once at
@@ -360,10 +362,7 @@ impl GridWorld {
         // The run binds one heuristic for its whole lifetime, so the
         // drain depth is a run-level property: a policy that never reads
         // perturbations lets drains truncate at the probe's completion.
-        .with_completion_only(!heuristic.needs_perturbations())
-        // History replay is what populates rebuilt blocks on a
-        // rebalance, and only a churning federation ever rebalances.
-        .with_history(churn.is_some() && cfg.shards.resolve(n).is_some());
+        .with_completion_only(!heuristic.needs_perturbations());
         if let Some(group_size) = cfg.shards.group_size() {
             agent = agent.with_group_size(group_size);
         }
@@ -451,9 +450,8 @@ impl GridWorld {
         self
     }
 
-    /// The agent's HTM (inspection, Gantt extraction). Under a shard
-    /// federation this is shard 0's HTM — the whole farm in the default
-    /// single-agent configuration; see [`GridWorld::agent`] otherwise.
+    /// The agent's HTM (inspection, Gantt extraction): one trace per
+    /// server of the whole farm, sharded or not.
     pub fn htm(&self) -> &Htm {
         self.agent.htm()
     }
@@ -466,12 +464,6 @@ impl GridWorld {
     /// The federated agent: the full decision stack.
     pub fn agent(&self) -> &AgentRouter {
         &self.agent
-    }
-
-    /// Mutable agent access (tests force the stage-2 parallel scatter on
-    /// or off through it).
-    pub fn agent_mut(&mut self) -> &mut AgentRouter {
-        &mut self.agent
     }
 
     /// The per-task records accumulated so far.
@@ -1208,6 +1200,12 @@ impl GridWorld {
             return;
         }
         let (lo, hi) = self.band;
+        // With every block's live count inside the band neither the merge
+        // nor the split pass of `rebalanced` can fire: skip its O(n) scan.
+        if !self.agent.live_out_of_band(lo, hi) {
+            debug_assert!(self.agent.map().rebalanced(&self.live, lo, hi).is_none());
+            return;
+        }
         let Some(new_map) = self.agent.map().rebalanced(&self.live, lo, hi) else {
             return;
         };
@@ -1229,14 +1227,15 @@ impl GridWorld {
     /// A server crashes: every placement in flight on it is retracted
     /// and re-dispatched (or dropped), the server leaves the rankings
     /// and the admit filter, and a rejoin is scheduled after the
-    /// repair-time draw.
+    /// repair-time draw. Once every task is terminal the fault
+    /// schedule has nothing left to act on, and the event is dropped.
     fn handle_server_crash(
         &mut self,
         now: SimTime,
         server: ServerId,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        if !self.live[server.index()] {
+        if !self.live[server.index()] || self.remaining == 0 {
             return;
         }
         self.churn_stats.crashes += 1;
@@ -1263,14 +1262,15 @@ impl GridWorld {
     /// A crashed server comes back: it rejoins the rankings at its
     /// believed load (its ledger kept draining while it was away), its
     /// monitor history and report restart fresh, and the next crash is
-    /// scheduled from the uptime draw.
+    /// scheduled from the uptime draw. Like a crash, a join after the
+    /// last task went terminal is dropped.
     fn handle_server_join(
         &mut self,
         now: SimTime,
         server: ServerId,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        if self.live[server.index()] {
+        if self.live[server.index()] || self.remaining == 0 {
             return;
         }
         self.churn_stats.joins += 1;
@@ -1284,17 +1284,15 @@ impl GridWorld {
         self.reports[server.index()] = LoadReport::initial(server);
         let _ = now;
         self.maybe_rebalance(sched);
-        if self.remaining > 0 {
-            let uptime = self
-                .churn
-                .as_mut()
-                .expect("join events exist only under churn")
-                .next_uptime(server);
-            sched.in_(
-                SimTime::from_secs(uptime),
-                GridEvent::ServerCrash { server },
-            );
-        }
+        let uptime = self
+            .churn
+            .as_mut()
+            .expect("join events exist only under churn")
+            .next_uptime(server);
+        sched.in_(
+            SimTime::from_secs(uptime),
+            GridEvent::ServerCrash { server },
+        );
     }
 
     /// A server leaves gracefully: no new placements (rankings and admit
@@ -1372,9 +1370,10 @@ impl GridWorld {
                 );
             }
         }
-        // Growth can push the last shard past the live-count band; the
-        // rebalance machinery needs op history, which only a churning
-        // federation records.
+        // Growth can push the last shard past the live-count band. Only a
+        // churning farm re-partitions: a frozen farm keeps the partition
+        // it was built with, its provisioned servers appended to the last
+        // block, so growth alone never moves a block boundary.
         if self.churn.is_some() {
             self.maybe_rebalance(sched);
         }
@@ -1490,7 +1489,7 @@ impl World for GridWorld {
 
 /// Drives a built world to completion and back-fills the HTM's final
 /// simulated completion dates (Table 1's "simulated completion date"
-/// column), merged across shards.
+/// column).
 fn run_world(world: GridWorld) -> GridWorld {
     let mut sim = Simulation::new(world);
     let outcome = sim.run_to_completion();
@@ -2194,6 +2193,85 @@ mod tests {
             .filter(|r| !matches!(r.outcome, TaskOutcome::InFlight))
             .count() as u64;
         assert_eq!(terminal, n_tasks);
+    }
+
+    /// Once the last task is terminal the fault schedule has nothing
+    /// left to act on: the crashes and joins still pending in the queue
+    /// fire, but move neither the churn counters nor the live set.
+    #[test]
+    fn faults_stop_when_the_campaign_ends() {
+        let (costs, servers) = six_setup();
+        let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 5)
+            .with_shards(Sharding::Federated { shards: 3 })
+            .with_churn(30.0, 90.0)
+            .with_churn_seed(11);
+        let world = GridWorld::new(cfg, costs, servers, six_tasks(40));
+        let mut sim = cas_sim::Simulation::new(world);
+        while sim.world().remaining() > 0 {
+            assert!(sim.step(), "the queue drained before the campaign ended");
+        }
+        let (stats, live) = (sim.world().churn_stats(), sim.world().live_servers());
+        assert!(
+            stats.crashes > 0,
+            "the schedule must crash servers: {stats:?}"
+        );
+        let at_end = sim.processed();
+        let _ = sim.run_to_completion();
+        assert!(
+            sim.processed() > at_end,
+            "fault events must still be pending"
+        );
+        assert_eq!(sim.world().churn_stats(), stats);
+        assert_eq!(sim.world().live_servers(), live);
+    }
+
+    /// Provisioning under churn across a real federation: servers join
+    /// the last block one by one until it splits, and crashes with long
+    /// repairs merge blocks, so rebalances rebuild blocks that hold
+    /// provisioned servers with work on them. Under the exhaustive
+    /// selector the records stay bit-identical to the single agent's.
+    #[test]
+    fn provisioned_churn_campaign_rebalances_and_matches_single_agent() {
+        let (costs, servers) = six_setup();
+        let tasks = six_tasks(40);
+        let provisions: Vec<Provision> = (0..5)
+            .map(|i| Provision {
+                at: t(2.0 + 3.0 * i as f64),
+                spec: ServerSpec::new(format!("joiner{i}"), 1000.0, 1024.0, 1024.0),
+                column: vec![
+                    Some(PhaseCosts::new(0.4, 6.0 + i as f64, 0.4)),
+                    Some(PhaseCosts::new(0.2, 8.0 + i as f64, 0.2)),
+                ],
+            })
+            .collect();
+        let base = ExperimentConfig::paper(HeuristicKind::Hmct, 13)
+            .with_churn(30.0, 90.0)
+            .with_churn_seed(11);
+        let single = run_with_provisions(
+            base,
+            costs.clone(),
+            servers.clone(),
+            tasks.clone(),
+            provisions.clone(),
+        );
+        let routed = run_with_provisions(
+            base.with_shards(Sharding::Federated { shards: 3 }),
+            costs,
+            servers,
+            tasks,
+            provisions,
+        );
+        let stats = routed.churn_stats();
+        assert_eq!(stats.provisions, 5);
+        assert!(stats.rebalances > 0, "{stats:?}");
+        assert!(
+            routed
+                .records()
+                .iter()
+                .any(|r| r.server.is_some_and(|s| s.0 >= 6)),
+            "provisioned servers must take work"
+        );
+        assert_eq!(single.records(), routed.records());
     }
 
     /// `run_experiment` with a provision schedule attached (the public

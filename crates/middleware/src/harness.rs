@@ -11,7 +11,7 @@
 //! differential tests and any future integration test share one
 //! definition of "equivalent".
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`DecisionAgent`] — the minimal surface a decision stack must offer
 //!   to be diffed: one two-stage decision (returning the pick *and* the
@@ -25,6 +25,9 @@
 //!   two agents in lockstep, returning a description of the first
 //!   divergence. Proptests feed it generated op vectors; fixed unit
 //!   tests feed it hand-built edge cases.
+//! * [`ModelOp`] — the stage-1 index ops a session applied, in order
+//!   ([`DiffSession::model_ops`]): the log the rebalance oracle in
+//!   `shard.rs` replays to rebuild every block from scratch.
 //!
 //! The op encoding is deliberately dumb (five scalars) so proptest
 //! strategies stay trivial and failures minimise well.
@@ -68,6 +71,33 @@ impl From<(u32, u32, u32, f64, u32)> for Op {
             problem,
             gap,
             excl,
+        }
+    }
+}
+
+/// One index-mutating hook a session applied to both agents. The index
+/// state of any block is a function of the ops on its servers alone, so
+/// replaying the log filtered to a block rebuilds that block's index.
+#[derive(Debug, Clone, Copy)]
+pub enum ModelOp {
+    /// `work` committed to `server`.
+    Commit { server: ServerId, work: f64 },
+    /// A placement of `work` on `server` retracted.
+    Retract { server: ServerId, work: f64 },
+    /// A task of `work` completed on `server`.
+    Complete { server: ServerId, work: f64 },
+    /// `server` went down or came back.
+    Available { server: ServerId, up: bool },
+}
+
+impl ModelOp {
+    /// The server the op touched.
+    pub fn server(self) -> ServerId {
+        match self {
+            ModelOp::Commit { server, .. }
+            | ModelOp::Retract { server, .. }
+            | ModelOp::Complete { server, .. }
+            | ModelOp::Available { server, .. } => server,
         }
     }
 }
@@ -191,7 +221,6 @@ impl DecisionAgent for SingleAgentReference {
         self.selector.shortlist(
             SelectorInput {
                 problem: inp.task.problem,
-                costs: inp.costs,
                 index: &self.index,
             },
             &|s| (inp.admit)(s),
@@ -299,6 +328,7 @@ impl DiffHarness {
             committed: Vec::new(),
             down: vec![false; self.table.n_servers()],
             step: 0,
+            log: Vec::new(),
         }
     }
 }
@@ -314,9 +344,16 @@ pub struct DiffSession<'a> {
     /// the engine's liveness vector is.
     down: Vec<bool>,
     step: usize,
+    /// Every index op applied so far, in order.
+    log: Vec<ModelOp>,
 }
 
 impl DiffSession<'_> {
+    /// The index ops this session has applied to both agents, in order.
+    pub fn model_ops(&self) -> &[ModelOp] {
+        &self.log
+    }
+
     /// Replays `ops` against both agents in lockstep, continuing from
     /// the session's current clock and ledger.
     pub fn run(
@@ -408,6 +445,10 @@ impl DiffSession<'_> {
                         .expect("target is solvable");
                     a.commit(when, target, &task, work);
                     b.commit(when, target, &task, work);
+                    self.log.push(ModelOp::Commit {
+                        server: target,
+                        work,
+                    });
                     self.committed.push((task.id, target, work));
                 }
                 // Retracts undo the most recent commit on both sides.
@@ -415,6 +456,7 @@ impl DiffSession<'_> {
                     if let Some((id, srv, work)) = self.committed.pop() {
                         a.retract(when, srv, id, work);
                         b.retract(when, srv, id, work);
+                        self.log.push(ModelOp::Retract { server: srv, work });
                     }
                 }
                 // A crash: every in-flight commit on the server is
@@ -430,12 +472,17 @@ impl DiffSession<'_> {
                             let (id, srv, work) = self.committed.remove(i);
                             a.retract(when, srv, id, work);
                             b.retract(when, srv, id, work);
+                            self.log.push(ModelOp::Retract { server: srv, work });
                         } else {
                             i += 1;
                         }
                     }
                     a.set_available(srv, false);
                     b.set_available(srv, false);
+                    self.log.push(ModelOp::Available {
+                        server: srv,
+                        up: false,
+                    });
                     self.down[srv.index()] = true;
                 }
                 // A repair: the server rejoins the rankings at its
@@ -444,6 +491,10 @@ impl DiffSession<'_> {
                     let srv = ServerId(op.server % self.harness.table.n_servers() as u32);
                     a.set_available(srv, true);
                     b.set_available(srv, true);
+                    self.log.push(ModelOp::Available {
+                        server: srv,
+                        up: true,
+                    });
                     self.down[srv.index()] = false;
                 }
                 // Completions drain the oldest commit on both sides.
@@ -454,6 +505,7 @@ impl DiffSession<'_> {
                         let predicted = now * 0.9 + 1.0;
                         a.complete(when, srv, id, work, observed, predicted);
                         b.complete(when, srv, id, work, observed, predicted);
+                        self.log.push(ModelOp::Complete { server: srv, work });
                     }
                 }
             }

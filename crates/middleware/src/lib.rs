@@ -1,8 +1,8 @@
 //! # cas-middleware — the client-agent-server system, simulated end to end
 //!
-//! This crate is the substitute for the paper's real NetSolve deployment
-//! (see DESIGN.md §2). It wires the platform substrate, the HTM and a
-//! heuristic into one discrete-event world:
+//! This crate is the substitute for the paper's real NetSolve deployment.
+//! It wires the platform substrate, the HTM and a heuristic into one
+//! discrete-event world:
 //!
 //! * **clients** submit the metatask's requests at their arrival dates and
 //!   retry on rejection (NetSolve's fault tolerance);
@@ -41,5 +41,5 @@ pub use event::GridEvent;
 pub use runner::{
     run_heuristic_matrix, run_replications, run_replications_sequential, MatrixResult,
 };
-pub use shard::{AgentRouter, ShardEngine, SkylineStats};
+pub use shard::{AgentRouter, SkylineStats};
 pub use validate::{validation_report, ValidationRow};

@@ -1,16 +1,18 @@
-//! The shard federation: per-shard decision engines behind a
-//! deterministic router.
+//! The shard federation: per-shard stage-1 engines and one farm-wide
+//! HTM behind a deterministic router.
 //!
-//! One `middleware::engine` used to own one [`Htm`], one [`StaticIndex`]
-//! and one selector for the whole farm, so every per-decision scratch
-//! buffer, every ranking tree and every repair hook scaled with the farm
-//! size — the structural cap that kept the standing campaign at 1k
-//! servers however cheap each individual decision got. The federation is
-//! the same move hierarchical client-agent-server deployments make:
-//! partition the farm ([`ShardMap`], deterministic and contiguous) and
-//! give each shard its **own** engine ([`ShardEngine`]) holding an HTM,
-//! a static index and a stage-1 selector over a *restricted* cost table
-//! — every per-server structure is `O(n/S)`, not `O(n)`.
+//! The agent's decision state has two halves that scale differently.
+//! Stage 1 — the static index's rankings and the selector walking them —
+//! is what a decision touches *across* the farm, so it is partitioned:
+//! [`ShardMap`] splits the farm into deterministic contiguous blocks and
+//! each block gets its own engine (`ShardEngine`: index, selector and
+//! scratch over the block, addressed by shard-local ids), so every
+//! ranking and every stage-1 walk is `O(n/S)`, not `O(n)`. Stage 2 — the
+//! HTM — is already per server: the paper's agent keeps one trace per
+//! server and commits each placement to that server's trace alone
+//! (§2.3), and a what-if query reads only the server it names. So the
+//! router keeps **one** [`Htm`] for the whole farm, addressed by global
+//! ids, and no shard holds any of it.
 //!
 //! [`AgentRouter`] is the thin layer on top. One decision runs:
 //!
@@ -25,30 +27,38 @@
 //!    paper's every-solver loop. The merged list is emitted in ascending
 //!    global id, the order the heuristics' tie-breaks require.
 //! 3. **Stage 2, gather**: the heuristic runs unchanged over a
-//!    [`SchedView`] whose [`WhatIf`] backend routes each what-if query
-//!    to the owning shard, one serial query at a time.
+//!    [`SchedView`] on the farm HTM, one serial query at a time.
 //!
-//! Commit/retract/complete hooks route to the owning shard **only**, so
-//! model repair and index re-ranking cost stops scaling with farm size.
+//! Commit/retract/complete hooks update the server's trace and send the
+//! index update to the owning shard **only**, so re-ranking cost stops
+//! scaling with farm size.
+//!
+//! # Rebalancing
+//!
+//! Churn drifts the live population of each block; when a block leaves
+//! the size band the partition moves ([`AgentRouter::rebalance`]). Only
+//! stage 1 is partitioned, so only stage 1 moves: blocks whose
+//! boundaries survive keep their engines, and each moved block gets a
+//! fresh index built from the per-server ledgers the old indexes hold
+//! ([`StaticIndex::with_ledgers`]). The HTM is not touched.
 //!
 //! # The `S = 1` invariant
 //!
 //! A federation of one shard is **bit-identical** to the single-agent
-//! engine: the restricted cost table is the full table, local ids equal
-//! global ids, the merge of one shortlist is that shortlist, and stage 2
-//! queries the same HTM. The differential proptests in this module
-//! drive the router against an inline replica of the single-agent
-//! decision loop over arbitrary commit/decide/retract/complete
-//! interleavings; the lazy merge, the group walk and the incremental
-//! rebalance are each diffed against a test-only oracle (the eager
-//! merge, the flat walk, the rebuild-everything rebalance) the same way.
-//! With more shards, pruning selectors may legitimately diverge (each
-//! shard adapts its own width); an exhaustive selector must not — and
-//! that too is asserted end to end.
+//! engine: the block is the whole farm, local ids equal global ids, the
+//! merge of one shortlist is that shortlist, and stage 2 queries the
+//! same HTM. The differential proptests in this module drive the router
+//! against an inline replica of the single-agent decision loop over
+//! arbitrary commit/decide/retract/complete interleavings; the lazy
+//! merge, the group walk and the incremental rebalance are each diffed
+//! against a test-only oracle (the eager merge, the flat walk, the
+//! replay-everything rebalance) the same way. With more shards, pruning
+//! selectors may legitimately diverge (each shard adapts its own width);
+//! an exhaustive selector must not — and that too is asserted end to
+//! end.
 
 use cas_core::heuristics::{DecisionMemo, Heuristic, SchedView};
 use cas_core::selector::{CandidateSelector, SelectorInput};
-use cas_core::whatif::WhatIf;
 use cas_core::{Htm, MemoStats, Prediction, SelectorKind, SyncPolicy};
 use cas_platform::{
     CostTable, IndexScoring, LoadReport, PhaseCosts, ProblemId, ServerId, ShardMap, ShardTree,
@@ -57,14 +67,12 @@ use cas_platform::{
 use cas_sim::{prof, RngStream, SimTime};
 use std::collections::HashMap;
 
-/// One shard's complete decision state: the HTM, the stage-1 index and
-/// the stage-1 selector for a contiguous block of the farm, all built
-/// over the block's *restricted* cost table and addressed by shard-local
-/// server ids (`global = shard start + local`).
-pub struct ShardEngine {
+/// One shard's stage-1 state: the static index and the selector for a
+/// contiguous block of the farm, addressed by shard-local server ids
+/// (`global = shard start + local`).
+struct ShardEngine {
     /// First global server id of this shard's block.
     start: u32,
-    htm: Htm,
     index: StaticIndex,
     selector: Box<dyn CandidateSelector>,
     /// Stage-1 scratch: the selector's shortlist, local ids, ascending.
@@ -76,19 +84,11 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    fn new(
-        costs: &CostTable,
-        start: u32,
-        len: usize,
-        selector: SelectorKind,
-        scoring: IndexScoring,
-        sync: SyncPolicy,
-    ) -> Self {
-        let local_costs = costs.restrict(start, len);
+    /// An engine over the block starting at global id `start`.
+    fn new(start: u32, index: StaticIndex, selector: SelectorKind) -> Self {
         ShardEngine {
             start,
-            index: StaticIndex::with_scoring(&local_costs, scoring),
-            htm: Htm::new(local_costs, sync),
+            index,
             selector: selector.build(),
             shortlist: Vec::new(),
             scored_local: Vec::new(),
@@ -108,7 +108,6 @@ impl ShardEngine {
     ) {
         let ShardEngine {
             start,
-            htm,
             index,
             selector,
             shortlist,
@@ -117,16 +116,9 @@ impl ShardEngine {
         } = self;
         let start = *start;
         let local_admit = move |s: ServerId| admit(ServerId(s.0 + start));
+        let input = || SelectorInput { problem, index };
         if !score_for_merge {
-            selector.shortlist(
-                SelectorInput {
-                    problem,
-                    costs: htm.costs(),
-                    index,
-                },
-                &local_admit,
-                shortlist,
-            );
+            selector.shortlist(input(), &local_admit, shortlist);
             return;
         }
         // Scores are non-negative finite, so the IEEE-754 bit pattern is
@@ -135,28 +127,12 @@ impl ShardEngine {
         // directly; the rest fall back to shortlist + index lookups.
         scored.clear();
         scored_local.clear();
-        if selector.shortlist_scored(
-            SelectorInput {
-                problem,
-                costs: htm.costs(),
-                index,
-            },
-            &local_admit,
-            scored_local,
-        ) {
+        if selector.shortlist_scored(input(), &local_admit, scored_local) {
             for &(local, score) in scored_local.iter() {
                 scored.push((score.to_bits(), ServerId(local.0 + start)));
             }
         } else {
-            selector.shortlist(
-                SelectorInput {
-                    problem,
-                    costs: htm.costs(),
-                    index,
-                },
-                &local_admit,
-                shortlist,
-            );
+            selector.shortlist(input(), &local_admit, shortlist);
             for &local in shortlist.iter() {
                 let score = index
                     .score(problem, local)
@@ -164,11 +140,6 @@ impl ShardEngine {
                 scored.push((score.to_bits(), ServerId(local.0 + start)));
             }
         }
-    }
-
-    /// This shard's HTM (spans only its own block of the farm).
-    pub fn htm(&self) -> &Htm {
-        &self.htm
     }
 
     /// The shard's **skyline** for `problem`: the best `(score bits,
@@ -261,42 +232,6 @@ struct GroupKey {
     bound: usize,
 }
 
-/// One model-mutation hook, recorded for rebalance replay. A shard
-/// engine's HTM and index state is a deterministic function of the
-/// chronological op sequence that touched its servers — but not a
-/// *transplantable* one: the index's remaining-work ledger is a float
-/// fold (splitting it at a new boundary would reassociate the sums) and
-/// the HTM ages traces in place. A block with a new boundary can
-/// therefore only be populated by replaying the ops, never by slicing
-/// state out of the old engines. Completions deliberately drop the
-/// observed/predicted flows: rebalance restarts stage-1 selector
-/// adaptation on every shard, so replay never feeds a selector.
-#[derive(Debug, Clone, Copy)]
-enum ModelOp {
-    Commit {
-        now: SimTime,
-        server: ServerId,
-        task: TaskInstance,
-        work: f64,
-    },
-    Retract {
-        now: SimTime,
-        server: ServerId,
-        task: TaskId,
-        work: f64,
-    },
-    Complete {
-        now: SimTime,
-        server: ServerId,
-        task: TaskId,
-        work: f64,
-    },
-    Available {
-        server: ServerId,
-        up: bool,
-    },
-}
-
 /// Everything one scheduling decision needs from the world, read-only.
 pub struct DecisionInputs<'a> {
     /// Decision time.
@@ -314,11 +249,15 @@ pub struct DecisionInputs<'a> {
     pub admit: &'a (dyn Fn(ServerId) -> bool + Sync),
 }
 
-/// The federated agent: per-shard engines behind the deterministic
-/// scatter–merge–gather router described in the module docs.
+/// The federated agent: per-shard stage-1 engines and the farm-wide HTM
+/// behind the deterministic scatter–merge–gather router described in the
+/// module docs.
 pub struct AgentRouter {
     map: ShardMap,
     shards: Vec<ShardEngine>,
+    /// The farm-wide HTM, addressed by global server ids: one trace per
+    /// server, so no shard needs a copy and no rebalance moves it.
+    htm: Htm,
     /// `true` runs the full scatter/merge router even with one shard
     /// (`Sharding::Federated`); `false` is the single-agent fast path
     /// (requires exactly one shard).
@@ -366,19 +305,6 @@ pub struct AgentRouter {
     /// partition changes under churn.
     selector_kind: SelectorKind,
     scoring: IndexScoring,
-    sync: SyncPolicy,
-    /// Completion-only drain depth — set when the run's heuristic never
-    /// reads perturbations, letting drains truncate at the probe's
-    /// completion. Remembered so any block a rebalance rebuilds keeps it.
-    completion_only: bool,
-    /// Model-op history for rebalance replay. Recorded only when
-    /// [`AgentRouter::with_history`] turned it on — the engine enables
-    /// it exactly when churn can trigger a rebalance.
-    record_history: bool,
-    history: Vec<ModelOp>,
-    /// Stage-2 counters of the engines a rebalance dropped, so
-    /// [`AgentRouter::stage2_stats`] never goes backwards.
-    retired: MemoStats,
 }
 
 impl AgentRouter {
@@ -399,7 +325,11 @@ impl AgentRouter {
         };
         let map = ShardMap::new(n, count);
         let shards: Vec<ShardEngine> = (0..map.n_shards())
-            .map(|k| ShardEngine::new(costs, map.start(k), map.len(k), selector, scoring, sync))
+            .map(|k| {
+                let (start, len) = (map.start(k), map.len(k));
+                let index = StaticIndex::with_scoring(&costs.restrict(start, len), scoring);
+                ShardEngine::new(start, index, selector)
+            })
             .collect();
         let tree = ShardTree::new(map.n_shards(), ShardTree::DEFAULT_GROUP_SHARDS);
         let n_problems = costs.n_problems();
@@ -407,6 +337,7 @@ impl AgentRouter {
         AgentRouter {
             map,
             shards,
+            htm: Htm::new(costs.clone(), sync),
             federated,
             exhaustive: selector == SelectorKind::Exhaustive,
             tree,
@@ -422,22 +353,7 @@ impl AgentRouter {
             candidates: Vec::new(),
             selector_kind: selector,
             scoring,
-            sync,
-            completion_only: false,
-            record_history: false,
-            history: Vec::new(),
-            retired: MemoStats::default(),
         }
-    }
-
-    /// Turns on model-op history recording (off by default): every
-    /// commit/retract/complete/availability hook is logged so
-    /// [`AgentRouter::rebalance`] can repopulate rebuilt blocks by
-    /// replay. The engine enables this exactly when a finite MTBF can
-    /// drift the live-server count past the federation's size band.
-    pub fn with_history(mut self, record: bool) -> Self {
-        self.record_history = record;
-        self
     }
 
     /// Overrides the shards-per-group fan-out (default
@@ -464,22 +380,15 @@ impl AgentRouter {
     /// drains may truncate at the probe's completion. Sourced from
     /// [`Heuristic::needs_perturbations`] by the engine.
     pub fn with_completion_only(mut self, completion_only: bool) -> Self {
-        self.completion_only = completion_only;
-        for shard in &mut self.shards {
-            shard.htm.set_completion_only(completion_only);
-        }
+        self.htm.set_completion_only(completion_only);
         self
     }
 
-    /// Aggregated stage-2 drain counters across every shard HTM: drains
-    /// run, memo hits, truncated drains, prefix resumes — including the
-    /// engines earlier rebalances dropped, so the counters never go
-    /// backwards.
+    /// The farm HTM's stage-2 drain counters: drains run, memo hits,
+    /// truncated drains, prefix resumes. A rebalance never touches the
+    /// HTM, so they never go backwards.
     pub fn stage2_stats(&self) -> MemoStats {
-        self.shards
-            .iter()
-            .map(|s| s.htm.memo_stats())
-            .fold(self.retired, |a, b| a.merge(b))
+        self.htm.memo_stats()
     }
 
     /// The two-level shard tree (degenerate — one group — when the farm
@@ -559,22 +468,27 @@ impl AgentRouter {
         &self.map
     }
 
-    /// The shard engine owning `server`.
-    pub fn shard_for(&self, server: ServerId) -> &ShardEngine {
-        &self.shards[self.map.owner(server)]
+    /// Whether some shard's live-server count lies outside `[max(lo,
+    /// 1), hi]` — O(shards), from the counts the indexes keep. While
+    /// every block is inside the band, [`ShardMap::rebalanced`] can
+    /// neither merge nor split, so a caller may skip its O(n) scan.
+    pub(crate) fn live_out_of_band(&self, lo: usize, hi: usize) -> bool {
+        let lo = lo.max(1);
+        self.shards.iter().any(|shard| {
+            let live = shard.index.available_count();
+            live < lo || live > hi
+        })
     }
 
-    /// Shard 0's HTM. With a single shard (the default configuration)
-    /// this is the whole farm's model, preserving the pre-federation
-    /// `GridWorld::htm()` surface; with more shards it spans only the
-    /// first block — use [`AgentRouter::shard_for`] for the rest.
+    /// The farm-wide HTM: one trace per server, addressed by global id,
+    /// whatever the shard count.
     pub fn htm(&self) -> &Htm {
-        &self.shards[0].htm
+        &self.htm
     }
 
     /// Mutable variant of [`AgentRouter::htm`] (Gantt recording).
     pub fn htm_mut(&mut self) -> &mut Htm {
-        &mut self.shards[0].htm
+        &mut self.htm
     }
 
     /// Runs one full two-stage decision and reports the pick to the
@@ -592,6 +506,7 @@ impl AgentRouter {
             // The shortlist is lent to the view as a slice: the steady
             // state copies nothing per decision.
             let shard = &mut self.shards[0];
+            let htm = &mut self.htm;
             {
                 let _walk = prof::span(prof::Phase::Stage1Walk);
                 shard.stage1(inp.task.problem, inp.admit, false);
@@ -604,7 +519,7 @@ impl AgentRouter {
                     shard.shortlist.as_slice(),
                     inp.costs,
                     inp.reports,
-                    &mut shard.htm,
+                    htm,
                     tie_rng,
                 )
                 .with_server_mem(inp.server_mem)
@@ -663,9 +578,9 @@ impl AgentRouter {
     }
 
     /// Stage 2 of a federated decision: the heuristic runs over
-    /// `self.candidates` through the routed what-if backend (the list is
-    /// lent as a slice, not copied), and the pick is reported to the
-    /// owning shard's selector.
+    /// `self.candidates` on the farm HTM (the list is lent as a slice,
+    /// not copied), and the pick is reported to the owning shard's
+    /// selector.
     fn gather(
         &mut self,
         inp: DecisionInputs<'_>,
@@ -674,17 +589,13 @@ impl AgentRouter {
     ) -> Option<ServerId> {
         let pick = {
             let _predict = prof::span(prof::Phase::Stage2Predict);
-            let mut backend = FederatedWhatIf {
-                map: &self.map,
-                shards: &mut self.shards,
-            };
             let mut view = SchedView::new(
                 inp.now,
                 inp.task,
                 self.candidates.as_slice(),
                 inp.costs,
                 inp.reports,
-                &mut backend,
+                &mut self.htm,
                 tie_rng,
             )
             .with_server_mem(inp.server_mem)
@@ -939,9 +850,7 @@ impl AgentRouter {
         server: ServerId,
         task: &TaskInstance,
     ) -> Option<Prediction> {
-        let owner = self.map.owner(server);
-        let local = self.map.to_local(owner, server);
-        self.shards[owner].htm.predict(now, local, task)
+        self.htm.predict(now, server, task)
     }
 
     /// The commit-path variant of [`AgentRouter::predict`]: the engine
@@ -954,54 +863,33 @@ impl AgentRouter {
         server: ServerId,
         task: &TaskInstance,
     ) -> Option<SimTime> {
-        let owner = self.map.owner(server);
-        let local = self.map.to_local(owner, server);
-        self.shards[owner]
-            .htm
-            .predict_into(now, local, task, &mut self.pred_scratch)
+        self.htm
+            .predict_into(now, server, task, &mut self.pred_scratch)
             .then_some(self.pred_scratch.completion)
     }
 
-    /// Routes a commit to the owning shard: HTM trace mutation plus
-    /// index re-rank, both `O(shard)` — farm size does not appear.
+    /// A commit: the server's HTM trace grows by the task and the owning
+    /// shard re-ranks the server — farm size does not appear.
     pub fn on_commit(&mut self, now: SimTime, server: ServerId, task: &TaskInstance, work: f64) {
-        if self.record_history {
-            self.history.push(ModelOp::Commit {
-                now,
-                server,
-                task: *task,
-                work,
-            });
-        }
+        self.htm.commit(now, server, task);
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);
-        let shard = &mut self.shards[owner];
-        shard.htm.commit(now, local, task);
-        shard.index.on_commit(local, work);
+        self.shards[owner].index.on_commit(local, work);
         self.dirty_shard_group(owner);
     }
 
-    /// Routes a retract (placement undone before running) to the owning
-    /// shard.
+    /// A retract (placement undone before running): out of the HTM, and
+    /// the owning shard pays the ledger back.
     pub fn on_retract(&mut self, now: SimTime, server: ServerId, task: TaskId, work: f64) {
-        if self.record_history {
-            self.history.push(ModelOp::Retract {
-                now,
-                server,
-                task,
-                work,
-            });
-        }
+        self.htm.retract(now, task);
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);
-        let shard = &mut self.shards[owner];
-        shard.htm.retract(now, task);
-        shard.index.on_retract(local, work);
+        self.shards[owner].index.on_retract(local, work);
         self.dirty_shard_group(owner);
     }
 
-    /// Routes a completion to the owning shard: index decrement, HTM
-    /// synchronisation (per the sync policy) and the selector's stretch
+    /// A completion: HTM synchronisation (per the sync policy), then the
+    /// owning shard's index decrement and its selector's stretch
     /// feedback (`observed` vs `predicted` **flow** — durations since
     /// arrival, seconds, so the relative tolerance is age-independent).
     pub fn on_complete(
@@ -1013,19 +901,11 @@ impl AgentRouter {
         observed: f64,
         predicted: f64,
     ) {
-        if self.record_history {
-            self.history.push(ModelOp::Complete {
-                now,
-                server,
-                task,
-                work,
-            });
-        }
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);
         let shard = &mut self.shards[owner];
         shard.index.on_complete(local, work);
-        shard.htm.observe_completion(now, task);
+        self.htm.observe_completion(now, task);
         shard.selector.observe_outcome(observed, predicted);
         self.dirty_shard_group(owner);
     }
@@ -1045,9 +925,6 @@ impl AgentRouter {
         let changed = self.shards[owner].index.set_available(local, up);
         if changed {
             self.dirty_shard_group(owner);
-            if self.record_history {
-                self.history.push(ModelOp::Available { server, up });
-            }
         }
         changed
     }
@@ -1055,10 +932,6 @@ impl AgentRouter {
     /// Shared preconditions of every re-partition.
     fn check_rebalance(&self, costs: &CostTable, new_map: &ShardMap) {
         assert!(self.federated, "rebalance requires the federated router");
-        assert!(
-            self.record_history,
-            "rebalance requires history recording (AgentRouter::with_history)"
-        );
         assert_eq!(
             new_map.n_servers(),
             self.map.n_servers(),
@@ -1071,114 +944,67 @@ impl AgentRouter {
         );
     }
 
-    /// A fresh engine for the block `[start, start + len)`, repopulated
-    /// by replaying the recorded history filtered to its servers (see
-    /// [`ModelOp`] for why replay, not state transplant). Selector
-    /// feedback is deliberately not replayed — rebalance restarts
-    /// stage-1 adaptation everywhere.
-    fn rebuilt_engine(&self, costs: &CostTable, start: u32, len: usize) -> ShardEngine {
-        let mut e = ShardEngine::new(
-            costs,
-            start,
-            len,
-            self.selector_kind,
-            self.scoring,
-            self.sync,
-        );
-        // A rebuilt block keeps the run's drain depth.
-        e.htm.set_completion_only(self.completion_only);
-        let end = start + len as u32;
-        let owned = |s: ServerId| s.0 >= start && s.0 < end;
-        for op in &self.history {
-            match *op {
-                ModelOp::Commit {
-                    now,
-                    server,
-                    task,
-                    work,
-                } if owned(server) => {
-                    let local = ServerId(server.0 - start);
-                    e.htm.commit(now, local, &task);
-                    e.index.on_commit(local, work);
-                }
-                ModelOp::Retract {
-                    now,
-                    server,
-                    task,
-                    work,
-                } if owned(server) => {
-                    let local = ServerId(server.0 - start);
-                    e.htm.retract(now, task);
-                    e.index.on_retract(local, work);
-                }
-                ModelOp::Complete {
-                    now,
-                    server,
-                    task,
-                    work,
-                } if owned(server) => {
-                    let local = ServerId(server.0 - start);
-                    e.index.on_complete(local, work);
-                    e.htm.observe_completion(now, task);
-                }
-                ModelOp::Available { server, up } if owned(server) => {
-                    e.index.set_available(ServerId(server.0 - start), up);
-                }
-                _ => {}
-            }
-        }
-        e
-    }
-
-    /// Re-partitions the federation to `new_map`, rebuilding **only**
-    /// the blocks whose boundaries changed. A new shard whose
-    /// `(start, len)` block survives from the old map keeps its engine
-    /// — HTM and index are deterministic functions of the op history, so
-    /// reuse and replay agree; every other block is rebuilt by replay.
-    /// Stage-1 selector adaptation restarts fresh on **every** shard and
-    /// the decision memo resets, making an incremental rebalance
-    /// observably identical to rebuilding every block — the test-only
-    /// oracle the rebalance proptests diff it against, bit for bit. Under
-    /// the exhaustive selector (whose merge is the untruncated union) a
-    /// rebalance is additionally invisible against a router that *never*
-    /// rebalanced. Dropped engines hand their stage-2 counters to
-    /// [`AgentRouter::stage2_stats`].
+    /// Re-partitions the federation to `new_map`. Only stage 1 is
+    /// partitioned, so only stage 1 moves: a new shard whose `(start,
+    /// len)` block survives from the old map keeps its engine, and every
+    /// other block gets a fresh index built from the ledgers the old
+    /// indexes hold for its servers ([`StaticIndex::with_ledgers`]) —
+    /// ledgers are per server, so they cross a boundary unchanged. The
+    /// farm HTM is not touched. Stage-1 selector adaptation restarts
+    /// fresh on **every** shard and the decision memo resets, making the
+    /// result observably identical to rebuilding every block — the
+    /// test-only oracle the rebalance proptests diff it against, bit for
+    /// bit. Under the exhaustive selector (whose merge is the
+    /// untruncated union) a rebalance is additionally invisible against
+    /// a router that *never* rebalanced.
     pub fn rebalance(&mut self, costs: &CostTable, new_map: ShardMap) {
         self.check_rebalance(costs, &new_map);
-        let old_blocks: Vec<(u32, usize)> = (0..self.map.n_shards())
-            .map(|k| (self.map.start(k), self.map.len(k)))
-            .collect();
+        let old_map = std::mem::replace(&mut self.map, new_map);
         let mut old: Vec<Option<ShardEngine>> = self.shards.drain(..).map(Some).collect();
-        let mut shards = Vec::with_capacity(new_map.n_shards());
-        for k in 0..new_map.n_shards() {
-            let (start, len) = (new_map.start(k), new_map.len(k));
-            let survivor = old_blocks
-                .iter()
-                .position(|&b| b == (start, len))
+        let mut shards = Vec::with_capacity(self.map.n_shards());
+        for k in 0..self.map.n_shards() {
+            let (start, len) = (self.map.start(k), self.map.len(k));
+            let survivor = (0..old_map.n_shards())
+                .find(|&j| (old_map.start(j), old_map.len(j)) == (start, len))
                 .and_then(|j| old[j].take());
             let engine = match survivor {
                 Some(mut e) => {
                     e.selector = self.selector_kind.build();
                     e
                 }
-                None => self.rebuilt_engine(costs, start, len),
+                None => {
+                    // A moved block overlaps no surviving block (blocks
+                    // partition the farm), so every old engine it reads
+                    // is still in `old`.
+                    let ledgers: Vec<(u32, f64, bool)> = (start..start + len as u32)
+                        .map(|s| {
+                            let j = old_map.owner(ServerId(s));
+                            let index = &old[j].as_ref().expect("not a survivor").index;
+                            let local = ServerId(s - old_map.start(j));
+                            (
+                                index.active(local),
+                                index.remaining(local),
+                                index.is_available(local),
+                            )
+                        })
+                        .collect();
+                    let local_costs = costs.restrict(start, len);
+                    let index = StaticIndex::with_ledgers(&local_costs, self.scoring, &ledgers);
+                    ShardEngine::new(start, index, self.selector_kind)
+                }
             };
             shards.push(engine);
         }
-        for dropped in old.into_iter().flatten() {
-            self.retired = self.retired.merge(dropped.htm.memo_stats());
-        }
-        self.map = new_map;
         self.shards = shards;
         self.rebuild_tree();
         self.memo = DecisionMemo::new();
     }
 
     /// Admits a brand-new server to the running federation: the shard
-    /// map grows its **last** block by one, and the owning engine's HTM
-    /// cost table and stage-1 index each gain the server through their
-    /// proven incremental joins ([`CostTable::push_server`],
-    /// [`StaticIndex::push_server`]) — no engine is rebuilt, no other
+    /// map grows its **last** block by one, the farm HTM gains a trace
+    /// for it ([`Htm::push_server`]) and the last shard's stage-1 index
+    /// gains its key through the proven incremental join
+    /// ([`StaticIndex::push_server`]) — no engine is rebuilt, no other
     /// shard is touched. The caller must have grown (or grow, before the
     /// next decision) the farm-wide cost table with the **same** column,
     /// since stage 2 reads static costs by global id. Returns the new
@@ -1190,71 +1016,27 @@ impl AgentRouter {
         let owner = self.shards.len() - 1;
         let durations: Vec<Option<f64>> =
             per_problem.iter().map(|c| c.map(|pc| pc.total())).collect();
-        let shard = &mut self.shards[owner];
-        shard.index.push_server(&durations);
-        shard.htm.push_server(per_problem);
+        self.shards[owner].index.push_server(&durations);
+        self.htm.push_server(per_problem);
         self.dirty_shard_group(owner);
         id
     }
 
-    /// Simulated completion dates of every committed task, across all
-    /// shards (each task is committed in exactly one).
+    /// Simulated completion dates of every committed task.
     pub fn simulated_completions(&self) -> HashMap<TaskId, SimTime> {
-        let mut out = HashMap::new();
-        for shard in &self.shards {
-            out.extend(shard.htm.simulated_completions());
-        }
-        out
-    }
-}
-
-/// The [`WhatIf`] backend over a federation: queries speak global ids
-/// and are routed to the owning shard.
-struct FederatedWhatIf<'a> {
-    map: &'a ShardMap,
-    shards: &'a mut [ShardEngine],
-}
-
-impl WhatIf for FederatedWhatIf<'_> {
-    fn predict(
-        &mut self,
-        now: SimTime,
-        server: ServerId,
-        task: &TaskInstance,
-    ) -> Option<Prediction> {
-        let owner = self.map.owner(server);
-        let local = self.map.to_local(owner, server);
-        self.shards[owner].htm.predict(now, local, task)
-    }
-
-    fn predict_into(
-        &mut self,
-        now: SimTime,
-        server: ServerId,
-        task: &TaskInstance,
-        out: &mut Prediction,
-    ) -> bool {
-        let owner = self.map.owner(server);
-        let local = self.map.to_local(owner, server);
-        self.shards[owner].htm.predict_into(now, local, task, out)
-    }
-
-    fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {
-        let owner = self.map.owner(server);
-        let local = self.map.to_local(owner, server);
-        self.shards[owner].htm.resident_estimate(now, local)
+        self.htm.simulated_completions()
     }
 }
 
 /// Test-only oracles of the router's optimised paths: the eager merge
-/// the lazy skyline walk prunes, and the rebuild-everything rebalance the
-/// incremental one reuses blocks against. (The flat walk, the group
-/// walk's oracle, needs no code here: `with_group_size(usize::MAX)`
-/// yields one group.)
+/// the lazy skyline walk prunes, and the replay-everything rebalance the
+/// incremental one reuses blocks and ledgers against. (The flat walk,
+/// the group walk's oracle, needs no code here:
+/// `with_group_size(usize::MAX)` yields one group.)
 #[cfg(test)]
 mod oracles {
     use super::*;
-    use crate::harness::DecisionAgent;
+    use crate::harness::{DecisionAgent, ModelOp};
 
     /// A router whose pruning-selector decisions take the eager merge:
     /// every shard shortlists, and the union is cut to the widest shard's
@@ -1339,11 +1121,40 @@ mod oracles {
 
     impl AgentRouter {
         /// The oracle of [`AgentRouter::rebalance`]: rebuilds **every**
-        /// block from scratch by history replay, reusing nothing.
-        pub(super) fn rebalance_full(&mut self, costs: &CostTable, new_map: ShardMap) {
+        /// block from scratch by replaying `log` — every index op since
+        /// the router was built, in order — filtered to the block's
+        /// servers, reusing nothing. Only index ops replay: a rebalance
+        /// does not touch the farm HTM.
+        pub(super) fn rebalance_full(
+            &mut self,
+            costs: &CostTable,
+            new_map: ShardMap,
+            log: &[ModelOp],
+        ) {
             self.check_rebalance(costs, &new_map);
             self.shards = (0..new_map.n_shards())
-                .map(|k| self.rebuilt_engine(costs, new_map.start(k), new_map.len(k)))
+                .map(|k| {
+                    let (start, len) = (new_map.start(k), new_map.len(k));
+                    let mut index =
+                        StaticIndex::with_scoring(&costs.restrict(start, len), self.scoring);
+                    for &op in log {
+                        let Some(l) = op.server().0.checked_sub(start).map(ServerId) else {
+                            continue;
+                        };
+                        if l.index() >= len {
+                            continue;
+                        }
+                        match op {
+                            ModelOp::Commit { work, .. } => index.on_commit(l, work),
+                            ModelOp::Retract { work, .. } => index.on_retract(l, work),
+                            ModelOp::Complete { work, .. } => index.on_complete(l, work),
+                            ModelOp::Available { up, .. } => {
+                                index.set_available(l, up);
+                            }
+                        }
+                    }
+                    ShardEngine::new(start, index, self.selector_kind)
+                })
                 .collect();
             self.map = new_map;
             self.rebuild_tree();
@@ -1415,9 +1226,10 @@ mod skyline_edge {
             .collect()
     }
 
-    /// A rebalance rebuilds blocks by history replay — and the rebuilt
-    /// engines must keep the router's remembered drain depth, not fall
-    /// back to the default.
+    /// A rebalance moves stage 1 only: with every block boundary
+    /// changed, the farm HTM keeps its drain depth and every committed
+    /// task, and the rebuilt indexes carry each server's ledger across
+    /// the new boundaries.
     #[test]
     fn rebuilt_blocks_keep_stage2_settings() {
         let table = edge_table();
@@ -1428,27 +1240,41 @@ mod skyline_edge {
             IndexScoring::default(),
             SyncPolicy::None,
         )
-        .with_history(true)
         .with_completion_only(true);
         for i in 0..4u64 {
             let task = TaskInstance::new(TaskId(i), ProblemId(0), SimTime::from_secs(i as f64));
-            router.on_commit(task.arrival, ServerId((i % 6) as u32), &task, 10.0);
+            router.on_commit(
+                task.arrival,
+                ServerId((i % 6) as u32),
+                &task,
+                10.0 + i as f64,
+            );
         }
         // 3 shards of 2 → 2 shards of 3: every block boundary changes, so
-        // every engine is rebuilt by replay.
+        // every block is rebuilt from the old ledgers.
         router.rebalance(&table, ShardMap::new(6, 2));
         assert_eq!(router.n_shards(), 2);
-        for shard in &router.shards {
-            assert!(shard.htm.completion_only());
-        }
-        // And the replayed model state is intact: 4 tasks are active
-        // across the federation.
+        assert!(router.htm().completion_only());
         assert_eq!(router.simulated_completions().len(), 4);
+        let ledger = |s: u32| {
+            let k = router.map.owner(ServerId(s));
+            let index = &router.shards[k].index;
+            let local = router.map.to_local(k, ServerId(s));
+            (index.active(local), index.remaining(local))
+        };
+        for s in 0..6u32 {
+            let want = if s < 4 {
+                (1, 10.0 + s as f64)
+            } else {
+                (0, 0.0)
+            };
+            assert_eq!(ledger(s), want, "server {s}");
+        }
     }
 
-    /// A rebalance drops the engines whose blocks changed; their stage-2
-    /// counters must survive in [`AgentRouter::stage2_stats`], which
-    /// never goes backwards.
+    /// A rebalance drops the engines whose blocks changed but never
+    /// touches the farm HTM, so [`AgentRouter::stage2_stats`] reads the
+    /// same counters before and after it.
     #[test]
     fn stage2_stats_never_decrease_across_rebalance() {
         let table = edge_table();
@@ -1459,13 +1285,12 @@ mod skyline_edge {
             IndexScoring::default(),
             SyncPolicy::None,
         )
-        .with_history(true)
         .with_completion_only(true);
         for i in 0..6u64 {
             let now = SimTime::from_secs(i as f64);
             let task = TaskInstance::new(TaskId(i), ProblemId(0), now);
             let server = ServerId((i % 6) as u32);
-            // Probes at several instants run drains that no replay redoes.
+            // Probes at several instants make the drain counters live.
             for s in 0..6 {
                 let probe = TaskInstance::new(TaskId(100 + i), ProblemId(0), now);
                 router.predict(now, ServerId(s), &probe);
@@ -1476,19 +1301,7 @@ mod skyline_edge {
         let before = router.stage2_stats();
         assert!(before.drains > 0 && before.prefix_hits > 0, "{before:?}");
         router.rebalance(&table, ShardMap::new(6, 2));
-        let after = router.stage2_stats();
-        let fields = |m: MemoStats| {
-            [
-                m.drains,
-                m.hits,
-                m.cross_task_hits,
-                m.truncated,
-                m.prefix_hits,
-            ]
-        };
-        for (b, a) in fields(before).into_iter().zip(fields(after)) {
-            assert!(a >= b, "a counter went backwards: {before:?} → {after:?}");
-        }
+        assert_eq!(router.stage2_stats(), before);
     }
 
     /// A problem with zero solvable servers in a shard: the shard has no
@@ -1811,17 +1624,6 @@ mod skyline_edge {
         harness.run(&mut reference, &mut joined, &ops).unwrap();
     }
 
-    /// Rebalance is gated on history recording: without the op log a
-    /// new block boundary could not be populated.
-    #[test]
-    #[should_panic(expected = "history recording")]
-    fn rebalance_without_history_panics() {
-        let table = edge_table();
-        let (_, mut lazy) = routers(&table, SelectorKind::TopK { k: 2 });
-        let map = ShardMap::new(6, 2);
-        lazy.rebalance(&table, map);
-    }
-
     /// The single-agent fast path and exhaustive selectors never enter
     /// the lazy merge: their stats stay zero.
     #[test]
@@ -1884,6 +1686,9 @@ mod proptests {
     /// a real federation and small group sizes give a deep tree.
     const N_SERVERS_HUGE: usize = 72;
     const N_PROBLEMS: usize = 2;
+
+    /// An [`Op`] as the strategies generate it.
+    type RawOp = (u32, u32, u32, f64, u32);
 
     /// `n_servers`-wide table; server 0 always solves everything so no
     /// problem is globally unsolvable, the rest follow `solvable`.
@@ -2072,44 +1877,44 @@ mod proptests {
         )
     }
 
-    /// Runs `prefix`, re-partitions both routers to the same new map —
-    /// one through the incremental [`AgentRouter::rebalance`], the other
-    /// through the rebuild-everything `rebalance_full` oracle — then
-    /// demands the `suffix` stays bit-identical and the resting models
-    /// agree.
+    /// Runs `phases[0]`, then before each later phase re-partitions
+    /// both routers to the same new map — one through the incremental
+    /// [`AgentRouter::rebalance`], the other through the
+    /// replay-everything `rebalance_full` oracle over the session's op
+    /// log — demanding every phase stays bit-identical and the resting
+    /// models agree. With two rebalances, a block rebuilt by the first
+    /// can be rebuilt again next to survivors by the second.
     #[allow(clippy::too_many_arguments)]
     fn run_rebalance_differential(
         n_servers: usize,
         costs: Vec<PhaseCosts>,
         solvable: Vec<bool>,
         shards_before: usize,
-        shards_after: usize,
+        shards_after: &[usize],
         selector: SelectorKind,
         sync: SyncPolicy,
-        prefix: Vec<(u32, u32, u32, f64, u32)>,
-        suffix: Vec<(u32, u32, u32, f64, u32)>,
+        phases: Vec<Vec<RawOp>>,
     ) -> Result<(), TestCaseError> {
+        assert_eq!(phases.len(), shards_after.len() + 1);
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
         let scoring = IndexScoring::default();
         let mut incremental =
-            AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
-                .with_history(true);
-        let mut full = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
-            .with_history(true);
-        let prefix: Vec<Op> = prefix.into_iter().map(Op::from).collect();
-        let suffix: Vec<Op> = suffix.into_iter().map(Op::from).collect();
+            AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
+        let mut full = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
         let mut session = harness.session();
-        if let Err(e) = session.run(&mut incremental, &mut full, &prefix) {
-            return Err(TestCaseError::fail(format!("prefix: {e}")));
-        }
-        let new_map = ShardMap::new(n_servers, shards_after);
-        incremental.rebalance(&table, new_map.clone());
-        full.rebalance_full(&table, new_map);
-        prop_assert_eq!(incremental.n_shards(), full.n_shards());
-        prop_assert_eq!(incremental.map(), full.map());
-        if let Err(e) = session.run(&mut incremental, &mut full, &suffix) {
-            return Err(TestCaseError::fail(format!("suffix: {e}")));
+        for (i, phase) in phases.into_iter().enumerate() {
+            if i > 0 {
+                let new_map = ShardMap::new(n_servers, shards_after[i - 1]);
+                incremental.rebalance(&table, new_map.clone());
+                full.rebalance_full(&table, new_map, session.model_ops());
+                prop_assert_eq!(incremental.n_shards(), full.n_shards());
+                prop_assert_eq!(incremental.map(), full.map());
+            }
+            let ops: Vec<Op> = phase.into_iter().map(Op::from).collect();
+            if let Err(e) = session.run(&mut incremental, &mut full, &ops) {
+                return Err(TestCaseError::fail(format!("phase {i}: {e}")));
+            }
         }
         if let Err(e) = session.finish(&mut incremental, &mut full) {
             return Err(TestCaseError::fail(e));
@@ -2138,8 +1943,7 @@ mod proptests {
         let scoring = IndexScoring::default();
         let selector = SelectorKind::Exhaustive;
         let mut fixed = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
-        let mut moved = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
-            .with_history(true);
+        let mut moved = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
         let prefix: Vec<Op> = prefix.into_iter().map(Op::from).collect();
         let suffix: Vec<Op> = suffix.into_iter().map(Op::from).collect();
         let mut session = harness.session();
@@ -2270,11 +2074,12 @@ mod proptests {
             )?;
         }
 
-        /// The rebalance proof, half one: re-partitioning mid-run through
-        /// the incremental block-reusing `rebalance` is **bit-identical**
-        /// — on the suffix ops and the resting model — to the
-        /// rebuild-everything `rebalance_full` oracle, for every selector
-        /// backend, shard count transition and fault schedule.
+        /// The rebalance proof, half one: re-partitioning twice mid-run
+        /// through the incremental block-reusing, ledger-carrying
+        /// `rebalance` is **bit-identical** — on every later op and the
+        /// resting model — to the replay-everything `rebalance_full`
+        /// oracle, for every selector backend, shard count transition
+        /// and fault schedule.
         #[test]
         fn rebalance_incremental_is_bitwise_full_rebuild(
             costs in proptest::collection::vec(arb_costs(), N_SERVERS_WIDE * N_PROBLEMS),
@@ -2283,17 +2088,19 @@ mod proptests {
             ),
             before_pick in 0usize..4,
             after_pick in 0usize..4,
+            again_pick in 0usize..4,
             selector_pick in 0usize..4,
             force_finish in proptest::bool::ANY,
             prefix in arb_churn_ops(N_SERVERS_WIDE),
+            middle in arb_churn_ops(N_SERVERS_WIDE),
             suffix in arb_churn_ops(N_SERVERS_WIDE),
         ) {
             let shards_before = [1usize, 2, 3, 16][before_pick];
-            let shards_after = [1usize, 2, 4, 9][after_pick];
+            let shards_after = [[1usize, 2, 4, 9][after_pick], [2usize, 3, 5, 16][again_pick]];
             let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
             run_rebalance_differential(
-                N_SERVERS_WIDE, costs, solvable, shards_before, shards_after,
-                selector_of(selector_pick), sync, prefix, suffix,
+                N_SERVERS_WIDE, costs, solvable, shards_before, &shards_after,
+                selector_of(selector_pick), sync, vec![prefix, middle, suffix],
             )?;
         }
 
@@ -2377,10 +2184,8 @@ mod proptests {
             let selector = selector_of(selector_pick);
             let mut incremental =
                 AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
-                    .with_history(true)
                     .with_group_size(2);
             let mut full = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
-                .with_history(true)
                 .with_group_size(2);
             let prefix: Vec<Op> = prefix.into_iter().map(Op::from).collect();
             let suffix: Vec<Op> = suffix.into_iter().map(Op::from).collect();
@@ -2390,7 +2195,7 @@ mod proptests {
             }
             let new_map = ShardMap::new(N_SERVERS_WIDE, shards_after);
             incremental.rebalance(&table, new_map.clone());
-            full.rebalance_full(&table, new_map);
+            full.rebalance_full(&table, new_map, session.model_ops());
             prop_assert_eq!(incremental.tree().n_groups(), full.tree().n_groups());
             if let Err(e) = session.run(&mut incremental, &mut full, &suffix) {
                 return Err(TestCaseError::fail(format!("suffix: {e}")));

@@ -7,8 +7,8 @@
 //!
 //! Here the "real" completion date comes from the noisy ground-truth
 //! simulator and the "simulated" one is the HTM's commit-time prediction —
-//! the same quantities the paper tabulates, with the testbed replaced per
-//! DESIGN.md §2.
+//! the same quantities the paper tabulates, with the testbed replaced by
+//! the noisy ground truth the crate docs describe.
 
 use crate::config::ExperimentConfig;
 use crate::engine::run_experiment;

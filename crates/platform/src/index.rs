@@ -448,6 +448,8 @@ pub struct StaticIndex {
     /// every ranking, so stage 1 never proposes it and the skylines
     /// reflect the live farm only.
     available: Vec<bool>,
+    /// Number of `true` entries in `available`.
+    n_available: usize,
     /// Per problem: solvable **available** servers ordered by
     /// `(score_bits, id)`.
     ranked: Vec<FlatRanking>,
@@ -461,8 +463,39 @@ impl StaticIndex {
         Self::with_scoring(costs, IndexScoring::default())
     }
 
-    /// Builds the index with an explicit scoring proxy.
+    /// Builds the index with an explicit scoring proxy; every server
+    /// starts live and idle.
     pub fn with_scoring(costs: &CostTable, scoring: IndexScoring) -> Self {
+        Self::build(costs, scoring, |_| (0, 0.0, true))
+    }
+
+    /// Builds the index with every server's ledger given up front:
+    /// `ledgers[s] = (active, remaining, available)`. Each available
+    /// server's key goes into each ranking once, at its final score, so
+    /// the result answers every query exactly as an index driven to the
+    /// same ledgers through the hooks would. A federation rebuilds a
+    /// moved block this way from the ledgers its old engines hold —
+    /// ledgers are per server, so they cross a block boundary unchanged.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one ledger per server.
+    pub fn with_ledgers(
+        costs: &CostTable,
+        scoring: IndexScoring,
+        ledgers: &[(u32, f64, bool)],
+    ) -> Self {
+        assert_eq!(ledgers.len(), costs.n_servers(), "one ledger per server");
+        Self::build(costs, scoring, |s| ledgers[s])
+    }
+
+    /// The one constructor body: `ledger(s)` is server `s`'s `(active,
+    /// remaining, available)`. A closure rather than a slice, so the
+    /// all-idle build allocates no ledger table.
+    fn build(
+        costs: &CostTable,
+        scoring: IndexScoring,
+        ledger: impl Fn(usize) -> (u32, f64, bool),
+    ) -> Self {
         let n_servers = costs.n_servers();
         let n_problems = costs.n_problems();
         let mut durations = Vec::with_capacity(n_problems * n_servers);
@@ -474,18 +507,21 @@ impl StaticIndex {
         let mut idx = StaticIndex {
             n_servers,
             scoring,
-            active: vec![0; n_servers],
-            remaining: vec![0.0; n_servers],
+            active: (0..n_servers).map(|s| ledger(s).0).collect(),
+            remaining: (0..n_servers).map(|s| ledger(s).1).collect(),
             durations,
-            available: vec![true; n_servers],
+            available: (0..n_servers).map(|s| ledger(s).2).collect(),
+            n_available: (0..n_servers).filter(|&s| ledger(s).2).count(),
             ranked: (0..n_problems)
                 .map(|_| FlatRanking::new(n_servers))
                 .collect(),
         };
         for p in 0..n_problems {
             for s in 0..n_servers {
-                if let Some(d) = idx.durations[p * n_servers + s] {
-                    idx.insert_key(p, s as u32, score_bits(d));
+                let (active, remaining, available) = ledger(s);
+                if let (Some(d), true) = (idx.durations[p * n_servers + s], available) {
+                    let bits = score_bits(proxy_score(scoring, d, active, remaining));
+                    idx.insert_key(p, s as u32, bits);
                 }
             }
         }
@@ -523,6 +559,11 @@ impl StaticIndex {
     /// seconds.
     pub fn remaining(&self, server: ServerId) -> f64 {
         self.remaining[server.index()]
+    }
+
+    /// Whether `server` can solve `problem` at all (live or not).
+    pub fn solves(&self, problem: ProblemId, server: ServerId) -> bool {
+        self.durations[problem.index() * self.n_servers + server.index()].is_some()
     }
 
     /// The head of `problem`'s ranking — the best current `(score bits,
@@ -588,6 +629,11 @@ impl StaticIndex {
             return false;
         }
         self.available[s] = up;
+        if up {
+            self.n_available += 1;
+        } else {
+            self.n_available -= 1;
+        }
         let (active, remaining) = (self.active[s], self.remaining[s]);
         let scoring = self.scoring;
         for p in 0..self.durations.len() / self.n_servers {
@@ -606,6 +652,11 @@ impl StaticIndex {
     /// Whether `server` is currently live (present in the rankings).
     pub fn is_available(&self, server: ServerId) -> bool {
         self.available[server.index()]
+    }
+
+    /// Number of live servers — O(1), counted by the availability hooks.
+    pub fn available_count(&self) -> usize {
+        self.n_available
     }
 
     /// Extends the index with one new server, online: `durations[p]` is
@@ -630,6 +681,7 @@ impl StaticIndex {
         self.active.push(0);
         self.remaining.push(0.0);
         self.available.push(true);
+        self.n_available += 1;
         for r in &mut self.ranked {
             r.push_slot();
         }
@@ -1091,6 +1143,24 @@ mod tests {
             .collect()
     }
 
+    /// Three problems over `n_servers`: a third of the pairs unsolvable,
+    /// clustered durations so score ties are common.
+    fn model_table(n_servers: usize) -> CostTable {
+        let mut costs = CostTable::new(n_servers);
+        for p in 0..3usize {
+            costs.add_problem(
+                Problem::new(format!("p{p}"), 0.0, 0.0, 0.0),
+                (0..n_servers)
+                    .map(|s| {
+                        ((s + p) % 3 != 0)
+                            .then(|| PhaseCosts::new(0.0, 10.0 + ((s * 7 + p * 3) % 5) as f64, 0.0))
+                    })
+                    .collect(),
+            );
+        }
+        costs
+    }
+
     /// Drives an op stream into the index and diffs **every** query
     /// surface against the `BTreeSet` model after every op: skyline,
     /// ranking cardinality, full ordered walk, filtered k-best. The op
@@ -1098,20 +1168,7 @@ mod tests {
     /// revive-in-place and the stale-head advance all fire many times per
     /// case.
     fn diff_against_model(n_servers: usize, ops: &[(u32, u32, f64)]) {
-        let mut costs = CostTable::new(n_servers);
-        for p in 0..3usize {
-            costs.add_problem(
-                Problem::new(format!("p{p}"), 0.0, 0.0, 0.0),
-                (0..n_servers)
-                    .map(|s| {
-                        // A third of the pairs unsolvable; clustered
-                        // durations so score ties are common.
-                        ((s + p) % 3 != 0)
-                            .then(|| PhaseCosts::new(0.0, 10.0 + ((s * 7 + p * 3) % 5) as f64, 0.0))
-                    })
-                    .collect(),
-            );
-        }
+        let costs = model_table(n_servers);
         for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
             let mut idx = StaticIndex::with_scoring(&costs, scoring);
             let mut in_flight: Vec<Vec<f64>> = vec![Vec::new(); n_servers];
@@ -1134,36 +1191,117 @@ mod tests {
                         idx.set_available(server, true);
                     }
                 }
-                for p in 0..costs.n_problems() as u32 {
-                    let problem = ProblemId(p);
-                    let want = model(&idx, problem);
-                    assert_eq!(
-                        idx.best_key(problem),
-                        want.first().map(|&(bits, sv)| (bits, ServerId(sv))),
-                        "skyline P{p}"
-                    );
-                    assert_eq!(idx.solvable_count(problem), want.len(), "cardinality P{p}");
-                    let walk: Vec<_> = idx.ranked_iter(problem, &|_| true).collect();
-                    let want_walk: Vec<_> = want
-                        .iter()
-                        .map(|&(bits, sv)| (ServerId(sv), f64::from_bits(bits)))
-                        .collect();
-                    assert_eq!(walk, want_walk, "ordered walk P{p}");
-                    let admit = |sv: ServerId| sv.0.is_multiple_of(2);
-                    let mut k_best = Vec::new();
-                    idx.k_best(problem, 3, &admit, &mut k_best);
-                    let want_k: Vec<_> = want_walk
-                        .into_iter()
-                        .filter(|&(sv, _)| admit(sv))
-                        .take(3)
-                        .collect();
-                    assert_eq!(k_best, want_k, "filtered k-best P{p}");
-                }
+                assert_matches_model(&idx, costs.n_problems(), "hooks");
             }
         }
     }
 
+    /// Every query surface of `idx` against the `BTreeSet` model built
+    /// from its own ledgers: skyline, cardinality, live count, ordered
+    /// walk and filtered k-best, per problem.
+    fn assert_matches_model(idx: &StaticIndex, n_problems: usize, what: &str) {
+        let live = (0..idx.n_servers() as u32)
+            .filter(|&s| idx.is_available(ServerId(s)))
+            .count();
+        assert_eq!(idx.available_count(), live, "{what}: live count");
+        for p in 0..n_problems as u32 {
+            let problem = ProblemId(p);
+            let want = model(idx, problem);
+            assert_eq!(
+                idx.best_key(problem),
+                want.first().map(|&(bits, sv)| (bits, ServerId(sv))),
+                "{what}: skyline P{p}"
+            );
+            assert_eq!(
+                idx.solvable_count(problem),
+                want.len(),
+                "{what}: cardinality P{p}"
+            );
+            let walk: Vec<_> = idx.ranked_iter(problem, &|_| true).collect();
+            let want_walk: Vec<_> = want
+                .iter()
+                .map(|&(bits, sv)| (ServerId(sv), f64::from_bits(bits)))
+                .collect();
+            assert_eq!(walk, want_walk, "{what}: ordered walk P{p}");
+            let admit = |sv: ServerId| sv.0.is_multiple_of(2);
+            let mut k_best = Vec::new();
+            idx.k_best(problem, 3, &admit, &mut k_best);
+            let want_k: Vec<_> = want_walk
+                .into_iter()
+                .filter(|&(sv, _)| admit(sv))
+                .take(3)
+                .collect();
+            assert_eq!(k_best, want_k, "{what}: filtered k-best P{p}");
+        }
+    }
+
+    /// `with_ledgers` over arbitrary per-server ledgers against an index
+    /// driven to the same ledgers through the hooks (one commit carrying
+    /// the whole backlog, zero-work commits for the rest, a crash for
+    /// the unavailable): identical ledgers and scores, and both match
+    /// the model on every query surface.
+    fn diff_ledgers_against_hooks(ledgers: &[(u32, f64, bool)], order: &[usize]) {
+        let n_servers = ledgers.len();
+        let costs = model_table(n_servers);
+        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
+            let built = StaticIndex::with_ledgers(&costs, scoring, ledgers);
+            let mut driven = StaticIndex::with_scoring(&costs, scoring);
+            for &s in order {
+                let (active, remaining, available) = ledgers[s];
+                let server = ServerId(s as u32);
+                for i in 0..active {
+                    driven.on_commit(server, if i == 0 { remaining } else { 0.0 });
+                }
+                driven.set_available(server, available);
+            }
+            for s in (0..n_servers as u32).map(ServerId) {
+                assert_eq!(built.active(s), driven.active(s), "{scoring:?} {s}");
+                assert_eq!(
+                    built.remaining(s).to_bits(),
+                    driven.remaining(s).to_bits(),
+                    "{scoring:?} {s}"
+                );
+                assert_eq!(built.is_available(s), driven.is_available(s));
+                for p in 0..costs.n_problems() as u32 {
+                    assert_eq!(built.score(ProblemId(p), s), driven.score(ProblemId(p), s));
+                    assert_eq!(
+                        built.solves(ProblemId(p), s),
+                        costs.costs(ProblemId(p), s).is_some()
+                    );
+                }
+            }
+            assert_matches_model(&built, costs.n_problems(), "with_ledgers");
+            assert_matches_model(&driven, costs.n_problems(), "hooks");
+        }
+    }
+
+    /// Arbitrary ledgers: an idle server carries no backlog (the hooks
+    /// reset it to zero), a busy one any non-negative backlog.
+    fn arb_ledgers(n: usize) -> impl Strategy<Value = Vec<(u32, f64, bool)>> {
+        proptest::collection::vec((0u32..4, 0.0f64..1e4, proptest::bool::ANY), n).prop_map(|v| {
+            v.into_iter()
+                .map(|(a, r, up)| (a, if a == 0 { 0.0 } else { r }, up))
+                .collect()
+        })
+    }
+
     proptest! {
+        /// An index built from ledgers equals one driven to the same
+        /// ledgers through the hooks, in any server order, on every
+        /// query surface and under both scoring proxies — at farm widths
+        /// on both sides of the ladder's first merge.
+        #[test]
+        fn with_ledgers_matches_hook_driven_index(
+            ledgers in arb_ledgers(70),
+            n in 1usize..70,
+            seed in 0u64..1000,
+        ) {
+            let ledgers = &ledgers[..n];
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&s| (s as u64).wrapping_mul(seed | 1).wrapping_add(seed) % 97);
+            diff_ledgers_against_hooks(ledgers, &order);
+        }
+
         /// The flat ladder is bit-identical to the `BTreeSet` model under
         /// arbitrary commit/complete/crash/repair interleavings, for
         /// every query surface and both scoring proxies.

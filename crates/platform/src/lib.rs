@@ -29,9 +29,6 @@
 //!   `(n_servers, n_shards)`, so sharded runs reproduce on any host.
 //! * [`monitor`] — the UNIX-style exponentially-damped load average that
 //!   NetSolve servers report to the agent, plus report staleness bookkeeping.
-//! * [`forecast`] — small NWS-flavoured forecasters (last value, running
-//!   mean, sliding median, adaptive best-of) for the baseline's dynamic
-//!   information model.
 //!
 //! The ground truth of an experiment is built from these pieces by
 //! `cas-middleware`; the agent's *model* of the platform (the HTM) lives in
@@ -40,7 +37,6 @@
 pub mod arena;
 pub mod cost;
 pub mod fairshare;
-pub mod forecast;
 pub mod ids;
 pub mod index;
 pub mod monitor;

@@ -77,8 +77,8 @@ impl Default for MemoryModel {
     /// only after massive rejection counts. Calibrated so that the
     /// low-rate matmul metatask completes 500/500 under every heuristic
     /// (Table 5) while the high rate loses tasks for the HTM heuristics
-    /// without fault tolerance (Table 6) — see EXPERIMENTS.md. Thrashing
-    /// is explored separately as an ablation
+    /// without fault tolerance (Table 6). Thrashing is explored
+    /// separately as an ablation
     /// ([`MemoryModel::thrashing`]).
     fn default() -> Self {
         MemoryModel {

@@ -1,8 +1,8 @@
 //! Deterministic partitioning of the server farm into shards.
 //!
-//! The shard federation (see `cas-middleware`) splits the agent's decision
-//! state — HTM traces, static index, selector — into per-shard engines so
-//! that no single structure scales with the whole farm. [`ShardMap`] is the
+//! The shard federation (see `cas-middleware`) splits the agent's stage-1
+//! state — static index and selector — into per-shard engines so that no
+//! ranking or stage-1 walk scales with the whole farm. [`ShardMap`] is the
 //! partition itself: a pure function of `(n_servers, n_shards)`, with no
 //! dependence on machine parallelism, so a sharded experiment is
 //! reproducible bit for bit on any host.

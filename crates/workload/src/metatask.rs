@@ -6,7 +6,7 @@
 //! A task has a uniform probability to be of each duration."
 //!
 //! The two arrival-rate constants are back-derived from the reported
-//! makespans (see DESIGN.md): [`LOW_RATE_MEAN_GAP`] = 20 s for the "low
+//! makespans: [`LOW_RATE_MEAN_GAP`] = 20 s for the "low
 //! rate" tables (5, 7) and [`HIGH_RATE_MEAN_GAP`] = 15 s for the "high
 //! rate" tables (6, 8).
 

@@ -2,7 +2,8 @@
 //! metatasks so the suite stays fast in debug builds.
 //!
 //! These are *shape* assertions — orderings and factors, not absolute
-//! numbers — mirroring what EXPERIMENTS.md records for the full-size runs.
+//! numbers — mirroring what the `cas-bench` table binaries print for the
+//! full-size runs.
 
 use casgrid::prelude::*;
 
