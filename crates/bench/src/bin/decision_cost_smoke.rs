@@ -246,8 +246,10 @@ fn main() {
         memo.cross_task_hits
     );
     let memo_live = memo.cross_task_hits > 0;
+    let manifest = cas_bench::manifest_json();
     let json = format!(
-        "{{\n  \"bench\": \"decision_cost\",\n  \"unit\": \"microseconds per scheduling decision \
+        "{{\n  \"bench\": \"decision_cost\",\n  \"manifest\": {manifest},\n  \
+         \"unit\": \"microseconds per scheduling decision \
          (one what-if query per candidate server)\",\n  \"engine\": \"Htm::predict per \
          candidate (generation-cached baseline + zero-clone scratch drain)\",\n  \
          \"results\": [\n{}\n  ],\n\

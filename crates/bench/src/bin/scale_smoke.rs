@@ -424,11 +424,8 @@ fn sharding_microbench(
 /// contrast is purely the per-decision walk bookkeeping (flat: build +
 /// sort an `O(S)` order vector and test every shard's skyline key; tree:
 /// sort `O(S/G)` group keys and descend only into groups whose group
-/// skyline survives), since both walks visit the identical shard set and
-/// run identical stage-2 shortlists. Both arms are pinned to the serial
-/// walk: on a multi-core host the tree arm would otherwise take the
-/// parallel per-group scatter, which prunes no group by cut line and so
-/// measures a different walk.
+/// skyline survives), since both walks produce the identical merged cut
+/// and so run identical stage-2 shortlists.
 /// `n_shards` defaults to the auto-shard cap (1024): the walk shape a
 /// million-server federation pays, hosted on the 10k bench farm.
 /// Returns (flat µs/task, tree µs/task, tree-arm counters).
@@ -456,8 +453,7 @@ fn tree_walk_microbench(
             IndexScoring::RemainingWork,
             SyncPolicy::ForceFinish,
         )
-        .with_group_size(if grouped { group_size } else { usize::MAX })
-        .with_parallel_stage1(false);
+        .with_group_size(if grouped { group_size } else { usize::MAX });
         let mut heuristic = HeuristicKind::Hmct.build();
         let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
         let mut id = 70_000_000u64;
@@ -1078,10 +1074,12 @@ fn main() {
         && ok_profile
         && ok_peak_pending;
 
+    let manifest = cas_bench::manifest_json();
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"bench\": \"scale_smoke\",\n  \"scenario\": \"{n_servers}-server burst campaign \
+        "{{\n  \"bench\": \"scale_smoke\",\n  \"manifest\": {manifest},\n  \
+         \"scenario\": \"{n_servers}-server burst campaign \
          (IPPP thinning arrivals, HMCT, adaptive event queue, incremental HTM repair, \
          two-stage candidate pipeline)\",\n\
   \"n_servers\": {n_servers},\n  \"n_tasks\": {n_tasks},\n  \"selector\": \"{selector_spec}\",\n\

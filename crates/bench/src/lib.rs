@@ -23,3 +23,22 @@ pub mod paper;
 pub mod tables;
 
 pub use tables::{run_table, TableSpec, Workload};
+
+/// The `manifest` object the `BENCH_*.json` writers put at their top
+/// level, so a reader can tell which build and which host a file came
+/// from: the checkout the binary ran in (`git describe --always
+/// --dirty`, so a build from uncommitted changes reads `<rev>-dirty`;
+/// `"unknown"` without git) and the host's core count.
+pub fn manifest_json() -> String {
+    let git_rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{{\"git_rev\": \"{git_rev}\", \"host_cores\": {host_cores}}}")
+}

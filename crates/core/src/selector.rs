@@ -68,11 +68,14 @@ pub trait CandidateSelector: Send {
     /// Scored variant of [`CandidateSelector::shortlist`] for callers
     /// that need the stage-1 scores alongside the ids (a shard federation
     /// merging shortlists by score): fills `out` with `(server, score)`
-    /// pairs — any order — and returns `true`. Backends that do not track
-    /// scores return `false` without touching `out`, and the caller falls
-    /// back to [`CandidateSelector::shortlist`] plus index lookups. When
-    /// supported, the id set must equal what `shortlist` would emit from
-    /// the same state, and selector state must advance identically.
+    /// pairs in ascending `(score, server id)` order — the federation
+    /// folds them into its merge without sorting — and returns `true`.
+    /// Backends that do not track scores return `false` without touching
+    /// `out`. The federation calls this only on selectors that report a
+    /// [`CandidateSelector::width_cap`], so every width-capped backend
+    /// must support it. When supported, the id set must equal what
+    /// `shortlist` would emit from the same state, and selector state
+    /// must advance identically.
     fn shortlist_scored(
         &mut self,
         input: SelectorInput<'_>,

@@ -6,8 +6,9 @@
 //! proof: drive the optimised implementation and a test-only oracle
 //! through arbitrary interleavings of
 //! decide / commit / retract / complete and demand **bit-identical**
-//! picks, predictions and resting model state. This module is that proof
-//! engine, factored out once so the federation's proptests, the skyline
+//! picks, predictions and resting model state — and, where both sides
+//! expose them, candidate lists. This module is that proof engine,
+//! factored out once so the federation's proptests, the skyline
 //! differential tests and any future integration test share one
 //! definition of "equivalent".
 //!
@@ -15,8 +16,9 @@
 //!
 //! * [`DecisionAgent`] — the minimal surface a decision stack must offer
 //!   to be diffed: one two-stage decision (returning the pick *and* the
-//!   winning prediction), the three model-mutation hooks, and the
-//!   resting simulated-completion map. Implemented by [`AgentRouter`]
+//!   winning prediction), the three model-mutation hooks, the resting
+//!   simulated-completion map and, optionally, the last decision's
+//!   candidate list. Implemented by [`AgentRouter`]
 //!   (any shard count), by the eager-merge oracle in `shard.rs` and by
 //!   [`SingleAgentReference`], the inline replica of the pre-federation
 //!   single-agent loop kept as the oracle of the federation.
@@ -141,6 +143,14 @@ pub trait DecisionAgent {
     /// excludes down servers through the decision's admit filter, the
     /// way the engine's liveness vector does.
     fn set_available(&mut self, server: ServerId, up: bool);
+
+    /// The last decision's stage-2 candidate list (ascending global id),
+    /// for agents that expose it. When both sides of a diff do, the
+    /// lists must agree after every decision: a stage-1 walk that drops
+    /// a candidate which would not have won leaves the pick unchanged.
+    fn candidates(&self) -> Option<&[ServerId]> {
+        None
+    }
 }
 
 impl DecisionAgent for AgentRouter {
@@ -185,6 +195,10 @@ impl DecisionAgent for AgentRouter {
 
     fn set_available(&mut self, server: ServerId, up: bool) {
         AgentRouter::set_available(self, server, up);
+    }
+
+    fn candidates(&self) -> Option<&[ServerId]> {
+        Some(self.last_candidates())
     }
 }
 
@@ -302,8 +316,8 @@ impl DiffHarness {
 
     /// Replays `ops` against both agents in lockstep from a fresh
     /// session. Returns `Err` with a human-readable description at the
-    /// first divergence: a pick, a winning prediction, a one-sided
-    /// failure, or (after the full sequence) the resting
+    /// first divergence: a pick, a winning prediction, a candidate list,
+    /// a one-sided failure, or (after the full sequence) the resting
     /// simulated-completion maps. Use [`DiffHarness::session`] to replay
     /// in instalments (inspecting agent state between them).
     pub fn run(
@@ -420,6 +434,14 @@ impl DiffSession<'_> {
                             return Err(format!(
                                 "step {step}: {heuristic:?} one side failed the task \
                                  ({pa:?} vs {pb:?})"
+                            ));
+                        }
+                    }
+                    if let (Some(ca), Some(cb)) = (a.candidates(), b.candidates()) {
+                        if ca != cb {
+                            return Err(format!(
+                                "step {step}: {heuristic:?} candidate lists diverged: \
+                                 {ca:?} vs {cb:?}"
                             ));
                         }
                     }

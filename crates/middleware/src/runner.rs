@@ -3,11 +3,11 @@
 //! A paper table cell is the mean over several executions of the same
 //! metatask; a full table is |heuristics| × |seeds| runs. Runs are
 //! independent, so they fan out over the process-wide work-stealing pool
-//! ([`cas_sim::pool`]) — the same pool the shard federation's stage-1
-//! scatter uses, so a sweep saturates the machine once instead of each
-//! layer spawning scoped threads per call. Each replication writes into its own result
-//! slot and the slots are collected in replication order afterwards, so
-//! the reduction is deterministic regardless of which worker ran what.
+//! ([`cas_sim::pool`]) and a sweep saturates the machine once instead of
+//! spawning scoped threads per call. Each replication writes into its
+//! own result slot and the slots are collected in replication order
+//! afterwards, so the reduction is deterministic regardless of which
+//! worker ran what.
 
 use crate::config::ExperimentConfig;
 use crate::engine::run_experiment;

@@ -18,14 +18,16 @@
 //!
 //! 1. **Stage 1, scatter**: every shard's selector proposes a shortlist
 //!    from its local index — all shards in turn under an exhaustive
-//!    selector; pruning selectors walk the shard tree lazily, fanning the
-//!    groups over [`cas_sim::pool`] on multi-core hosts (results land in
-//!    per-shard scratch slots, so worker count cannot change them).
+//!    selector; pruning selectors walk the shard tree lazily and
+//!    serially, in ascending skyline order, skipping every group and
+//!    shard that cannot reach the cut.
 //! 2. **Merge**: shortlists merge by stage-1 score (ties by global
 //!    server id) and truncate to the widest shard's width — under an
 //!    exhaustive selector the union is kept untruncated, preserving the
-//!    paper's every-solver loop. The merged list is emitted in ascending
-//!    global id, the order the heuristics' tie-breaks require.
+//!    paper's every-solver loop. The pruning walk folds each visited
+//!    shortlist in as it goes, keeping only the entries that can still
+//!    make the cut. The merged list is emitted in ascending global id,
+//!    the order the heuristics' tie-breaks require.
 //! 3. **Stage 2, gather**: the heuristic runs unchanged over a
 //!    [`SchedView`] on the farm HTM, one serial query at a time.
 //!
@@ -97,13 +99,14 @@ impl ShardEngine {
     }
 
     /// Runs the shard's stage-1 selector. `admit` speaks global ids; the
-    /// shortlist lands in `self.shortlist` (local ids) and, when
-    /// `score_for_merge` is set, in `self.scored` as `(score bits,
-    /// global id)` pairs for the router's merge.
+    /// shortlist lands in `self.shortlist` (local ids, ascending) or,
+    /// when `score_for_merge` is set (width-capped selectors only), in
+    /// `self.scored` as `(score bits, global id)` pairs in ascending
+    /// order for the router's merge.
     fn stage1(
         &mut self,
         problem: ProblemId,
-        admit: &(dyn Fn(ServerId) -> bool + Sync),
+        admit: &dyn Fn(ServerId) -> bool,
         score_for_merge: bool,
     ) {
         let ShardEngine {
@@ -123,22 +126,17 @@ impl ShardEngine {
         }
         // Scores are non-negative finite, so the IEEE-754 bit pattern is
         // an order-preserving sort key (the same trick the index's
-        // ranking trees use). Selectors that track scores hand them out
-        // directly; the rest fall back to shortlist + index lookups.
+        // ranking trees use). Only width-capped selectors take the
+        // skyline merge, and each hands its scores out already ascending.
         scored.clear();
         scored_local.clear();
-        if selector.shortlist_scored(input(), &local_admit, scored_local) {
-            for &(local, score) in scored_local.iter() {
-                scored.push((score.to_bits(), ServerId(local.0 + start)));
-            }
-        } else {
-            selector.shortlist(input(), &local_admit, shortlist);
-            for &local in shortlist.iter() {
-                let score = index
-                    .score(problem, local)
-                    .expect("shortlisted implies solvable");
-                scored.push((score.to_bits(), ServerId(local.0 + start)));
-            }
+        let supported = selector.shortlist_scored(input(), &local_admit, scored_local);
+        assert!(
+            supported,
+            "a width-capped selector must score its shortlist"
+        );
+        for &(local, score) in scored_local.iter() {
+            scored.push((score.to_bits(), ServerId(local.0 + start)));
         }
     }
 
@@ -246,7 +244,7 @@ pub struct DecisionInputs<'a> {
     pub server_mem: &'a [f64],
     /// Which servers the agent may consider (excludes retry-refused and
     /// known-collapsed servers).
-    pub admit: &'a (dyn Fn(ServerId) -> bool + Sync),
+    pub admit: &'a dyn Fn(ServerId) -> bool,
 }
 
 /// The federated agent: per-shard stage-1 engines and the farm-wide HTM
@@ -278,10 +276,6 @@ pub struct AgentRouter {
     group_cache: Vec<Option<GroupKey>>,
     /// Problems covered by the cost table (the cache stride).
     n_problems: usize,
-    /// Parallel stage-1 arm: `None` engages it automatically when the
-    /// pool has more than one worker, `Some(b)` forces it on or off
-    /// (differential runs must exercise the arm on any host).
-    parallel_override: Option<bool>,
     /// Cumulative visit/skip counters of the skyline merge.
     stats: SkylineStats,
     /// Run-wide decision memo lent to each decision's `SchedView`
@@ -293,12 +287,18 @@ pub struct AgentRouter {
     /// instead of allocated per commit.
     pred_scratch: Prediction,
     /// Merge scratch: `(score bits, global id)` across shards. The lazy
-    /// merge keeps it sorted ascending so the cut line is an indexed
-    /// read.
+    /// merge keeps it sorted ascending and at most `B` long, so the cut
+    /// line is an indexed read.
     merged: Vec<(u64, ServerId)>,
-    /// Lazy-merge scratch: `(skyline bits, skyline global id, shard)` —
-    /// the visit order.
+    /// Lazy-merge scratch: the next `merged`, built by the linear merge
+    /// and then swapped in.
+    merge_scratch: Vec<(u64, ServerId)>,
+    /// Tree-walk scratch: `(skyline bits, skyline global id, group)` —
+    /// the group visit order.
     order: Vec<(u64, u32, u32)>,
+    /// Lazy-merge scratch: `(skyline bits, skyline global id, shard)` —
+    /// the shard visit order of the flat walk, or of one visited group.
+    members: Vec<(u64, u32, u32)>,
     /// Merge scratch: the final candidate list, ascending global id.
     candidates: Vec<ServerId>,
     /// How the engines were built — needed to rebuild blocks when the
@@ -344,12 +344,13 @@ impl AgentRouter {
             group_size: ShardTree::DEFAULT_GROUP_SHARDS,
             group_cache,
             n_problems,
-            parallel_override: None,
             stats: SkylineStats::default(),
             memo: DecisionMemo::new(),
             pred_scratch: Prediction::empty(),
             merged: Vec::new(),
+            merge_scratch: Vec::new(),
             order: Vec::new(),
+            members: Vec::new(),
             candidates: Vec::new(),
             selector_kind: selector,
             scoring,
@@ -363,16 +364,6 @@ impl AgentRouter {
     pub fn with_group_size(mut self, group_size: usize) -> Self {
         self.group_size = group_size.max(1);
         self.rebuild_tree();
-        self
-    }
-
-    /// Forces the parallel stage-1 arm on or off. By default the arm
-    /// engages automatically when the worker pool has more than one
-    /// worker; the differential runs force it **on** so the arm's
-    /// determinism is proven even on single-core hosts (the pool scope
-    /// then degenerates to the caller draining every job).
-    pub fn with_parallel_stage1(mut self, forced: bool) -> Self {
-        self.parallel_override = Some(forced);
         self
     }
 
@@ -492,8 +483,8 @@ impl AgentRouter {
     }
 
     /// Runs one full two-stage decision and reports the pick to the
-    /// owning shard's selector. Deterministic: identical inputs produce
-    /// identical picks on any host, any worker count.
+    /// owning shard's selector. Deterministic: the walk is serial, so
+    /// identical inputs produce identical picks on any host.
     pub fn decide(
         &mut self,
         inp: DecisionInputs<'_>,
@@ -541,33 +532,24 @@ impl AgentRouter {
         self.merged.clear();
         self.candidates.clear();
         if self.exhaustive {
-            // Eager walk: every shard shortlists from its own index,
-            // serially — a pool scope here costs a scope and a boxed job
-            // per shard on every decision, and measured no faster.
-            for shard in self.shards.iter_mut() {
-                shard.stage1(problem, admit, true);
-            }
-            // The whole union: per-shard shortlists are ascending-local,
+            // Eager walk: every shard shortlists from its own index. The
+            // whole union: per-shard shortlists are ascending-local,
             // shards ascending blocks, so concatenation is already
             // ascending global id.
-            for shard in &self.shards {
-                self.candidates.extend(shard.scored.iter().map(|&(_, s)| s));
+            for shard in self.shards.iter_mut() {
+                shard.stage1(problem, admit, false);
+                let start = shard.start;
+                self.candidates
+                    .extend(shard.shortlist.iter().map(|&s| ServerId(s.0 + start)));
             }
         } else {
             // With a real tree (more than one group) the walk goes
-            // through the group level — parallel when the pool pays (or
-            // a differential run forces the arm), serial otherwise; a
-            // degenerate tree takes the flat per-shard walk.
-            let grouped = !self.tree.is_empty();
-            let parallel = self
-                .parallel_override
-                .unwrap_or_else(|| cas_sim::pool::global().workers() > 1);
-            if grouped && parallel {
-                self.parallel_stage1(problem, admit);
-            } else if grouped {
-                self.tree_stage1(problem, admit);
-            } else {
+            // through the group level; a degenerate tree takes the flat
+            // per-shard walk.
+            if self.tree.is_empty() {
                 self.lazy_stage1(problem, admit);
+            } else {
+                self.tree_stage1(problem, admit);
             }
             self.candidates.extend(self.merged.iter().map(|&(_, s)| s));
             self.candidates.sort_unstable();
@@ -636,51 +618,19 @@ impl AgentRouter {
     /// eager-merge oracle. Shards with no solvable server for the problem
     /// skip unconditionally: their shortlist is empty under any filter.
     ///
+    /// The collected entries are capped at `B`: the cut test reads only
+    /// the `B`-th best, and no shard emits more than `B`, so `W ≤ B` and
+    /// the final `W`-best cut never needs an entry past it.
+    ///
     /// Leaves `self.merged` holding the final cut, sorted ascending by
     /// `(score bits, global id)`.
-    fn lazy_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
+    fn lazy_stage1(&mut self, problem: ProblemId, admit: &dyn Fn(ServerId) -> bool) {
         self.stats.decisions += 1;
-        self.order.clear();
-        let mut bound_cap = 0usize; // B: the largest width any shard could emit
-        for (k, shard) in self.shards.iter().enumerate() {
-            match shard.skyline(problem) {
-                Some((bits, head)) => {
-                    self.order.push((bits, head.0, k as u32));
-                    bound_cap = bound_cap.max(shard.width_bound(problem));
-                }
-                None => self.stats.shard_skips += 1,
-            }
-        }
-        // Visit order: ascending skyline key. Unique per shard (the
-        // head's global id is part of the key), so the order — and with
-        // it every skip decision — is deterministic on any host.
-        self.order.sort_unstable();
+        // B: the largest width any shard could emit.
+        let bound_cap = self.collect_members(0..self.shards.len(), problem);
         let mut widest = 0usize;
-        for i in 0..self.order.len() {
-            let (bits, head, k) = self.order[i];
-            let k = k as usize;
-            let bound = self.shards[k].width_bound(problem);
-            if bound <= widest
-                && self.merged.len() >= bound_cap
-                && self.merged[bound_cap - 1] < (bits, ServerId(head))
-            {
-                self.stats.shard_skips += 1;
-                continue;
-            }
-            self.stats.shard_visits += 1;
-            let shard = &mut self.shards[k];
-            shard.stage1(problem, admit, true);
-            widest = widest.max(shard.scored.len());
-            self.merged.extend_from_slice(&shard.scored);
-            // Keep the collected entries sorted so the cut line above is
-            // an indexed read. The whole vector is at most S × k entries
-            // and mostly sorted already; this is noise next to the walks
-            // being skipped.
-            self.merged.sort_unstable();
-        }
-        if self.merged.len() > widest {
-            self.merged.truncate(widest);
-        }
+        self.walk_members(problem, admit, bound_cap, &mut widest);
+        self.merged.truncate(widest);
     }
 
     /// The two-level skyline walk: [`lazy_stage1`](Self::lazy_stage1)
@@ -701,9 +651,11 @@ impl AgentRouter {
     /// group walk prunes a superset of nothing the flat walk would keep,
     /// and the merged cut is bit-identical (the proptests prove it
     /// against the flat walk).
-    /// Inside a visited group, members run the flat per-shard condition
-    /// unchanged.
-    fn tree_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
+    /// Inside a visited group, members are walked in ascending skyline
+    /// order too, under the flat per-shard condition unchanged: the
+    /// member holding the group's best key runs first and tightens the
+    /// cut before its siblings are tested against it.
+    fn tree_stage1(&mut self, problem: ProblemId, admit: &dyn Fn(ServerId) -> bool) {
         self.stats.decisions += 1;
         self.order.clear();
         let mut bound_cap = 0usize; // B: the largest width any group could emit
@@ -720,126 +672,92 @@ impl AgentRouter {
         // Ascending group-skyline order; the head's global id makes the
         // key unique per group, so the walk is deterministic.
         self.order.sort_unstable();
-        let order = std::mem::take(&mut self.order);
         let mut widest = 0usize;
-        for &(bits, head, g) in &order {
+        for i in 0..self.order.len() {
+            let (bits, head, g) = self.order[i];
             let g = g as usize;
             let gbound = self.group_cache[g * self.n_problems + problem.0 as usize]
                 .expect("repaired above")
                 .bound;
-            if gbound <= widest
-                && self.merged.len() >= bound_cap
-                && self.merged[bound_cap - 1] < (bits, ServerId(head))
-            {
+            if self.beyond_cut(gbound, widest, bound_cap, (bits, ServerId(head))) {
                 self.stats.group_skips += 1;
                 continue;
             }
             self.stats.group_visits += 1;
-            for k in self.tree.members(g) {
-                let Some((sbits, shead)) = self.shards[k].skyline(problem) else {
-                    self.stats.shard_skips += 1;
-                    continue;
-                };
-                let bound = self.shards[k].width_bound(problem);
-                if bound <= widest
-                    && self.merged.len() >= bound_cap
-                    && self.merged[bound_cap - 1] < (sbits, shead)
-                {
-                    self.stats.shard_skips += 1;
-                    continue;
+            let member_bound = self.collect_members(self.tree.members(g), problem);
+            debug_assert!(member_bound <= gbound, "stale group key");
+            self.walk_members(problem, admit, bound_cap, &mut widest);
+        }
+        self.merged.truncate(widest);
+    }
+
+    /// Fills `self.members` with the shards of `range` that hold a
+    /// skyline for `problem`, as `(skyline bits, skyline global id,
+    /// shard)` in ascending order — the visit order — and counts the
+    /// rest as skips. The head's global id makes the key unique per
+    /// shard, so the order, and with it every skip decision, is
+    /// deterministic. Returns the largest width bound among them.
+    fn collect_members(&mut self, range: std::ops::Range<usize>, problem: ProblemId) -> usize {
+        self.members.clear();
+        let mut bound = 0usize;
+        for k in range {
+            let shard = &self.shards[k];
+            match shard.skyline(problem) {
+                Some((bits, head)) => {
+                    self.members.push((bits, head.0, k as u32));
+                    bound = bound.max(shard.width_bound(problem));
                 }
-                self.stats.shard_visits += 1;
-                let shard = &mut self.shards[k];
-                shard.stage1(problem, admit, true);
-                widest = widest.max(shard.scored.len());
-                self.merged.extend_from_slice(&shard.scored);
-                self.merged.sort_unstable();
+                None => self.stats.shard_skips += 1,
             }
         }
-        self.order = order;
-        if self.merged.len() > widest {
-            self.merged.truncate(widest);
+        self.members.sort_unstable();
+        bound
+    }
+
+    /// Walks `self.members` in order: a shard the cut already excludes
+    /// is skipped, the rest run their selector and fold their shortlist
+    /// into the capped `self.merged`. `widest` tracks the widest
+    /// shortlist seen.
+    fn walk_members(
+        &mut self,
+        problem: ProblemId,
+        admit: &dyn Fn(ServerId) -> bool,
+        bound_cap: usize,
+        widest: &mut usize,
+    ) {
+        for i in 0..self.members.len() {
+            let (bits, head, k) = self.members[i];
+            let k = k as usize;
+            let bound = self.shards[k].width_bound(problem);
+            if self.beyond_cut(bound, *widest, bound_cap, (bits, ServerId(head))) {
+                self.stats.shard_skips += 1;
+                continue;
+            }
+            self.stats.shard_visits += 1;
+            let shard = &mut self.shards[k];
+            shard.stage1(problem, admit, true);
+            *widest = (*widest).max(shard.scored.len());
+            merge_capped(
+                &mut self.merged,
+                &mut self.merge_scratch,
+                &shard.scored,
+                bound_cap,
+            );
         }
     }
 
-    /// The parallel stage-1 arm: group-level pruning from the cache
-    /// (groups with no skyline skip exactly as in the serial walks),
-    /// then an **eager** scatter of every surviving group over
-    /// [`cas_sim::pool`] — cut-line pruning needs the merged-so-far
-    /// state and is pointless once the walks run concurrently. Each job
-    /// owns a disjoint `&mut` block of member shards plus its own count
-    /// slot, so worker count cannot reorder anything; the reduction
-    /// concatenates per-shard scratch in shard order and keeps the
-    /// `W`-best by partial select — the kept *set* equals
-    /// sort-then-truncate (keys are unique pairs), which is exactly the
-    /// eager merge the serial walks are proven identical to.
-    /// Shards with no skyline clear their scratch and skip: their
-    /// shortlist is empty under any admit filter.
-    fn parallel_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
-        self.stats.decisions += 1;
-        // Group-level prune, serial: one cached key per group.
-        let mut visited: Vec<usize> = Vec::with_capacity(self.tree.n_groups());
-        for g in 0..self.tree.n_groups() {
-            if self.group_key(g, problem).skyline.is_some() {
-                visited.push(g);
-            } else {
-                self.stats.group_skips += 1;
-            }
-        }
-        self.stats.group_visits += visited.len() as u64;
-        // Scatter: one job per visited group, member blocks split into
-        // disjoint `&mut` slices (groups are contiguous, ascending).
-        let mut counts: Vec<(u64, u64)> = vec![(0, 0); visited.len()];
-        {
-            let mut jobs: Vec<(&mut [ShardEngine], &mut (u64, u64))> =
-                Vec::with_capacity(visited.len());
-            let mut shards_rest: &mut [ShardEngine] = &mut self.shards;
-            let mut shards_off = 0usize;
-            let mut counts_rest: &mut [(u64, u64)] = &mut counts;
-            for &g in &visited {
-                let members = self.tree.members(g);
-                let (_, tail) = shards_rest.split_at_mut(members.start - shards_off);
-                let (block, tail) = tail.split_at_mut(members.len());
-                shards_rest = tail;
-                shards_off = members.end;
-                let (slot, tail) = counts_rest.split_first_mut().expect("one slot per job");
-                counts_rest = tail;
-                jobs.push((block, slot));
-            }
-            let pool = cas_sim::pool::global();
-            pool.scope(|scope| {
-                for (block, slot) in jobs {
-                    scope.spawn(move || {
-                        for shard in block.iter_mut() {
-                            if shard.skyline(problem).is_some() {
-                                shard.stage1(problem, admit, true);
-                                slot.0 += 1;
-                            } else {
-                                shard.scored.clear();
-                                slot.1 += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Reduce in slot (= group, = shard) order.
-        for &(v, s) in &counts {
-            self.stats.shard_visits += v;
-            self.stats.shard_skips += s;
-        }
-        let mut widest = 0usize;
-        for &g in &visited {
-            for k in self.tree.members(g) {
-                let scored = &self.shards[k].scored;
-                widest = widest.max(scored.len());
-                self.merged.extend_from_slice(scored);
-            }
-        }
-        if self.merged.len() > widest && widest > 0 {
-            self.merged.select_nth_unstable(widest - 1);
-            self.merged.truncate(widest);
-        }
+    /// The skip test of both walks: a shard or group whose width bound
+    /// is `bound` and whose skyline is `key` cannot widen the cut past
+    /// `widest`, and `bound_cap` collected entries already beat its best
+    /// conceivable key.
+    fn beyond_cut(
+        &self,
+        bound: usize,
+        widest: usize,
+        bound_cap: usize,
+        key: (u64, ServerId),
+    ) -> bool {
+        bound <= widest && self.merged.len() >= bound_cap && self.merged[bound_cap - 1] < key
     }
 
     /// A what-if query outside a decision (the engine records the
@@ -1028,6 +946,40 @@ impl AgentRouter {
     }
 }
 
+/// Folds `run` into `merged`, keeping the `cap` smallest entries: one
+/// linear merge of the two ascending runs into `scratch`, which then
+/// swaps with `merged`. Keys are unique `(score bits, global id)` pairs,
+/// so the kept entries are exactly what sort-then-truncate would keep.
+fn merge_capped(
+    merged: &mut Vec<(u64, ServerId)>,
+    scratch: &mut Vec<(u64, ServerId)>,
+    run: &[(u64, ServerId)],
+    cap: usize,
+) {
+    debug_assert!(
+        run.windows(2).all(|w| w[0] < w[1]),
+        "a scored shortlist must ascend by (score bits, global id)"
+    );
+    debug_assert!(run.len() <= cap, "a shard emitted past the width cap");
+    scratch.clear();
+    let (mut a, mut b) = (0, 0);
+    while scratch.len() < cap && a < merged.len() && b < run.len() {
+        if merged[a] < run[b] {
+            scratch.push(merged[a]);
+            a += 1;
+        } else {
+            scratch.push(run[b]);
+            b += 1;
+        }
+    }
+    // Room is left only once a run is spent: at most one tail copies.
+    let room = cap - scratch.len();
+    for tail in [&merged[a..], &run[b..]] {
+        scratch.extend_from_slice(&tail[..tail.len().min(room)]);
+    }
+    std::mem::swap(merged, scratch);
+}
+
 /// Test-only oracles of the router's optimised paths: the eager merge
 /// the lazy skyline walk prunes, and the replay-everything rebalance the
 /// incremental one reuses blocks and ledgers against. (The flat walk,
@@ -1117,9 +1069,24 @@ mod oracles {
         fn set_available(&mut self, server: ServerId, up: bool) {
             self.0.set_available(server, up);
         }
+
+        fn candidates(&self) -> Option<&[ServerId]> {
+            Some(self.0.last_candidates())
+        }
     }
 
     impl AgentRouter {
+        /// The last decision's stage-2 candidate list, ascending global
+        /// id: the merged cut on the federated path, shard 0's shortlist
+        /// on the single-agent one.
+        pub(crate) fn last_candidates(&self) -> &[ServerId] {
+            if self.federated {
+                &self.candidates
+            } else {
+                &self.shards[0].shortlist
+            }
+        }
+
         /// The oracle of [`AgentRouter::rebalance`]: rebuilds **every**
         /// block from scratch by replaying `log` — every index op since
         /// the router was built, in order — filtered to the block's
@@ -1498,8 +1465,7 @@ mod skyline_edge {
     /// (groups ≡ shards) on the edge table's P1 — solvable only inside
     /// shard 0 — groups 1 and 2 skip every decision at the group level,
     /// and shard 0, alone inside its visited group, is walked with no
-    /// shard-level skip at all. Both the serial group walk and the
-    /// forced parallel arm agree with the eager merge.
+    /// shard-level skip at all, agreeing with the eager merge.
     #[test]
     fn zero_solvable_group_is_pruned_without_touching_members() {
         let table = edge_table();
@@ -1512,23 +1478,65 @@ mod skyline_edge {
                 excl: 99,
             })
             .collect();
-        for parallel in [false, true] {
-            let harness = DiffHarness::new(table.clone());
-            let (mut eager, lazy) = routers(&table, SelectorKind::TopK { k: 2 });
-            let mut tree = lazy.with_group_size(1).with_parallel_stage1(parallel);
-            assert_eq!(tree.tree().n_groups(), 3);
-            harness.run(&mut eager, &mut tree, &p1_ops).unwrap();
-            let stats = tree.skyline_stats();
-            assert_eq!(stats.decisions, 4);
-            assert_eq!(stats.group_visits, 4, "only shard 0's group is walked");
-            assert_eq!(stats.group_skips, 8, "groups 1 and 2 prune wholesale");
-            assert_eq!(stats.shard_visits, 4);
-            assert_eq!(
-                stats.shard_skips, 0,
-                "members of skipped groups never reach the shard counters"
-            );
-            assert_eq!(stats.group_skip_rate(), 8.0 / 12.0);
+        let harness = DiffHarness::new(table.clone());
+        let (mut eager, lazy) = routers(&table, SelectorKind::TopK { k: 2 });
+        let mut tree = lazy.with_group_size(1);
+        assert_eq!(tree.tree().n_groups(), 3);
+        harness.run(&mut eager, &mut tree, &p1_ops).unwrap();
+        let stats = tree.skyline_stats();
+        assert_eq!(stats.decisions, 4);
+        assert_eq!(stats.group_visits, 4, "only shard 0's group is walked");
+        assert_eq!(stats.group_skips, 8, "groups 1 and 2 prune wholesale");
+        assert_eq!(stats.shard_visits, 4);
+        assert_eq!(
+            stats.shard_skips, 0,
+            "members of skipped groups never reach the shard counters"
+        );
+        assert_eq!(stats.group_skip_rate(), 8.0 / 12.0);
+    }
+
+    /// Inside a visited group, members are walked in ascending skyline
+    /// order, not id order. 4 shards of 2 servers under fan-out 2; P0
+    /// costs fall with the server id, so the farm's best server (7)
+    /// heads shard 3, the *second* member of group 1. Walked first, its
+    /// width-1 shortlist already beats shard 2's skyline and group 0's:
+    /// one shard visit per decision, where an id-order walk would run
+    /// shard 2 before shard 3 and visit two.
+    #[test]
+    fn tree_walk_visits_members_in_skyline_order() {
+        let mut costs = CostTable::new(8);
+        costs.add_problem(
+            Problem::new("p0", 0.0, 0.0, 0.0),
+            (0..8)
+                .map(|s| Some(PhaseCosts::new(0.0, 20.0 - s as f64, 0.0)))
+                .collect(),
+        );
+        let selector = SelectorKind::TopK { k: 1 };
+        let router = || {
+            AgentRouter::new(
+                &costs,
+                Some(4),
+                selector,
+                IndexScoring::default(),
+                SyncPolicy::None,
+            )
+        };
+        let mut eager = EagerMerge(router());
+        let mut tree = router().with_group_size(2);
+        assert_eq!(tree.tree().n_groups(), 2);
+        let mut ops = decide_ops(6);
+        for op in &mut ops {
+            op.problem = 0;
         }
+        DiffHarness::new(costs.clone())
+            .run(&mut eager, &mut tree, &ops)
+            .unwrap();
+        let stats = tree.skyline_stats();
+        assert_eq!(stats.decisions, 6);
+        assert_eq!(stats.group_visits, 6, "only group 1 is walked");
+        assert_eq!(stats.group_skips, 6);
+        assert_eq!(stats.shard_visits, 6, "one shard visit per decision");
+        assert_eq!(stats.shard_skips, 6, "shard 2 skips behind shard 3");
     }
 
     /// Provisioning through the router (`push_server` into the last
@@ -1788,8 +1796,7 @@ mod proptests {
         Ok(())
     }
 
-    /// Drives the group-walking router (and, when `parallel`, the
-    /// forced parallel stage-1 arm) against the flat per-shard walk
+    /// Drives the group-walking router against the flat per-shard walk
     /// (`with_group_size(usize::MAX)`: one group): the group level must
     /// be a pure pruning of the *walk*, never of the result. Also pins
     /// the per-level counter invariants of [`SkylineStats`].
@@ -1803,17 +1810,14 @@ mod proptests {
         selector: SelectorKind,
         sync: SyncPolicy,
         ops: Vec<(u32, u32, u32, f64, u32)>,
-        parallel: bool,
     ) -> Result<(), TestCaseError> {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
         let scoring = IndexScoring::default();
         let mut flat = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_group_size(usize::MAX)
-            .with_parallel_stage1(false);
+            .with_group_size(usize::MAX);
         let mut tree = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_group_size(group_size)
-            .with_parallel_stage1(parallel);
+            .with_group_size(group_size);
         let n_shards = flat.n_shards() as u64; // post-clamp
         let n_groups = tree.tree().n_groups() as u64;
         let grouped = !tree.tree().is_empty();
@@ -2126,33 +2130,7 @@ mod proptests {
             let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
             run_tree_differential(
                 N_SERVERS_HUGE, costs, solvable, n_shards, group_size,
-                selector_of(selector_pick), sync, ops, false,
-            )?;
-        }
-
-        /// The parallel stage-1 arm, forced on (so the proof holds on
-        /// single-core hosts too): the eager per-group scatter with
-        /// slot-indexed reduction is **bit-identical** to the flat
-        /// serial walk for every selector backend, shard count and
-        /// fan-out.
-        #[test]
-        fn parallel_stage1_is_bitwise_the_serial_walk(
-            costs in proptest::collection::vec(arb_costs(), N_SERVERS_HUGE * N_PROBLEMS),
-            solvable in proptest::collection::vec(
-                proptest::bool::ANY, N_SERVERS_HUGE * N_PROBLEMS,
-            ),
-            shard_pick in 0usize..4,
-            group_pick in 0usize..4,
-            selector_pick in 0usize..4,
-            force_finish in proptest::bool::ANY,
-            ops in arb_churn_ops(N_SERVERS_HUGE),
-        ) {
-            let n_shards = [1usize, 2, 16, 64][shard_pick];
-            let group_size = [1usize, 2, 4, 16][group_pick];
-            let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
-            run_tree_differential(
-                N_SERVERS_HUGE, costs, solvable, n_shards, group_size,
-                selector_of(selector_pick), sync, ops, true,
+                selector_of(selector_pick), sync, ops,
             )?;
         }
 

@@ -182,7 +182,9 @@ fn steady_state_decisions_allocate_nothing() {
 
 /// Wide shortlists — 40 servers, past any short-list special case —
 /// stay allocation-free under both bounded heuristics, both selector
-/// families and both agent shapes.
+/// families and every agent shape: the single agent, the flat walk over
+/// 3 shards, and the group walk over 20 shards (two groups under the
+/// default fan-out).
 #[test]
 fn wide_shortlist_decisions_allocate_nothing() {
     let adaptive = SelectorKind::Adaptive {
@@ -191,7 +193,7 @@ fn wide_shortlist_decisions_allocate_nothing() {
     };
     for selector in [SelectorKind::Exhaustive, adaptive] {
         for heuristic in [HeuristicKind::Hmct, HeuristicKind::Msf] {
-            for shards in [None, Some(3)] {
+            for shards in [None, Some(3), Some(20)] {
                 let (_, allocs) = measured_decisions(40, selector, heuristic, shards);
                 assert_eq!(
                     allocs, 0,

@@ -19,19 +19,12 @@
 use crate::ids::ServerId;
 
 /// A deterministic contiguous partition of `n_servers` into shards.
-///
-/// The partition is **versioned**: a fresh map is version 0, and every
-/// [`ShardMap::rebalanced`] step bumps the counter, so the federation can
-/// tell which engine rebuild a decision belongs to. Two maps are equal
-/// only when both the blocks and the version agree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     n_servers: usize,
     /// Start of each shard's block plus a final sentinel equal to
     /// `n_servers`: shard `k` owns global ids `starts[k]..starts[k + 1]`.
     starts: Vec<u32>,
-    /// Rebalance generation: 0 at construction, `+1` per rebalance step.
-    version: u64,
 }
 
 impl ShardMap {
@@ -51,16 +44,7 @@ impl ShardMap {
         }
         debug_assert_eq!(at, n_servers);
         starts.push(n_servers as u32);
-        ShardMap {
-            n_servers,
-            starts,
-            version: 0,
-        }
-    }
-
-    /// The rebalance generation this partition belongs to.
-    pub fn version(&self) -> u64 {
-        self.version
+        ShardMap { n_servers, starts }
     }
 
     /// Re-partitions around the current live population: a shard whose
@@ -73,7 +57,7 @@ impl ShardMap {
     /// boundaries — the federation rebuilds only the blocks that moved.
     ///
     /// Returns `None` when the partition is already within the band (no
-    /// boundary moves); otherwise the new map, with the version bumped.
+    /// boundary moves); otherwise the new map.
     /// Callers should keep `hi ≥ 2·lo` so a freshly split shard cannot
     /// immediately re-merge.
     ///
@@ -157,7 +141,6 @@ impl ShardMap {
         Some(ShardMap {
             n_servers: self.n_servers,
             starts,
-            version: self.version + 1,
         })
     }
 
@@ -178,13 +161,11 @@ impl ShardMap {
     /// Extends the partition with one new server, appended to the **last**
     /// shard's block: the new global id is `n_servers`, contiguity is
     /// preserved, and no existing boundary moves — every other shard's
-    /// engine is untouched by the growth. Bumps the version (the shape
-    /// changed) and returns the new server's id.
+    /// engine is untouched by the growth. Returns the new server's id.
     pub fn push_server(&mut self) -> ServerId {
         let id = ServerId(self.n_servers as u32);
         self.n_servers += 1;
         *self.starts.last_mut().expect("sentinel present") = self.n_servers as u32;
-        self.version += 1;
         id
     }
 
@@ -235,12 +216,6 @@ impl ShardMap {
     pub fn to_local(&self, shard: usize, server: ServerId) -> ServerId {
         debug_assert_eq!(self.owner(server), shard, "{server} not owned here");
         ServerId(server.0 - self.starts[shard])
-    }
-
-    /// Translates a shard-local id back to the global id.
-    pub fn to_global(&self, shard: usize, local: ServerId) -> ServerId {
-        debug_assert!((local.0) < self.starts[shard + 1] - self.starts[shard]);
-        ServerId(self.starts[shard] + local.0)
     }
 }
 
@@ -355,7 +330,7 @@ mod tests {
             let shard = map.owner(server);
             assert!(map.members(shard).contains(&s));
             let local = map.to_local(shard, server);
-            assert_eq!(map.to_global(shard, local), server);
+            assert_eq!(map.start(shard) + local.0, s);
         }
     }
 
@@ -391,7 +366,6 @@ mod tests {
     #[test]
     fn push_server_grows_last_shard_only() {
         let mut map = ShardMap::new(10, 3); // 0..4, 4..7, 7..10
-        let v0 = map.version();
         let id = map.push_server();
         assert_eq!(id, ServerId(10));
         assert_eq!(map.n_servers(), 11);
@@ -400,7 +374,6 @@ mod tests {
         assert_eq!(map.members(2), 7..11, "last block grew");
         assert_eq!(map.owner(ServerId(10)), 2);
         assert_eq!(map.to_local(2, ServerId(10)), ServerId(3));
-        assert_eq!(map.version(), v0 + 1, "growth is a shape change");
         // Growth composes: a second push keeps appending.
         assert_eq!(map.push_server(), ServerId(11));
         assert_eq!(map.members(2), 7..12);
@@ -444,7 +417,6 @@ mod tests {
     #[test]
     fn rebalance_within_band_is_identity() {
         let map = ShardMap::new(12, 3);
-        assert_eq!(map.version(), 0);
         assert_eq!(map.rebalanced(&[true; 12], 2, 8), None);
         // A crash that keeps every shard inside the band moves nothing.
         let mut live = [true; 12];
@@ -459,7 +431,6 @@ mod tests {
         let mut live = [true; 12];
         live[4..7].fill(false);
         let out = map.rebalanced(&live, 2, 8).expect("must rebalance");
-        assert_eq!(out.version(), 1);
         assert_eq!(out.n_shards(), 2);
         assert_eq!(out.members(0), 0..4);
         assert_eq!(out.members(1), 4..12);
@@ -478,7 +449,6 @@ mod tests {
         assert_eq!(out.n_shards(), 2);
         assert_eq!(out.members(0), 0..6);
         assert_eq!(out.members(1), 6..12);
-        assert_eq!(out.version(), 1);
         // Dead servers do not count toward the midpoint: with the left
         // half of the block dead, the cut lands where the *live* mass
         // halves, not at the geometric middle.
@@ -502,7 +472,7 @@ mod tests {
         for s in 0..32u32 {
             let shard = out.owner(ServerId(s));
             assert!(out.members(shard).contains(&s));
-            assert_eq!(out.to_global(shard, out.to_local(shard, ServerId(s))).0, s);
+            assert_eq!(out.start(shard) + out.to_local(shard, ServerId(s)).0, s);
         }
     }
 
@@ -518,28 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn versions_chain_across_rebalances() {
-        let map = ShardMap::new(16, 2);
-        let mut live = [true; 16];
-        live[0..7].fill(false);
-        let merged = map.rebalanced(&live, 4, 16).expect("merge");
-        assert_eq!(merged.version(), 1);
-        let split = merged.rebalanced(&[true; 16], 4, 10).expect("split");
-        assert_eq!(split.version(), 2);
-        assert_ne!(
-            split,
-            ShardMap::new(16, split.n_shards()),
-            "same blocks, different generation, still distinguishable"
-        );
-    }
-
-    #[test]
     fn global_order_is_shard_lexicographic() {
         let map = ShardMap::new(23, 5);
         let mut seen = Vec::new();
         for shard in 0..map.n_shards() {
-            for local in map.members(shard) {
-                seen.push(map.to_global(shard, ServerId(local - map.start(shard))).0);
+            for local in 0..map.len(shard) as u32 {
+                seen.push(map.start(shard) + local);
             }
         }
         assert_eq!(seen, (0..23).collect::<Vec<_>>());

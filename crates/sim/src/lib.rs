@@ -17,9 +17,9 @@
 //!   count and bucket occupancy — the driver's default).
 //! * [`Simulation`] — a small driver that repeatedly pops the next event and
 //!   hands it to a user-provided [`World`]; generic over the queue backend.
-//! * [`pool`] — the process-wide work-stealing thread pool every parallel
-//!   fan-out in the workspace (experiment runner, the shard federation's
-//!   stage-1 scatter) shares, instead of spawning scoped threads per call.
+//! * [`pool`] — the process-wide work-stealing thread pool the
+//!   experiment runner fans replications out over, instead of spawning
+//!   scoped threads per call.
 //! * [`prof`] — the always-on phase profiler: scope-guard spans charging
 //!   monotonic-counter time to a fixed phase enum through thread-local
 //!   accumulators, cheap enough to stay on in release campaigns. Lives

@@ -1,18 +1,17 @@
 //! The shared work-stealing thread pool.
 //!
 //! One process-wide pool ([`global`]) replaces every hand-rolled
-//! scoped-thread fan-out in the workspace: the experiment runner
-//! (`cas-middleware::runner`) and the shard federation's stage-1 scatter
-//! (`cas-middleware::shard`) both queue their work here, so a sweep
-//! saturates the machine once instead of each layer spawning its own
-//! threads per call.
+//! scoped-thread fan-out in the workspace. Its one client is the
+//! experiment runner (`cas-middleware::runner`), which queues its
+//! replications here, so a sweep saturates the machine once instead of
+//! spawning threads per call. The decision path itself is serial.
 //!
 //! Shape: `n` persistent workers, each with its own deque. External spawns
 //! distribute round-robin; a worker pops its own deque from the front and
 //! steals from the back of its siblings when idle. There is no global lock
 //! around job execution — only short per-deque critical sections — so
-//! nested parallelism (a runner job whose experiment scatters stage 1)
-//! composes without tearing down or re-spawning threads.
+//! nested scopes (a job that opens a scope of its own) compose without
+//! tearing down or re-spawning threads.
 //!
 //! The API is [`WorkPool::scope`], mirroring `std::thread::scope`: closures
 //! may borrow from the caller's stack, and the scope blocks until every
@@ -26,8 +25,7 @@
 //! **Determinism**: the pool schedules jobs in an unspecified order, so
 //! callers that need reproducible output must write results into
 //! per-job slots (disjoint `&mut` borrows) and reduce in index order
-//! afterwards — which is exactly what the runner and the stage-1 scatter
-//! do.
+//! afterwards — which is exactly what the runner does.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
