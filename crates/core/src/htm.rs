@@ -35,10 +35,14 @@
 //!   what keeps the stamp stable across an entire decision round — and
 //!   across rounds for every server the agent did not commit to.
 //! * **Zero-clone speculative drain.** The *after* schedule (with the
-//!   candidate task inserted) runs through a per-server
+//!   candidate task inserted) runs through a
 //!   [`DrainScratch`](crate::trace::DrainScratch): flat reusable buffers
 //!   replaying the exact event arithmetic of the clone-based path, so
 //!   results are bit-for-bit identical without per-query heap allocation.
+//!   Every replay overwrites the scratch before reading it, so the HTM
+//!   owns one for all its servers, beside one task → completion map;
+//!   per server it keeps only what outlives a query (the baseline, the
+//!   memoised after-schedule, the prefix cursor and the counters).
 //! * **Incremental baseline repair.** The speculative *after*-schedule
 //!   computed for `(task, now)` — which the engine has almost always just
 //!   computed, since every commit follows a prediction for the winning
@@ -156,12 +160,12 @@ impl AfterKey {
     }
 }
 
-/// Per-server prediction working state: the generation-keyed baseline
-/// cache plus the reusable buffers of the zero-clone drain.
+/// Per-server prediction state: what persists from one query to the next
+/// — the generation-keyed baseline, the memoised after-schedule and its
+/// key, the prefix cursor and the counters. The buffers every query
+/// overwrites (the drain scratch, the lookup map) live once on [`Htm`].
 #[derive(Debug, Clone, Default)]
 struct PredictState {
-    /// Flat-buffer replay state for speculative drains.
-    scratch: DrainScratch,
     /// Cached baseline schedule (task, completion), in completion order —
     /// exactly what `trace.drain_schedule()` would return.
     baseline: Vec<(TaskId, SimTime)>,
@@ -169,7 +173,8 @@ struct PredictState {
     /// the default generation with an empty schedule, so the default state
     /// is consistent without a sentinel.
     baseline_gen: Generation,
-    /// Reusable output buffer for the speculative drain.
+    /// The memoised speculative drain: the after-schedule answering
+    /// [`Self::after_query`], in completion order.
     after: Vec<(TaskId, SimTime)>,
     /// The query `after` currently answers: `(phase-cost bit patterns,
     /// now, trace generation at query time)`. Keyed on the *costs*, not
@@ -205,15 +210,13 @@ struct PredictState {
     /// Drains that resumed the shared baseline prefix instead of
     /// replaying the trace's event history.
     prefix_hits: u64,
-    /// Reusable task → completion lookup over `after`.
-    after_map: HashMap<TaskId, SimTime>,
 }
 
 impl PredictState {
     /// Recomputes the baseline if the trace mutated since the cached copy.
-    fn refresh_baseline(&mut self, trace: &ServerTrace) {
+    fn refresh_baseline(&mut self, trace: &ServerTrace, scratch: &mut DrainScratch) {
         if self.baseline_gen != trace.generation() {
-            trace.drain_schedule_into(&mut self.scratch, &mut self.baseline);
+            trace.drain_schedule_into(scratch, &mut self.baseline);
             self.baseline_gen = trace.generation();
         }
     }
@@ -234,6 +237,7 @@ impl PredictState {
     fn refresh_after(
         &mut self,
         trace: &ServerTrace,
+        scratch: &mut DrainScratch,
         now: SimTime,
         task: TaskId,
         costs: PhaseCosts,
@@ -266,7 +270,7 @@ impl PredictState {
             self.memo_hits += 1;
         } else {
             let (prefix_hit, truncated) = trace.drain_schedule_into_fast(
-                &mut self.scratch,
+                scratch,
                 &mut self.prefix,
                 now,
                 task,
@@ -288,107 +292,6 @@ impl PredictState {
     fn adopt_after_as_baseline(&mut self) {
         std::mem::swap(&mut self.baseline, &mut self.after);
         self.after_query = None;
-    }
-
-    /// Answers one what-if query against `trace` without touching it.
-    ///
-    /// Bit-for-bit identical to the clone-and-drain oracle of the test
-    /// module.
-    fn predict(
-        &mut self,
-        trace: &ServerTrace,
-        now: SimTime,
-        task: TaskId,
-        costs: PhaseCosts,
-        completion_only: bool,
-    ) -> Prediction {
-        let mut out = Prediction::empty();
-        self.predict_into(trace, now, task, costs, completion_only, &mut out);
-        out
-    }
-
-    /// [`PredictState::predict`], written into caller-owned storage:
-    /// `out.perturbations` is cleared and refilled in place, so a reused
-    /// `out` makes the query allocation-free once its buffer has grown
-    /// to the server's active-task count. Same lookups, same floats,
-    /// same order as the returning variant — which is now defined
-    /// through this one.
-    fn predict_into(
-        &mut self,
-        trace: &ServerTrace,
-        now: SimTime,
-        task: TaskId,
-        costs: PhaseCosts,
-        completion_only: bool,
-        out: &mut Prediction,
-    ) {
-        // Completion-only depth: nothing reads the perturbations, so skip
-        // the baseline refresh and the perturbation fill entirely and let
-        // the drain stop at the probe's completion. The completion value
-        // is bit-identical — truncation only cuts the schedule *after* the
-        // probe's entry.
-        if completion_only {
-            self.refresh_after(trace, now, task, costs, true);
-            // Scan from the back: a truncated drain stops at the probe's
-            // completion, so the probe is the last entry (or within its
-            // same-instant tie batch). Task ids are unique in `after`, so
-            // the direction cannot change the value found.
-            out.completion = self
-                .after
-                .iter()
-                .rev()
-                .find(|&&(j, _)| j == task)
-                .expect("probe is in its own after-schedule")
-                .1;
-            out.queried_at = now;
-            out.perturbations.clear();
-            return;
-        }
-        self.refresh_baseline(trace);
-        self.refresh_after(trace, now, task, costs, false);
-        // Small schedules answer by linear scan: rebuilding the task →
-        // completion hash map costs more than scanning a few contiguous
-        // pairs, and a campaign-realistic trace holds a handful of active
-        // tasks. Same lookups, same floats, same order — bit-identical to
-        // the map path (the differential proptests cover both regimes).
-        let linear = self.after.len() <= LINEAR_LOOKUP_MAX;
-        let completion = if linear {
-            self.after
-                .iter()
-                .find(|&&(j, _)| j == task)
-                .expect("probe is in its own after-schedule")
-                .1
-        } else {
-            self.after_map.clear();
-            self.after_map.extend(self.after.iter().copied());
-            self.after_map[&task]
-        };
-        let lookup = |j: TaskId| -> Option<SimTime> {
-            if linear {
-                self.after.iter().find(|&&(t, _)| t == j).map(|&(_, f)| f)
-            } else {
-                self.after_map.get(&j).copied()
-            }
-        };
-        out.completion = completion;
-        out.queried_at = now;
-        out.perturbations.clear();
-        out.perturbations
-            .extend(self.baseline.iter().filter_map(|&(j, f_before)| {
-                // Baseline entries absent from the after-schedule completed
-                // before `now` (a task inserted at `now` cannot influence
-                // them): they are no longer active at decision time and
-                // carry no perturbation.
-                //
-                // Clamped at zero: the paper defines π on the
-                // CPU-sharing intuition where insertions only delay. In
-                // the full three-phase model an insertion can
-                // occasionally *help* a bystander (by slowing a
-                // competitor's input transfer), and float rounding can
-                // also produce tiny negatives; both are treated as zero
-                // interference.
-                lookup(j).map(|f_after| (j, (f_after - f_before).as_secs().max(0.0)))
-            }));
     }
 }
 
@@ -469,9 +372,14 @@ struct CommittedTask {
 pub struct Htm {
     costs: CostTable,
     traces: Vec<ServerTrace>,
-    /// One prediction cache/scratch per server, index-aligned with
-    /// `traces`.
+    /// One prediction cache per server, index-aligned with `traces`.
     predict_states: Vec<PredictState>,
+    /// The replay buffers every speculative drain overwrites before it
+    /// reads them, shared by all servers.
+    scratch: DrainScratch,
+    /// Reusable task → completion lookup over a long after-schedule,
+    /// rebuilt on every query that needs it.
+    after_map: HashMap<TaskId, SimTime>,
     /// Per-committed-task metadata, arena-backed (assignment + problem in
     /// one contiguous record; the paper's first piece of future work —
     /// "we need to incorporate memory requirements into the model" —
@@ -496,6 +404,8 @@ impl Htm {
             costs,
             traces: (0..n).map(|_| ServerTrace::new()).collect(),
             predict_states: (0..n).map(|_| PredictState::default()).collect(),
+            scratch: DrainScratch::new(),
+            after_map: HashMap::new(),
             committed: Arena::new(),
             by_task: HashMap::new(),
             sync,
@@ -590,30 +500,29 @@ impl Htm {
     /// Simulates mapping `task` on `server` at time `now`.
     ///
     /// Returns `None` when the server did not register the task's problem.
-    /// Does not modify the historical trace: the query runs on the
-    /// server's reusable scratch buffers against its generation-cached
+    /// Does not modify the historical trace: the query runs on the HTM's
+    /// reusable scratch buffers against the server's generation-cached
     /// baseline (see the module docs), so no per-query cloning or trace
-    /// advancement happens.
+    /// advancement happens. Bit-for-bit identical to the clone-and-drain
+    /// oracle of the test module.
     pub fn predict(
         &mut self,
         now: SimTime,
         server: ServerId,
         task: &TaskInstance,
     ) -> Option<Prediction> {
-        let costs = self.costs.costs(task.problem, server)?;
-        self.predictions_made += 1;
-        let trace = &self.traces[server.index()];
-        let state = &mut self.predict_states[server.index()];
-        Some(state.predict(trace, now, task.id, costs, self.completion_only))
+        let mut out = Prediction::empty();
+        self.predict_into(now, server, task, &mut out)
+            .then_some(out)
     }
 
     /// [`Self::predict`] into caller-owned storage: returns `false` (and
     /// leaves `out` untouched) when the server did not register the
     /// task's problem, `true` with `out` overwritten in place otherwise.
     /// The steady-state decision loop queries through here so a grown
-    /// perturbation buffer is reused instead of reallocated per query.
-    /// Same accounting as the returning variant: unsolvable queries do
-    /// not count toward `predictions_made`.
+    /// perturbation buffer is reused instead of reallocated per query:
+    /// `out.perturbations` is cleared and refilled in place. Unsolvable
+    /// queries do not count toward `predictions_made`.
     pub fn predict_into(
         &mut self,
         now: SimTime,
@@ -627,7 +536,67 @@ impl Htm {
         self.predictions_made += 1;
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
-        state.predict_into(trace, now, task.id, costs, self.completion_only, out);
+        let task = task.id;
+        out.queried_at = now;
+        out.perturbations.clear();
+        // Completion-only depth: nothing reads the perturbations, so skip
+        // the baseline refresh and the perturbation fill entirely and let
+        // the drain stop at the probe's completion. The completion value
+        // is bit-identical — truncation only cuts the schedule *after* the
+        // probe's entry.
+        if self.completion_only {
+            state.refresh_after(trace, &mut self.scratch, now, task, costs, true);
+            // Scan from the back: a truncated drain stops at the probe's
+            // completion, so the probe is the last entry (or within its
+            // same-instant tie batch). Task ids are unique in `after`, so
+            // the direction cannot change the value found.
+            out.completion = state
+                .after
+                .iter()
+                .rev()
+                .find(|&&(j, _)| j == task)
+                .expect("probe is in its own after-schedule")
+                .1;
+            return true;
+        }
+        state.refresh_baseline(trace, &mut self.scratch);
+        state.refresh_after(trace, &mut self.scratch, now, task, costs, false);
+        // Small schedules answer by linear scan: rebuilding the task →
+        // completion hash map costs more than scanning a few contiguous
+        // pairs, and a campaign-realistic trace holds a handful of active
+        // tasks. Same lookups, same floats, same order — bit-identical to
+        // the map path (the differential proptests cover both regimes).
+        let after = &state.after;
+        let linear = after.len() <= LINEAR_LOOKUP_MAX;
+        if !linear {
+            self.after_map.clear();
+            self.after_map.extend(after.iter().copied());
+        }
+        let after_map = &self.after_map;
+        let lookup = |j: TaskId| -> Option<SimTime> {
+            if linear {
+                after.iter().find(|&&(t, _)| t == j).map(|&(_, f)| f)
+            } else {
+                after_map.get(&j).copied()
+            }
+        };
+        out.completion = lookup(task).expect("probe is in its own after-schedule");
+        out.perturbations
+            .extend(state.baseline.iter().filter_map(|&(j, f_before)| {
+                // Baseline entries absent from the after-schedule completed
+                // before `now` (a task inserted at `now` cannot influence
+                // them): they are no longer active at decision time and
+                // carry no perturbation.
+                //
+                // Clamped at zero: the paper defines π on the
+                // CPU-sharing intuition where insertions only delay. In
+                // the full three-phase model an insertion can
+                // occasionally *help* a bystander (by slowing a
+                // competitor's input transfer), and float rounding can
+                // also produce tiny negatives; both are treated as zero
+                // interference.
+                lookup(j).map(|f_after| (j, (f_after - f_before).as_secs().max(0.0)))
+            }));
         true
     }
 
@@ -659,7 +628,7 @@ impl Htm {
         // The splice needs the *complete* after-schedule: a truncated memo
         // entry (completion-only depth) is re-drained to the end here,
         // resuming the shared prefix the prediction saved.
-        state.refresh_after(trace, now, task.id, costs, false);
+        state.refresh_after(trace, &mut self.scratch, now, task.id, costs, false);
         state.adopt_after_as_baseline();
         let trace = &mut self.traces[server.index()];
         trace.add_task(now, task.id, costs);
@@ -679,7 +648,7 @@ impl Htm {
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
         let removed_predicted =
-            trace.drain_schedule_without(&mut state.scratch, now, task, &mut state.after);
+            trace.drain_schedule_without(&mut self.scratch, now, task, &mut state.after);
         state.adopt_after_as_baseline();
         let trace = &mut self.traces[server.index()];
         let removed = trace.force_finish(now, task);
@@ -743,7 +712,7 @@ impl Htm {
     pub fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
-        state.refresh_baseline(trace);
+        state.refresh_baseline(trace, &mut self.scratch);
         let (by_task, committed, costs) = (&self.by_task, &self.committed, &self.costs);
         state
             .baseline

@@ -4,7 +4,8 @@
 //! fair-shared stages (input link, CPU, output link); tasks move from stage
 //! to stage; within a stage, `n` concurrent activities each progress at
 //! `1/n` of the stage's nominal rate. The trace state is advanced lazily to
-//! a *cursor* time; what-if questions clone the trace and drain the clone.
+//! a *cursor* time; what-if questions replay it in a [`DrainScratch`] and
+//! leave the trace untouched.
 //!
 //! Work units are "seconds on the unloaded server" taken straight from the
 //! static cost tables — the same convention NetSolve's measured costs use.
@@ -21,17 +22,18 @@
 //! caches per server — can be reused without recomputation.
 //!
 //! What-if questions ("when would these tasks finish if X were inserted
-//! now?") used to clone the whole trace per query. They now run through
-//! [`DrainScratch`], a reusable flat-buffer copy of the three fair-share
-//! lanes: [`ServerTrace::drain_schedule_into`] and
+//! now?") run through [`DrainScratch`], a reusable flat-buffer copy of the
+//! three fair-share lanes whose entries carry each task's phase costs:
+//! [`ServerTrace::drain_schedule_into`] and
 //! [`ServerTrace::drain_schedule_into_fast`] load the scratch from the
 //! live trace (no heap allocation once the buffers are warm), the latter
 //! injecting one hypothetical task, and replay the exact event arithmetic
-//! of [`ServerTrace::advance`]/[`ServerTrace::drain`]. The replay performs
-//! the same floating-point operations in the same order as cloning the
-//! trace, inserting the task and draining the clone, so results agree
-//! **bit for bit** — a property the tests below and in `htm.rs` check
-//! against that clone-and-drain oracle.
+//! of [`ServerTrace::advance`]/[`ServerTrace::drain`] in one event loop.
+//! The replay performs the same floating-point operations in the same
+//! order as cloning the trace, inserting the task and draining the clone
+//! ([`ServerTrace::drain_schedule`]), so results agree **bit for bit** — a
+//! property the tests below and in `htm.rs` check against that
+//! clone-and-drain oracle.
 
 use cas_platform::{FairShareResource, Phase, PhaseCosts, TaskId};
 use cas_sim::{Generation, SimTime};
@@ -42,7 +44,6 @@ use std::collections::BTreeMap;
 pub(crate) struct JobState {
     pub phase: Phase,
     pub costs: PhaseCosts,
-    pub arrival: SimTime,
 }
 
 /// One segment of Gantt history: a task held `share` of `phase`'s resource
@@ -125,11 +126,6 @@ impl ServerTrace {
         self.jobs.len()
     }
 
-    /// Number of tasks in the compute stage right now.
-    pub fn compute_len(&self) -> usize {
-        self.cpu.len()
-    }
-
     /// Tasks finished so far, with completion dates, in completion order.
     pub fn finished(&self) -> &[(TaskId, SimTime)] {
         &self.finished
@@ -138,18 +134,6 @@ impl ServerTrace {
     /// Recorded Gantt segments (empty unless recording was enabled).
     pub fn segments(&self) -> &[TraceSegment] {
         &self.segments
-    }
-
-    /// Ids of unfinished tasks, in insertion (task-id) order — the paper's
-    /// "local numbers" on this server.
-    pub fn active_tasks(&self) -> Vec<TaskId> {
-        self.jobs.keys().copied().collect()
-    }
-
-    /// Iterator over unfinished task ids, allocation-free (prefer this over
-    /// [`Self::active_tasks`] on hot paths).
-    pub fn active_task_iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.jobs.keys().copied()
     }
 
     /// Whether `task` is mapped here and unfinished.
@@ -291,7 +275,6 @@ impl ServerTrace {
             JobState {
                 phase: Phase::Input,
                 costs,
-                arrival: now,
             },
         );
         self.link_in.add(now, task, costs.input);
@@ -333,19 +316,6 @@ impl ServerTrace {
         }
     }
 
-    /// The simulated completion date of one active task, if active.
-    pub fn completion_of(&self, task: TaskId) -> Option<SimTime> {
-        self.drain_schedule()
-            .into_iter()
-            .find(|(t, _)| *t == task)
-            .map(|(_, when)| when)
-    }
-
-    /// Arrival date recorded for an active task.
-    pub fn arrival_of(&self, task: TaskId) -> Option<SimTime> {
-        self.jobs.get(&task).map(|j| j.arrival)
-    }
-
     /// Drains the schedule into `out` through a reusable scratch buffer —
     /// [`Self::drain_schedule`] bit for bit (completion order and float
     /// values), without cloning the trace. The HTM's baseline refresh.
@@ -360,7 +330,7 @@ impl ServerTrace {
     ) {
         out.clear();
         scratch.load(self);
-        scratch.drain(&self.jobs, None, out);
+        scratch.drain(None, out);
     }
 
     /// Drains the schedule into `out` as if `task` had been force-finished
@@ -388,14 +358,12 @@ impl ServerTrace {
         assert!(now >= self.cursor, "trace cannot rewind");
         out.clear();
         scratch.load(self);
-        let mut pre = std::mem::take(&mut scratch.pre_now);
-        pre.clear();
-        scratch.advance_to(now, &self.jobs, None, &mut pre);
-        scratch.pre_now = pre;
+        scratch.advance_events_until(now);
+        scratch.settle(now);
         // Mirrors `FairShareResource::remove` on the task's current lane:
         // the entry vanishes, later entries keep their relative order.
         let removed = scratch.remove_entry(task);
-        scratch.drain(&self.jobs, None, out);
+        scratch.drain(None, out);
         removed
     }
 
@@ -449,10 +417,7 @@ impl ServerTrace {
         // discarding pre-now completions exactly like the clone path's
         // `finished` list. Lanes are left at the last processed event —
         // the snapshot point — and only then settled to `now`.
-        let mut pre = std::mem::take(&mut scratch.pre_now);
-        pre.clear();
-        let moved = scratch.advance_events_until(now, &self.jobs, None, &mut pre);
-        scratch.pre_now = pre;
+        let moved = scratch.advance_events_until(now);
         if !hit || moved > 0 {
             scratch.save_prefix(prefix);
             prefix.events_until = now;
@@ -463,60 +428,114 @@ impl ServerTrace {
         // state: skip the copy-back and keep the older — strictly more
         // reusable — `events_until`.
         scratch.settle(now);
-        scratch.lanes[0].entries.push((task, costs.input));
-        let truncated = if truncate {
-            scratch.drain_until(&self.jobs, Some((task, costs)), task, out)
-        } else {
-            scratch.drain(&self.jobs, Some((task, costs)), out);
-            false
-        };
+        scratch.lanes[0].push(LaneEntry {
+            task,
+            remaining: costs.input,
+            costs,
+        });
+        let truncated = scratch.drain(truncate.then_some(task), out);
         (hit, truncated)
     }
 }
 
 /// Reusable flat-buffer state for zero-clone what-if drains.
 ///
-/// Holds one lane per phase resource — `(task, remaining work)` pairs in
-/// the same order as the live [`FairShareResource`] entries — plus the
-/// cursor. [`ServerTrace::drain_schedule_into`] copies the live state in
-/// (reusing capacity), then replays the trace's event loop on the copy.
+/// Holds one lane per phase resource, entries in the same order as the
+/// live [`FairShareResource`] entries, plus the replay's cursor.
+/// [`ServerTrace::drain_schedule_into`] copies the live state in (reusing
+/// capacity), then replays the trace's event loop on the copy. Every
+/// replay overwrites the whole scratch — from the live trace or from a
+/// [`PrefixCursor`] — before it reads any of it, so one scratch serves
+/// every trace: the HTM owns a single one for its whole farm.
 ///
 /// The replay is deliberately **operation-for-operation identical** to
 /// [`ServerTrace::advance`]/[`ServerTrace::drain`] + the fair-share
 /// resource arithmetic, so its floating-point results match the
 /// clone-and-drain path exactly. When changing either side, change both —
-/// the differential proptests in `htm.rs` will catch a drift.
+/// the differential proptests here and in `htm.rs` will catch a drift.
 #[derive(Debug, Clone, Default)]
 pub struct DrainScratch {
+    /// One lane per phase, in [`Phase::ALL`] order.
     lanes: [ScratchLane; 3],
+    /// The replay's clock: the last processed event, or the instant the
+    /// lanes were settled to (the trace's cursor right after a load).
     cursor: SimTime,
-    /// Reusable sink for completions that fall before the insertion time
-    /// (dropped, like the clone path's `finished` list).
-    pre_now: Vec<(TaskId, SimTime)>,
 }
 
 /// One phase lane of the scratch: mirrors `FairShareResource`'s state.
 #[derive(Debug, Clone, Default)]
 struct ScratchLane {
-    /// `(task, remaining work)` in insertion order.
-    entries: Vec<(TaskId, f64)>,
+    /// The lane's tasks in insertion order.
+    entries: Vec<LaneEntry>,
     /// Last time progress was integrated up to.
     updated_at: SimTime,
     /// Total capacity, split equally.
     capacity: f64,
+    /// Each entry's progress rate, `capacity / max(len, 1)`: the division
+    /// `FairShareResource` performs on every `next_completion` and
+    /// `advance`, done here once per membership change instead — same
+    /// operands, same bits.
+    rate: f64,
+}
+
+/// One task inside a [`ScratchLane`].
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry {
+    task: TaskId,
+    /// Work left in the lane's phase.
+    remaining: f64,
+    /// The task's static phase costs, carried along so a lane transition
+    /// reads the next phase's work from the entry itself.
+    costs: PhaseCosts,
+}
+
+/// The next phase completion of a replay.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    /// Index of the lane it completes in.
+    lane: usize,
+    /// Position of the completing entry within that lane.
+    pos: usize,
+    task: TaskId,
+    when: SimTime,
 }
 
 impl ScratchLane {
-    /// Mirrors [`FairShareResource::next_completion`].
-    fn next_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
+    /// Re-derives [`Self::rate`]; called on every membership change.
+    fn set_rate(&mut self) {
+        self.rate = self.capacity / self.entries.len().max(1) as f64;
+    }
+
+    /// Appends an entry (mirrors `FairShareResource::add`).
+    fn push(&mut self, entry: LaneEntry) {
+        self.entries.push(entry);
+        self.set_rate();
+    }
+
+    /// Removes the entry at `pos`, later entries keeping their order
+    /// (mirrors `FairShareResource::remove`).
+    fn remove(&mut self, pos: usize) -> LaneEntry {
+        let entry = self.entries.remove(pos);
+        self.set_rate();
+        entry
+    }
+
+    /// Mirrors [`FairShareResource::next_completion`], returning the
+    /// position of the first entry with the least remaining work instead
+    /// of its key.
+    fn next_completion(&self, now: SimTime) -> Option<(usize, SimTime)> {
         let lag = (now - self.updated_at).as_secs();
-        let rate = self.capacity / self.entries.len().max(1) as f64;
         self.entries
             .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("remaining work is never NaN"))
-            .map(|e| {
-                let dt = ((e.1 / rate) - lag).max(0.0);
-                (e.0, now + SimTime::from_secs(dt))
+            .enumerate()
+            .min_by(|a, b| {
+                a.1.remaining
+                    .partial_cmp(&b.1.remaining)
+                    .expect("remaining work is never NaN")
+            })
+            .map(|(pos, e)| {
+                let dt = ((e.remaining / self.rate) - lag).max(0.0);
+                (pos, now + SimTime::from_secs(dt))
             })
     }
 
@@ -527,12 +546,19 @@ impl ScratchLane {
             return;
         }
         let dt = (now - self.updated_at).as_secs();
-        let rate = self.capacity / self.entries.len() as f64;
-        let done = rate * dt;
+        let done = self.rate * dt;
         for e in &mut self.entries {
-            e.1 = (e.1 - done).max(0.0);
+            e.remaining = (e.remaining - done).max(0.0);
         }
         self.updated_at = now;
+    }
+
+    /// Overwrites this lane with `src`, reusing the entry buffer.
+    fn copy_from(&mut self, src: &ScratchLane) {
+        self.entries.clone_from(&src.entries);
+        self.updated_at = src.updated_at;
+        self.capacity = src.capacity;
+        self.rate = src.rate;
     }
 }
 
@@ -542,21 +568,23 @@ impl DrainScratch {
         Self::default()
     }
 
-    /// Copies the live trace state in, reusing buffer capacity.
+    /// Copies the live trace state in, reusing buffer capacity. Each entry
+    /// takes its task's phase costs from the trace's job table.
     fn load(&mut self, trace: &ServerTrace) {
         for (lane, phase) in self.lanes.iter_mut().zip(Phase::ALL) {
             let res = trace.resource(phase);
             lane.entries.clear();
-            lane.entries.extend(res.entries_iter());
+            lane.entries
+                .extend(res.entries_iter().map(|(task, remaining)| LaneEntry {
+                    task,
+                    remaining,
+                    costs: trace.jobs.get(&task).expect("task has a job record").costs,
+                }));
             lane.updated_at = res.updated_at();
             lane.capacity = res.capacity();
+            lane.set_rate();
         }
         self.cursor = trace.cursor;
-    }
-
-    /// Number of tasks still inside any lane.
-    fn active(&self) -> usize {
-        self.lanes.iter().map(|l| l.entries.len()).sum()
     }
 
     /// Removes `task` from whichever lane holds it, preserving the order
@@ -564,129 +592,87 @@ impl DrainScratch {
     /// Returns whether the task was present.
     fn remove_entry(&mut self, task: TaskId) -> bool {
         for lane in &mut self.lanes {
-            if let Some(pos) = lane.entries.iter().position(|e| e.0 == task) {
-                lane.entries.remove(pos);
+            if let Some(pos) = lane.entries.iter().position(|e| e.task == task) {
+                lane.remove(pos);
                 return true;
             }
         }
         false
     }
 
-    /// Static phase costs of `task`: the hypothetical task's costs come
-    /// from `extra`, everything else from the live job table.
-    fn costs_of(
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        task: TaskId,
-    ) -> PhaseCosts {
-        match extra {
-            Some((id, costs)) if id == task => costs,
-            _ => jobs.get(&task).expect("task has a job record").costs,
-        }
-    }
-
     /// Mirrors [`ServerTrace::next_event`]: earliest completion across the
     /// lanes, ties to the earliest phase.
-    fn next_event(&self) -> Option<(usize, TaskId, SimTime)> {
-        let mut best: Option<(usize, TaskId, SimTime)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some((task, when)) = lane.next_completion(self.cursor) {
+    fn next_event(&self) -> Option<Event> {
+        let mut best: Option<Event> = None;
+        for (lane, l) in self.lanes.iter().enumerate() {
+            if let Some((pos, when)) = l.next_completion(self.cursor) {
                 let better = match &best {
                     None => true,
-                    Some((_, _, t)) => when < *t,
+                    Some(b) => when < b.when,
                 };
                 if better {
-                    best = Some((i, task, when));
+                    best = Some(Event {
+                        lane,
+                        pos,
+                        task: l.entries[pos].task,
+                        when,
+                    });
                 }
             }
         }
         best
     }
 
-    /// Mirrors [`ServerTrace::advance`] (without Gantt recording).
+    /// The event loop of [`ServerTrace::advance`] (without Gantt
+    /// recording), stopped at `to`: processes every phase completion at or
+    /// before `to`, discarding final completions like the clone path's
+    /// `finished` list, and leaves all lanes advanced exactly to the last
+    /// processed event (or untouched when no event fires). [`Self::settle`]
+    /// then integrates the partial interval up to `to`.
     ///
-    /// Structured as the event loop ([`Self::advance_events_until`])
-    /// followed by the final partial advance ([`Self::settle`]); the split
-    /// exists so the prefix cursor can snapshot the scratch at the last
-    /// processed event — the only state that is bit-identical across every
-    /// replay that passes that event (the trailing partial advance splits
-    /// an interval, and `(w − r·dt₁) − r·dt₂ ≠ w − r·(dt₁+dt₂)` in floats).
-    fn advance_to(
-        &mut self,
-        to: SimTime,
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) {
-        self.advance_events_until(to, jobs, extra, out);
-        self.settle(to);
-    }
-
-    /// The event half of [`Self::advance_to`]: processes every phase
-    /// completion at or before `to`, leaving all lanes advanced exactly to
-    /// the last processed event (or untouched when no event fires). No
-    /// partial progress beyond an event time is integrated, so the
-    /// resulting state can be resumed for any later `to` bit-identically.
-    /// Returns the number of events processed, so the prefix-cursor path
-    /// can tell a no-op resume (state unchanged, snapshot still exact)
-    /// from one that moved the scratch forward.
-    fn advance_events_until(
-        &mut self,
-        to: SimTime,
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) -> usize {
+    /// The split exists so the prefix cursor can snapshot the scratch at
+    /// the last processed event — the only state that is bit-identical
+    /// across every replay that passes that event (the trailing partial
+    /// advance splits an interval, and `(w − r·dt₁) − r·dt₂ ≠ w − r·(dt₁+dt₂)`
+    /// in floats). Returns the number of events processed, so the
+    /// prefix-cursor path can tell a no-op resume (state unchanged,
+    /// snapshot still exact) from one that moved the scratch forward.
+    fn advance_events_until(&mut self, to: SimTime) -> usize {
         let mut processed = 0;
-        while let Some((lane_idx, task, when)) = self.next_event() {
-            if when > to {
+        while let Some(event) = self.next_event() {
+            if event.when > to {
                 break;
             }
-            self.process_event(lane_idx, task, when, jobs, extra, out);
+            self.process_event(event);
             processed += 1;
         }
         processed
     }
 
-    /// One step of the event loop: advance every lane to `when`, retire
-    /// `task` from `lanes[lane_idx]`, and either feed it to the next lane
-    /// or append its final completion to `out`. Factored out so
-    /// [`Self::advance_events_until`] and [`Self::drain_until`] share the
-    /// exact arithmetic (and therefore stay bit-identical).
-    fn process_event(
-        &mut self,
-        lane_idx: usize,
-        task: TaskId,
-        when: SimTime,
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) {
+    /// One step of the event loop: advance every lane to the event, retire
+    /// the completing entry from its lane, and either feed it to the next
+    /// lane at that phase's cost or return its final completion. Every
+    /// replay loop runs through here, so they share the exact arithmetic.
+    fn process_event(&mut self, event: Event) -> Option<(TaskId, SimTime)> {
         for lane in &mut self.lanes {
-            lane.advance(when);
+            lane.advance(event.when);
         }
-        self.cursor = when;
-        let lane = &mut self.lanes[lane_idx];
-        let pos = lane
-            .entries
-            .iter()
-            .position(|e| e.0 == task)
-            .expect("completing task is in its lane");
-        lane.entries.remove(pos);
-        if lane_idx + 1 < self.lanes.len() {
-            let costs = Self::costs_of(jobs, extra, task);
-            let cost = match lane_idx + 1 {
-                1 => costs.compute,
-                _ => costs.output,
-            };
-            self.lanes[lane_idx + 1].entries.push((task, cost));
-        } else {
-            out.push((task, when));
+        self.cursor = event.when;
+        let mut entry = self.lanes[event.lane].remove(event.pos);
+        assert_eq!(entry.task, event.task, "completing task is in its lane");
+        match Phase::ALL.get(event.lane + 1) {
+            Some(&next) => {
+                entry.remaining = entry.costs.phase(next);
+                self.lanes[event.lane + 1].push(entry);
+                None
+            }
+            None => Some((entry.task, event.when)),
         }
     }
 
-    /// The trailing half of [`Self::advance_to`]: integrates the partial
-    /// interval from the last processed event up to `to` on every lane.
+    /// The trailing half of [`ServerTrace::advance`]: integrates the
+    /// partial interval from the last processed event up to `to` on every
+    /// lane.
     fn settle(&mut self, to: SimTime) {
         for lane in &mut self.lanes {
             lane.advance(to);
@@ -694,51 +680,29 @@ impl DrainScratch {
         self.cursor = to;
     }
 
-    /// Mirrors [`ServerTrace::drain`]: advance event by event until no
-    /// task remains, appending completions to `out` in completion order.
-    fn drain(
-        &mut self,
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) {
-        while self.active() > 0 {
-            let (_, _, when) = self
-                .next_event()
-                .expect("active tasks must produce a next event");
-            self.advance_to(when, jobs, extra, out);
-        }
-    }
-
-    /// Truncated drain: identical to [`Self::drain`] but returns as soon as
-    /// `stop`'s completion has been appended to `out`. The output is a
-    /// bit-exact prefix of the full drain (same events, same order, same
-    /// float values — the loop merely exits early), possibly including a
-    /// few same-instant completions that tie with `stop`. Returns `true`
-    /// when the drain stopped early (tasks remain in the lanes), `false`
-    /// when the schedule drained to empty anyway.
-    fn drain_until(
-        &mut self,
-        jobs: &BTreeMap<TaskId, JobState>,
-        extra: Option<(TaskId, PhaseCosts)>,
-        stop: TaskId,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) -> bool {
-        // Single event loop (one `next_event` scan per event, against the
-        // three scans of the `drain` + `advance_to` composition): process
-        // events in completion order, note the instant `stop` finishes,
-        // keep draining its same-instant tie batch, and return as soon as
-        // the next event lies strictly later. Event arithmetic is
-        // `process_event` — the exact loop body of the full drain — so the
-        // output is a bit-exact prefix of [`Self::drain`]'s.
+    /// Mirrors [`ServerTrace::drain`]: processes events until every lane
+    /// is empty, appending completions to `out` in completion order.
+    ///
+    /// One `next_event` scan per event. The trace's `drain` → `advance`
+    /// nesting also settles every lane to each event batch's instant, a
+    /// no-op here because `process_event` has already advanced every lane
+    /// to it; the sequence of `process_event` calls is the same.
+    ///
+    /// With `stop` set, the drain returns as soon as the next event lies
+    /// strictly after `stop`'s completion: `out` is then a bit-exact prefix
+    /// of the full drain, ending with `stop`'s same-instant tie batch.
+    /// Returns `true` when it stopped early (tasks remain in the lanes).
+    fn drain(&mut self, stop: Option<TaskId>, out: &mut Vec<(TaskId, SimTime)>) -> bool {
         let mut stop_at: Option<SimTime> = None;
-        while let Some((lane_idx, task, when)) = self.next_event() {
-            if stop_at.is_some_and(|t| when > t) {
+        while let Some(event) = self.next_event() {
+            if stop_at.is_some_and(|t| event.when > t) {
                 return true;
             }
-            self.process_event(lane_idx, task, when, jobs, extra, out);
-            if lane_idx + 1 == self.lanes.len() && task == stop {
-                stop_at = Some(when);
+            if let Some(done) = self.process_event(event) {
+                out.push(done);
+                if Some(done.0) == stop {
+                    stop_at = Some(done.1);
+                }
             }
         }
         false
@@ -747,10 +711,7 @@ impl DrainScratch {
     /// Snapshots the scratch state into `cur` (reusing its buffers).
     fn save_prefix(&self, cur: &mut PrefixCursor) {
         for (src, dst) in self.lanes.iter().zip(cur.lanes.iter_mut()) {
-            dst.entries.clear();
-            dst.entries.extend_from_slice(&src.entries);
-            dst.updated_at = src.updated_at;
-            dst.capacity = src.capacity;
+            dst.copy_from(src);
         }
         cur.cursor = self.cursor;
     }
@@ -758,10 +719,7 @@ impl DrainScratch {
     /// Restores the scratch from a snapshot taken by [`Self::save_prefix`].
     fn restore_prefix(&mut self, cur: &PrefixCursor) {
         for (dst, src) in self.lanes.iter_mut().zip(cur.lanes.iter()) {
-            dst.entries.clear();
-            dst.entries.extend_from_slice(&src.entries);
-            dst.updated_at = src.updated_at;
-            dst.capacity = src.capacity;
+            dst.copy_from(src);
         }
         self.cursor = cur.cursor;
     }
@@ -785,7 +743,9 @@ impl DrainScratch {
 /// backwards past [`Self::events_until`]).
 #[derive(Debug, Clone, Default)]
 pub struct PrefixCursor {
+    /// The scratch's lanes at the snapshot point, phase costs included.
     lanes: [ScratchLane; 3],
+    /// The scratch's cursor at the snapshot point.
     cursor: SimTime,
     /// The `now` the snapshot's event loop ran until: all events ≤ this
     /// time are already processed, so the snapshot is resumable only for
@@ -801,12 +761,6 @@ impl PrefixCursor {
     /// An empty, invalid cursor (buffers grow on first save).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Marks the cursor invalid (e.g. after a retraction repair that
-    /// bypassed the normal save path).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
     }
 
     /// Whether the snapshot can seed a replay of `trace` at `now`.
@@ -880,8 +834,16 @@ mod tests {
         s_with.add_task(t(80.0), TaskId(3), costs(0.0, 100.0, 0.0));
         let mut s2_with = s2.clone();
         s2_with.add_task(t(80.0), TaskId(3), costs(0.0, 100.0, 0.0));
-        let f_on_s = s_with.completion_of(TaskId(3)).unwrap();
-        let f_on_s2 = s2_with.completion_of(TaskId(3)).unwrap();
+        let completion = |tr: &ServerTrace| {
+            let sched = tr.drain_schedule();
+            sched
+                .iter()
+                .find(|e| e.0 == TaskId(3))
+                .expect("T3 mapped")
+                .1
+        };
+        let f_on_s = completion(&s_with);
+        let f_on_s2 = completion(&s2_with);
         assert!(f_on_s < f_on_s2, "{f_on_s:?} vs {f_on_s2:?}");
         // Exact values: on s, T1 has 20 left; shared at 1/2 → T1 done at
         // t=120, T3 then has 80 left alone → t=200.
@@ -1010,9 +972,12 @@ mod tests {
     }
 
     #[test]
-    fn completion_of_missing_task() {
+    fn empty_trace_drains_to_nothing() {
         let tr = ServerTrace::new();
-        assert_eq!(tr.completion_of(TaskId(9)), None);
+        assert!(tr.drain_schedule().is_empty());
+        let mut out = vec![(TaskId(9), t(1.0))];
+        tr.drain_schedule_into(&mut DrainScratch::new(), &mut out);
+        assert!(out.is_empty());
     }
 
     /// `drain_schedule_without` must agree bit-for-bit with the clone-based
@@ -1150,6 +1115,28 @@ mod proptests {
         fn arb_costs()(i in 0.0f64..5.0, c in 0.1f64..50.0, o in 0.0f64..5.0) -> PhaseCosts {
             PhaseCosts::new(i, c, o)
         }
+    }
+
+    prop_compose! {
+        /// Small whole-second costs: equal remaining work and equal
+        /// completion instants become the rule instead of the exception.
+        fn arb_int_costs()(i in 0u32..3, c in 1u32..4, o in 0u32..3) -> PhaseCosts {
+            PhaseCosts::new(f64::from(i), f64::from(c), f64::from(o))
+        }
+    }
+
+    /// Asserts two schedules agree entry by entry: task id and the bits of
+    /// the completion date.
+    fn assert_same_schedule(
+        fast: &[(TaskId, SimTime)],
+        slow: &[(TaskId, SimTime)],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(fast.len(), slow.len());
+        for (a, b) in fast.iter().zip(slow) {
+            prop_assert_eq!(a.0, b.0);
+            prop_assert_eq!(a.1.as_secs().to_bits(), b.1.as_secs().to_bits());
+        }
+        Ok(())
     }
 
     proptest! {
@@ -1295,6 +1282,51 @@ mod proptests {
                     prop_assert_eq!(a.0, b.0);
                     prop_assert_eq!(a.1.as_secs().to_bits(), b.1.as_secs().to_bits());
                 }
+            }
+        }
+
+        /// The drain kernel under forced ties: whole-second arrivals and
+        /// costs make lanes hold equal remaining work (the first-minimum
+        /// tie-break inside a lane), lanes complete at the same instant
+        /// (the earliest-phase tie-break across lanes) and events land
+        /// exactly on query instants. The fast what-if drain must match
+        /// the clone-and-drain oracle, truncated or not, and the scratch
+        /// baseline drain must match the trace's own drain — entry by
+        /// entry, id and completion bits.
+        #[test]
+        fn drain_kernel_ties_match_reference(
+            specs in proptest::collection::vec((0u32..6, arb_int_costs()), 1..41),
+            probe_costs in arb_int_costs(),
+            nows in proptest::collection::vec(0u32..41, 1..6),
+            truncate in proptest::bool::ANY,
+        ) {
+            let mut tr = ServerTrace::new();
+            let mut arrivals = specs;
+            arrivals.sort_by_key(|a| a.0);
+            for (i, (arr, c)) in arrivals.iter().enumerate() {
+                tr.add_task(t(f64::from(*arr)), TaskId(i as u64), *c);
+            }
+            let mut sorted_nows = nows;
+            sorted_nows.sort_unstable();
+            let mut scratch = DrainScratch::new();
+            let mut prefix = PrefixCursor::new();
+            let mut fast = Vec::new();
+            for (k, now) in sorted_nows.iter().enumerate() {
+                let now = t(f64::from(*now).max(tr.cursor().as_secs()));
+                let probe = TaskId(1000 + k as u64);
+                let slow = super::tests::clone_and_drain(&tr, now, probe, probe_costs);
+                let (_, truncated) = tr.drain_schedule_into_fast(
+                    &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
+                );
+                prop_assert!(fast.iter().any(|e| e.0 == probe));
+                if truncated {
+                    prop_assert!(fast.len() < slow.len());
+                    assert_same_schedule(&fast, &slow[..fast.len()])?;
+                } else {
+                    assert_same_schedule(&fast, &slow)?;
+                }
+                tr.drain_schedule_into(&mut scratch, &mut fast);
+                assert_same_schedule(&fast, &tr.drain_schedule())?;
             }
         }
     }

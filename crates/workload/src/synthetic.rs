@@ -389,6 +389,57 @@ mod tests {
         );
     }
 
+    /// Goodness of fit of the thinning sampler: over whole periods, the
+    /// arrival phases must follow the integrated rate. Twenty phase bins,
+    /// expected counts from a numerical integral of `rate_at` scaled to
+    /// the observed total, and χ² below 43.82 (19 degrees of freedom,
+    /// α = 0.001) at each of five seeds.
+    #[test]
+    fn burst_phase_counts_fit_the_integrated_rate() {
+        const BINS: usize = 20;
+        const STEPS: usize = 100;
+        let spec = BurstArrivals {
+            n_tasks: 20_000,
+            ..burst_spec()
+        };
+        let width = spec.period / BINS as f64;
+        // Midpoint rule on a smooth sine: far finer than the counts' noise.
+        let mass: Vec<f64> = (0..BINS)
+            .map(|b| {
+                (0..STEPS)
+                    .map(|k| spec.rate_at(width * (b as f64 + (k as f64 + 0.5) / STEPS as f64)))
+                    .sum::<f64>()
+                    * width
+                    / STEPS as f64
+            })
+            .collect();
+        let total_mass: f64 = mass.iter().sum();
+        for seed in 1..=5 {
+            let tasks = spec.generate(seed);
+            let periods = (tasks.last().unwrap().arrival.as_secs() / spec.period).floor();
+            let horizon = periods * spec.period;
+            let mut counts = [0usize; BINS];
+            for t in tasks.iter().map(|t| t.arrival.as_secs()) {
+                if t < horizon {
+                    counts[((t.rem_euclid(spec.period) / width) as usize).min(BINS - 1)] += 1;
+                }
+            }
+            let n = counts.iter().sum::<usize>() as f64;
+            let chi2: f64 = counts
+                .iter()
+                .zip(&mass)
+                .map(|(&observed, &m)| {
+                    let expected = n * m / total_mass;
+                    (observed as f64 - expected).powi(2) / expected
+                })
+                .sum();
+            assert!(
+                chi2 < 43.82,
+                "seed {seed}: chi2 = {chi2:.1} over {n} arrivals in {periods} periods"
+            );
+        }
+    }
+
     /// base == peak degenerates to the homogeneous process: every
     /// candidate accepted, mean gap = 1/rate.
     #[test]
