@@ -1,13 +1,11 @@
 //! Criterion benchmark: event-queue and fair-share-resource throughput.
 //!
-//! The simulation kernel's hot paths: push/pop cycles on the stable binary
-//! heap (with the hold-model access pattern a DES produces) and
+//! The simulation kernel's hot paths: push/pop cycles on the stable event
+//! queue (with the hold-model access pattern a DES produces) and
 //! advance/add/remove cycles on the fair-share resource.
 
 use cas_platform::FairShareResource;
-use cas_sim::{
-    AdaptiveQueue, CalendarQueue, EventQueue, HeapQueue, RngStream, SimTime, StreamKind,
-};
+use cas_sim::{EventQueue, RngStream, SimTime, StreamKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -19,47 +17,7 @@ fn bench_queue_hold(c: &mut Criterion) {
             // Classic hold model: steady-state queue of `size` events; each
             // iteration pops the earliest and pushes a new one later.
             let mut rng = RngStream::derive(7, StreamKind::Custom(1));
-            let mut q = HeapQueue::new();
-            for i in 0..size {
-                q.push(SimTime::from_secs(rng.uniform(0.0, 100.0)), i as u64);
-            }
-            b.iter(|| {
-                let e = q.pop().expect("non-empty");
-                q.push(e.at + SimTime::from_secs(rng.uniform(0.1, 10.0)), e.event);
-                black_box(e.at)
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_calendar_hold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("calendar_queue_hold");
-    for size in [64usize, 1024, 16384] {
-        group.throughput(Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            let mut rng = RngStream::derive(7, StreamKind::Custom(2));
-            let mut q = CalendarQueue::new();
-            for i in 0..size {
-                q.push(SimTime::from_secs(rng.uniform(0.0, 100.0)), i as u64);
-            }
-            b.iter(|| {
-                let e = q.pop().expect("non-empty");
-                q.push(e.at + SimTime::from_secs(rng.uniform(0.1, 10.0)), e.event);
-                black_box(e.at)
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_adaptive_hold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("adaptive_queue_hold");
-    for size in [64usize, 1024, 16384] {
-        group.throughput(Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            let mut rng = RngStream::derive(7, StreamKind::Custom(3));
-            let mut q = AdaptiveQueue::new();
+            let mut q = EventQueue::new();
             for i in 0..size {
                 q.push(SimTime::from_secs(rng.uniform(0.0, 100.0)), i as u64);
             }
@@ -102,11 +60,5 @@ fn bench_fairshare_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_queue_hold,
-    bench_calendar_hold,
-    bench_adaptive_hold,
-    bench_fairshare_cycle
-);
+criterion_group!(benches, bench_queue_hold, bench_fairshare_cycle);
 criterion_main!(benches);

@@ -12,6 +12,11 @@
 //! `churn` commits the chosen task after every decision (one server's
 //! cache invalidated per round, as in a live scheduler).
 //!
+//! Every section queries from just after the last loaded arrival, while
+//! every loaded task is still running, so a row's `per_server_tasks` is
+//! the load it prices; each row records `active_tasks_per_server`, the
+//! mean count at its first query.
+//!
 //! A second section measures the **commit path**: the cost of absorbing a
 //! placement into the model, from the commit call to the next baseline
 //! consumer (`resident_estimate`, the memory-aware veto's per-decision
@@ -59,6 +64,9 @@ fn table64() -> CostTable {
     t
 }
 
+/// `per_server` tasks on each of the 64 servers, one arriving per second
+/// from t = 0. Each computes for at least 15 s alone and slower under fair
+/// sharing, so none has finished by [`query_start`].
 fn loaded_htm(per_server: usize) -> Htm {
     let mut htm = Htm::new(table64(), SyncPolicy::None);
     let mut id = 1000u64;
@@ -74,6 +82,29 @@ fn loaded_htm(per_server: usize) -> Htm {
         }
     }
     htm
+}
+
+/// The first query instant: just after the last loaded arrival, so every
+/// server still holds all `per_server` tasks.
+fn query_start(per_server: usize) -> f64 {
+    per_server as f64
+}
+
+/// Mean tasks active per server at the first query, counted as the
+/// perturbations of a probe's what-if on each server of a fresh farm
+/// (the prediction lists every task still running at the query instant).
+fn mean_active_at_start(per_server: usize) -> f64 {
+    let mut htm = loaded_htm(per_server);
+    let probe = TaskInstance::new(
+        TaskId(u64::MAX),
+        ProblemId(0),
+        SimTime::from_secs(query_start(per_server)),
+    );
+    let total: usize = (0..N_SERVERS)
+        .filter_map(|s| htm.predict(probe.arrival, ServerId(s), &probe))
+        .map(|p| p.perturbations.len())
+        .sum();
+    total as f64 / N_SERVERS as f64
 }
 
 /// One what-if query per candidate through [`Htm::predict`]; returns the
@@ -104,7 +135,7 @@ fn run(mode: Mode, per_server: usize, rounds: usize) -> f64 {
     let mut htm = loaded_htm(per_server);
     let candidates: Vec<ServerId> = (0..N_SERVERS).map(ServerId).collect();
     let mut next_id = 500_000u64;
-    let mut now = 500.0f64;
+    let mut now = query_start(per_server);
     // Warm-up (fills caches, faults in scratch buffers).
     for _ in 0..3 {
         let probe = TaskInstance::new(TaskId(next_id), ProblemId(0), SimTime::from_secs(now));
@@ -137,7 +168,7 @@ fn run(mode: Mode, per_server: usize, rounds: usize) -> f64 {
 fn run_commit_path(per_server: usize, rounds: usize) -> f64 {
     let mut htm = loaded_htm(per_server);
     let mut next_id = 900_000u64;
-    let mut now = 500.0f64;
+    let mut now = query_start(per_server);
     // Warm-up: fault in every server's baseline cache and scratch.
     for s in 0..N_SERVERS {
         black_box(htm.resident_estimate(SimTime::from_secs(now), ServerId(s)));
@@ -169,7 +200,7 @@ fn run_memo_probe(per_server: usize, rounds: usize) -> (f64, f64, MemoStats) {
     let mut htm = loaded_htm(per_server);
     let candidates: Vec<ServerId> = (0..N_SERVERS).map(ServerId).collect();
     let mut next_id = 700_000u64;
-    let mut now = 500.0f64;
+    let mut now = query_start(per_server);
     // Warm-up.
     let probe = TaskInstance::new(TaskId(next_id), ProblemId(0), SimTime::from_secs(now));
     next_id += 1;
@@ -202,6 +233,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_decision_cost.json".to_string());
     let mut results = Vec::new();
     for &per_server in &[8usize, 32, 128] {
+        let active = mean_active_at_start(per_server);
         for (mode, mode_name) in [(Mode::Steady, "steady"), (Mode::Churn, "churn")] {
             let rounds = match per_server {
                 128 => 40,
@@ -210,11 +242,12 @@ fn main() {
             };
             let cached_us = run(mode, per_server, rounds);
             eprintln!(
-                "64 servers × {per_server:>3} tasks, {mode_name:<6}: \
+                "64 servers × {per_server:>3} tasks ({active:.2} active), {mode_name:<6}: \
                  {cached_us:>8.1} µs/decision"
             );
             results.push(format!(
                 "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
+                 \"active_tasks_per_server\": {active:.2}, \
                  \"mode\": \"{mode_name}\", \"rounds\": {rounds}, \
                  \"cached_us_per_decision\": {cached_us:.2}}}"
             ));
@@ -227,19 +260,25 @@ fn main() {
             32 => 640,
             _ => 1920,
         };
+        let active = mean_active_at_start(per_server);
         let inc_us = run_commit_path(per_server, rounds);
-        eprintln!("64 servers × {per_server:>3} tasks, commit : {inc_us:>8.2} µs/commit");
+        eprintln!(
+            "64 servers × {per_server:>3} tasks ({active:.2} active), commit : \
+             {inc_us:>8.2} µs/commit"
+        );
         commit_results.push(format!(
             "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
+             \"active_tasks_per_server\": {active:.2}, \
              \"rounds\": {rounds}, \"incremental_us_per_commit\": {inc_us:.2}}}"
         ));
     }
     // Prediction-memo section: same-instant, same-problem probes must be
     // answered from the problem-keyed memo instead of re-draining.
+    let memo_active = mean_active_at_start(32);
     let (first_us, repeat_us, memo) = run_memo_probe(32, 200);
     let memo_speedup = first_us / repeat_us;
     eprintln!(
-        "64 servers ×  32 tasks, memo  : first probe {first_us:>10.1} µs/sweep, same-problem \
+        "64 servers ×  32 tasks ({memo_active:.2} active), memo  : first probe {first_us:>10.1} µs/sweep, same-problem \
          repeat {repeat_us:>8.1} µs/sweep, speedup {memo_speedup:>6.1}x \
          (hit rate {:.3}, {} cross-task hits)",
         memo.hit_rate(),
@@ -257,7 +296,8 @@ fn main() {
          predict excluded; the commit splices the memoised after-schedule)\",\n    \
          \"results\": [\n{}\n    ]\n  }},\n\
   \"prediction_memo\": {{\n    \"unit\": \"microseconds per 64-candidate sweep (same instant, \
-         same problem, different task id)\",\n    \"first_probe_us_per_sweep\": {first_us:.2},\n    \
+         same problem, different task id)\",\n    \
+    \"active_tasks_per_server\": {memo_active:.2},\n    \"first_probe_us_per_sweep\": {first_us:.2},\n    \
     \"same_problem_repeat_us_per_sweep\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
     \"drains\": {},\n    \"hits\": {},\n    \"cross_task_hits\": {},\n    \
     \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }}\n}}\n",

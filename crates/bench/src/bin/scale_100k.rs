@@ -147,7 +147,6 @@ fn main() {
     let _ = sim.run_to_completion();
     let run_secs = start.elapsed().as_secs_f64();
     let events = sim.processed();
-    let queue_backend = sim.queue().backend_name();
     let peak_pending = sim.peak_pending();
     let world = sim.into_world();
     let metrics = MetricSet::compute(world.records());
@@ -162,7 +161,7 @@ fn main() {
     );
     eprintln!(
         "build {build_secs:.2} s, run {run_secs:.2} s ({:.0} events/s, {:.0} tasks/s); \
-         queue ended on `{queue_backend}`, peak pending {peak_pending}, \
+         peak pending {peak_pending}, \
          report kernel events {report_events}",
         events as f64 / run_secs,
         n_tasks as f64 / run_secs,
@@ -298,7 +297,7 @@ fn main() {
   \"sim_horizon_s\": {horizon:.1},\n  \"events_processed\": {events},\n\
   \"wall_build_s\": {build_secs:.3},\n  \"wall_run_s\": {run_secs:.3},\n\
   \"events_per_wall_s\": {:.0},\n  \"tasks_per_wall_s\": {:.0},\n\
-  \"queue_backend_final\": \"{queue_backend}\",\n  \"peak_pending_events\": {peak_pending},\n\
+  \"peak_pending_events\": {peak_pending},\n\
   \"report_kernel_events\": {report_events},\n\
   \"completed\": {completed},\n  \"mean_stretch\": {:.3},\n",
         events as f64 / run_secs,

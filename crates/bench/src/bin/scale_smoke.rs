@@ -1,12 +1,10 @@
 //! The standing scale campaign: 1k servers, bursty arrivals, now at up to
 //! 10⁶ tasks behind the two-stage decision pipeline.
 //!
-//! This is the workload the unified event kernel and the candidate
-//! pipeline exist for: enough pending events to push the adaptive queue
-//! onto its calendar backend, enough servers that an exhaustive
-//! one-drain-per-candidate decision is the dominant cost, and enough
-//! commits to make incremental baseline repair the difference between
-//! minutes and hours. The binary:
+//! This is the workload the candidate pipeline exists for: enough
+//! servers that an exhaustive one-drain-per-candidate decision is the
+//! dominant cost, and enough commits to make incremental baseline repair
+//! the difference between minutes and hours. The binary:
 //!
 //! 1. runs the **headline campaign** — one HMCT experiment on a synthetic
 //!    `SCALE_SMOKE_SERVERS`-server platform under inhomogeneous-Poisson
@@ -105,8 +103,6 @@ struct CampaignRun {
     metrics: MetricSet,
     wall: f64,
     events: u64,
-    backend: &'static str,
-    migrations: u64,
     /// Kernel events spent on periodic load reports (O(n) per period in
     /// the default mode, O(S) with aggregated per-shard reports).
     report_events: u64,
@@ -133,8 +129,6 @@ fn run_campaign(
     let _ = sim.run_to_completion();
     let wall = start.elapsed().as_secs_f64();
     let events = sim.processed();
-    let backend = sim.queue().backend_name();
-    let migrations = sim.queue().migrations();
     let peak_pending = sim.peak_pending();
     let world = sim.into_world();
     let metrics = MetricSet::compute(world.records());
@@ -151,8 +145,6 @@ fn run_campaign(
         records: world.into_records(),
         wall,
         events,
-        backend,
-        migrations,
         peak_pending,
     }
 }
@@ -644,7 +636,6 @@ fn main() {
     let headline = run_campaign(cfg, costs.clone(), servers.clone(), tasks.clone());
     let metrics = headline.metrics;
     let (run_secs, events) = (headline.wall, headline.events);
-    let (queue_backend, queue_migrations) = (headline.backend, headline.migrations);
     let completed = metrics.completed;
     eprintln!(
         "{n_servers} servers, {n_tasks} tasks over {horizon:.0} sim-seconds \
@@ -652,8 +643,7 @@ fn main() {
     );
     eprintln!(
         "build {build_secs:.2} s, run {run_secs:.2} s \
-         ({:.0} events/s, {:.0} tasks/s); queue ended on `{queue_backend}` \
-         after {queue_migrations} migration(s)",
+         ({:.0} events/s, {:.0} tasks/s)",
         events as f64 / run_secs,
         n_tasks as f64 / run_secs
     );
@@ -1080,7 +1070,7 @@ fn main() {
         json,
         "{{\n  \"bench\": \"scale_smoke\",\n  \"manifest\": {manifest},\n  \
          \"scenario\": \"{n_servers}-server burst campaign \
-         (IPPP thinning arrivals, HMCT, adaptive event queue, incremental HTM repair, \
+         (IPPP thinning arrivals, HMCT, incremental HTM repair, \
          two-stage candidate pipeline)\",\n\
   \"n_servers\": {n_servers},\n  \"n_tasks\": {n_tasks},\n  \"selector\": \"{selector_spec}\",\n\
   \"arrivals\": {{\"base_rate_per_s\": {base_rate:.4}, \"peak_rate_per_s\": {:.4}, \
@@ -1088,7 +1078,6 @@ fn main() {
   \"sim_horizon_s\": {horizon:.1},\n  \"events_processed\": {events},\n\
   \"wall_build_s\": {build_secs:.3},\n  \"wall_run_s\": {run_secs:.3},\n\
   \"events_per_wall_s\": {:.0},\n  \"tasks_per_wall_s\": {:.0},\n\
-  \"queue_backend_final\": \"{queue_backend}\",\n  \"queue_migrations\": {queue_migrations},\n\
   \"completed\": {completed},\n  \"mean_stretch\": {:.3},\n",
         burstiness * base_rate,
         events as f64 / run_secs,

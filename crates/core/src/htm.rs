@@ -1312,9 +1312,8 @@ mod proptests {
     proptest! {
         /// The generation-cached, scratch-buffer prediction engine agrees
         /// **bit for bit** with the naive clone-and-drain reference over
-        /// arbitrary interleavings of commit / predict / retract / observe
-        /// (mirroring the calendar-vs-heap differential proptest), and
-        /// after every mutation the incrementally spliced baseline equals
+        /// arbitrary interleavings of commit / predict / retract / observe,
+        /// and after every mutation the incrementally spliced baseline equals
         /// a from-scratch re-drain, bit for bit.
         #[test]
         fn fast_predict_is_bitwise_equal_to_reference(

@@ -17,11 +17,13 @@
 //! previously scheduled completion event, and a fresh one is scheduled from
 //! the resource's new state.
 //!
-//! The world is written against the kernel's `EventQueue` trait (via the
-//! backend-erased `Scheduler`), and [`run_experiment`] drives it on the
-//! default [`AdaptiveQueue`](cas_sim::AdaptiveQueue) — small paper runs
-//! stay on the binary heap, 1k-server campaigns migrate to the calendar
-//! queue automatically. Per-task hot state avoids hashing entirely:
+//! The world schedules through the kernel's `Scheduler`, and
+//! [`run_experiment`] drives it on the kernel's one event queue. `init`
+//! pushes every task's `Submit` in task order; the workload generators
+//! and compiled traces list tasks in arrival order, so the submits land
+//! in the queue's sorted run and its heap holds only the events the run
+//! generates (an unsorted task list still pops in order, through the
+//! heap). Per-task hot state avoids hashing entirely:
 //! in-flight records live in a generational [`Arena`] reached through a
 //! dense task-indexed key table, and each decision's prediction memo
 //! reuses one run-wide [`DecisionMemo`].

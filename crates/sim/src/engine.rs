@@ -1,30 +1,20 @@
 //! The simulation driver.
 //!
-//! A thin loop over the pluggable [`EventQueue`] trait: pop the earliest
-//! event, advance the clock, hand the event to the [`World`], which may
-//! schedule further events through the [`Scheduler`] handle. The driver
-//! enforces the fundamental DES invariant — time never goes backwards — and
-//! offers run-until-horizon and step-by-step execution for tests.
-//!
-//! [`Simulation`] is generic over the queue backend and defaults to
-//! [`AdaptiveQueue`], which starts on the binary heap and migrates to the
-//! calendar queue (and back) by live pending-event count and bucket
-//! occupancy — small paper runs stay on the heap, 1k-server campaigns get
-//! amortised O(1) scheduling, and nobody picks a backend by hand. The
-//! [`Scheduler`] handle holds `&mut dyn EventQueue`, so worlds are
-//! backend-agnostic by construction.
+//! A thin loop over the kernel's [`EventQueue`]: pop the earliest event,
+//! advance the clock, hand the event to the [`World`], which may schedule
+//! further events through the [`Scheduler`] handle. The driver enforces
+//! the fundamental DES invariant — time never goes backwards — and offers
+//! run-until-horizon and step-by-step execution for tests.
 
-use crate::adaptive::AdaptiveQueue;
 use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// Handle through which a [`World`] schedules new events.
 ///
 /// Wraps the event queue so the world cannot pop events or rewind time; it
-/// can only append to the future. Backend-erased: the same world code runs
-/// on the heap, the calendar or the adaptive queue.
+/// can only append to the future.
 pub struct Scheduler<'a, E> {
-    queue: &'a mut dyn EventQueue<E>,
+    queue: &'a mut EventQueue<E>,
     now: SimTime,
 }
 
@@ -93,13 +83,9 @@ pub enum RunOutcome {
 }
 
 /// A discrete-event simulation: a [`World`] plus clock and queue.
-///
-/// Generic over the queue backend; the default is the self-tuning
-/// [`AdaptiveQueue`]. Use [`Simulation::with_queue`] to pin a specific
-/// backend (benchmarks, backend-differential tests).
-pub struct Simulation<W: World, Q = AdaptiveQueue<<W as World>::Event>> {
+pub struct Simulation<W: World> {
     world: W,
-    queue: Q,
+    queue: EventQueue<W::Event>,
     now: SimTime,
     processed: u64,
     /// High-water mark of pending events, sampled after each handled
@@ -110,18 +96,11 @@ pub struct Simulation<W: World, Q = AdaptiveQueue<<W as World>::Event>> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Creates a simulation at time zero on the adaptive queue.
+    /// Creates a simulation at time zero.
     pub fn new(world: W) -> Self {
-        Self::with_queue(world, AdaptiveQueue::new())
-    }
-}
-
-impl<W: World, Q: EventQueue<W::Event>> Simulation<W, Q> {
-    /// Creates a simulation at time zero on a caller-chosen queue backend.
-    pub fn with_queue(world: W, queue: Q) -> Self {
         Simulation {
             world,
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             peak_pending: 0,
@@ -155,8 +134,8 @@ impl<W: World, Q: EventQueue<W::Event>> Simulation<W, Q> {
         &mut self.world
     }
 
-    /// Immutable access to the queue backend (diagnostics, backend stats).
-    pub fn queue(&self) -> &Q {
+    /// Immutable access to the event queue (diagnostics).
+    pub fn queue(&self) -> &EventQueue<W::Event> {
         &self.queue
     }
 
@@ -186,8 +165,8 @@ impl<W: World, Q: EventQueue<W::Event>> Simulation<W, Q> {
     pub fn step(&mut self) -> bool {
         self.ensure_init();
         let popped = {
-            // The pop is the kernel's own share of every event: heap
-            // sift, calendar scan or migration work all land here.
+            // The pop is the kernel's own share of every event: the
+            // front compare and the heap's sift land here.
             let _sp = crate::prof::span(crate::prof::Phase::KernelPop);
             self.queue.pop()
         };
@@ -214,25 +193,6 @@ impl<W: World, Q: EventQueue<W::Event>> Simulation<W, Q> {
     pub fn run(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
         self.ensure_init();
         let mut budget = max_events;
-        if horizon == SimTime::MAX {
-            // No-horizon fast path: `step` already reports emptiness, so
-            // skip the per-event `peek_time` — on the calendar backend a
-            // peek repeats the same front scan the following pop performs,
-            // doubling dequeue work on the run-to-completion hot loop.
-            loop {
-                if budget == 0 {
-                    return if self.queue.is_empty() {
-                        RunOutcome::Exhausted
-                    } else {
-                        RunOutcome::BudgetExhausted
-                    };
-                }
-                if !self.step() {
-                    return RunOutcome::Exhausted;
-                }
-                budget -= 1;
-            }
-        }
         loop {
             match self.queue.peek_time() {
                 None => return RunOutcome::Exhausted,
@@ -256,8 +216,6 @@ impl<W: World, Q: EventQueue<W::Event>> Simulation<W, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::HeapQueue;
-    use crate::CalendarQueue;
 
     /// A world that counts down: event `n` schedules event `n-1` one second
     /// later, until zero.
@@ -288,23 +246,6 @@ mod tests {
         assert_eq!(sim.processed(), 4);
         assert_eq!(sim.now(), SimTime::from_secs(3.5));
         assert_eq!(sim.peak_pending(), 1, "countdown keeps one event in flight");
-    }
-
-    /// The same model must behave identically on every backend: the
-    /// driver's contract is queue-independent.
-    #[test]
-    fn backends_interchangeable_through_driver() {
-        fn run_on<Q: EventQueue<u32>>(queue: Q) -> Vec<(f64, u32)> {
-            let mut sim = Simulation::with_queue(Countdown { seen: vec![] }, queue);
-            sim.schedule(SimTime::from_secs(0.5), 20);
-            assert_eq!(sim.run_to_completion(), RunOutcome::Exhausted);
-            sim.into_world().seen
-        }
-        let heap = run_on(HeapQueue::new());
-        let cal = run_on(CalendarQueue::new());
-        let ada = run_on(AdaptiveQueue::new());
-        assert_eq!(heap, cal);
-        assert_eq!(heap, ada);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The event-queue abstraction and its binary-heap implementation.
+//! The simulation kernel's event queue.
 //!
-//! [`EventQueue`] is the trait every queue backend of the simulation kernel
-//! implements; [`HeapQueue`] is the default comparison-based backend. Two
-//! properties a reproducible discrete-event simulation needs beyond a plain
-//! priority queue, and which every implementor must uphold:
+//! [`EventQueue`] is a stable, earliest-first queue. Two properties a
+//! reproducible discrete-event simulation needs beyond a plain priority
+//! queue:
 //!
 //! * **Stability** — events scheduled for the same instant pop in the order
 //!   they were pushed (FIFO), via a monotonically increasing sequence number.
@@ -17,14 +16,14 @@
 //!   to invalidate all previously scheduled events for that resource; stale
 //!   events are dropped when popped.
 //!
-//! The other backends live in sibling modules:
-//! [`CalendarQueue`](crate::CalendarQueue) (amortised O(1), wins past ~10⁴
-//! pending events) and [`AdaptiveQueue`](crate::AdaptiveQueue) (migrates
-//! between the two at runtime; the kernel's default).
+//! The queue keeps two stores: a binary heap, and a sorted run that takes
+//! every push at or after its last entry. Arrivals known before the run
+//! starts and pushed in time order land in the run and cost O(1) each,
+//! so the heap holds only the events the model generates as it goes.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A generation counter used to lazily invalidate scheduled events.
 ///
@@ -84,49 +83,26 @@ impl<E> Ord for EventEntry<E> {
     }
 }
 
-/// A stable, earliest-first event queue — the pluggable heart of the
-/// simulation kernel.
+/// A stable, earliest-first event queue — the heart of the simulation
+/// kernel.
 ///
-/// The contract, shared by every backend and enforced by the differential
-/// proptests in `adaptive.rs`:
+/// The contract, pinned by the sorted-reference proptest below:
 ///
 /// * `pop` returns entries in ascending `(at, seq)` order — time order,
 ///   FIFO within one instant;
 /// * `push` assigns strictly increasing sequence numbers across the queue's
-///   whole lifetime (stability spans backend migrations and `clear`s);
+///   whole lifetime;
 /// * `peek_time` reports the timestamp `pop` would return, without removal.
 ///
-/// The trait is object-safe: [`Scheduler`](crate::Scheduler) holds a
-/// `&mut dyn EventQueue<E>` so worlds schedule events without knowing which
-/// backend drives them.
-pub trait EventQueue<E> {
-    /// Schedules `event` to fire at `at`. Returns the sequence number
-    /// assigned to the entry (strictly increasing across all pushes).
-    fn push(&mut self, at: SimTime, event: E) -> u64;
-
-    /// Removes and returns the earliest entry, or `None` if empty.
-    fn pop(&mut self) -> Option<EventEntry<E>>;
-
-    /// The timestamp of the earliest entry without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of pending entries (including any that a caller will later
-    /// discard as stale — the queue itself does not know about generations).
-    fn len(&self) -> usize;
-
-    /// `true` if no entries are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A stable, earliest-first binary-heap queue: O(log n) push/pop, the best
-/// all-round backend below ~10⁴ pending events.
+/// A push at or after the run's last entry (or onto an empty run) is
+/// appended to the run; any other push goes into the heap. Both stores
+/// stay sorted by `(at, seq)` because `seq` strictly increases, so `pop`
+/// and `peek_time` take the smaller of the two fronts.
 ///
 /// ```
-/// use cas_sim::{EventQueue, HeapQueue, SimTime};
+/// use cas_sim::{EventQueue, SimTime};
 ///
-/// let mut q = HeapQueue::new();
+/// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2.0), "late");
 /// q.push(SimTime::from_secs(1.0), "early");
 /// q.push(SimTime::from_secs(1.0), "early-second");
@@ -136,81 +112,86 @@ pub trait EventQueue<E> {
 /// assert!(q.pop().is_none());
 /// ```
 #[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
+pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
+    run: VecDeque<EventEntry<E>>,
     next_seq: u64,
 }
 
-impl<E> Default for HeapQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> HeapQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        HeapQueue {
+        EventQueue {
             heap: BinaryHeap::new(),
+            run: VecDeque::new(),
             next_seq: 0,
         }
     }
 
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
-    /// Inserts an already-stamped entry, preserving its sequence number —
-    /// the backend-migration primitive used by
-    /// [`AdaptiveQueue`](crate::AdaptiveQueue). Keeps the internal counter
-    /// ahead of the entry's stamp so later `push`es stay unique.
-    pub fn push_entry(&mut self, entry: EventEntry<E>) {
-        self.next_seq = self.next_seq.max(entry.seq + 1);
-        self.heap.push(entry);
-    }
-
-    /// Drains all entries, unordered (backend-migration primitive).
-    pub fn drain_entries(&mut self) -> Vec<EventEntry<E>> {
-        self.heap.drain().collect()
-    }
-
-    /// Drops all pending entries.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Total number of events ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl<E> EventQueue<E> for HeapQueue<E> {
-    fn push(&mut self, at: SimTime, event: E) -> u64 {
+    /// Schedules `event` to fire at `at`. Returns the sequence number
+    /// assigned to the entry (strictly increasing across all pushes).
+    pub fn push(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(EventEntry { at, seq, event });
+        let entry = EventEntry { at, seq, event };
+        match self.run.back() {
+            Some(tail) if at < tail.at => self.heap.push(entry),
+            _ => self.run.push_back(entry),
+        }
         seq
     }
 
-    fn pop(&mut self) -> Option<EventEntry<E>> {
-        self.heap.pop()
+    /// `true` when the heap's front pops before the run's front.
+    #[inline]
+    fn heap_first(&self) -> bool {
+        match (self.heap.peek(), self.run.front()) {
+            (Some(h), Some(r)) => (h.at, h.seq) < (r.at, r.seq),
+            (heap, _) => heap.is_some(),
+        }
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+    /// Removes and returns the earliest entry, or `None` if empty.
+    pub fn pop(&mut self) -> Option<EventEntry<E>> {
+        if self.heap_first() {
+            self.heap.pop()
+        } else {
+            self.run.pop_front()
+        }
     }
 
-    fn len(&self) -> usize {
-        self.heap.len()
+    /// The timestamp of the earliest entry without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if self.heap_first() {
+            self.heap.peek().map(|e| e.at)
+        } else {
+            self.run.front().map(|e| e.at)
+        }
     }
 
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// Number of pending entries in both stores (including any that a
+    /// caller will later discard as stale — the queue itself does not know
+    /// about generations).
+    pub fn len(&self) -> usize {
+        self.heap.len() + self.run.len()
+    }
+
+    /// `true` if no entries are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty() && self.run.is_empty()
+    }
+
+    /// Always 0: the queue has one backend and never migrates. Kept
+    /// because casbench's probe reads `sim.queue().migrations()` for its
+    /// `sim.queue_migrations` metric, and the benchmark builds against
+    /// this crate unchanged.
+    pub fn migrations(&self) -> u64 {
+        0
     }
 }
 
@@ -224,7 +205,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = HeapQueue::new();
+        let mut q = EventQueue::new();
         q.push(t(3.0), 'c');
         q.push(t(1.0), 'a');
         q.push(t(2.0), 'b');
@@ -234,7 +215,7 @@ mod tests {
 
     #[test]
     fn equal_times_are_fifo() {
-        let mut q = HeapQueue::new();
+        let mut q = EventQueue::new();
         for i in 0..100 {
             q.push(t(5.0), i);
         }
@@ -244,7 +225,7 @@ mod tests {
 
     #[test]
     fn interleaved_times_and_ties() {
-        let mut q = HeapQueue::new();
+        let mut q = EventQueue::new();
         q.push(t(1.0), "a1");
         q.push(t(2.0), "b1");
         q.push(t(1.0), "a2");
@@ -256,7 +237,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = HeapQueue::new();
+        let mut q = EventQueue::new();
         q.push(t(7.0), ());
         assert_eq!(q.peek_time(), Some(t(7.0)));
         assert_eq!(q.len(), 1);
@@ -276,38 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_counters() {
-        let mut q = HeapQueue::new();
-        q.push(t(1.0), 1);
-        q.push(t(2.0), 2);
-        assert_eq!(q.pushed(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        // Sequence numbers keep increasing after clear: stability across the
-        // whole simulation run, not per-queue-epoch.
-        q.push(t(3.0), 3);
-        assert_eq!(q.pushed(), 3);
-    }
-
-    #[test]
     fn pop_empty_is_none() {
-        let mut q: HeapQueue<()> = HeapQueue::new();
+        let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn push_entry_preserves_seq_and_advances_counter() {
-        let mut q = HeapQueue::new();
-        q.push_entry(EventEntry {
-            at: t(1.0),
-            seq: 41,
-            event: 'x',
-        });
-        // Fresh pushes must not collide with the migrated stamp.
-        let seq = q.push(t(1.0), 'y');
-        assert_eq!(seq, 42);
-        assert_eq!(q.pop().unwrap().event, 'x');
-        assert_eq!(q.pop().unwrap().event, 'y');
+        assert_eq!(q.migrations(), 0);
     }
 }
 
@@ -321,7 +274,7 @@ mod proptests {
         /// timestamps preserve push order.
         #[test]
         fn pop_order_is_sorted_and_stable(times in proptest::collection::vec(0u32..50, 1..200)) {
-            let mut q = HeapQueue::new();
+            let mut q = EventQueue::new();
             for (i, &ti) in times.iter().enumerate() {
                 q.push(SimTime::from_secs(ti as f64), i);
             }
@@ -344,7 +297,7 @@ mod proptests {
         /// Every pushed event is popped exactly once.
         #[test]
         fn conservation(times in proptest::collection::vec(0u32..1000, 0..300)) {
-            let mut q = HeapQueue::new();
+            let mut q = EventQueue::new();
             for (i, &ti) in times.iter().enumerate() {
                 q.push(SimTime::from_secs(ti as f64), i);
             }
@@ -354,6 +307,48 @@ mod proptests {
                 seen[e.event] = true;
             }
             prop_assert!(seen.iter().all(|&s| s));
+        }
+
+        /// The queue is indistinguishable from a `Vec` kept sorted by
+        /// `(at, seq)` under any interleaving of pushes and pops. Push
+        /// times come in three kinds, so both stores fill and their
+        /// fronts tie: exactly the last popped time (a tie with the
+        /// front), `clock + raw / 100` (may land below the run's tail,
+        /// so it goes into the heap), and at or after the last pushed
+        /// time (appended to the run).
+        #[test]
+        fn queue_matches_sorted_reference(
+            ops in proptest::collection::vec((0u8..4, 0u8..3, 0u32..500), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
+            let mut clock = 0.0f64;
+            let mut last_pushed = 0.0f64;
+            for (i, &(op, kind, raw)) in ops.iter().enumerate() {
+                if op == 0 {
+                    // Pop: the reference front is its smallest (at, seq).
+                    let expected = (!reference.is_empty()).then(|| reference.remove(0));
+                    let popped = q.pop().map(|e| (e.at, e.seq, e.event));
+                    prop_assert_eq!(popped, expected);
+                    if let Some((at, _, _)) = popped {
+                        clock = at.as_secs();
+                    }
+                } else {
+                    let at = match kind {
+                        0 => clock,
+                        1 => clock + raw as f64 / 100.0,
+                        _ => last_pushed.max(clock) + (raw % 5) as f64,
+                    };
+                    last_pushed = at;
+                    let seq = q.push(SimTime::from_secs(at), i);
+                    let entry = (SimTime::from_secs(at), seq, i);
+                    let pos = reference.partition_point(|r| (r.0, r.1) < (entry.0, entry.1));
+                    reference.insert(pos, entry);
+                }
+                prop_assert_eq!(q.peek_time(), reference.first().map(|r| r.0));
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.is_empty(), reference.is_empty());
+            }
         }
     }
 }

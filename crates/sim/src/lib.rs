@@ -7,16 +7,15 @@
 //!   study) works in continuous time; we keep `f64` but enforce the
 //!   "never NaN" invariant at construction so the event queue ordering is a
 //!   genuine total order.
-//! * [`EventQueue`] — the *trait* every queue backend implements: stable
-//!   (events at equal timestamps pop in insertion order, which makes
-//!   simulations deterministic and therefore reproducible across runs and
-//!   platforms), earliest-first, object-safe. Three backends ship:
-//!   [`HeapQueue`] (binary heap, best below ~10⁴ pending events),
-//!   [`CalendarQueue`] (Brown's amortised-O(1) calendar, best above), and
-//!   [`AdaptiveQueue`] (migrates between the two at runtime by pending
-//!   count and bucket occupancy — the driver's default).
+//! * [`EventQueue`] — the one event queue: stable (events at equal
+//!   timestamps pop in insertion order, which makes simulations
+//!   deterministic and therefore reproducible across runs and platforms)
+//!   and earliest-first. A binary heap plus a sorted run that takes every
+//!   push at or after its last entry, so arrivals pushed in time order
+//!   before the run cost O(1) each and the heap holds only the events the
+//!   model generates as it goes.
 //! * [`Simulation`] — a small driver that repeatedly pops the next event and
-//!   hands it to a user-provided [`World`]; generic over the queue backend.
+//!   hands it to a user-provided [`World`].
 //! * [`pool`] — the process-wide work-stealing thread pool the
 //!   experiment runner fans replications out over, instead of spawning
 //!   scoped threads per call.
@@ -37,8 +36,6 @@
 //! model on top and `cas-middleware` wires a full client-agent-server system
 //! into a [`World`].
 
-pub mod adaptive;
-pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
@@ -47,9 +44,7 @@ pub mod prof;
 pub mod rng;
 pub mod time;
 
-pub use adaptive::AdaptiveQueue;
-pub use calendar::CalendarQueue;
 pub use engine::{Scheduler, Simulation, World};
-pub use event::{EventEntry, EventQueue, Generation, HeapQueue};
+pub use event::{EventEntry, EventQueue, Generation};
 pub use rng::{RngStream, StreamKind};
 pub use time::SimTime;

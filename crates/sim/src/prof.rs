@@ -119,7 +119,8 @@ pub enum Phase {
     /// Commit-time prediction + commit/complete model-repair hooks
     /// (outside churn handling).
     CommitHooks,
-    /// The kernel's event-queue pop (heap/calendar/adaptive backend).
+    /// The kernel's event-queue pop (the heap-or-run front compare plus
+    /// the heap's sift or the run's O(1) take).
     KernelPop,
     /// Fault handling: crashes, joins, leaves, provisions, retractions
     /// and rebalances — including the model hooks they trigger.
