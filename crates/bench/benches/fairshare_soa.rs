@@ -1,27 +1,25 @@
 //! Criterion benchmark: `FairShareResource` memory layout.
 //!
 //! The resource's two hot loops — `advance`'s uniform work subtraction and
-//! `next_completion`'s minimum scan — dominate trace drains once servers
-//! carry tens of tasks. The live implementation stores activities
-//! structure-of-arrays (keys and remaining-work scalars in parallel
-//! vectors); `AosResource` below preserves the previous array-of-structs
-//! layout as the measured "before". The workload replays the 64-server
-//! sweep shape: 64 resources, 8–128 activities each, one
+//! `next_completion`'s minimum scan — dominate a ground-truth server's
+//! event handling once it carries tens of tasks. The live implementation
+//! stores activities structure-of-arrays (keys and remaining-work scalars
+//! in parallel vectors); `AosResource` below preserves the previous
+//! array-of-structs layout as the measured "before". The workload replays
+//! the 64-server sweep shape: 64 resources, 8–128 activities each, one
 //! advance → next_completion → add → remove cycle per iteration (the
-//! per-event pattern of both the ground-truth engine and the HTM drains).
+//! ground-truth engine's per-event pattern).
 
 use cas_platform::FairShareResource;
 use cas_sim::SimTime;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::collections::HashMap;
 use std::hint::black_box;
 
-/// The pre-refactor implementation, kept verbatim: array-of-structs
-/// entries plus the same O(1) key index the SoA version carries (so the
-/// two sides differ in *layout only* and the comparison is honest).
+/// The pre-refactor layout: array-of-structs entries, with keys found by
+/// the same linear scan the SoA version uses (so the two sides differ in
+/// *layout only* and the comparison is honest).
 struct AosResource {
     entries: Vec<(u64, f64)>,
-    index: HashMap<u64, usize>,
     capacity: f64,
     updated_at: SimTime,
 }
@@ -30,7 +28,6 @@ impl AosResource {
     fn new(capacity: f64) -> Self {
         AosResource {
             entries: Vec::new(),
-            index: HashMap::new(),
             capacity,
             updated_at: SimTime::ZERO,
         }
@@ -52,19 +49,14 @@ impl AosResource {
 
     fn add(&mut self, now: SimTime, key: u64, work: f64) {
         self.advance(now);
-        assert!(!self.index.contains_key(&key));
-        self.index.insert(key, self.entries.len());
+        assert!(!self.entries.iter().any(|e| e.0 == key));
         self.entries.push((key, work));
     }
 
     fn remove(&mut self, now: SimTime, key: u64) -> Option<f64> {
         self.advance(now);
-        let idx = self.index.remove(&key)?;
-        let entry = self.entries.remove(idx);
-        for shifted in &self.entries[idx..] {
-            *self.index.get_mut(&shifted.0).expect("indexed entry") -= 1;
-        }
-        Some(entry.1)
+        let idx = self.entries.iter().position(|e| e.0 == key)?;
+        Some(self.entries.remove(idx).1)
     }
 
     fn next_completion(&self, now: SimTime) -> Option<(u64, SimTime)> {

@@ -34,15 +34,16 @@
 //!   real trace (the trace stays lazy until the next mutation), which is
 //!   what keeps the stamp stable across an entire decision round — and
 //!   across rounds for every server the agent did not commit to.
-//! * **Zero-clone speculative drain.** The *after* schedule (with the
-//!   candidate task inserted) runs through a
-//!   [`DrainScratch`](crate::trace::DrainScratch): flat reusable buffers
-//!   replaying the exact event arithmetic of the clone-based path, so
-//!   results are bit-for-bit identical without per-query heap allocation.
-//!   Every replay overwrites the scratch before reading it, so the HTM
-//!   owns one for all its servers, beside one task → completion map;
-//!   per server it keeps only what outlives a query (the baseline, the
-//!   memoised after-schedule, the prefix cursor and the counters).
+//! * **Zero-clone speculative drain.** A trace keeps its state as three
+//!   flat lanes, and the live trace and every what-if run one event loop
+//!   over them. The *after* schedule (with the candidate task inserted)
+//!   runs that loop on a [`DrainScratch`](crate::trace::DrainScratch), a
+//!   reusable copy of the trace's lanes, so results are bit-for-bit those
+//!   of the clone-based path without per-query heap allocation. Every
+//!   replay overwrites the scratch before reading it, so the HTM owns one
+//!   for all its servers, beside one task → completion map; per server it
+//!   keeps only what outlives a query (the baseline, the memoised
+//!   after-schedule, the prefix cursor and the counters).
 //! * **Incremental baseline repair.** The speculative *after*-schedule
 //!   computed for `(task, now)` — which the engine has almost always just
 //!   computed, since every commit follows a prediction for the winning
@@ -103,7 +104,10 @@
 //! trace, inserts the probe and drains the clone — the original what-if
 //! implementation. The proptests below drive the engine and the oracle
 //! through arbitrary commit/predict/retract/observe interleavings and
-//! assert bit-for-bit agreement.
+//! assert bit-for-bit agreement. The clone runs the same lane kernel as
+//! the engine; `trace.rs`'s proptests pin that kernel to an independent
+//! reference trace (three `FairShareResource`s and a job table), which
+//! closes the chain.
 //!
 //! Per-task metadata (assignment + problem of every committed task) lives
 //! in a [`cas_platform::Arena`]: contiguous records, recycled slots, one

@@ -4,8 +4,8 @@
 //!
 //! * [`trace`] — [`ServerTrace`]: the per-server discrete simulation at the
 //!   heart of the HTM. Each mapped task flows through its three phases
-//!   (input transfer → compute → output transfer), each phase on a
-//!   fair-shared resource; "all tasks mapped on a given server progress at
+//!   (input transfer → compute → output transfer), each phase a flat
+//!   equal-share lane; "all tasks mapped on a given server progress at
 //!   the same speed until a new task arrives or a running task finishes"
 //!   (§2.3).
 //! * [`htm`] — [`Htm`]: the agent-side manager that owns one trace per
@@ -35,7 +35,7 @@
 //!
 //! The what-if engine ([`htm`]) is zero-clone and generation-cached; its
 //! correctness rests on these invariants, enforced by the differential
-//! proptests in `htm.rs`:
+//! proptests in `trace.rs` and `htm.rs`:
 //!
 //! 1. **Stamp soundness.** Every observable mutation of a [`ServerTrace`]
 //!    (task added, task force-finished, cursor advanced past an event or a
@@ -46,13 +46,16 @@
 //!    query time — the trace stays lazy until the next
 //!    commit/retract/sync), so a whole decision round, and every round
 //!    until the next commit on that server, reuses one cached baseline.
-//! 3. **Replay fidelity.** The speculative drain
-//!    ([`trace::DrainScratch`]) performs the same floating-point
-//!    operations in the same order as cloning the trace, inserting the
-//!    probe and draining the clone — the clone-and-drain oracle in
-//!    `htm.rs`'s test module — so predictions agree bit for bit. When
-//!    touching the trace event loop or the fair-share arithmetic, keep
-//!    the two in step; the proptests catch a drift.
+//! 3. **Replay fidelity.** There is one lane representation and one
+//!    event loop: the live trace and the speculative drain
+//!    ([`trace::DrainScratch`], a copy of the trace's lanes) both run it,
+//!    so a drain performs the same floating-point operations in the same
+//!    order as cloning the trace, inserting the probe and draining the
+//!    clone, and predictions agree bit for bit. The oracle is
+//!    independent of that kernel: `trace.rs`'s test code keeps a
+//!    reference trace built on `FairShareResource` lanes and a job
+//!    table, and the proptests diff the live trace, every drain path and
+//!    its clone-and-drain against it, operation by operation.
 //! 4. **Splice ≡ re-drain.** A commit adopts the committed task's
 //!    speculative after-schedule as the new baseline and a retract adopts
 //!    the without-task drain, instead of invalidating and re-draining. By

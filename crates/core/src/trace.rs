@@ -12,6 +12,16 @@
 //! A trace therefore never consults machine specs; heterogeneity is entirely
 //! encoded in the per-server costs, as in the paper.
 //!
+//! # One lane kernel
+//!
+//! A trace keeps its state as three flat lanes, one per stage, each an
+//! equal-share resource of capacity 1. A lane entry carries its task's
+//! remaining work in the lane's phase and the task's phase costs, and each
+//! lane caches its per-task rate. The live trace
+//! ([`ServerTrace::add_task`], [`ServerTrace::advance`],
+//! [`ServerTrace::force_finish`]) and every what-if replay run the same
+//! event loop over that state, so the §2.3 arithmetic exists once.
+//!
 //! # Change tracking and the zero-clone what-if path
 //!
 //! Every mutation of a trace's observable state (task added, task
@@ -22,29 +32,21 @@
 //! caches per server — can be reused without recomputation.
 //!
 //! What-if questions ("when would these tasks finish if X were inserted
-//! now?") run through [`DrainScratch`], a reusable flat-buffer copy of the
-//! three fair-share lanes whose entries carry each task's phase costs:
+//! now?") run through [`DrainScratch`], a reusable copy of the lanes:
 //! [`ServerTrace::drain_schedule_into`] and
-//! [`ServerTrace::drain_schedule_into_fast`] load the scratch from the
-//! live trace (no heap allocation once the buffers are warm), the latter
-//! injecting one hypothetical task, and replay the exact event arithmetic
-//! of [`ServerTrace::advance`]/[`ServerTrace::drain`] in one event loop.
-//! The replay performs the same floating-point operations in the same
-//! order as cloning the trace, inserting the task and draining the clone
-//! ([`ServerTrace::drain_schedule`]), so results agree **bit for bit** — a
-//! property the tests below and in `htm.rs` check against that
-//! clone-and-drain oracle.
+//! [`ServerTrace::drain_schedule_into_fast`] copy the live lanes in (no
+//! heap allocation once the buffers are warm), the latter injecting one
+//! hypothetical task, and run the event loop on the copy. The replay
+//! performs the same floating-point operations in the same order as
+//! cloning the trace, inserting the task and draining the clone
+//! ([`ServerTrace::drain_schedule`]), so results agree **bit for bit**.
+//!
+//! The oracle is independent of the kernel: the test module keeps a
+//! reference trace built on three `FairShareResource`s and a job table,
+//! and the proptests diff the live trace and every drain against it.
 
-use cas_platform::{FairShareResource, Phase, PhaseCosts, TaskId};
+use cas_platform::{Phase, PhaseCosts, TaskId};
 use cas_sim::{Generation, SimTime};
-use std::collections::BTreeMap;
-
-/// Where a task currently is inside the trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct JobState {
-    pub phase: Phase,
-    pub costs: PhaseCosts,
-}
 
 /// One segment of Gantt history: a task held `share` of `phase`'s resource
 /// from `start` to `end`.
@@ -63,13 +65,11 @@ pub struct TraceSegment {
 }
 
 /// The simulated timeline of one server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerTrace {
-    cursor: SimTime,
-    link_in: FairShareResource<TaskId>,
-    cpu: FairShareResource<TaskId>,
-    link_out: FairShareResource<TaskId>,
-    jobs: BTreeMap<TaskId, JobState>,
+    /// The three stage lanes and the cursor: the state every what-if
+    /// replays.
+    lanes: LaneSet,
     finished: Vec<(TaskId, SimTime)>,
     /// When `true`, [`Self::segments`] accumulates Gantt history.
     record_segments: bool,
@@ -80,26 +80,10 @@ pub struct ServerTrace {
     generation: Generation,
 }
 
-impl Default for ServerTrace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServerTrace {
     /// An empty trace at time zero.
     pub fn new() -> Self {
-        ServerTrace {
-            cursor: SimTime::ZERO,
-            link_in: FairShareResource::new(1.0),
-            cpu: FairShareResource::new(1.0),
-            link_out: FairShareResource::new(1.0),
-            jobs: BTreeMap::new(),
-            finished: Vec::new(),
-            record_segments: false,
-            segments: Vec::new(),
-            generation: Generation::default(),
-        }
+        Self::default()
     }
 
     /// Enables Gantt-segment recording (off by default: what-if clones don't
@@ -111,7 +95,7 @@ impl ServerTrace {
 
     /// The time up to which this trace has been advanced.
     pub fn cursor(&self) -> SimTime {
-        self.cursor
+        self.lanes.cursor
     }
 
     /// The change stamp: two reads returning the same value guarantee the
@@ -123,7 +107,7 @@ impl ServerTrace {
 
     /// Number of tasks not yet finished.
     pub fn active_len(&self) -> usize {
-        self.jobs.len()
+        self.lanes.by_phase.iter().map(|l| l.entries.len()).sum()
     }
 
     /// Tasks finished so far, with completion dates, in completion order.
@@ -138,40 +122,7 @@ impl ServerTrace {
 
     /// Whether `task` is mapped here and unfinished.
     pub fn is_active(&self, task: TaskId) -> bool {
-        self.jobs.contains_key(&task)
-    }
-
-    fn resource(&self, phase: Phase) -> &FairShareResource<TaskId> {
-        match phase {
-            Phase::Input => &self.link_in,
-            Phase::Compute => &self.cpu,
-            Phase::Output => &self.link_out,
-        }
-    }
-
-    fn resource_mut(&mut self, phase: Phase) -> &mut FairShareResource<TaskId> {
-        match phase {
-            Phase::Input => &mut self.link_in,
-            Phase::Compute => &mut self.cpu,
-            Phase::Output => &mut self.link_out,
-        }
-    }
-
-    /// Next internal event: the earliest phase completion across stages.
-    fn next_event(&self) -> Option<(Phase, TaskId, SimTime)> {
-        let mut best: Option<(Phase, TaskId, SimTime)> = None;
-        for phase in Phase::ALL {
-            if let Some((task, when)) = self.resource(phase).next_completion(self.cursor) {
-                let better = match &best {
-                    None => true,
-                    Some((_, _, t)) => when < *t,
-                };
-                if better {
-                    best = Some((phase, task, when));
-                }
-            }
-        }
-        best
+        self.lanes.contains(task)
     }
 
     fn record_interval(&mut self, from: SimTime, to: SimTime) {
@@ -179,22 +130,14 @@ impl ServerTrace {
             return;
         }
         let mut new_segments = Vec::new();
-        for phase in Phase::ALL {
-            let res = self.resource(phase);
-            let n = res.len();
-            if n == 0 {
-                continue;
-            }
-            let share = 1.0 / n as f64;
-            for task in res.keys() {
-                new_segments.push(TraceSegment {
-                    task,
-                    phase,
-                    start: from,
-                    end: to,
-                    share,
-                });
-            }
+        for (lane, phase) in self.lanes.by_phase.iter().zip(Phase::ALL) {
+            new_segments.extend(lane.entries.iter().map(|e| TraceSegment {
+                task: e.task,
+                phase,
+                start: from,
+                end: to,
+                share: lane.rate,
+            }));
         }
         // Merge with the previous segment when nothing changed, keeping the
         // chart compact.
@@ -220,39 +163,20 @@ impl ServerTrace {
     /// # Panics
     /// Panics if `to` is before the cursor.
     pub fn advance(&mut self, to: SimTime) {
-        assert!(to >= self.cursor, "trace cannot rewind");
-        let mut changed = to > self.cursor;
-        while let Some((phase, task, when)) = self.next_event() {
-            if when > to {
+        assert!(to >= self.cursor(), "trace cannot rewind");
+        let mut changed = to > self.cursor();
+        while let Some(event) = self.lanes.next_event() {
+            if event.when > to {
                 break;
             }
             changed = true;
-            self.record_interval(self.cursor, when);
-            for p in Phase::ALL {
-                self.resource_mut(p).advance(when);
-            }
-            self.cursor = when;
-            // Move the task to its next phase (or finish it).
-            self.resource_mut(phase).remove(when, task);
-            let state = self.jobs.get_mut(&task).expect("job state exists");
-            debug_assert_eq!(state.phase, phase);
-            match phase.next() {
-                Some(next) => {
-                    state.phase = next;
-                    let cost = state.costs.phase(next);
-                    self.resource_mut(next).add(when, task, cost);
-                }
-                None => {
-                    self.jobs.remove(&task);
-                    self.finished.push((task, when));
-                }
+            self.record_interval(self.cursor(), event.when);
+            if let Some(done) = self.lanes.process_event(event) {
+                self.finished.push(done);
             }
         }
-        self.record_interval(self.cursor, to);
-        for p in Phase::ALL {
-            self.resource_mut(p).advance(to);
-        }
-        self.cursor = to;
+        self.record_interval(self.cursor(), to);
+        self.lanes.settle(to);
         if changed {
             self.generation.bump();
         }
@@ -263,21 +187,17 @@ impl ServerTrace {
     /// through to compute at the same instant during the next advance).
     ///
     /// # Panics
-    /// Panics if `now` is before the cursor or the task is already mapped.
+    /// Panics if `now` is before the cursor, the task is already mapped or
+    /// a phase cost is negative or not finite.
     pub fn add_task(&mut self, now: SimTime, task: TaskId, costs: PhaseCosts) {
         self.advance(now);
-        assert!(
-            !self.jobs.contains_key(&task),
-            "task {task} already mapped on this trace"
-        );
-        self.jobs.insert(
-            task,
-            JobState {
-                phase: Phase::Input,
-                costs,
-            },
-        );
-        self.link_in.add(now, task, costs.input);
+        for work in Phase::ALL.map(|p| costs.phase(p)) {
+            assert!(
+                work >= 0.0 && work.is_finite(),
+                "work must be >= 0, got {work}"
+            );
+        }
+        self.lanes.insert(task, costs);
         self.generation.bump();
     }
 
@@ -286,10 +206,9 @@ impl ServerTrace {
     /// Returns `true` if the task was active.
     pub fn force_finish(&mut self, now: SimTime, task: TaskId) -> bool {
         self.advance(now);
-        let Some(state) = self.jobs.remove(&task) else {
+        if !self.lanes.remove_task(task) {
             return false;
-        };
-        self.resource_mut(state.phase).remove(now, task);
+        }
         self.finished.push((task, now));
         self.generation.bump();
         true
@@ -308,11 +227,8 @@ impl ServerTrace {
 
     /// Advances until no active task remains.
     pub fn drain(&mut self) {
-        while !self.jobs.is_empty() {
-            let (_, _, when) = self
-                .next_event()
-                .expect("active jobs must produce a next event");
-            self.advance(when);
+        while let Some(event) = self.lanes.next_event() {
+            self.advance(event.when);
         }
     }
 
@@ -329,8 +245,8 @@ impl ServerTrace {
         out: &mut Vec<(TaskId, SimTime)>,
     ) {
         out.clear();
-        scratch.load(self);
-        scratch.drain(None, out);
+        scratch.lanes.copy_from(&self.lanes);
+        scratch.lanes.drain(None, out);
     }
 
     /// Drains the schedule into `out` as if `task` had been force-finished
@@ -340,7 +256,7 @@ impl ServerTrace {
     ///
     /// Reproduces `{ let mut c = trace.clone(); c.force_finish(now, task);
     /// c.drain_schedule() }` bit for bit, without cloning or mutating the
-    /// trace: the scratch advances to `now` with the same event arithmetic
+    /// trace: the scratch advances to `now` with the same event loop
     /// (completions reached on the way are discarded, exactly like the
     /// clone's `finished` list), removes the task from its lane, and
     /// drains. Returns whether the task was still active at `now` — the
@@ -355,15 +271,14 @@ impl ServerTrace {
         task: TaskId,
         out: &mut Vec<(TaskId, SimTime)>,
     ) -> bool {
-        assert!(now >= self.cursor, "trace cannot rewind");
+        assert!(now >= self.cursor(), "trace cannot rewind");
         out.clear();
-        scratch.load(self);
-        scratch.advance_events_until(now);
-        scratch.settle(now);
-        // Mirrors `FairShareResource::remove` on the task's current lane:
-        // the entry vanishes, later entries keep their relative order.
-        let removed = scratch.remove_entry(task);
-        scratch.drain(None, out);
+        let lanes = &mut scratch.lanes;
+        lanes.copy_from(&self.lanes);
+        lanes.advance_events_until(now);
+        lanes.settle(now);
+        let removed = lanes.remove_task(task);
+        lanes.drain(None, out);
         removed
     }
 
@@ -375,7 +290,7 @@ impl ServerTrace {
     /// Produces values bit-identical to the clone-and-drain path `{ let
     /// mut c = trace.clone(); c.add_task(now, task, costs);
     /// c.drain_schedule() }`: the scratch advances to `now` with the same
-    /// event arithmetic before the task enters the input lane, the prefix
+    /// event loop before the task enters the input lane, the prefix
     /// cursor only ever resumes the event loop from a state every full
     /// replay passes through, and truncation only cuts the tail of `out`
     /// *after* the probe's entry. When `truncate` is `false`, `out` is the
@@ -388,8 +303,8 @@ impl ServerTrace {
     /// on every call, so the next probe of the same decision round hits.
     ///
     /// # Panics
-    /// Panics if `now` is before the cursor or names a task already mapped
-    /// here (mirrors [`Self::add_task`]).
+    /// Panics if `now` is before the cursor or names a task still active
+    /// here at `now` (mirrors [`Self::add_task`]).
     #[allow(clippy::too_many_arguments)]
     pub fn drain_schedule_into_fast(
         &self,
@@ -401,25 +316,18 @@ impl ServerTrace {
         truncate: bool,
         out: &mut Vec<(TaskId, SimTime)>,
     ) -> (bool, bool) {
-        assert!(now >= self.cursor, "trace cannot rewind");
-        assert!(
-            !self.jobs.contains_key(&task),
-            "task {task} already mapped on this trace"
-        );
+        assert!(now >= self.cursor(), "trace cannot rewind");
         out.clear();
+        let lanes = &mut scratch.lanes;
         let hit = prefix.usable_for(self, now);
-        if hit {
-            scratch.restore_prefix(prefix);
-        } else {
-            scratch.load(self);
-        }
+        lanes.copy_from(if hit { &prefix.lanes } else { &self.lanes });
         // Shared prefix: process every baseline event up to `now`,
         // discarding pre-now completions exactly like the clone path's
         // `finished` list. Lanes are left at the last processed event —
         // the snapshot point — and only then settled to `now`.
-        let moved = scratch.advance_events_until(now);
+        let moved = lanes.advance_events_until(now);
         if !hit || moved > 0 {
-            scratch.save_prefix(prefix);
+            prefix.lanes.copy_from(lanes);
             prefix.events_until = now;
             prefix.generation = self.generation();
             prefix.valid = true;
@@ -427,58 +335,62 @@ impl ServerTrace {
         // On a hit that processed no event the snapshot already *is* this
         // state: skip the copy-back and keep the older — strictly more
         // reusable — `events_until`.
-        scratch.settle(now);
-        scratch.lanes[0].push(LaneEntry {
-            task,
-            remaining: costs.input,
-            costs,
-        });
-        let truncated = scratch.drain(truncate.then_some(task), out);
+        lanes.settle(now);
+        lanes.insert(task, costs);
+        let truncated = lanes.drain(truncate.then_some(task), out);
         (hit, truncated)
     }
 }
 
-/// Reusable flat-buffer state for zero-clone what-if drains.
+/// Reusable buffers for zero-clone what-if drains.
 ///
-/// Holds one lane per phase resource, entries in the same order as the
-/// live [`FairShareResource`] entries, plus the replay's cursor.
-/// [`ServerTrace::drain_schedule_into`] copies the live state in (reusing
-/// capacity), then replays the trace's event loop on the copy. Every
-/// replay overwrites the whole scratch — from the live trace or from a
-/// [`PrefixCursor`] — before it reads any of it, so one scratch serves
-/// every trace: the HTM owns a single one for its whole farm.
-///
-/// The replay is deliberately **operation-for-operation identical** to
-/// [`ServerTrace::advance`]/[`ServerTrace::drain`] + the fair-share
-/// resource arithmetic, so its floating-point results match the
-/// clone-and-drain path exactly. When changing either side, change both —
-/// the differential proptests here and in `htm.rs` will catch a drift.
+/// Holds a copy of one trace's lanes. [`ServerTrace::drain_schedule_into`]
+/// and its siblings copy the live lanes in (reusing capacity), then run the
+/// trace's own event loop on the copy. Every replay overwrites the whole
+/// scratch — from the live trace or from a [`PrefixCursor`] — before it
+/// reads any of it, so one scratch serves every trace: the HTM owns a
+/// single one for its whole farm.
 #[derive(Debug, Clone, Default)]
 pub struct DrainScratch {
+    lanes: LaneSet,
+}
+
+impl DrainScratch {
+    /// Creates an empty scratch (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// A server's three stage lanes and their clock — the state a live trace
+/// keeps and every what-if replays — and the one event loop both run.
+#[derive(Debug, Clone, Default)]
+struct LaneSet {
     /// One lane per phase, in [`Phase::ALL`] order.
-    lanes: [ScratchLane; 3],
-    /// The replay's clock: the last processed event, or the instant the
-    /// lanes were settled to (the trace's cursor right after a load).
+    by_phase: [Lane; 3],
+    /// The last processed event, or the instant the lanes were last
+    /// settled to.
     cursor: SimTime,
 }
 
-/// One phase lane of the scratch: mirrors `FairShareResource`'s state.
+/// One stage of a server: an equal-share resource of capacity 1 (§2.3).
+///
+/// Kept apart from `FairShareResource`, which serves the ground-truth
+/// servers: a lane carries per-entry phase costs and removes by position,
+/// and never needs generations or a capacity change.
 #[derive(Debug, Clone, Default)]
-struct ScratchLane {
+struct Lane {
     /// The lane's tasks in insertion order.
     entries: Vec<LaneEntry>,
     /// Last time progress was integrated up to.
     updated_at: SimTime,
-    /// Total capacity, split equally.
-    capacity: f64,
-    /// Each entry's progress rate, `capacity / max(len, 1)`: the division
-    /// `FairShareResource` performs on every `next_completion` and
-    /// `advance`, done here once per membership change instead — same
-    /// operands, same bits.
+    /// Each entry's progress rate, `1 / max(len, 1)`, re-derived on every
+    /// membership change rather than on every scan. An empty lane never
+    /// reads it.
     rate: f64,
 }
 
-/// One task inside a [`ScratchLane`].
+/// One task inside a [`Lane`].
 #[derive(Debug, Clone, Copy)]
 struct LaneEntry {
     task: TaskId,
@@ -489,7 +401,7 @@ struct LaneEntry {
     costs: PhaseCosts,
 }
 
-/// The next phase completion of a replay.
+/// The next phase completion of a lane set.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     /// Index of the lane it completes in.
@@ -500,29 +412,32 @@ struct Event {
     when: SimTime,
 }
 
-impl ScratchLane {
+impl Lane {
     /// Re-derives [`Self::rate`]; called on every membership change.
     fn set_rate(&mut self) {
-        self.rate = self.capacity / self.entries.len().max(1) as f64;
+        self.rate = 1.0 / self.entries.len().max(1) as f64;
     }
 
-    /// Appends an entry (mirrors `FairShareResource::add`).
+    /// Appends an entry.
     fn push(&mut self, entry: LaneEntry) {
         self.entries.push(entry);
         self.set_rate();
     }
 
-    /// Removes the entry at `pos`, later entries keeping their order
-    /// (mirrors `FairShareResource::remove`).
+    /// Removes the entry at `pos`, later entries keeping their order.
     fn remove(&mut self, pos: usize) -> LaneEntry {
         let entry = self.entries.remove(pos);
         self.set_rate();
         entry
     }
 
-    /// Mirrors [`FairShareResource::next_completion`], returning the
-    /// position of the first entry with the least remaining work instead
-    /// of its key.
+    /// Position of `task`'s entry, if it is in this lane.
+    fn position(&self, task: TaskId) -> Option<usize> {
+        self.entries.iter().position(|e| e.task == task)
+    }
+
+    /// The position of the first entry with the least remaining work (ties
+    /// go to the earliest added) and its completion time, seen from `now`.
     fn next_completion(&self, now: SimTime) -> Option<(usize, SimTime)> {
         let lag = (now - self.updated_at).as_secs();
         self.entries
@@ -539,7 +454,9 @@ impl ScratchLane {
             })
     }
 
-    /// Mirrors [`FairShareResource::advance`].
+    /// Integrates progress up to `now`: every entry loses `rate · dt` of
+    /// work, clamped at zero (float rounding may overshoot the exact
+    /// completion instant by a hair).
     fn advance(&mut self, now: SimTime) {
         if self.entries.is_empty() || now == self.updated_at {
             self.updated_at = now;
@@ -552,47 +469,47 @@ impl ScratchLane {
         }
         self.updated_at = now;
     }
-
-    /// Overwrites this lane with `src`, reusing the entry buffer.
-    fn copy_from(&mut self, src: &ScratchLane) {
-        self.entries.clone_from(&src.entries);
-        self.updated_at = src.updated_at;
-        self.capacity = src.capacity;
-        self.rate = src.rate;
-    }
 }
 
-impl DrainScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
+impl LaneSet {
+    /// Overwrites this set with `src`, reusing the entry buffers.
+    fn copy_from(&mut self, src: &LaneSet) {
+        for (dst, src) in self.by_phase.iter_mut().zip(&src.by_phase) {
+            dst.entries.clone_from(&src.entries);
+            dst.updated_at = src.updated_at;
+            dst.rate = src.rate;
+        }
+        self.cursor = src.cursor;
     }
 
-    /// Copies the live trace state in, reusing buffer capacity. Each entry
-    /// takes its task's phase costs from the trace's job table.
-    fn load(&mut self, trace: &ServerTrace) {
-        for (lane, phase) in self.lanes.iter_mut().zip(Phase::ALL) {
-            let res = trace.resource(phase);
-            lane.entries.clear();
-            lane.entries
-                .extend(res.entries_iter().map(|(task, remaining)| LaneEntry {
-                    task,
-                    remaining,
-                    costs: trace.jobs.get(&task).expect("task has a job record").costs,
-                }));
-            lane.updated_at = res.updated_at();
-            lane.capacity = res.capacity();
-            lane.set_rate();
-        }
-        self.cursor = trace.cursor;
+    /// Whether `task` is in one of the lanes.
+    fn contains(&self, task: TaskId) -> bool {
+        self.by_phase.iter().any(|l| l.position(task).is_some())
+    }
+
+    /// Puts `task` at the tail of the input lane with its input work.
+    ///
+    /// # Panics
+    /// Panics if `task` is still in a lane. Callers settle the lanes to
+    /// the insertion instant first, so a task that has finished by then
+    /// may be inserted again, as on a cloned trace.
+    fn insert(&mut self, task: TaskId, costs: PhaseCosts) {
+        assert!(
+            !self.contains(task),
+            "task {task} already mapped on this trace"
+        );
+        self.by_phase[0].push(LaneEntry {
+            task,
+            remaining: costs.input,
+            costs,
+        });
     }
 
     /// Removes `task` from whichever lane holds it, preserving the order
-    /// of the remaining entries (mirrors `FairShareResource::remove`).
-    /// Returns whether the task was present.
-    fn remove_entry(&mut self, task: TaskId) -> bool {
-        for lane in &mut self.lanes {
-            if let Some(pos) = lane.entries.iter().position(|e| e.task == task) {
+    /// of the remaining entries. Returns whether the task was present.
+    fn remove_task(&mut self, task: TaskId) -> bool {
+        for lane in &mut self.by_phase {
+            if let Some(pos) = lane.position(task) {
                 lane.remove(pos);
                 return true;
             }
@@ -600,11 +517,11 @@ impl DrainScratch {
         false
     }
 
-    /// Mirrors [`ServerTrace::next_event`]: earliest completion across the
-    /// lanes, ties to the earliest phase.
+    /// The earliest completion across the lanes, ties to the earliest
+    /// phase.
     fn next_event(&self) -> Option<Event> {
         let mut best: Option<Event> = None;
-        for (lane, l) in self.lanes.iter().enumerate() {
+        for (lane, l) in self.by_phase.iter().enumerate() {
             if let Some((pos, when)) = l.next_completion(self.cursor) {
                 let better = match &best {
                     None => true,
@@ -651,19 +568,20 @@ impl DrainScratch {
 
     /// One step of the event loop: advance every lane to the event, retire
     /// the completing entry from its lane, and either feed it to the next
-    /// lane at that phase's cost or return its final completion. Every
-    /// replay loop runs through here, so they share the exact arithmetic.
+    /// lane at that phase's cost or return its final completion. The live
+    /// trace and every replay run through here, so they share the exact
+    /// arithmetic.
     fn process_event(&mut self, event: Event) -> Option<(TaskId, SimTime)> {
-        for lane in &mut self.lanes {
+        for lane in &mut self.by_phase {
             lane.advance(event.when);
         }
         self.cursor = event.when;
-        let mut entry = self.lanes[event.lane].remove(event.pos);
+        let mut entry = self.by_phase[event.lane].remove(event.pos);
         assert_eq!(entry.task, event.task, "completing task is in its lane");
         match Phase::ALL.get(event.lane + 1) {
             Some(&next) => {
                 entry.remaining = entry.costs.phase(next);
-                self.lanes[event.lane + 1].push(entry);
+                self.by_phase[event.lane + 1].push(entry);
                 None
             }
             None => Some((entry.task, event.when)),
@@ -674,14 +592,15 @@ impl DrainScratch {
     /// partial interval from the last processed event up to `to` on every
     /// lane.
     fn settle(&mut self, to: SimTime) {
-        for lane in &mut self.lanes {
+        for lane in &mut self.by_phase {
             lane.advance(to);
         }
         self.cursor = to;
     }
 
-    /// Mirrors [`ServerTrace::drain`]: processes events until every lane
-    /// is empty, appending completions to `out` in completion order.
+    /// [`ServerTrace::drain`] without the trace: processes events until
+    /// every lane is empty, appending completions to `out` in completion
+    /// order.
     ///
     /// One `next_event` scan per event. The trace's `drain` → `advance`
     /// nesting also settles every lane to each event batch's instant, a
@@ -707,22 +626,6 @@ impl DrainScratch {
         }
         false
     }
-
-    /// Snapshots the scratch state into `cur` (reusing its buffers).
-    fn save_prefix(&self, cur: &mut PrefixCursor) {
-        for (src, dst) in self.lanes.iter().zip(cur.lanes.iter_mut()) {
-            dst.copy_from(src);
-        }
-        cur.cursor = self.cursor;
-    }
-
-    /// Restores the scratch from a snapshot taken by [`Self::save_prefix`].
-    fn restore_prefix(&mut self, cur: &PrefixCursor) {
-        for (dst, src) in self.lanes.iter_mut().zip(cur.lanes.iter()) {
-            dst.copy_from(src);
-        }
-        self.cursor = cur.cursor;
-    }
 }
 
 /// A reusable snapshot of a [`DrainScratch`] taken at the last processed
@@ -732,9 +635,9 @@ impl DrainScratch {
 /// Every probe of a decision round replays the same baseline events on a
 /// server before injecting its hypothetical task. The cursor caches the
 /// scratch state *after* the event loop but *before* the trailing partial
-/// advance ([`DrainScratch::settle`]) — the unique point that is
+/// advance ([`LaneSet::settle`]) — the unique point that is
 /// bit-identical across all replays that pass it (see
-/// [`DrainScratch::advance_events_until`]). A later query at the same or a
+/// [`LaneSet::advance_events_until`]). A later query at the same or a
 /// later `now` restores the snapshot and resumes the event loop instead of
 /// replaying from the live trace state.
 ///
@@ -743,10 +646,9 @@ impl DrainScratch {
 /// backwards past [`Self::events_until`]).
 #[derive(Debug, Clone, Default)]
 pub struct PrefixCursor {
-    /// The scratch's lanes at the snapshot point, phase costs included.
-    lanes: [ScratchLane; 3],
-    /// The scratch's cursor at the snapshot point.
-    cursor: SimTime,
+    /// The scratch's lanes and clock at the snapshot point, phase costs
+    /// included.
+    lanes: LaneSet,
     /// The `now` the snapshot's event loop ran until: all events ≤ this
     /// time are already processed, so the snapshot is resumable only for
     /// queries at `now ≥ events_until`.
@@ -769,8 +671,153 @@ impl PrefixCursor {
     }
 }
 
+/// The oracle: the trace as it stood before the lane kernel, trimmed to
+/// what the tests drive. Three `FairShareResource` lanes and a job table,
+/// with an event loop of its own; it shares no code with [`LaneSet`], so
+/// diffing against it checks the kernel against an independent model.
+#[cfg(test)]
+mod reference {
+    use cas_platform::{FairShareResource, Phase, PhaseCosts, TaskId};
+    use cas_sim::SimTime;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct ReferenceTrace {
+        pub(super) cursor: SimTime,
+        link_in: FairShareResource<TaskId>,
+        cpu: FairShareResource<TaskId>,
+        link_out: FairShareResource<TaskId>,
+        /// Each active task's current phase and static costs.
+        pub(super) jobs: BTreeMap<TaskId, (Phase, PhaseCosts)>,
+        pub(super) finished: Vec<(TaskId, SimTime)>,
+    }
+
+    impl ReferenceTrace {
+        pub(super) fn new() -> Self {
+            ReferenceTrace {
+                cursor: SimTime::ZERO,
+                link_in: FairShareResource::new(1.0),
+                cpu: FairShareResource::new(1.0),
+                link_out: FairShareResource::new(1.0),
+                jobs: BTreeMap::new(),
+                finished: Vec::new(),
+            }
+        }
+
+        fn resource(&self, phase: Phase) -> &FairShareResource<TaskId> {
+            match phase {
+                Phase::Input => &self.link_in,
+                Phase::Compute => &self.cpu,
+                Phase::Output => &self.link_out,
+            }
+        }
+
+        fn resource_mut(&mut self, phase: Phase) -> &mut FairShareResource<TaskId> {
+            match phase {
+                Phase::Input => &mut self.link_in,
+                Phase::Compute => &mut self.cpu,
+                Phase::Output => &mut self.link_out,
+            }
+        }
+
+        /// Next internal event: the earliest phase completion across stages.
+        fn next_event(&self) -> Option<(Phase, TaskId, SimTime)> {
+            let mut best: Option<(Phase, TaskId, SimTime)> = None;
+            for phase in Phase::ALL {
+                if let Some((task, when)) = self.resource(phase).next_completion(self.cursor) {
+                    let better = match &best {
+                        None => true,
+                        Some((_, _, t)) => when < *t,
+                    };
+                    if better {
+                        best = Some((phase, task, when));
+                    }
+                }
+            }
+            best
+        }
+
+        pub(super) fn advance(&mut self, to: SimTime) {
+            assert!(to >= self.cursor, "trace cannot rewind");
+            while let Some((phase, task, when)) = self.next_event() {
+                if when > to {
+                    break;
+                }
+                for p in Phase::ALL {
+                    self.resource_mut(p).advance(when);
+                }
+                self.cursor = when;
+                self.resource_mut(phase).remove(when, task);
+                let state = self.jobs.get_mut(&task).expect("job state exists");
+                match phase.next() {
+                    Some(next) => {
+                        state.0 = next;
+                        let cost = state.1.phase(next);
+                        self.resource_mut(next).add(when, task, cost);
+                    }
+                    None => {
+                        self.jobs.remove(&task);
+                        self.finished.push((task, when));
+                    }
+                }
+            }
+            for p in Phase::ALL {
+                self.resource_mut(p).advance(to);
+            }
+            self.cursor = to;
+        }
+
+        pub(super) fn add_task(&mut self, now: SimTime, task: TaskId, costs: PhaseCosts) {
+            self.advance(now);
+            assert!(!self.jobs.contains_key(&task), "task {task} already mapped");
+            self.jobs.insert(task, (Phase::Input, costs));
+            self.link_in.add(now, task, costs.input);
+        }
+
+        pub(super) fn force_finish(&mut self, now: SimTime, task: TaskId) -> bool {
+            self.advance(now);
+            let Some((phase, _)) = self.jobs.remove(&task) else {
+                return false;
+            };
+            self.resource_mut(phase).remove(now, task);
+            self.finished.push((task, now));
+            true
+        }
+
+        pub(super) fn drain(&mut self) {
+            while !self.jobs.is_empty() {
+                let (_, _, when) = self
+                    .next_event()
+                    .expect("active jobs must produce a next event");
+                self.advance(when);
+            }
+        }
+
+        pub(super) fn drain_schedule(&self) -> Vec<(TaskId, SimTime)> {
+            let mut clone = self.clone();
+            let already = clone.finished.len();
+            clone.drain();
+            clone.finished.split_off(already)
+        }
+
+        /// The what-if oracle: clone, insert the probe at `now`, drain the
+        /// clone.
+        pub(super) fn what_if(
+            &self,
+            now: SimTime,
+            probe: TaskId,
+            costs: PhaseCosts,
+        ) -> Vec<(TaskId, SimTime)> {
+            let mut clone = self.clone();
+            clone.add_task(now, probe, costs);
+            clone.drain_schedule()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceTrace;
     use super::*;
 
     fn t(s: f64) -> SimTime {
@@ -779,19 +826,6 @@ mod tests {
 
     fn costs(i: f64, c: f64, o: f64) -> PhaseCosts {
         PhaseCosts::new(i, c, o)
-    }
-
-    /// The what-if oracle: clone the trace, insert the probe at `now`,
-    /// drain the clone.
-    pub(super) fn clone_and_drain(
-        tr: &ServerTrace,
-        now: SimTime,
-        probe: TaskId,
-        pc: PhaseCosts,
-    ) -> Vec<(TaskId, SimTime)> {
-        let mut c = tr.clone();
-        c.add_task(now, probe, pc);
-        c.drain_schedule()
     }
 
     #[test]
@@ -980,20 +1014,26 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// `drain_schedule_without` must agree bit-for-bit with the clone-based
-    /// force-finish path, including its return value.
+    /// `drain_schedule_without` must agree bit-for-bit with the reference
+    /// trace's clone-based force-finish path, including its return value.
     #[test]
     fn drain_without_matches_clone_force_finish() {
         let mut tr = ServerTrace::new();
-        tr.add_task(t(0.0), TaskId(1), costs(2.0, 30.0, 1.0));
-        tr.add_task(t(1.0), TaskId(2), costs(0.0, 10.0, 0.0));
-        tr.add_task(t(3.0), TaskId(3), costs(1.0, 5.0, 2.0));
+        let mut reference = ReferenceTrace::new();
+        for (at, id, pc) in [
+            (0.0, 1, costs(2.0, 30.0, 1.0)),
+            (1.0, 2, costs(0.0, 10.0, 0.0)),
+            (3.0, 3, costs(1.0, 5.0, 2.0)),
+        ] {
+            tr.add_task(t(at), TaskId(id), pc);
+            reference.add_task(t(at), TaskId(id), pc);
+        }
         let mut scratch = DrainScratch::new();
         let mut fast = Vec::new();
         for now in [3.0, 8.0, 20.0, 100.0] {
             for victim in [TaskId(1), TaskId(2), TaskId(3), TaskId(99)] {
                 let removed = tr.drain_schedule_without(&mut scratch, t(now), victim, &mut fast);
-                let mut clone = tr.clone();
+                let mut clone = reference.clone();
                 let clone_removed = clone.force_finish(t(now), victim);
                 let slow = clone.drain_schedule();
                 assert_eq!(removed, clone_removed, "now={now}, victim={victim}");
@@ -1034,15 +1074,22 @@ mod tests {
     }
 
     /// The fast what-if drain (prefix cursor + truncation) must agree bit
-    /// for bit with the clone-and-drain oracle on the probe's completion —
-    /// across repeated probes at the same `now` (prefix hits), later `now`s
-    /// (prefix resume), and after trace mutations (prefix invalidation).
+    /// for bit with the reference trace's clone-and-drain on the probe's
+    /// completion — across repeated probes at the same `now` (prefix hits),
+    /// later `now`s (prefix resume), and after trace mutations (prefix
+    /// invalidation).
     #[test]
     fn fast_drain_matches_slow_drain_bitwise() {
         let mut tr = ServerTrace::new();
-        tr.add_task(t(0.0), TaskId(1), costs(2.0, 30.0, 1.0));
-        tr.add_task(t(1.0), TaskId(2), costs(0.0, 10.0, 0.0));
-        tr.add_task(t(3.0), TaskId(3), costs(1.0, 5.0, 2.0));
+        let mut reference = ReferenceTrace::new();
+        for (at, id, pc) in [
+            (0.0, 1, costs(2.0, 30.0, 1.0)),
+            (1.0, 2, costs(0.0, 10.0, 0.0)),
+            (3.0, 3, costs(1.0, 5.0, 2.0)),
+        ] {
+            tr.add_task(t(at), TaskId(id), pc);
+            reference.add_task(t(at), TaskId(id), pc);
+        }
         let mut scratch = DrainScratch::new();
         let mut prefix = PrefixCursor::new();
         let mut fast = Vec::new();
@@ -1056,6 +1103,7 @@ mod tests {
             if i == 5 {
                 // Mutate the trace mid-sequence: the cursor must invalidate.
                 tr.add_task(t(20.0), TaskId(50), costs(0.5, 8.0, 0.5));
+                reference.add_task(t(20.0), TaskId(50), costs(0.5, 8.0, 0.5));
                 mutated_at = i;
             }
             for (probe, pc) in [
@@ -1073,7 +1121,7 @@ mod tests {
                         &mut fast,
                     );
                     hits += hit as usize;
-                    slow = clone_and_drain(&tr, t(now), probe, pc);
+                    slow = reference.what_if(t(now), probe, pc);
                     if truncate && truncated {
                         assert!(fast.len() < slow.len(), "truncated output must be shorter");
                     } else {
@@ -1104,6 +1152,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::reference::ReferenceTrace;
     use super::*;
     use proptest::prelude::*;
 
@@ -1243,10 +1292,10 @@ mod proptests {
             }
         }
 
-        /// The fast what-if drain is bit-identical to the reference drain
-        /// for arbitrary resident schedules, probe costs, query times and
-        /// truncation choices — including prefix-cursor reuse across a
-        /// monotone sequence of query times.
+        /// The fast what-if drain is bit-identical to the reference trace's
+        /// clone-and-drain for arbitrary resident schedules, probe costs,
+        /// query times and truncation choices — including prefix-cursor
+        /// reuse across a monotone sequence of query times.
         #[test]
         fn fast_drain_bitwise_equals_reference(
             specs in proptest::collection::vec((0.0f64..40.0, arb_costs()), 1..15),
@@ -1255,10 +1304,12 @@ mod proptests {
             truncate in proptest::bool::ANY,
         ) {
             let mut tr = ServerTrace::new();
+            let mut reference = ReferenceTrace::new();
             let mut arrivals = specs;
             arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             for (i, (arr, c)) in arrivals.iter().enumerate() {
                 tr.add_task(t(*arr), TaskId(i as u64), *c);
+                reference.add_task(t(*arr), TaskId(i as u64), *c);
             }
             let mut sorted_nows = nows;
             sorted_nows.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -1268,7 +1319,7 @@ mod proptests {
             for (k, now) in sorted_nows.iter().enumerate() {
                 let now = t(now.max(tr.cursor().as_secs()));
                 let probe = TaskId(1000 + k as u64);
-                let slow = super::tests::clone_and_drain(&tr, now, probe, probe_costs);
+                let slow = reference.what_if(now, probe, probe_costs);
                 let (_, truncated) = tr.drain_schedule_into_fast(
                     &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                 );
@@ -1290,9 +1341,9 @@ mod proptests {
         /// tie-break inside a lane), lanes complete at the same instant
         /// (the earliest-phase tie-break across lanes) and events land
         /// exactly on query instants. The fast what-if drain must match
-        /// the clone-and-drain oracle, truncated or not, and the scratch
-        /// baseline drain must match the trace's own drain — entry by
-        /// entry, id and completion bits.
+        /// the reference trace's clone-and-drain, truncated or not, and the
+        /// scratch baseline drain must match the reference's drain — entry
+        /// by entry, id and completion bits.
         #[test]
         fn drain_kernel_ties_match_reference(
             specs in proptest::collection::vec((0u32..6, arb_int_costs()), 1..41),
@@ -1301,10 +1352,12 @@ mod proptests {
             truncate in proptest::bool::ANY,
         ) {
             let mut tr = ServerTrace::new();
+            let mut reference = ReferenceTrace::new();
             let mut arrivals = specs;
             arrivals.sort_by_key(|a| a.0);
             for (i, (arr, c)) in arrivals.iter().enumerate() {
                 tr.add_task(t(f64::from(*arr)), TaskId(i as u64), *c);
+                reference.add_task(t(f64::from(*arr)), TaskId(i as u64), *c);
             }
             let mut sorted_nows = nows;
             sorted_nows.sort_unstable();
@@ -1314,7 +1367,7 @@ mod proptests {
             for (k, now) in sorted_nows.iter().enumerate() {
                 let now = t(f64::from(*now).max(tr.cursor().as_secs()));
                 let probe = TaskId(1000 + k as u64);
-                let slow = super::tests::clone_and_drain(&tr, now, probe, probe_costs);
+                let slow = reference.what_if(now, probe, probe_costs);
                 let (_, truncated) = tr.drain_schedule_into_fast(
                     &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                 );
@@ -1326,8 +1379,152 @@ mod proptests {
                     assert_same_schedule(&fast, &slow)?;
                 }
                 tr.drain_schedule_into(&mut scratch, &mut fast);
-                assert_same_schedule(&fast, &tr.drain_schedule())?;
+                assert_same_schedule(&fast, &reference.drain_schedule())?;
             }
         }
+
+        /// The live trace is the reference trace, operation for operation:
+        /// random interleavings of `add_task`, `advance`, `force_finish`
+        /// and the four read paths (see [`drive_against_reference`]).
+        #[test]
+        fn flat_trace_matches_reference(
+            ops in proptest::collection::vec(arb_op(), 1..60),
+        ) {
+            drive_against_reference(&ops)?;
+        }
+
+        /// [`flat_trace_matches_reference`] with whole-second costs and
+        /// gaps, so lanes hold equal remaining work (the in-lane
+        /// first-minimum tie-break), lanes complete at the same instant
+        /// (the cross-lane earliest-phase tie-break) and operations land
+        /// exactly on completion instants.
+        #[test]
+        fn flat_trace_matches_reference_under_ties(
+            ops in proptest::collection::vec(arb_int_op(), 1..100),
+        ) {
+            drive_against_reference(&ops)?;
+        }
+    }
+
+    /// One operation of [`drive_against_reference`]: `(kind, gap before
+    /// it, pick, costs, truncate)`.
+    type Op = (u32, f64, u32, PhaseCosts, bool);
+
+    /// A task id no operation ever maps.
+    const NEVER_MAPPED: TaskId = TaskId(u64::MAX);
+
+    prop_compose! {
+        /// One operation in three comes at the previous one's instant.
+        fn arb_op()(
+            kind in 0u32..10,
+            zero_gap in 0u32..3,
+            gap in 0.0f64..12.0,
+            pick in 0u32..1000,
+            costs in arb_costs(),
+            truncate in proptest::bool::ANY,
+        ) -> Op {
+            (kind, if zero_gap == 0 { 0.0 } else { gap }, pick, costs, truncate)
+        }
+    }
+
+    prop_compose! {
+        fn arb_int_op()(
+            kind in 0u32..10,
+            gap in 0u32..4,
+            pick in 0u32..1000,
+            costs in arb_int_costs(),
+            truncate in proptest::bool::ANY,
+        ) -> Op {
+            (kind, f64::from(gap), pick, costs, truncate)
+        }
+    }
+
+    /// Applies `ops` to a live trace and to the reference and compares
+    /// them after every operation: the cursor, the active set, the
+    /// finished list, `force_finish`'s answer and every schedule a read
+    /// path returns, entry by entry (id and `f64` bits). Victims of
+    /// `force_finish` and `drain_schedule_without` are active, already
+    /// finished or never-mapped tasks; fast drains reuse one prefix
+    /// cursor throughout, so consecutive ones resume it.
+    fn drive_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut flat = ServerTrace::new();
+        let mut reference = ReferenceTrace::new();
+        let mut scratch = DrainScratch::new();
+        let mut prefix = PrefixCursor::new();
+        let mut out = Vec::new();
+        let mut now = 0.0;
+        let mut next_id = 0u64;
+        for &(kind, gap, pick, costs, truncate) in ops {
+            now += gap;
+            let when = t(now);
+            let k = (pick / 3) as usize;
+            let victim = match pick % 3 {
+                0 if !reference.jobs.is_empty() => {
+                    *reference.jobs.keys().nth(k % reference.jobs.len()).unwrap()
+                }
+                1 if !reference.finished.is_empty() => {
+                    reference.finished[k % reference.finished.len()].0
+                }
+                _ => NEVER_MAPPED,
+            };
+            match kind {
+                0..=2 => {
+                    let task = TaskId(next_id);
+                    next_id += 1;
+                    flat.add_task(when, task, costs);
+                    reference.add_task(when, task, costs);
+                }
+                3 => {
+                    flat.advance(when);
+                    reference.advance(when);
+                }
+                4 => {
+                    let removed = flat.force_finish(when, victim);
+                    prop_assert_eq!(removed, reference.force_finish(when, victim));
+                }
+                5 => {
+                    let slow = reference.drain_schedule();
+                    assert_same_schedule(&flat.drain_schedule(), &slow)?;
+                    flat.drain_schedule_into(&mut scratch, &mut out);
+                    assert_same_schedule(&out, &slow)?;
+                }
+                6 => {
+                    let removed = flat.drain_schedule_without(&mut scratch, when, victim, &mut out);
+                    let mut clone = reference.clone();
+                    prop_assert_eq!(removed, clone.force_finish(when, victim));
+                    assert_same_schedule(&out, &clone.drain_schedule())?;
+                }
+                _ => {
+                    let probe = TaskId(1_000_000 + u64::from(pick));
+                    let (_, truncated) = flat.drain_schedule_into_fast(
+                        &mut scratch,
+                        &mut prefix,
+                        when,
+                        probe,
+                        costs,
+                        truncate,
+                        &mut out,
+                    );
+                    let slow = reference.what_if(when, probe, costs);
+                    prop_assert!(out.iter().any(|e| e.0 == probe));
+                    if truncated {
+                        prop_assert!(out.len() < slow.len());
+                        assert_same_schedule(&out, &slow[..out.len()])?;
+                    } else {
+                        assert_same_schedule(&out, &slow)?;
+                    }
+                }
+            }
+            prop_assert_eq!(
+                flat.cursor().as_secs().to_bits(),
+                reference.cursor.as_secs().to_bits()
+            );
+            prop_assert_eq!(flat.active_len(), reference.jobs.len());
+            for task in (0..next_id).map(TaskId).chain([NEVER_MAPPED]) {
+                prop_assert_eq!(flat.is_active(task), reference.jobs.contains_key(&task));
+            }
+            assert_same_schedule(flat.finished(), &reference.finished)?;
+        }
+        Ok(())
     }
 }

@@ -18,8 +18,6 @@
 //! [`Generation`] stamp to invalidate the previously scheduled one.
 
 use cas_sim::{Generation, SimTime};
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// A capacity shared equally among its current activities.
 ///
@@ -33,6 +31,9 @@ use std::hash::Hash;
 /// `f64` slice the compiler can vectorise, instead of striding over
 /// key/value pairs; the `fairshare_layout` micro-bench in `cas-bench`
 /// measures the layouts against each other at the 64-server sweep scale.
+/// [`Self::add`]'s duplicate check and [`Self::remove`] find a key by
+/// scanning the key column: a resource holds the few tasks one server
+/// runs, and `remove` shifts both columns anyway.
 #[derive(Debug, Clone)]
 pub struct FairShareResource<K> {
     /// Activity keys, in insertion order.
@@ -40,12 +41,6 @@ pub struct FairShareResource<K> {
     /// `remaining[i]` = work still to do for `keys[i]`, in resource units
     /// (CPU-seconds, MB, …).
     remaining: Vec<f64>,
-    /// Position of each key in the parallel vectors, so
-    /// [`Self::remaining`] and the duplicate-key check in [`Self::add`] —
-    /// which sits on the per-event hot path — are O(1) instead of linear
-    /// scans. Kept in sync by `add`/`remove` (the `remove` fixup is O(n),
-    /// matching the `Vec` shift it accompanies).
-    index: HashMap<K, usize>,
     /// Work units delivered per second in total, split equally.
     capacity: f64,
     /// Last time `advance` integrated progress up to.
@@ -55,7 +50,7 @@ pub struct FairShareResource<K> {
     generation: Generation,
 }
 
-impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
+impl<K: Copy + Eq + std::fmt::Debug> FairShareResource<K> {
     /// Creates an empty resource with the given total capacity
     /// (work units per second).
     ///
@@ -69,7 +64,6 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
         FairShareResource {
             keys: Vec::new(),
             remaining: Vec::new(),
-            index: HashMap::new(),
             capacity,
             updated_at: SimTime::ZERO,
             generation: Generation::default(),
@@ -86,49 +80,9 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
         self.keys.is_empty()
     }
 
-    /// Current total capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// The generation stamp valid for events derived from the current state.
     pub fn generation(&self) -> Generation {
         self.generation
-    }
-
-    /// Keys of all running activities.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.keys.iter().copied()
-    }
-
-    /// `(key, remaining work)` of all running activities, in insertion
-    /// order — the raw state a what-if engine copies into its scratch
-    /// buffers (see `cas-core`'s prediction cache).
-    pub fn entries_iter(&self) -> impl Iterator<Item = (K, f64)> + '_ {
-        self.keys
-            .iter()
-            .copied()
-            .zip(self.remaining.iter().copied())
-    }
-
-    /// The time progress has been integrated up to.
-    pub fn updated_at(&self) -> SimTime {
-        self.updated_at
-    }
-
-    /// Remaining work of `key`, if running. O(1) via the key index.
-    pub fn remaining(&self, key: K) -> Option<f64> {
-        self.index.get(&key).map(|&i| self.remaining[i])
-    }
-
-    /// Per-activity progress rate right now (capacity / n), or the full
-    /// capacity when idle.
-    pub fn rate_per_activity(&self) -> f64 {
-        if self.keys.is_empty() {
-            self.capacity
-        } else {
-            self.capacity / self.keys.len() as f64
-        }
     }
 
     /// Integrates progress up to `now`. Idempotent; must be called (and is
@@ -170,10 +124,9 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
         );
         self.advance(now);
         assert!(
-            !self.index.contains_key(&key),
+            !self.keys.contains(&key),
             "activity {key:?} already running"
         );
-        self.index.insert(key, self.keys.len());
         self.keys.push(key);
         self.remaining.push(work);
         self.generation.bump();
@@ -185,12 +138,9 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
     /// Returns `None` if the key was not running.
     pub fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
         self.advance(now);
-        let idx = self.index.remove(&key)?;
+        let idx = self.keys.iter().position(|k| *k == key)?;
         self.keys.remove(idx);
         let left = self.remaining.remove(idx);
-        for shifted in &self.keys[idx..] {
-            *self.index.get_mut(shifted).expect("indexed entry") -= 1;
-        }
         self.generation.bump();
         Some(left)
     }
@@ -230,33 +180,6 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> FairShareResource<K> {
                 (self.keys[i], now + SimTime::from_secs(dt))
             })
     }
-
-    /// Completion times of *all* current activities assuming no further
-    /// membership changes — the core of the HTM's Gantt construction.
-    /// Returned in completion order.
-    pub fn drain_schedule(&self, now: SimTime) -> Vec<(K, SimTime)> {
-        let mut remaining: Vec<(K, f64)> = {
-            // Simulate the resource forward privately.
-            let lag = (now - self.updated_at).as_secs();
-            let rate = self.capacity / self.keys.len().max(1) as f64;
-            self.entries_iter()
-                .map(|(k, r)| (k, (r - rate * lag).max(0.0)))
-                .collect()
-        };
-        remaining.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let mut out = Vec::with_capacity(remaining.len());
-        let mut t = now;
-        let mut done_work = 0.0;
-        for i in 0..remaining.len() {
-            let n_active = (remaining.len() - i) as f64;
-            let rate = self.capacity / n_active;
-            let step_work = remaining[i].1 - done_work;
-            t += SimTime::from_secs((step_work / rate).max(0.0));
-            done_work = remaining[i].1;
-            out.push((remaining[i].0, t));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -265,6 +188,21 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// Runs `r` until idle from `now` by `next_completion`/`remove`
+    /// stepping: every activity's `(key, completion)`, in completion order.
+    pub(super) fn step_to_idle(
+        mut r: FairShareResource<u32>,
+        mut now: SimTime,
+    ) -> Vec<(u32, SimTime)> {
+        let mut out = Vec::new();
+        while let Some((k, when)) = r.next_completion(now) {
+            now = when;
+            r.remove(now, k);
+            out.push((k, now));
+        }
+        out
     }
 
     #[test]
@@ -295,10 +233,8 @@ mod tests {
         let mut s2 = FairShareResource::new(1.0);
         s1.add(t(0.0), 1u32, 100.0);
         s2.add(t(0.0), 2u32, 200.0);
-        s1.advance(t(80.0));
-        s2.advance(t(80.0));
-        assert!((s1.remaining(1).unwrap() - 20.0).abs() < 1e-9);
-        assert!((s2.remaining(2).unwrap() - 120.0).abs() < 1e-9);
+        assert!((s1.remove(t(80.0), 1).unwrap() - 20.0).abs() < 1e-9);
+        assert!((s2.remove(t(80.0), 2).unwrap() - 120.0).abs() < 1e-9);
     }
 
     #[test]
@@ -322,29 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_schedule_matches_event_by_event() {
-        let mut r = FairShareResource::new(1.0);
-        r.add(t(0.0), 1u32, 30.0);
-        r.add(t(0.0), 2u32, 10.0);
-        r.add(t(0.0), 3u32, 20.0);
-        let sched = r.drain_schedule(t(0.0));
-        // Event-by-event: 3 tasks at 1/3 each. T2 (10) finishes at t=30.
-        // Then T3 has 10 left, T1 has 20 left, rate 1/2: T3 at 30+20=50,
-        // T1 at 50 + 10/1 ... wait: at t=30, T1 done 10 → 20 left, T3 done
-        // 10 → 10 left. Rate 1/2: T3 finishes +20 → t=50 (T1 done 10 more,
-        // 10 left). T1 alone: +10 → t=60.
-        assert_eq!(sched[0], (2, t(30.0)));
-        assert_eq!(sched[1], (3, t(50.0)));
-        assert_eq!(sched[2], (1, t(60.0)));
-    }
-
-    #[test]
-    fn drain_schedule_respects_unadvanced_lag() {
+    fn next_completion_respects_unadvanced_lag() {
         let mut r = FairShareResource::new(1.0);
         r.add(t(0.0), 1u32, 10.0);
         // Query at t=4 without advancing: completion must still be t=10.
-        let sched = r.drain_schedule(t(4.0));
-        assert_eq!(sched, vec![(1, t(10.0))]);
+        assert_eq!(r.next_completion(t(4.0)), Some((1, t(10.0))));
+        assert_eq!(step_to_idle(r, t(4.0)), vec![(1, t(10.0))]);
     }
 
     #[test]
@@ -410,12 +329,13 @@ mod tests {
     fn idle_resource_has_no_completion() {
         let r: FairShareResource<u32> = FairShareResource::new(1.0);
         assert!(r.next_completion(t(0.0)).is_none());
-        assert!(r.drain_schedule(t(0.0)).is_empty());
+        assert!(step_to_idle(r, t(0.0)).is_empty());
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::step_to_idle;
     use super::*;
     use proptest::prelude::*;
 
@@ -447,30 +367,6 @@ mod proptests {
                 "finished at {} expected {}", now.as_secs(), expected);
         }
 
-        /// drain_schedule agrees with event-by-event execution.
-        #[test]
-        fn drain_matches_stepping(
-            works in proptest::collection::vec(0.1f64..50.0, 1..15),
-        ) {
-            let mut r = FairShareResource::new(1.0);
-            for (i, &w) in works.iter().enumerate() {
-                r.add(t(0.0), i as u32, w);
-            }
-            let predicted = r.drain_schedule(t(0.0));
-            let mut stepped = Vec::new();
-            let mut now = t(0.0);
-            while let Some((k, when)) = r.next_completion(now) {
-                now = when;
-                r.remove(now, k);
-                stepped.push((k, now));
-            }
-            prop_assert_eq!(predicted.len(), stepped.len());
-            for (p, s) in predicted.iter().zip(&stepped) {
-                prop_assert_eq!(p.0, s.0);
-                prop_assert!(p.1.approx_eq(s.1, 1e-6));
-            }
-        }
-
         /// Completion order equals ascending remaining-work order.
         #[test]
         fn completion_order_is_work_order(
@@ -480,7 +376,8 @@ mod proptests {
             for (i, &w) in works.iter().enumerate() {
                 r.add(t(0.0), i as u32, w);
             }
-            let sched = r.drain_schedule(t(0.0));
+            let sched = step_to_idle(r, t(0.0));
+            prop_assert_eq!(sched.len(), works.len());
             let mut prev = f64::NEG_INFINITY;
             for (k, _) in sched {
                 let w = works[k as usize];
@@ -502,18 +399,130 @@ mod proptests {
             for (i, &w) in works.iter().enumerate() {
                 base.add(t(0.0), i as u32, w);
             }
-            let before: Vec<(u32, SimTime)> = base.drain_schedule(t(0.0));
+            let before = step_to_idle(base.clone(), t(0.0));
             let arrival = t(arrival_frac * works.iter().cloned().fold(0.0, f64::max));
-            let mut with_new = base.clone();
+            let mut with_new = base;
             with_new.advance(arrival);
             with_new.add(arrival, 999, new_work);
-            let after = with_new.drain_schedule(arrival);
+            let after = step_to_idle(with_new, arrival);
             for (k, t_before) in before {
                 if let Some(&(_, t_after)) = after.iter().find(|(kk, _)| *kk == k) {
                     prop_assert!(t_after >= t_before - SimTime::from_secs(1e-9),
                         "task {k} finished earlier after insertion");
                 }
             }
+        }
+
+        /// The resource against [`Model`], a plain `Vec` of `(key,
+        /// remaining)` pairs doing the same arithmetic, under random adds
+        /// of fresh keys, removes of present and absent keys, advances and
+        /// capacity changes (some to the current capacity). After every
+        /// operation the next completion's key and time bits, `len`,
+        /// `remove`'s returned work bits and whether the generation moved
+        /// must agree.
+        #[test]
+        fn resource_matches_vec_model(
+            capacity in 0.1f64..4.0,
+            ops in proptest::collection::vec(
+                // (op kind, gap, pick, work, capacity)
+                (0u32..6, 0.0f64..6.0, 0u32..1000, 0.0f64..30.0, 0.1f64..4.0),
+                1..80,
+            ),
+        ) {
+            let mut r = FairShareResource::new(capacity);
+            let mut model = Model { entries: Vec::new(), capacity, updated_at: t(0.0) };
+            let mut now = t(0.0);
+            let mut next_key = 0u32;
+            for (kind, gap, pick, work, new_capacity) in ops {
+                // One operation in four comes at the previous one's instant.
+                if pick % 4 != 0 {
+                    now += t(gap);
+                }
+                let generation = r.generation();
+                let bumped = match kind {
+                    0 | 1 => {
+                        let work = if pick % 5 == 0 { 0.0 } else { work };
+                        r.add(now, next_key, work);
+                        model.advance(now);
+                        model.entries.push((next_key, work));
+                        next_key += 1;
+                        true
+                    }
+                    2 | 3 => {
+                        // Kind 2 removes a present key when there is one;
+                        // kind 3 any key added so far (present or removed)
+                        // or one never added.
+                        let key = match model.entries.len() {
+                            n if kind == 2 && n > 0 => model.entries[pick as usize % n].0,
+                            _ if pick % 2 == 0 && next_key > 0 => pick % next_key,
+                            _ => 1_000_000 + pick,
+                        };
+                        let left = r.remove(now, key);
+                        model.advance(now);
+                        let expected = model
+                            .entries
+                            .iter()
+                            .position(|e| e.0 == key)
+                            .map(|i| model.entries.remove(i).1);
+                        prop_assert_eq!(left.map(f64::to_bits), expected.map(f64::to_bits));
+                        expected.is_some()
+                    }
+                    4 => {
+                        r.advance(now);
+                        model.advance(now);
+                        false
+                    }
+                    _ => {
+                        let capacity = if pick % 3 == 0 { model.capacity } else { new_capacity };
+                        r.set_capacity(now, capacity);
+                        model.advance(now);
+                        let changed = capacity != model.capacity;
+                        model.capacity = capacity;
+                        changed
+                    }
+                };
+                prop_assert_eq!(r.generation() != generation, bumped);
+                prop_assert_eq!(r.len(), model.entries.len());
+                let got = r.next_completion(now).map(|(k, w)| (k, w.as_secs().to_bits()));
+                let want = model.next_completion(now).map(|(k, w)| (k, w.as_secs().to_bits()));
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// The model of [`resource_matches_vec_model`]: the activities as
+    /// `(key, remaining)` pairs in insertion order, with the resource's
+    /// arithmetic written out again.
+    struct Model {
+        entries: Vec<(u32, f64)>,
+        capacity: f64,
+        updated_at: SimTime,
+    }
+
+    impl Model {
+        fn advance(&mut self, now: SimTime) {
+            if !self.entries.is_empty() && now != self.updated_at {
+                let rate = self.capacity / self.entries.len() as f64;
+                let done = rate * (now - self.updated_at).as_secs();
+                for e in &mut self.entries {
+                    e.1 = (e.1 - done).max(0.0);
+                }
+            }
+            self.updated_at = now;
+        }
+
+        /// The first entry with the least remaining work and its
+        /// completion time.
+        fn next_completion(&self, now: SimTime) -> Option<(u32, SimTime)> {
+            let rate = self.capacity / self.entries.len().max(1) as f64;
+            let lag = (now - self.updated_at).as_secs();
+            let mut first_min: Option<(u32, f64)> = None;
+            for &(k, r) in &self.entries {
+                if first_min.is_none_or(|(_, m)| r < m) {
+                    first_min = Some((k, r));
+                }
+            }
+            first_min.map(|(k, r)| (k, now + SimTime::from_secs((r / rate - lag).max(0.0))))
         }
     }
 }
