@@ -2,8 +2,8 @@
 //!
 //! Wall-clock cost of one complete paper-scale experiment (500 tasks, four
 //! servers, noise on) per heuristic — the number that determines how many
-//! replications a sweep can afford. Also benches the pooled runner against
-//! the strictly sequential one.
+//! replications a sweep can afford. Also benches the parallel runner
+//! against the strictly sequential one.
 
 use cas_core::heuristics::HeuristicKind;
 use cas_middleware::{
@@ -48,7 +48,7 @@ fn bench_parallel_runner(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("sequential"), |b| {
         b.iter(|| black_box(run_replications_sequential(cfg, &costs, &servers, &workloads).len()));
     });
-    group.bench_function(BenchmarkId::from_parameter("pooled"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("parallel"), |b| {
         b.iter(|| black_box(run_replications(cfg, &costs, &servers, &workloads).len()));
     });
     group.finish();

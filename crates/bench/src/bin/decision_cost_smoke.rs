@@ -32,7 +32,7 @@
 //! first and reports the memo's hit-rate counters
 //! ([`cas_core::MemoStats`]).
 //!
-//! Writes `BENCH_decision_cost.json` (path overridable as argv[1]) with
+//! Writes `BENCH_decision_cost.json` (path overridable as `argv[1]`) with
 //! per-configuration timings, and exits non-zero when the memo section
 //! records no cross-task hit (a dead memo).
 

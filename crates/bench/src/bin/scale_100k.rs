@@ -40,7 +40,7 @@
 //!
 //! Sizes are env-overridable (`SCALE100K_SERVERS`, `SCALE100K_TASKS`)
 //! so the same binary smoke-tests at laptop scale. Results land in
-//! `BENCH_scale_100k.json` (path overridable as argv[1]); CI runs the
+//! `BENCH_scale_100k.json` (path overridable as `argv[1]`); CI runs the
 //! full configuration nightly, non-blocking.
 
 use cas_core::heuristics::HeuristicKind;

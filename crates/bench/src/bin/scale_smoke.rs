@@ -63,7 +63,7 @@
 //! high-water mark across the three campaigns, gated at
 //! `SCALE_PEAK_PENDING_GATE`).
 //!
-//! Everything lands in `BENCH_scale.json` (path overridable as argv[1]).
+//! Everything lands in `BENCH_scale.json` (path overridable as `argv[1]`).
 //! Exit is non-zero when the wall budget (`SCALE_SMOKE_BUDGET_SECS`,
 //! default 600) is blown, tasks fail, or any pipeline gate regresses —
 //! CI runs the 1k/10⁵ configuration as a blocking job, the 1k/10⁶

@@ -27,7 +27,7 @@ pub mod collection {
     use crate::test_runner::SampleRng;
     use std::ops::Range;
 
-    /// Accepted length specifications for [`vec`]: a range or an exact
+    /// Accepted length specifications for [`vec()`]: a range or an exact
     /// length (mirrors proptest's `SizeRange` conversions).
     pub trait IntoSizeRange {
         /// Converts to a half-open length range.

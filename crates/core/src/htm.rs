@@ -37,13 +37,13 @@
 //! * **Zero-clone speculative drain.** A trace keeps its state as three
 //!   flat lanes, and the live trace and every what-if run one event loop
 //!   over them. The *after* schedule (with the candidate task inserted)
-//!   runs that loop on a [`DrainScratch`](crate::trace::DrainScratch), a
-//!   reusable copy of the trace's lanes, so results are bit-for-bit those
-//!   of the clone-based path without per-query heap allocation. Every
-//!   replay overwrites the scratch before reading it, so the HTM owns one
-//!   for all its servers, beside one task → completion map; per server it
-//!   keeps only what outlives a query (the baseline, the memoised
-//!   after-schedule, the prefix cursor and the counters).
+//!   runs that loop on a [`DrainScratch`], a reusable copy of the trace's
+//!   lanes, so results are bit-for-bit those of the clone-based path
+//!   without per-query heap allocation. Every replay overwrites the
+//!   scratch before reading it, so the HTM owns one for all its servers,
+//!   beside one task → completion map; per server it keeps only what
+//!   outlives a query (the baseline, the memoised after-schedule, the
+//!   prefix cursor and the counters).
 //! * **Incremental baseline repair.** The speculative *after*-schedule
 //!   computed for `(task, now)` — which the engine has almost always just
 //!   computed, since every commit follows a prediction for the winning
@@ -74,11 +74,10 @@
 //!   it) re-runs the drain to completion — cheaply, via the prefix cursor.
 //! * **Prefix sharing.** Every probe of a decision round replays the same
 //!   baseline events on a server before its insertion point. A per-server
-//!   [`PrefixCursor`](crate::trace::PrefixCursor) caches the replay state
-//!   at the last processed event of the shared advance-to-`now` prefix,
-//!   keyed by trace generation; subsequent probes (and the commit's
-//!   full re-drain) resume from the snapshot instead of replaying the
-//!   trace's whole event history.
+//!   [`PrefixCursor`] caches the replay state at the last processed event
+//!   of the shared advance-to-`now` prefix, keyed by trace generation;
+//!   subsequent probes (and the commit's full re-drain) resume from the
+//!   snapshot instead of replaying the trace's whole event history.
 //!
 //! # Bounded stage 2
 //!
@@ -108,14 +107,10 @@
 //! the engine; `trace.rs`'s proptests pin that kernel to an independent
 //! reference trace (three `FairShareResource`s and a job table), which
 //! closes the chain.
-//!
-//! Per-task metadata (assignment + problem of every committed task) lives
-//! in a [`cas_platform::Arena`]: contiguous records, recycled slots, one
-//! id→key map instead of two id-keyed hash maps.
 
 use crate::prediction::Prediction;
 use crate::trace::{DrainScratch, PrefixCursor, ServerTrace};
-use cas_platform::{Arena, ArenaKey, CostTable, PhaseCosts, ServerId, TaskId, TaskInstance};
+use cas_platform::{CostTable, PhaseCosts, ServerId, TaskId, TaskInstance};
 use cas_sim::{Generation, SimTime};
 use std::collections::HashMap;
 
@@ -362,7 +357,7 @@ impl MemoStats {
     }
 }
 
-/// Arena record of one committed task: where it went and what problem it
+/// What the HTM keeps per committed task: where it went and what problem it
 /// instantiates (the agent-side memory estimate needs the problem; see
 /// [`Htm::resident_estimate`]).
 #[derive(Debug, Clone, Copy)]
@@ -384,14 +379,12 @@ pub struct Htm {
     /// Reusable task → completion lookup over a long after-schedule,
     /// rebuilt on every query that needs it.
     after_map: HashMap<TaskId, SimTime>,
-    /// Per-committed-task metadata, arena-backed (assignment + problem in
-    /// one contiguous record; the paper's first piece of future work —
-    /// "we need to incorporate memory requirements into the model" —
-    /// reads the problem back for the memory estimate).
-    committed: Arena<CommittedTask>,
-    /// External id → arena key. Task ids are globally unique, so this is
-    /// the single id-keyed map left on the commit path.
-    by_task: HashMap<TaskId, ArenaKey<CommittedTask>>,
+    /// Assignment and problem of every committed task, by task id (the
+    /// paper's first piece of future work — "we need to incorporate
+    /// memory requirements into the model" — reads the problem back for
+    /// the memory estimate). A map, not a task-indexed column: the HTM
+    /// does not assume its callers' task ids are dense.
+    committed: HashMap<TaskId, CommittedTask>,
     sync: SyncPolicy,
     /// Query depth: when `true`, the configured heuristic only ever
     /// reads the probe's completion, so queries skip the perturbation
@@ -410,8 +403,7 @@ impl Htm {
             predict_states: (0..n).map(|_| PredictState::default()).collect(),
             scratch: DrainScratch::new(),
             after_map: HashMap::new(),
-            committed: Arena::new(),
-            by_task: HashMap::new(),
+            committed: HashMap::new(),
             sync,
             completion_only: false,
             predictions_made: 0,
@@ -485,10 +477,7 @@ impl Htm {
 
     /// Where a task was committed, if it was.
     pub fn assignment(&self, task: TaskId) -> Option<ServerId> {
-        self.by_task
-            .get(&task)
-            .and_then(|&key| self.committed.get(key))
-            .map(|rec| rec.server)
+        self.committed.get(&task).map(|rec| rec.server)
     }
 
     /// The cached baseline schedule of `server`, if it is fresh for the
@@ -623,7 +612,7 @@ impl Htm {
             .costs(task.problem, server)
             .expect("committing to a server that cannot solve the problem");
         assert!(
-            !self.by_task.contains_key(&task.id),
+            !self.committed.contains_key(&task.id),
             "task {} committed twice",
             task.id
         );
@@ -637,11 +626,13 @@ impl Htm {
         let trace = &mut self.traces[server.index()];
         trace.add_task(now, task.id, costs);
         state.baseline_gen = trace.generation();
-        let key = self.committed.insert(CommittedTask {
-            server,
-            problem: task.problem,
-        });
-        self.by_task.insert(task.id, key);
+        self.committed.insert(
+            task.id,
+            CommittedTask {
+                server,
+                problem: task.problem,
+            },
+        );
     }
 
     /// Force-finishes `task` on `server`'s trace, splicing the cached
@@ -664,10 +655,9 @@ impl Htm {
     /// Un-commits a task (the real server rejected it and the client will
     /// retry elsewhere). Returns `true` if the task was present.
     pub fn retract(&mut self, now: SimTime, task: TaskId) -> bool {
-        let Some(key) = self.by_task.remove(&task) else {
+        let Some(rec) = self.committed.remove(&task) else {
             return false;
         };
-        let rec = self.committed.remove(key).expect("indexed record is live");
         self.force_finish_repaired(now, rec.server, task)
     }
 
@@ -677,13 +667,8 @@ impl Htm {
         if self.sync == SyncPolicy::None {
             return;
         }
-        if let Some(&key) = self.by_task.get(&task) {
-            let server = self
-                .committed
-                .get(key)
-                .expect("indexed record is live")
-                .server;
-            self.force_finish_repaired(now, server, task);
+        if let Some(rec) = self.committed.get(&task) {
+            self.force_finish_repaired(now, rec.server, task);
         }
     }
 
@@ -717,15 +702,14 @@ impl Htm {
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
         state.refresh_baseline(trace, &mut self.scratch);
-        let (by_task, committed, costs) = (&self.by_task, &self.committed, &self.costs);
+        let (committed, costs) = (&self.committed, &self.costs);
         state
             .baseline
             .iter()
             .filter(|&&(_, completion)| completion > now)
             .map(|(t, _)| {
-                by_task
+                committed
                     .get(t)
-                    .and_then(|&key| committed.get(key))
                     .map(|rec| costs.problem(rec.problem).mem_mb)
                     .unwrap_or(0.0)
             })

@@ -635,15 +635,15 @@ impl LaneSet {
 /// Every probe of a decision round replays the same baseline events on a
 /// server before injecting its hypothetical task. The cursor caches the
 /// scratch state *after* the event loop but *before* the trailing partial
-/// advance ([`LaneSet::settle`]) — the unique point that is
+/// advance (`LaneSet::settle`) — the unique point that is
 /// bit-identical across all replays that pass it (see
-/// [`LaneSet::advance_events_until`]). A later query at the same or a
+/// `LaneSet::advance_events_until`). A later query at the same or a
 /// later `now` restores the snapshot and resumes the event loop instead of
 /// replaying from the live trace state.
 ///
 /// Validity is the caller's job (the HTM keys cursors by trace
 /// [`Generation`] and invalidates on mismatch or when `now` moves
-/// backwards past [`Self::events_until`]).
+/// backwards past `events_until`).
 #[derive(Debug, Clone, Default)]
 pub struct PrefixCursor {
     /// The scratch's lanes and clock at the snapshot point, phase costs

@@ -10,13 +10,19 @@
 
 pub use cas_sim::prof::*;
 
+/// Calibration rounds the span cost is the median of: one round slowed
+/// by a preemption moves the estimate at most to a neighbouring round's
+/// reading, and not at all when the other rounds agree.
+const CALIBRATION_ROUNDS: usize = 5;
+
 /// The measured-overhead estimate for a profiled section: span cost ×
 /// span count against wall time. Conservative — real spans amortise
 /// their two counter reads over actual work — which is the right
 /// direction for a gate.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadEstimate {
-    /// Calibrated cost of one open/close span pair, nanoseconds.
+    /// Calibrated cost of one open/close span pair, nanoseconds: the
+    /// median of five calibration rounds.
     pub span_ns: f64,
     /// Spans closed in the section.
     pub spans: u64,
@@ -30,7 +36,19 @@ impl OverheadEstimate {
     /// Estimates the profiler's overhead for a section that closed
     /// `totals` spans over `wall_s` seconds, using a fresh calibration.
     pub fn measure(totals: &PhaseTotals, wall_s: f64) -> OverheadEstimate {
-        let span_ns = calibrate_span_ns(100_000);
+        let rounds = [(); CALIBRATION_ROUNDS].map(|()| calibrate_span_ns(100_000));
+        Self::from_rounds(rounds, totals, wall_s)
+    }
+
+    /// The estimate with the span cost priced as the median of `rounds`
+    /// (nanoseconds per span, one calibration each).
+    fn from_rounds(
+        mut rounds: [f64; CALIBRATION_ROUNDS],
+        totals: &PhaseTotals,
+        wall_s: f64,
+    ) -> OverheadEstimate {
+        rounds.sort_by(f64::total_cmp);
+        let span_ns = rounds[CALIBRATION_ROUNDS / 2];
         let spans = totals.total_spans();
         let est_s = span_ns * spans as f64 * 1e-9;
         OverheadEstimate {
@@ -156,6 +174,31 @@ mod tests {
         // An absurd overhead bound flips the overhead gate.
         let (_, ok) = render_profile_json(&totals, 1e-12, 0.02);
         assert!(!ok);
+    }
+
+    #[test]
+    fn one_slow_calibration_round_leaves_the_estimate_unchanged() {
+        let totals = fake_totals();
+        let steady = OverheadEstimate::from_rounds([41.0; 5], &totals, 2.0);
+        for slow in 0..5 {
+            let mut rounds = [41.0; 5];
+            rounds[slow] = 400.0;
+            let est = OverheadEstimate::from_rounds(rounds, &totals, 2.0);
+            assert_eq!(est.span_ns, 41.0);
+            assert_eq!(est.est_s.to_bits(), steady.est_s.to_bits());
+            assert_eq!(est.share_of_wall.to_bits(), steady.share_of_wall.to_bits());
+        }
+        // Rounds that spread move only to a neighbouring round's reading.
+        let mut rounds = [39.0, 40.0, 41.0, 43.0, 45.0];
+        assert_eq!(
+            OverheadEstimate::from_rounds(rounds, &totals, 2.0).span_ns,
+            41.0
+        );
+        rounds[0] = 400.0;
+        assert_eq!(
+            OverheadEstimate::from_rounds(rounds, &totals, 2.0).span_ns,
+            43.0
+        );
     }
 
     #[test]

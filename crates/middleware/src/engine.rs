@@ -23,10 +23,9 @@
 //! and compiled traces list tasks in arrival order, so the submits land
 //! in the queue's sorted run and its heap holds only the events the run
 //! generates (an unsorted task list still pops in order, through the
-//! heap). Per-task hot state avoids hashing entirely:
-//! in-flight records live in a generational [`Arena`] reached through a
-//! dense task-indexed key table, and each decision's prediction memo
-//! reuses one run-wide [`DecisionMemo`].
+//! heap). Per-task hot state avoids hashing entirely: task ids are dense
+//! submission indices, so records and in-flight state are columns
+//! indexed by task id.
 //!
 //! Scheduling decisions run the **two-stage pipeline** behind the shard
 //! federation's [`AgentRouter`] (see [`crate::shard`]): stage 1, each
@@ -49,8 +48,8 @@ use cas_core::heuristics::Heuristic;
 use cas_core::Htm;
 use cas_metrics::{DropReason, TaskOutcome, TaskRecord};
 use cas_platform::{
-    AdmitOutcome, Arena, ArenaKey, CostTable, LoadAverage, LoadReport, Phase, PhaseCosts, ServerId,
-    ServerRuntime, ServerSpec, TaskId, TaskInstance,
+    AdmitOutcome, CostTable, LoadAverage, LoadReport, Phase, PhaseCosts, ServerId, ServerRuntime,
+    ServerSpec, TaskId, TaskInstance,
 };
 use cas_sim::dist::{LogNormalNoise, Sample};
 use cas_sim::{prof, RngStream, Scheduler, SimTime, Simulation, StreamKind, World};
@@ -244,18 +243,14 @@ pub struct Provision {
     pub column: Vec<Option<PhaseCosts>>,
 }
 
-/// A task in flight on a server.
+/// A task in flight on a server. Its phase costs are read back from the
+/// cost table ([`GridWorld::placed_costs`]).
 #[derive(Debug, Clone, Copy)]
 struct Flight {
     server: ServerId,
-    costs: PhaseCosts,
     /// Which phase the task is currently in (needed to interpret shared
     /// client-link completions, which carry no phase information).
     phase: Phase,
-    /// Predicted seconds of work the commit added to the static index's
-    /// remaining-work ledger; the completion hook must decrement exactly
-    /// this amount.
-    work: f64,
 }
 
 /// The complete simulated system.
@@ -280,13 +275,10 @@ pub struct GridWorld {
     cpu_noise: Vec<RngStream>,
     net_noise: Vec<RngStream>,
     noise_dist: LogNormalNoise,
-    /// In-flight per-task state, arena-backed: records live contiguously,
-    /// slots recycle as tasks complete, and the per-event lookup is a
-    /// dense-index read (`flight_keys[task]` → arena slot) instead of a
-    /// hash. Task ids are dense submission indices, so the key table is a
-    /// plain `Vec` aligned with `records`.
-    flights: Arena<Flight>,
-    flight_keys: Vec<Option<ArenaKey<Flight>>>,
+    /// In-flight per-task state, indexed by task id like `records`
+    /// (task ids are dense submission indices); `None` while the task is
+    /// not placed.
+    flights: Vec<Option<Flight>>,
     /// The single client-side link all transfers share when
     /// `cfg.shared_client_link` is on; `None` in per-server-link mode.
     client_link: Option<cas_platform::FairShareResource<TaskId>>,
@@ -388,7 +380,7 @@ impl GridWorld {
             .collect();
         GridWorld {
             remaining: tasks.len(),
-            flight_keys: vec![None; tasks.len()],
+            flights: vec![None; tasks.len()],
             agent,
             heuristic,
             tie_rng: RngStream::derive(cfg.seed, StreamKind::TieBreak),
@@ -411,7 +403,6 @@ impl GridWorld {
             reports: (0..n as u32)
                 .map(|i| LoadReport::initial(ServerId(i)))
                 .collect(),
-            flights: Arena::with_capacity(64),
             client_link: if cfg.shared_client_link {
                 Some(cas_platform::FairShareResource::new(1.0))
             } else {
@@ -568,16 +559,23 @@ impl GridWorld {
         }
     }
 
-    /// The in-flight record of `task` (task ids are dense, so this is an
-    /// indexed read through the arena key table).
-    fn flight(&self, task: TaskId) -> &Flight {
-        let key = self.flight_keys[task.index()].expect("flight exists");
-        self.flights.get(key).expect("flight key is live")
+    /// The in-flight record of `task`.
+    fn flight(&self, task: TaskId) -> Flight {
+        self.flights[task.index()].expect("flight exists")
     }
 
     fn flight_mut(&mut self, task: TaskId) -> &mut Flight {
-        let key = self.flight_keys[task.index()].expect("flight exists");
-        self.flights.get_mut(key).expect("flight key is live")
+        self.flights[task.index()].as_mut().expect("flight exists")
+    }
+
+    /// The phase costs of `task` on the server it was placed on. A placed
+    /// server's cost column never changes (`CostTable::push_server` only
+    /// appends a column), so these are the costs the commit charged:
+    /// `total()` is the work the index ledger must be paid back.
+    fn placed_costs(&self, task: TaskId, server: ServerId) -> PhaseCosts {
+        self.costs
+            .costs(self.tasks[task.index()].problem, server)
+            .expect("a placed task's server solves its problem")
     }
 
     /// A task finished its input transfer: move it onto the CPU.
@@ -585,7 +583,8 @@ impl GridWorld {
         let flight = self.flight_mut(task);
         debug_assert_eq!(flight.phase, Phase::Input);
         flight.phase = Phase::Compute;
-        let (server, compute) = (flight.server, flight.costs.compute);
+        let server = flight.server;
+        let compute = self.placed_costs(task, server).compute;
         self.touch_monitor(server, now);
         self.servers[server.index()].begin_compute(now, task, compute);
         self.resched(server, Phase::Compute, sched);
@@ -601,9 +600,9 @@ impl GridWorld {
     /// a task late by 10 s must register the same at t = 100 as at
     /// t = 10,000.
     fn output_arrived(&mut self, now: SimTime, task: TaskId, sched: &mut Scheduler<'_, GridEvent>) {
-        if let Some(key) = self.flight_keys[task.index()].take() {
-            let flight = self.flights.remove(key).expect("flight key is live");
+        if let Some(flight) = self.flights[task.index()].take() {
             self.forget_inflight(flight.server, task);
+            let work = self.placed_costs(task, flight.server).total();
             let rec = &self.records[task.index()];
             let arrival = rec.arrival.as_secs();
             let predicted_flow = rec
@@ -615,7 +614,7 @@ impl GridWorld {
                 now,
                 flight.server,
                 task,
-                flight.work,
+                work,
                 observed_flow,
                 predicted_flow,
             );
@@ -886,13 +885,10 @@ impl GridWorld {
                     rec.commit_prediction = predicted;
                     rec.attempts = attempt;
                 }
-                let key = self.flights.insert(Flight {
+                self.flights[task.id.index()] = Some(Flight {
                     server,
-                    costs: phase_costs,
                     phase: Phase::Input,
-                    work,
                 });
-                self.flight_keys[task.id.index()] = Some(key);
                 self.inflight[server.index()].push(task.id);
                 if let Some(link) = &mut self.client_link {
                     link.add(now, task.id, phase_costs.input);
@@ -952,8 +948,7 @@ impl GridWorld {
             sched.at(when, GridEvent::PhaseDone { server, phase, gen });
             return;
         }
-        let flight = *self.flight(task);
-        debug_assert_eq!(flight.server, server);
+        debug_assert_eq!(self.flight(task).server, server);
         match phase {
             Phase::Input => {
                 self.resource_mut(server, Phase::Input).remove(now, task);
@@ -967,12 +962,13 @@ impl GridWorld {
                 // completed computation.
                 self.reports[server.index()].note_completion();
                 self.flight_mut(task).phase = Phase::Output;
+                let output = self.placed_costs(task, server).output;
                 if let Some(link) = &mut self.client_link {
-                    link.add(now, task, flight.costs.output);
+                    link.add(now, task, output);
                     self.resched(server, Phase::Compute, sched);
                     self.resched_client_link(sched);
                 } else {
-                    self.servers[server.index()].start_output(now, task, flight.costs.output);
+                    self.servers[server.index()].start_output(now, task, output);
                     self.resched(server, Phase::Compute, sched);
                     self.resched(server, Phase::Output, sched);
                 }
@@ -1120,10 +1116,9 @@ impl GridWorld {
         task: TaskId,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        let Some(key) = self.flight_keys[task.index()].take() else {
+        let Some(flight) = self.flights[task.index()].take() else {
             return;
         };
-        let flight = self.flights.remove(key).expect("flight key is live");
         debug_assert_eq!(flight.server, server);
         match flight.phase {
             Phase::Input => {
@@ -1155,7 +1150,8 @@ impl GridWorld {
                 }
             }
         }
-        self.agent.on_retract(now, server, task, flight.work);
+        let work = self.placed_costs(task, server).total();
+        self.agent.on_retract(now, server, task, work);
         self.churn_stats.retractions += 1;
         let attempts = self.records[task.index()].attempts;
         if attempts < self.cfg.redispatch_budget {

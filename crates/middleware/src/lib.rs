@@ -19,10 +19,10 @@
 //! prediction error (Table 1) *emerges* from that asymmetry rather than
 //! being injected.
 //!
-//! [`runner`] fans replications out over the process-wide work-stealing
-//! pool (`cas_sim::pool`), reducing results in replication order — the
-//! experiments of Tables 5–8 run dozens of seed × heuristic combinations
-//! without per-call thread spawning.
+//! [`runner`] fans replications out over scoped threads
+//! (`cas_sim::pool`), reducing results in replication order — the
+//! experiments of Tables 5–8 run dozens of seed × heuristic combinations,
+//! each replication a whole campaign.
 
 pub mod config;
 pub mod engine;

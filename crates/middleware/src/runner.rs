@@ -2,12 +2,10 @@
 //!
 //! A paper table cell is the mean over several executions of the same
 //! metatask; a full table is |heuristics| × |seeds| runs. Runs are
-//! independent, so they fan out over the process-wide work-stealing pool
-//! ([`cas_sim::pool`]) and a sweep saturates the machine once instead of
-//! spawning scoped threads per call. Each replication writes into its
-//! own result slot and the slots are collected in replication order
-//! afterwards, so the reduction is deterministic regardless of which
-//! worker ran what.
+//! independent, so they fan out over [`cas_sim::pool`]'s scoped
+//! threads. Each replication writes into its own result slot and the
+//! slots are collected in replication order afterwards, so the
+//! reduction is deterministic regardless of which thread ran what.
 
 use crate::config::ExperimentConfig;
 use crate::engine::run_experiment;
@@ -40,52 +38,37 @@ impl MatrixResult {
 
 /// Runs `replications` of the same configuration (differing only in the
 /// experiment seed, `base_cfg.seed + i`) over `workloads[i]`, in parallel
-/// on the shared work-stealing pool.
+/// on [`cas_sim::pool::global`].
 ///
 /// `workloads` supplies one task list per replication (the paper replays
 /// the same metatask, so callers typically pass clones of one list or
-/// per-seed variants). There is no worker-count knob any more: the pool
-/// is process-wide and work-stealing, results land in per-replication
-/// slots and are reduced in replication order, so the outcome is
-/// bit-identical to [`run_replications_sequential`] regardless of
-/// parallelism (the determinism differential test asserts exactly that).
+/// per-seed variants). There is no worker-count knob: results land in
+/// per-replication slots and are reduced in replication order, so the
+/// outcome is bit-identical to [`run_replications_sequential`] regardless
+/// of parallelism (the determinism differential test asserts exactly
+/// that). A single replication runs on the calling thread.
 pub fn run_replications(
     base_cfg: ExperimentConfig,
     costs: &CostTable,
     servers: &[ServerSpec],
     workloads: &[Vec<TaskInstance>],
 ) -> Vec<Vec<TaskRecord>> {
-    let run_one = |i: usize| {
+    cas_sim::pool::global().map(workloads.len(), |i| {
         let cfg = base_cfg.with_seed(base_cfg.seed.wrapping_add(i as u64));
         let records = run_experiment(cfg, costs.clone(), servers.to_vec(), workloads[i].clone());
         // Profiler spans land in the thread-locals of whichever thread
-        // ran this replication; flushing here — still on that thread,
-        // before the pool scope joins — is what makes
-        // `prof::merged_snapshot` see a parallel campaign whole.
+        // ran this replication; flushing here, still on that thread, is
+        // what makes `prof::merged_snapshot` see a parallel campaign
+        // whole.
         cas_sim::prof::flush();
         records
-    };
-    if workloads.len() <= 1 {
-        return (0..workloads.len()).map(run_one).collect();
-    }
-    let mut results: Vec<Option<Vec<TaskRecord>>> = vec![None; workloads.len()];
-    cas_sim::pool::global().scope(|scope| {
-        for (i, slot) in results.iter_mut().enumerate() {
-            let run_one = &run_one;
-            scope.spawn(move || *slot = Some(run_one(i)));
-        }
-    });
-    // Deterministic reduction: slots are read back in replication order.
-    results
-        .into_iter()
-        .map(|r| r.expect("every replication ran"))
-        .collect()
+    })
 }
 
 /// Strictly in-order, single-threaded variant of [`run_replications`] —
 /// the executable spec the parallel path is differentially tested
-/// against, and the right tool when replications must not share the pool
-/// (e.g. when timing one run).
+/// against, and the right tool when replications must not run
+/// concurrently (e.g. when timing one run).
 pub fn run_replications_sequential(
     base_cfg: ExperimentConfig,
     costs: &CostTable,

@@ -3,9 +3,6 @@
 //! Everything the paper's environment is made of, minus the scheduling logic:
 //!
 //! * [`ids`] — newtyped identifiers for servers, problems and tasks.
-//! * [`arena`] — the generational slab arena backing per-task record
-//!   stores (middleware flights, HTM committed-task metadata): contiguous
-//!   storage, recycled slots, typed keys with ABA-safe generations.
 //! * [`task`] — problem descriptions (input/output data sizes, memory need)
 //!   and task instances; the paper's three-phase task model (input transfer,
 //!   compute, output transfer).
@@ -34,7 +31,6 @@
 //! `cas-middleware`; the agent's *model* of the platform (the HTM) lives in
 //! `cas-core` and deliberately shares the task/cost vocabulary defined here.
 
-pub mod arena;
 pub mod cost;
 pub mod fairshare;
 pub mod ids;
@@ -44,7 +40,6 @@ pub mod server;
 pub mod shard;
 pub mod task;
 
-pub use arena::{Arena, ArenaKey};
 pub use cost::{CostTable, PhaseCosts};
 pub use fairshare::FairShareResource;
 pub use ids::{ProblemId, ServerId, TaskId};

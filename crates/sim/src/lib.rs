@@ -16,9 +16,9 @@
 //!   model generates as it goes.
 //! * [`Simulation`] — a small driver that repeatedly pops the next event and
 //!   hands it to a user-provided [`World`].
-//! * [`pool`] — the process-wide work-stealing thread pool the
-//!   experiment runner fans replications out over, instead of spawning
-//!   scoped threads per call.
+//! * [`pool`] — the fan-out the experiment runner runs replications on:
+//!   at most one scoped thread per core, the caller among them, results
+//!   in index order.
 //! * [`prof`] — the always-on phase profiler: scope-guard spans charging
 //!   monotonic-counter time to a fixed phase enum through thread-local
 //!   accumulators, cheap enough to stay on in release campaigns. Lives

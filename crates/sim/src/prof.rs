@@ -9,8 +9,9 @@
 //! and thread-local accumulators so recording a span is two counter
 //! reads and two plain adds — no atomics, no locks, no allocation,
 //! cheap enough to leave on in release campaigns (the benches *gate*
-//! the measured overhead below 2 % of wall time, using
-//! [`calibrate_span_ns`] × the span count as a conservative estimate).
+//! the measured overhead below 2 % of wall time, using the median of
+//! five [`calibrate_span_ns`] rounds × the span count as a conservative
+//! estimate).
 //!
 //! On x86_64 the counter is the invariant TSC read directly with
 //! `rdtsc` — a fraction of the cost of `Instant::now`'s vDSO call,
@@ -23,15 +24,16 @@
 //! Accumulators are per thread on purpose: every instrumented section
 //! runs on the simulation's driving thread (the kernel loop, the
 //! router's serial sections, the engine's hooks), so [`snapshot`] on
-//! that thread sees the whole campaign, and worker-pool threads — which
-//! never open spans — cannot race anything. The profiler is *infra*,
-//! not an experiment: phases are chosen so sibling spans never nest
-//! (stage 1 / stage 2 are disjoint sections of one decision; hook time
-//! during churn is charged to `Churn`, not `CommitHooks`), which keeps
-//! the per-phase totals additive against wall time.
+//! that thread sees the whole campaign, and no other thread can touch
+//! its accumulators. The profiler is *infra*, not an experiment:
+//! phases are chosen so sibling spans never nest (stage 1 / stage 2 are
+//! disjoint sections of one decision; hook time during churn is charged
+//! to `Churn`, not `CommitHooks`), which keeps the per-phase totals
+//! additive against wall time.
 //!
-//! When campaigns themselves fan out over the pool (parallel
-//! replications), each worker accumulates into its own thread-locals.
+//! When campaigns themselves fan out (parallel replications on
+//! [`crate::pool`]'s scoped threads), each thread accumulates into its
+//! own thread-locals.
 //! [`flush`] drains the calling thread's accumulators into a process-wide
 //! atomic ledger (called once per replication, so the atomics cost
 //! nothing per span), and [`merged_snapshot`] reads the ledger plus the
@@ -308,9 +310,8 @@ static MERGED_COUNTS: [AtomicU64; N_PHASES] = [const { AtomicU64::new(0) }; N_PH
 
 /// Drains the calling thread's accumulators into the process-wide
 /// ledger and clears them. The runner calls this after every
-/// replication, on whichever thread ran it — worker or caller — so a
-/// parallel campaign's spans all reach the ledger no matter which pool
-/// thread recorded them.
+/// replication, on whichever thread ran it, so a parallel campaign's
+/// spans all reach the ledger no matter which thread recorded them.
 pub fn flush() {
     let (ticks, counts) = raw_local();
     reset();
@@ -323,7 +324,8 @@ pub fn flush() {
 /// The process-wide flushed totals **plus** the calling thread's live
 /// (unflushed) accumulators — the complete cross-thread view, assuming
 /// every other recording thread has flushed (the runner guarantees this
-/// by flushing inside the worker job, before the pool scope joins).
+/// by flushing at the end of every replication, before its thread
+/// joins).
 pub fn merged_snapshot() -> PhaseTotals {
     let (ticks, counts) = raw_local();
     let mut out = PhaseTotals::default();

@@ -16,7 +16,7 @@
 //!   per-server MTBF/MTTR renewal processes feeding the middleware's
 //!   server join/leave/crash kernel events.
 //! * [`trace`] — trace-driven production workloads: an object-safe
-//!   [`Trace`](trace::Trace) source trait (CSV ingestion +
+//!   [`Trace`] source trait (CSV ingestion +
 //!   fitted per-app generator) compiled onto a demand-ladder farm with
 //!   per-task user classes.
 

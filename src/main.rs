@@ -62,7 +62,7 @@ struct Args {
     shards: String,
     index_scoring: String,
     /// Print the always-on phase profiler's per-phase wall-time table
-    /// after the run. Replications fan out over the pool as usual: each
+    /// after the run. Replications fan out over threads as usual: each
     /// one flushes its spans into the process-wide ledger and the table
     /// renders the merged cross-thread view.
     profile: bool,
@@ -154,7 +154,7 @@ fn usage() -> &'static str {
         "                             baseline              [work]\n",
         "--profile                    print the always-on phase profiler's\n",
         "                             per-phase wall-time table after the\n",
-        "                             run (merged across the pool's\n",
+        "                             run (merged across the threads of\n",
         "                             parallel replications)\n",
         "--mtbf SECONDS               mean time between failures per server\n",
         "                             (exponential); \"inf\" freezes the farm\n",
@@ -521,7 +521,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let workloads: Vec<_> = (0..args.reps).map(|_| tasks.clone()).collect();
     // `--profile` renders the merged cross-thread view: the runner
     // flushes each replication's spans into the process-wide ledger
-    // from whichever pool thread ran it, so the replications fan out
+    // from whichever thread ran it, so the replications fan out
     // in parallel exactly as an unprofiled run would.
     let (runs, profiled) = if args.profile {
         prof::reset();
@@ -806,7 +806,7 @@ mod tests {
         let (_, args) = parse(&argv("run --profile")).unwrap();
         assert!(args.profile);
         // `--profile` is `run`-only: compare fans replications out across
-        // the pool, away from the measuring thread.
+        // threads, away from the measuring thread.
         let (_, args) = parse(&argv("compare --profile --tasks 5")).unwrap();
         let err = cmd_compare(&args).unwrap_err();
         assert!(err.starts_with("--profile"), "{err}");
@@ -816,8 +816,8 @@ mod tests {
     /// `casgrid run --profile` must execute end to end and leave live
     /// span counts behind: the profiler is always on, so a tiny campaign
     /// already closes stage-1, stage-2, commit and kernel spans. With
-    /// the replications fanned over the pool, the counts land in the
-    /// merged cross-thread view (each replication flushes its worker's
+    /// the replications fanned out over threads, the counts land in the
+    /// merged cross-thread view (each replication flushes its thread's
     /// spans into the process-wide ledger).
     #[test]
     fn profile_run_end_to_end_leaves_live_phases() {

@@ -94,18 +94,34 @@ fn different_seeds_differ() {
     assert_ne!(a, b);
 }
 
-/// The pooled runner yields exactly the sequential results — parallelism
-/// is invisible in the records.
+/// The parallel runner yields exactly the sequential results —
+/// parallelism is invisible in the records. There are more replications
+/// than threads, so every thread claims more than one.
 #[test]
 fn runner_parallelism_is_invisible() {
     let (costs, servers, tasks) = setup(80, 4);
-    let workloads: Vec<_> = (0..6).map(|_| tasks.clone()).collect();
+    let reps = 2 * casgrid::sim::pool::global().workers() + 1;
+    let workloads: Vec<_> = (0..reps).map(|_| tasks.clone()).collect();
     let cfg = ExperimentConfig::paper(HeuristicKind::Mp, 17);
     let seq = run_replications_sequential(cfg, &costs, &servers, &workloads);
     for round in 0..3 {
-        let pooled = run_replications(cfg, &costs, &servers, &workloads);
-        assert_eq!(seq, pooled, "round = {round}");
+        let parallel = run_replications(cfg, &costs, &servers, &workloads);
+        assert_eq!(seq, parallel, "round = {round}");
     }
+}
+
+/// A replication that panics — here one workload among sorted ones lists
+/// its arrivals backwards, which `GridWorld::new` rejects — takes
+/// `run_replications` down with its own message, whichever thread ran it.
+#[test]
+#[should_panic(expected = "tasks must be sorted by arrival")]
+fn runner_propagates_a_replication_panic() {
+    let (costs, servers, tasks) = setup(40, 4);
+    let reps = 2 * casgrid::sim::pool::global().workers() + 1;
+    let mut workloads: Vec<_> = (0..reps).map(|_| tasks.clone()).collect();
+    workloads[reps / 2].reverse();
+    let cfg = ExperimentConfig::paper(HeuristicKind::Mct, 3);
+    run_replications(cfg, &costs, &servers, &workloads);
 }
 
 /// Metatask generation is stable across calls and sensitive to every knob.

@@ -9,11 +9,16 @@
 //! and a 20-shard farm whose stage-1 walk goes through the group level
 //! of the shard tree.
 //!
+//! Every row also checks the run invariants casbench checks per rep:
+//! nothing is left in flight, and the admission counters balance each
+//! other and the records.
+//!
 //! `golden_digests.txt` holds the expected table. A change to the
 //! decision stack that moves any decision in any row fails here. On a
 //! mismatch the test prints the whole recomputed table; when the change
 //! in behaviour is intended, replace the file with it by hand.
 
+use casgrid::metrics::DropReason;
 use casgrid::middleware::GridWorld;
 use casgrid::prelude::*;
 use casgrid::sim::Simulation;
@@ -92,6 +97,7 @@ struct Run {
     digest: u64,
     group_visits: u64,
     rebalances: u64,
+    admission: AdmissionStats,
 }
 
 type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>);
@@ -99,16 +105,60 @@ type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>);
 /// A named transformation of a row's config (churn, admission, …).
 type Variant = (&'static str, fn(ExperimentConfig) -> ExperimentConfig);
 
-fn run(cfg: ExperimentConfig, farm: &Farm) -> Run {
+fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
     let (costs, servers, tasks) = farm.clone();
     let mut sim = Simulation::new(GridWorld::new(cfg, costs, servers, tasks));
     sim.run_to_completion();
     let world = sim.into_world();
-    assert_eq!(world.remaining(), 0, "every task must end terminal");
+    assert_eq!(
+        world.remaining(),
+        0,
+        "{label}: every task must end terminal"
+    );
+    let records = world.records();
+    assert!(
+        records
+            .iter()
+            .all(|r| !matches!(r.outcome, TaskOutcome::InFlight)),
+        "{label}: a record is left in flight"
+    );
+    let dropped = |reason: DropReason| {
+        records
+            .iter()
+            .filter(|r| matches!(r.outcome, TaskOutcome::Dropped { reason: d } if d == reason))
+            .count() as u64
+    };
+    let adm = world.admission_stats();
+    assert_eq!(
+        adm.buffered,
+        adm.dequeued + adm.shed_deadline,
+        "{label}: buffered != dequeued + shed_deadline"
+    );
+    assert_eq!(
+        dropped(DropReason::AdmissionDeadline),
+        adm.shed_deadline + adm.shed_overflow,
+        "{label}: admission-deadline drops != shed_deadline + shed_overflow"
+    );
+    if cfg.admission_capacity > 0 {
+        // Under backpressure every crash retraction either re-enters the
+        // buffer or spends its re-dispatch budget.
+        assert_eq!(
+            adm.reentries + dropped(DropReason::RedispatchBudget),
+            world.churn_stats().retractions,
+            "{label}: reentries + budget drops != retractions"
+        );
+    } else {
+        assert_eq!(
+            adm,
+            AdmissionStats::default(),
+            "{label}: the gate is off but its counters moved"
+        );
+    }
     Run {
-        digest: records_digest(world.records()),
+        digest: records_digest(records),
         group_visits: world.agent().skyline_stats().group_visits,
         rebalances: world.churn_stats().rebalances,
+        admission: adm,
     }
 }
 
@@ -183,8 +233,8 @@ fn rows() -> Vec<(String, Run)> {
             scope.spawn(move || {
                 let first = t * jobs.len().div_ceil(threads);
                 for (i, slot) in slots.iter_mut().enumerate() {
-                    let (_, cfg, on_wide) = &jobs[first + i];
-                    *slot = Some(run(*cfg, if *on_wide { wide } else { paper }));
+                    let (label, cfg, on_wide) = &jobs[first + i];
+                    *slot = Some(run(label, *cfg, if *on_wide { wide } else { paper }));
                 }
             });
         }
@@ -219,6 +269,23 @@ fn campaign_record_digests_match_the_golden_table() {
             .filter(|(label, _)| label.contains("/fed3/churn"))
             .any(|(_, r)| r.rebalances > 0),
         "no churn row rebalanced its federation"
+    );
+    // The admission invariants above are only as strong as the rows
+    // that move their counters.
+    let gated: Vec<AdmissionStats> = rows
+        .iter()
+        .filter(|(label, _)| label.contains("admission"))
+        .map(|(_, r)| r.admission)
+        .collect();
+    assert!(
+        gated
+            .iter()
+            .any(|a| a.shed_deadline > 0 && a.shed_overflow > 0),
+        "no admission row shed a task both ways"
+    );
+    assert!(
+        gated.iter().any(|a| a.reentries > 0),
+        "no admission row re-entered a crash victim"
     );
     let table = render(&rows);
     let expected = std::fs::read_to_string(GOLDEN).unwrap_or_default();
