@@ -25,9 +25,11 @@
 //!   never truncate or resume the shared baseline prefix has silently
 //!   fallen back to full drains;
 //! * **event-kernel high water** — `peak_pending` stays under
-//!   `SCALE100K_PEAK_PENDING_GATE` (default `tasks + 2·servers +
-//!   1024`): pending events must track the inflight population, not the
-//!   campaign length;
+//!   `SCALE100K_PEAK_PENDING_GATE` (default
+//!   `cas_bench::pending_events_ceiling` for a frozen farm with one
+//!   report chain per shard, 7·servers + shards + 1): pending events
+//!   must track the servers and the work in flight, not the campaign
+//!   length;
 //! * **phase profile** — the whole run executes under the always-on
 //!   phase profiler; the JSON records per-phase totals, every phase must
 //!   close at least one span, and the estimated span overhead must stay
@@ -95,9 +97,11 @@ fn main() {
         .unwrap_or_else(|| panic!("bad SCALE100K_SHARDS {shards_spec} (N|auto[:G])"));
     let n_shards = sharding.resolve(n_servers).unwrap_or(1);
     let profile_overhead_gate = env_or("SCALE100K_PROFILE_OVERHEAD_GATE", 0.02);
+    // The main campaign runs on a frozen farm with aggregated reports:
+    // one report chain per shard, no fault events.
     let peak_pending_gate = env_or(
         "SCALE100K_PEAK_PENDING_GATE",
-        (n_tasks + 2 * n_servers + 1024) as f64,
+        cas_bench::pending_events_ceiling(n_servers, n_shards, false) as f64,
     ) as usize;
     let churn_servers = env_or("SCALE100K_CHURN_SERVERS", 2000.0) as usize;
     let churn_tasks = env_or("SCALE100K_CHURN_TASKS", 20_000.0) as usize;

@@ -60,8 +60,10 @@
 //! gains a `profile` section (per-phase totals, estimated span overhead
 //! gated at ≤ `SCALE_PROFILE_OVERHEAD_GATE`, default 2 %, with every
 //! phase required live) and a `peak_pending` section (event-kernel
-//! high-water mark across the three campaigns, gated at
-//! `SCALE_PEAK_PENDING_GATE`).
+//! high-water mark across the headline, sharded and churn campaigns,
+//! gated at `SCALE_PEAK_PENDING_GATE`, by default
+//! `cas_bench::pending_events_ceiling` — 9·servers + 1, which does not
+//! grow with the task count).
 //!
 //! Everything lands in `BENCH_scale.json` (path overridable as `argv[1]`).
 //! Exit is non-zero when the wall budget (`SCALE_SMOKE_BUDGET_SECS`,
@@ -567,13 +569,14 @@ fn main() {
     ) as usize;
     let tree_gate = env_or("SHARD_TREE_GATE", 1.3);
     let profile_overhead_gate = env_or("SCALE_PROFILE_OVERHEAD_GATE", 0.02);
-    // Queue-pressure ceiling: the pre-generated arrivals dominate the
-    // pending set (~n_tasks), periodic per-server reports add ~n_servers
-    // in the unsharded arm; the default leaves modest headroom beyond
-    // that so a leak of retained events fails loudly.
+    // Queue-pressure ceiling over the headline, sharded and churn arms,
+    // none of which grows with the task count (see
+    // `pending_events_ceiling`): the headline's per-server reports are
+    // the most report chains, and the churn arm adds a fault event per
+    // server.
     let peak_pending_gate = env_or(
         "SCALE_PEAK_PENDING_GATE",
-        (n_tasks + 2 * n_servers + 1024) as f64,
+        cas_bench::pending_events_ceiling(n_servers, n_servers, true) as f64,
     ) as usize;
 
     // The always-on profiler covers the whole binary: every campaign and

@@ -19,6 +19,30 @@
 //! environment reports a completion, the model can be corrected so its error
 //! does not compound.
 //!
+//! # What the HTM keeps per task, and for how long
+//!
+//! A what-if reads only the tasks still active in a server's trace, so
+//! per-task state lives only while a task can still affect a decision:
+//!
+//! * **The trace entry** lives from [`Htm::commit`] until the task
+//!   finishes in the simulation, or is force-finished there (a
+//!   [`SyncPolicy::ForceFinish`] observation or a retraction).
+//! * **The assignment record** (server and problem, which
+//!   [`Htm::resident_estimate`] reads for every task in a trace) lives
+//!   from the commit until the task has left both its trace and the real
+//!   platform ([`Htm::observe_completion`] or [`Htm::retract`]).
+//!   Under [`SyncPolicy::ForceFinish`] an observation ends both at once.
+//! * **The simulated completion** is not kept at all. After every trace
+//!   mutation the HTM moves the completions the trace recorded into one
+//!   farm-wide buffer, and the caller drains it through
+//!   [`Htm::take_completions`] — the engine writes each one into its
+//!   task's record at once. A retraction's own force-finish is not a
+//!   completion and is not handed out. Tasks still active in a trace
+//!   have not been handed out; [`Htm::completions_on`] drains them.
+//!
+//! So the HTM's memory follows the work in flight, not the campaign's
+//! length.
+//!
 //! # The prediction engine
 //!
 //! Answering a what-if query is the scheduler's decision cost: every
@@ -359,11 +383,17 @@ impl MemoStats {
 
 /// What the HTM keeps per committed task: where it went and what problem it
 /// instantiates (the agent-side memory estimate needs the problem; see
-/// [`Htm::resident_estimate`]).
+/// [`Htm::resident_estimate`]), and which of the two places that can
+/// still hold the task — its server's trace and the real platform — it
+/// has left.
 #[derive(Debug, Clone, Copy)]
 struct CommittedTask {
     server: ServerId,
     problem: cas_platform::ProblemId,
+    /// The task finished, or was force-finished, in its trace.
+    left_trace: bool,
+    /// The real platform reported the task complete.
+    observed: bool,
 }
 
 /// The agent-side Historical Trace Manager.
@@ -379,12 +409,16 @@ pub struct Htm {
     /// Reusable task → completion lookup over a long after-schedule,
     /// rebuilt on every query that needs it.
     after_map: HashMap<TaskId, SimTime>,
-    /// Assignment and problem of every committed task, by task id (the
+    /// Assignment and problem of every committed task still active in a
+    /// trace or still running on the real platform, by task id (the
     /// paper's first piece of future work — "we need to incorporate
     /// memory requirements into the model" — reads the problem back for
     /// the memory estimate). A map, not a task-indexed column: the HTM
     /// does not assume its callers' task ids are dense.
     committed: HashMap<TaskId, CommittedTask>,
+    /// Simulated completions the traces recorded since the last
+    /// [`Htm::take_completions`], in the order they were recorded.
+    completions: Vec<(TaskId, SimTime)>,
     sync: SyncPolicy,
     /// Query depth: when `true`, the configured heuristic only ever
     /// reads the probe's completion, so queries skip the perturbation
@@ -404,6 +438,7 @@ impl Htm {
             scratch: DrainScratch::new(),
             after_map: HashMap::new(),
             committed: HashMap::new(),
+            completions: Vec::new(),
             sync,
             completion_only: false,
             predictions_made: 0,
@@ -475,9 +510,18 @@ impl Htm {
             })
     }
 
-    /// Where a task was committed, if it was.
+    /// Where a task was committed, while the HTM still keeps it (see the
+    /// module docs): from its commit until it has left both its trace
+    /// and the real platform, or was retracted.
     pub fn assignment(&self, task: TaskId) -> Option<ServerId> {
         self.committed.get(&task).map(|rec| rec.server)
+    }
+
+    /// Number of tasks the HTM keeps per-task state for: those active in
+    /// a trace, plus those committed and neither observed complete nor
+    /// retracted.
+    pub fn tracked_tasks(&self) -> usize {
+        self.committed.len()
     }
 
     /// The cached baseline schedule of `server`, if it is fresh for the
@@ -605,7 +649,7 @@ impl Htm {
     ///
     /// # Panics
     /// Panics if the server cannot solve the problem or the task was
-    /// already committed.
+    /// already committed and is still kept (see the module docs).
     pub fn commit(&mut self, now: SimTime, server: ServerId, task: &TaskInstance) {
         let costs = self
             .costs
@@ -626,11 +670,14 @@ impl Htm {
         let trace = &mut self.traces[server.index()];
         trace.add_task(now, task.id, costs);
         state.baseline_gen = trace.generation();
+        self.collect_finished(server);
         self.committed.insert(
             task.id,
             CommittedTask {
                 server,
                 problem: task.problem,
+                left_trace: false,
+                observed: false,
             },
         );
     }
@@ -652,23 +699,77 @@ impl Htm {
         removed
     }
 
+    /// Moves the completions `server`'s trace recorded since its last
+    /// mutation into the farm-wide buffer, and forgets each such task
+    /// the real platform has already reported complete.
+    fn collect_finished(&mut self, server: ServerId) {
+        let start = self.completions.len();
+        self.traces[server.index()].take_finished(&mut self.completions);
+        for (task, _) in &self.completions[start..] {
+            if let Some(rec) = self.committed.get_mut(task) {
+                if rec.observed {
+                    self.committed.remove(task);
+                } else {
+                    rec.left_trace = true;
+                }
+            }
+        }
+    }
+
     /// Un-commits a task (the real server rejected it and the client will
     /// retry elsewhere). Returns `true` if the task was present.
+    ///
+    /// The HTM forgets the task at once. The force-finish that takes it
+    /// off its trace is not a completion and is not handed out; any
+    /// completion the trace simulated before `now` (its own included) is.
     pub fn retract(&mut self, now: SimTime, task: TaskId) -> bool {
         let Some(rec) = self.committed.remove(&task) else {
             return false;
         };
-        self.force_finish_repaired(now, rec.server, task)
+        let removed = self.force_finish_repaired(now, rec.server, task);
+        self.collect_finished(rec.server);
+        if removed {
+            // `force_finish` records the task last, after every
+            // completion its advance to `now` reached.
+            let own = self.completions.pop();
+            debug_assert_eq!(own, Some((task, now)));
+        }
+        removed
     }
 
     /// Feeds an observed completion back into the model, according to the
-    /// [`SyncPolicy`].
+    /// [`SyncPolicy`]. Under [`SyncPolicy::ForceFinish`] the task leaves
+    /// its trace at `now`, which is handed out as its simulated
+    /// completion; under [`SyncPolicy::None`] the trace runs on, and the
+    /// HTM only notes that the task has left the real platform.
     pub fn observe_completion(&mut self, now: SimTime, task: TaskId) {
-        if self.sync == SyncPolicy::None {
+        let Some(rec) = self.committed.get_mut(&task) else {
+            return;
+        };
+        if self.sync == SyncPolicy::None && !rec.left_trace {
+            // Forgotten once it finishes in the trace (`collect_finished`).
+            rec.observed = true;
             return;
         }
-        if let Some(rec) = self.committed.get(&task) {
-            self.force_finish_repaired(now, rec.server, task);
+        let server = rec.server;
+        self.committed.remove(&task);
+        if self.sync == SyncPolicy::ForceFinish {
+            self.force_finish_repaired(now, server, task);
+            self.collect_finished(server);
+        }
+    }
+
+    /// Hands every simulated completion the traces recorded since the
+    /// last call to `sink`, in the order they were recorded, and empties
+    /// the buffer. A task's completion is recorded when it finishes in
+    /// its trace, or when a [`SyncPolicy::ForceFinish`] observation
+    /// force-finishes it there; a retraction records none. A task placed
+    /// more than once can be handed out more than once, and its last
+    /// completion is its current one. Tasks still active in a trace have
+    /// not been handed out: [`Self::completions_on`] drains them.
+    pub fn take_completions(&mut self, mut sink: impl FnMut(TaskId, SimTime)) {
+        for (task, when) in self.completions.drain(..) {
+            sink(task, when);
         }
     }
 
@@ -714,24 +815,6 @@ impl Htm {
                     .unwrap_or(0.0)
             })
             .sum()
-    }
-
-    /// The simulated completion date of every committed task: dates already
-    /// recorded in the traces for tasks the simulation finished, plus
-    /// drained dates for tasks still active. Under [`SyncPolicy::None`]
-    /// these are the open-loop `f(i,j)` values that Table 1 compares to
-    /// reality.
-    pub fn simulated_completions(&self) -> HashMap<TaskId, SimTime> {
-        let mut out = HashMap::new();
-        for trace in &self.traces {
-            for &(task, when) in trace.finished() {
-                out.insert(task, when);
-            }
-            for (task, when) in trace.drain_schedule() {
-                out.insert(task, when);
-            }
-        }
-        out
     }
 }
 
@@ -915,6 +998,67 @@ mod tests {
         let pb = b.predict(t(50.0), ServerId(0), &task(9, 50.0)).unwrap();
         assert_eq!(pa.completion, pb.completion);
         assert!(pa.perturbations.is_empty() && pb.perturbations.is_empty());
+    }
+
+    /// Drains the HTM's completion buffer into a list.
+    fn handed_out(htm: &mut Htm) -> Vec<(TaskId, SimTime)> {
+        let mut out = Vec::new();
+        htm.take_completions(|id, when| out.push((id, when)));
+        out
+    }
+
+    /// A task retracted from server 1 (the crash at t = 50) and placed
+    /// again on server 0 hands out server 0's completion, and the
+    /// retraction hands out nothing: a crash instant is not a simulated
+    /// completion. Under either sync policy.
+    #[test]
+    fn retraction_hands_out_nothing_and_the_new_placement_wins() {
+        for sync in [SyncPolicy::None, SyncPolicy::ForceFinish] {
+            let mut htm = Htm::new(table(), sync);
+            let tk = task(1, 0.0);
+            htm.commit(t(0.0), ServerId(1), &tk);
+            assert!(htm.retract(t(50.0), TaskId(1)));
+            assert_eq!(handed_out(&mut htm), vec![], "{sync:?}");
+            assert_eq!(htm.tracked_tasks(), 0, "{sync:?}");
+            htm.commit(t(50.0), ServerId(0), &tk);
+            // A later commit advances server 0's trace past the task's
+            // simulated completion (50 + 100 s).
+            htm.commit(t(200.0), ServerId(0), &task(2, 200.0));
+            assert_eq!(
+                handed_out(&mut htm),
+                vec![(TaskId(1), t(150.0))],
+                "{sync:?}"
+            );
+            assert!(htm.trace(ServerId(0)).finished().is_empty());
+            // Left its trace, still on the platform: kept until observed.
+            assert_eq!(htm.assignment(TaskId(1)), Some(ServerId(0)), "{sync:?}");
+            htm.observe_completion(t(210.0), TaskId(1));
+            assert_eq!(htm.assignment(TaskId(1)), None, "{sync:?}");
+            assert_eq!(handed_out(&mut htm), vec![], "{sync:?}");
+            assert_eq!(htm.tracked_tasks(), 1, "{sync:?}: task 2 is active");
+        }
+    }
+
+    /// Under `ForceFinish` an observation hands out the observed date;
+    /// under `None` the trace runs on and only a later mutation hands out
+    /// the simulated date, after which the HTM forgets the task.
+    #[test]
+    fn observation_ends_the_record_under_both_policies() {
+        let mut ff = Htm::new(table(), SyncPolicy::ForceFinish);
+        ff.commit(t(0.0), ServerId(0), &task(1, 0.0));
+        ff.observe_completion(t(60.0), TaskId(1));
+        assert_eq!(handed_out(&mut ff), vec![(TaskId(1), t(60.0))]);
+        assert_eq!(ff.tracked_tasks(), 0);
+
+        let mut open = Htm::new(table(), SyncPolicy::None);
+        open.commit(t(0.0), ServerId(0), &task(1, 0.0));
+        open.observe_completion(t(60.0), TaskId(1));
+        assert_eq!(handed_out(&mut open), vec![]);
+        assert_eq!(open.tracked_tasks(), 1, "still active in its trace");
+        open.commit(t(120.0), ServerId(0), &task(2, 120.0));
+        assert_eq!(handed_out(&mut open), vec![(TaskId(1), t(100.0))]);
+        assert_eq!(open.tracked_tasks(), 1, "only task 2 is left");
+        assert_eq!(open.assignment(TaskId(1)), None);
     }
 
     #[test]
@@ -1549,6 +1693,152 @@ mod proptests {
                         }
                     }
                 }
+            }
+        }
+        /// The completion hand-out and the per-task state, over arbitrary
+        /// commit / predict / retract / re-place / observe interleavings
+        /// under both sync policies. After every operation:
+        ///
+        /// * the completions handed out, folded per task with the last
+        ///   one winning and overlaid with [`Htm::completions_on`] for
+        ///   the tasks still active, equal the oracle bit for bit. The
+        ///   oracle drives standalone traces through the same mutations,
+        ///   keeps every completion they record (a retraction's own
+        ///   force-finish entry excepted) and clone-and-drains them for
+        ///   the active tasks;
+        /// * the HTM keeps an entry for exactly the tasks active in a
+        ///   trace or committed and neither observed nor retracted, and
+        ///   its traces hold no finished task.
+        #[test]
+        fn handed_out_completions_match_clone_and_drain(
+            costs in proptest::collection::vec(arb_costs(), 6),
+            solvable in proptest::collection::vec(proptest::bool::ANY, 6),
+            ops in proptest::collection::vec(
+                (0u32..10, 0u32..3, 0u32..2, 0.0f64..20.0),
+                1..60,
+            ),
+            force_finish in proptest::bool::ANY,
+        ) {
+            let table = build_table(&costs, &solvable);
+            let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
+            let mut htm = Htm::new(table.clone(), sync);
+            let mut mirror: Vec<ServerTrace> = (0..N_SERVERS).map(|_| ServerTrace::new()).collect();
+            // Finished entries of each mirror trace already folded.
+            let mut folded_upto = [0usize; N_SERVERS];
+            let mut expected: HashMap<TaskId, SimTime> = HashMap::new();
+            let mut handed: HashMap<TaskId, SimTime> = HashMap::new();
+            // Committed and neither observed nor retracted, oldest first.
+            let mut placed: Vec<(TaskInstance, ServerId)> = Vec::new();
+            let mut retracted: Vec<TaskInstance> = Vec::new();
+            let mut now = 0.0f64;
+            let mut next_id = 0u64;
+            for (kind, server, problem, gap) in ops {
+                now += gap;
+                let when = t(now);
+                // The mirror entries to fold: all new ones, but the last
+                // when it is a retraction's own force-finish.
+                let mut fold = |mirror: &[ServerTrace], s: ServerId, own: bool| {
+                    let finished = mirror[s.index()].finished();
+                    let end = finished.len() - usize::from(own);
+                    for &(id, at) in &finished[folded_upto[s.index()]..end] {
+                        expected.insert(id, at);
+                    }
+                    folded_upto[s.index()] = finished.len();
+                };
+                match kind {
+                    // Queries mutate no trace and hand nothing out.
+                    0..=2 => {
+                        let probe = TaskInstance::new(
+                            TaskId(1_000_000 + next_id),
+                            ProblemId(problem),
+                            when,
+                        );
+                        next_id += 1;
+                        for s in 0..N_SERVERS as u32 {
+                            htm.predict(when, ServerId(s), &probe);
+                        }
+                    }
+                    // Commit a new task, or place a retracted one again.
+                    3..=5 => {
+                        let task = if kind == 5 && !retracted.is_empty() {
+                            let mut task = retracted.remove(0);
+                            task.arrival = when;
+                            task
+                        } else {
+                            next_id += 1;
+                            TaskInstance::new(TaskId(next_id - 1), ProblemId(problem), when)
+                        };
+                        let target = if table.costs(task.problem, ServerId(server)).is_some() {
+                            ServerId(server)
+                        } else {
+                            ServerId(0) // always solvable by construction
+                        };
+                        htm.commit(when, target, &task);
+                        let costs = table.costs(task.problem, target).expect("solvable");
+                        mirror[target.index()].add_task(when, task.id, costs);
+                        fold(&mirror, target, false);
+                        placed.push((task, target));
+                    }
+                    // Retract a placed task (a crash on its server).
+                    6 | 7 => {
+                        if placed.is_empty() {
+                            continue;
+                        }
+                        let (task, target) = placed.remove(server as usize % placed.len());
+                        let removed = htm.retract(when, task.id);
+                        let own = mirror[target.index()].force_finish(when, task.id);
+                        prop_assert_eq!(removed, own);
+                        fold(&mirror, target, own);
+                        retracted.push(task);
+                    }
+                    // The real platform reports the oldest placed task.
+                    _ => {
+                        if placed.is_empty() {
+                            continue;
+                        }
+                        let (task, target) = placed.remove(0);
+                        htm.observe_completion(when, task.id);
+                        if sync == SyncPolicy::ForceFinish {
+                            mirror[target.index()].force_finish(when, task.id);
+                            fold(&mirror, target, false);
+                        }
+                    }
+                }
+                htm.take_completions(|id, at| {
+                    handed.insert(id, at);
+                });
+                let mut actual = handed.clone();
+                let mut oracle = expected.clone();
+                let mut active = Vec::new();
+                for s in 0..N_SERVERS as u32 {
+                    let server = ServerId(s);
+                    prop_assert!(htm.trace(server).finished().is_empty());
+                    let live = htm.completions_on(server);
+                    active.extend(live.iter().map(|&(id, _)| id));
+                    actual.extend(live);
+                    oracle.extend(mirror[s as usize].drain_schedule());
+                }
+                prop_assert_eq!(actual.len(), oracle.len());
+                for (id, at) in &oracle {
+                    let got = actual.get(id).map(|a| a.as_secs().to_bits());
+                    prop_assert_eq!(
+                        got,
+                        Some(at.as_secs().to_bits()),
+                        "task {}: {:?} vs oracle {:?}",
+                        id,
+                        actual.get(id),
+                        at
+                    );
+                }
+                let mut kept: Vec<TaskId> = htm.committed.keys().copied().collect();
+                kept.sort_unstable();
+                let mut live: Vec<TaskId> = active
+                    .into_iter()
+                    .chain(placed.iter().map(|(task, _)| task.id))
+                    .collect();
+                live.sort_unstable();
+                live.dedup();
+                prop_assert_eq!(kept, live);
             }
         }
     }

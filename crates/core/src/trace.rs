@@ -110,9 +110,19 @@ impl ServerTrace {
         self.lanes.by_phase.iter().map(|l| l.entries.len()).sum()
     }
 
-    /// Tasks finished so far, with completion dates, in completion order.
+    /// Tasks finished since the trace was built or last handed its
+    /// completions out ([`Self::take_finished`]), with completion dates,
+    /// in completion order.
     pub fn finished(&self) -> &[(TaskId, SimTime)] {
         &self.finished
+    }
+
+    /// Moves the completions recorded so far onto the end of `out`,
+    /// leaving [`Self::finished`] empty. The HTM takes them after every
+    /// mutation, so its traces hold no finished task; a standalone trace
+    /// keeps them until its owner takes them.
+    pub fn take_finished(&mut self, out: &mut Vec<(TaskId, SimTime)>) {
+        out.append(&mut self.finished);
     }
 
     /// Recorded Gantt segments (empty unless recording was enabled).

@@ -18,14 +18,20 @@
 //! the resource's new state.
 //!
 //! The world schedules through the kernel's `Scheduler`, and
-//! [`run_experiment`] drives it on the kernel's one event queue. `init`
-//! pushes every task's `Submit` in task order; the workload generators
-//! and compiled traces list tasks in arrival order, so the submits land
-//! in the queue's sorted run and its heap holds only the events the run
-//! generates (an unsorted task list still pops in order, through the
-//! heap). Per-task hot state avoids hashing entirely: task ids are dense
-//! submission indices, so records and in-flight state are columns
-//! indexed by task id.
+//! [`run_experiment`] drives it on the kernel's one event queue.
+//! Arrivals stream through the kernel as a **Submit chain**: `init`
+//! reserves one sequence number per task before it pushes anything else
+//! and queues only task 0's `Submit`, and each `Submit` first queues its
+//! successor's at the successor's arrival, under the successor's
+//! reserved number. Every event therefore carries the sequence number an
+//! up-front push of all the submits would have given it (the submits
+//! 0..n, everything else from n on), so the pop order, same-instant ties
+//! included, is that of pushing them all at `init`, while the queue
+//! holds one pending arrival instead of one per task. The task list must
+//! be sorted by arrival (`GridWorld::new` asserts it), which puts each
+//! successor at or after the instant that queues it. Per-task hot state
+//! avoids hashing entirely: task ids are dense submission indices, so
+//! records and in-flight state are columns indexed by task id.
 //!
 //! Scheduling decisions run the **two-stage pipeline** behind the shard
 //! federation's [`AgentRouter`] (see [`crate::shard`]): stage 1, each
@@ -323,6 +329,9 @@ pub struct GridWorld {
     /// pre-backpressure path). Built once at `init`, after the
     /// builders have had their say on `users`.
     admission: Option<AdmissionState>,
+    /// The first of the sequence numbers `init` reserves for the Submit
+    /// chain: task `idx`'s `Submit` is queued under `submit_base + idx`.
+    submit_base: u64,
 }
 
 impl GridWorld {
@@ -419,6 +428,7 @@ impl GridWorld {
             report_events: 0,
             users: vec![0; tasks.len()],
             admission: None,
+            submit_base: 0,
             cfg,
             costs,
             tasks,
@@ -618,6 +628,7 @@ impl GridWorld {
                 observed_flow,
                 predicted_flow,
             );
+            self.record_completions();
         }
         let rec = self.record_mut(task);
         rec.outcome = TaskOutcome::Completed { finished: now };
@@ -636,6 +647,32 @@ impl GridWorld {
     fn record_mut(&mut self, task: TaskId) -> &mut TaskRecord {
         // Task ids are dense indices into the metatask.
         &mut self.records[task.index()]
+    }
+
+    /// Writes the simulated completions the HTM handed out since the
+    /// last call into the records (Table 1's "simulated completion date"
+    /// column). A re-placed task's later completion overwrites its
+    /// earlier one.
+    fn record_completions(&mut self) {
+        let records = &mut self.records;
+        self.agent.take_completions(|task, when| {
+            records[task.index()].predicted_completion = Some(when);
+        });
+    }
+
+    /// Fills in the simulated completion of every task still active in
+    /// an HTM trace: the HTM hands out only tasks that left their trace.
+    fn record_active_completions(&mut self) {
+        let htm = self.agent.htm();
+        for s in 0..self.servers.len() as u32 {
+            let server = ServerId(s);
+            if htm.active_on(server) == 0 {
+                continue;
+            }
+            for (task, when) in htm.completions_on(server) {
+                self.records[task.index()].predicted_completion = Some(when);
+            }
+        }
     }
 
     /// Drops `task` from `server`'s in-flight list (order-preserving, so
@@ -667,7 +704,16 @@ impl GridWorld {
     /// A submission reaches the agent: straight into the decision
     /// pipeline when the admission gate is off (bit-identical to the
     /// pre-backpressure build), through the bounded gate otherwise.
+    /// First it queues the next task's `Submit`, the next link of the
+    /// chain `init` starts.
     fn handle_submit(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<'_, GridEvent>) {
+        if let Some(next) = self.tasks.get(idx + 1) {
+            sched.push_reserved(
+                next.arrival,
+                self.submit_base + idx as u64 + 1,
+                GridEvent::Submit { idx: idx + 1 },
+            );
+        }
         if self.admission.is_none() {
             let delay = SimTime::from_secs(self.cfg.agent_latency);
             sched.in_(
@@ -877,6 +923,7 @@ impl GridWorld {
                 // hook pays back the same amount.
                 let work = phase_costs.total();
                 self.agent.on_commit(now, server, &task, work);
+                self.record_completions();
                 drop(commit_span);
                 {
                     let rec = self.record_mut(task.id);
@@ -1152,6 +1199,7 @@ impl GridWorld {
         }
         let work = self.placed_costs(task, server).total();
         self.agent.on_retract(now, server, task, work);
+        self.record_completions();
         self.churn_stats.retractions += 1;
         let attempts = self.records[task.index()].attempts;
         if attempts < self.cfg.redispatch_budget {
@@ -1385,8 +1433,16 @@ impl World for GridWorld {
         if self.cfg.admission_enabled() {
             self.admission = Some(AdmissionState::new(&self.cfg, &self.users));
         }
-        for (idx, task) in self.tasks.iter().enumerate() {
-            sched.at(task.arrival, GridEvent::Submit { idx });
+        // The Submit chain: one reserved number per task, taken before
+        // any other push, and only the first link queued (see the
+        // module docs).
+        self.submit_base = sched.reserve(self.tasks.len() as u64);
+        if let Some(first) = self.tasks.first() {
+            sched.push_reserved(
+                first.arrival,
+                self.submit_base,
+                GridEvent::Submit { idx: 0 },
+            );
         }
         let n = self.servers.len().max(1);
         if self.cfg.aggregated_reports {
@@ -1485,9 +1541,9 @@ impl World for GridWorld {
     }
 }
 
-/// Drives a built world to completion and back-fills the HTM's final
-/// simulated completion dates (Table 1's "simulated completion date"
-/// column).
+/// Drives a built world to completion and fills in the simulated
+/// completion dates of the tasks still active in an HTM trace (the
+/// others were recorded as the HTM handed them out).
 fn run_world(world: GridWorld) -> GridWorld {
     let mut sim = Simulation::new(world);
     let outcome = sim.run_to_completion();
@@ -1498,10 +1554,7 @@ fn run_world(world: GridWorld) -> GridWorld {
         0,
         "all tasks must reach a terminal state"
     );
-    let simulated = world.agent.simulated_completions();
-    for rec in &mut world.records {
-        rec.predicted_completion = simulated.get(&rec.task).copied();
-    }
+    world.record_active_completions();
     world
 }
 
@@ -2291,10 +2344,7 @@ mod tests {
             0,
             "all tasks must reach a terminal state"
         );
-        let simulated = world.agent.simulated_completions();
-        for rec in &mut world.records {
-            rec.predicted_completion = simulated.get(&rec.task).copied();
-        }
+        world.record_active_completions();
         world
     }
 

@@ -16,9 +16,9 @@
 //!
 //! * [`DecisionAgent`] — the minimal surface a decision stack must offer
 //!   to be diffed: one two-stage decision (returning the pick *and* the
-//!   winning prediction), the three model-mutation hooks, the resting
-//!   simulated-completion map and, optionally, the last decision's
-//!   candidate list. Implemented by [`AgentRouter`]
+//!   winning prediction), the three model-mutation hooks, the HTM (whose
+//!   handed-out and resting simulated completions are compared) and,
+//!   optionally, the last decision's candidate list. Implemented by [`AgentRouter`]
 //!   (any shard count), by the eager-merge oracle in `shard.rs` and by
 //!   [`SingleAgentReference`], the inline replica of the pre-federation
 //!   single-agent loop kept as the oracle of the federation.
@@ -41,7 +41,6 @@ use cas_core::selector::{CandidateSelector, SelectorInput};
 use cas_core::{Htm, Prediction, SelectorKind, SyncPolicy};
 use cas_platform::{CostTable, LoadReport, ProblemId, ServerId, StaticIndex, TaskId, TaskInstance};
 use cas_sim::{RngStream, SimTime, StreamKind};
-use std::collections::HashMap;
 
 /// One step of a differential run. `kind` selects the operation:
 /// `0..=5` a decision round (the value also rotates the heuristic),
@@ -134,9 +133,10 @@ pub trait DecisionAgent {
         predicted: f64,
     );
 
-    /// The resting model state: simulated completion date of every
-    /// committed task.
-    fn completions(&self) -> HashMap<TaskId, SimTime>;
+    /// The agent's HTM: the harness compares the simulated completions
+    /// both sides hand out after every op, and their resting schedules
+    /// at the end.
+    fn htm(&mut self) -> &mut Htm;
 
     /// `server` went down (`up = false`) or came back (`up = true`):
     /// stage-1 rankings must drop or re-admit it. The harness also
@@ -189,8 +189,8 @@ impl DecisionAgent for AgentRouter {
         self.on_complete(now, server, task, work, observed, predicted);
     }
 
-    fn completions(&self) -> HashMap<TaskId, SimTime> {
-        self.simulated_completions()
+    fn htm(&mut self) -> &mut Htm {
+        self.htm_mut()
     }
 
     fn set_available(&mut self, server: ServerId, up: bool) {
@@ -284,8 +284,8 @@ impl DecisionAgent for SingleAgentReference {
         self.selector.observe_outcome(observed, predicted);
     }
 
-    fn completions(&self) -> HashMap<TaskId, SimTime> {
-        self.htm.simulated_completions()
+    fn htm(&mut self) -> &mut Htm {
+        &mut self.htm
     }
 
     fn set_available(&mut self, server: ServerId, up: bool) {
@@ -317,8 +317,8 @@ impl DiffHarness {
     /// Replays `ops` against both agents in lockstep from a fresh
     /// session. Returns `Err` with a human-readable description at the
     /// first divergence: a pick, a winning prediction, a candidate list,
-    /// a one-sided failure, or (after the full sequence) the resting
-    /// simulated-completion maps. Use [`DiffHarness::session`] to replay
+    /// a one-sided failure, the simulated completions handed out after
+    /// an op, or (after the full sequence) the resting schedules. Use [`DiffHarness::session`] to replay
     /// in instalments (inspecting agent state between them).
     pub fn run(
         &self,
@@ -531,24 +531,47 @@ impl DiffSession<'_> {
                     }
                 }
             }
+            let (ca, cb) = (handed_out(a), handed_out(b));
+            if ca != cb {
+                return Err(format!(
+                    "step {step}: handed-out simulated completions diverged: {ca:?} vs {cb:?}"
+                ));
+            }
         }
         Ok(())
     }
 
-    /// End-of-run check: the two models must agree at rest (every
-    /// committed task simulated to the same completion date).
+    /// End-of-run check: the two models must agree at rest (every task
+    /// still active in a trace simulated to the same completion date, and
+    /// the same tasks kept).
     pub fn finish(
         self,
         a: &mut dyn DecisionAgent,
         b: &mut dyn DecisionAgent,
     ) -> Result<(), String> {
-        let ca = a.completions();
-        let cb = b.completions();
-        if ca != cb {
-            return Err(format!(
-                "resting simulated completions diverged: {ca:?} vs {cb:?}"
-            ));
+        for s in 0..self.harness.table.n_servers() as u32 {
+            let ca = a.htm().completions_on(ServerId(s));
+            let cb = b.htm().completions_on(ServerId(s));
+            if ca != cb {
+                return Err(format!(
+                    "resting simulated completions on {s} diverged: {ca:?} vs {cb:?}"
+                ));
+            }
+        }
+        let (ta, tb) = (a.htm().tracked_tasks(), b.htm().tracked_tasks());
+        if ta != tb {
+            return Err(format!("tracked tasks diverged: {ta} vs {tb}"));
         }
         Ok(())
     }
+}
+
+/// The simulated completions `agent`'s HTM handed out since the last
+/// call.
+fn handed_out(agent: &mut dyn DecisionAgent) -> Vec<(TaskId, SimTime)> {
+    let mut out = Vec::new();
+    agent
+        .htm()
+        .take_completions(|task, when| out.push((task, when)));
+    out
 }

@@ -67,7 +67,6 @@ use cas_platform::{
     StaticIndex, TaskId, TaskInstance,
 };
 use cas_sim::{prof, RngStream, SimTime};
-use std::collections::HashMap;
 
 /// One shard's stage-1 state: the static index and the selector for a
 /// contiguous block of the farm, addressed by shard-local server ids
@@ -940,9 +939,10 @@ impl AgentRouter {
         id
     }
 
-    /// Simulated completion dates of every committed task.
-    pub fn simulated_completions(&self) -> HashMap<TaskId, SimTime> {
-        self.htm.simulated_completions()
+    /// Hands the HTM's simulated completions recorded since the last
+    /// call to `sink` (see [`Htm::take_completions`]).
+    pub fn take_completions(&mut self, sink: impl FnMut(TaskId, SimTime)) {
+        self.htm.take_completions(sink);
     }
 }
 
@@ -1062,8 +1062,8 @@ mod oracles {
                 .on_complete(now, server, task, work, observed, predicted);
         }
 
-        fn completions(&self) -> HashMap<TaskId, SimTime> {
-            self.0.simulated_completions()
+        fn htm(&mut self) -> &mut Htm {
+            self.0.htm_mut()
         }
 
         fn set_available(&mut self, server: ServerId, up: bool) {
@@ -1222,7 +1222,7 @@ mod skyline_edge {
         router.rebalance(&table, ShardMap::new(6, 2));
         assert_eq!(router.n_shards(), 2);
         assert!(router.htm().completion_only());
-        assert_eq!(router.simulated_completions().len(), 4);
+        assert_eq!(router.htm().tracked_tasks(), 4);
         let ledger = |s: u32| {
             let k = router.map.owner(ServerId(s));
             let index = &router.shards[k].index;

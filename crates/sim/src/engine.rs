@@ -53,6 +53,30 @@ impl<'a, E> Scheduler<'a, E> {
     pub fn immediately(&mut self, event: E) -> u64 {
         self.queue.push(self.now, event)
     }
+
+    /// Sets aside `n` sequence numbers for events pushed later with
+    /// [`Self::push_reserved`]; returns the first (see
+    /// [`EventQueue::reserve`]).
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        self.queue.reserve(n)
+    }
+
+    /// Schedules `event` at the absolute time `at` under the reserved
+    /// sequence number `seq`: it pops where it would have, had it been
+    /// pushed when `seq` was reserved.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current time or `seq` was never
+    /// reserved.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={:?}, at={:?}",
+            self.now,
+            at
+        );
+        self.queue.push_reserved(at, seq, event);
+    }
 }
 
 /// The model being simulated.
@@ -319,6 +343,64 @@ mod tests {
         assert_eq!(sim.world().order, vec![0, 1, 10, 11]);
         // After event 0: event 1 plus the two spawned events are pending.
         assert_eq!(sim.peak_pending(), 3);
+    }
+
+    /// A stream pushed one link at a time under numbers reserved at
+    /// `init` pops exactly like the same stream pushed whole at `init`,
+    /// same-instant ties with the events it spawns included, while the
+    /// queue holds one link of it at a time.
+    #[test]
+    fn reserved_chain_pops_like_an_upfront_push() {
+        const ARRIVALS: [f64; 5] = [0.0, 1.0, 1.0, 2.0, 2.0];
+        struct Stream {
+            chained: bool,
+            base: u64,
+            order: Vec<(f64, u32)>,
+        }
+        impl World for Stream {
+            type Event = u32;
+            fn init(&mut self, sched: &mut Scheduler<'_, u32>) {
+                if self.chained {
+                    self.base = sched.reserve(ARRIVALS.len() as u64);
+                    sched.push_reserved(SimTime::from_secs(ARRIVALS[0]), self.base, 0);
+                } else {
+                    for (i, &at) in ARRIVALS.iter().enumerate() {
+                        sched.at(SimTime::from_secs(at), i as u32);
+                    }
+                }
+            }
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
+                self.order.push((now.as_secs(), ev));
+                let i = ev as usize;
+                if ev >= 100 {
+                    return;
+                }
+                if self.chained && i + 1 < ARRIVALS.len() {
+                    let at = SimTime::from_secs(ARRIVALS[i + 1]);
+                    sched.push_reserved(at, self.base + i as u64 + 1, ev + 1);
+                }
+                // Each arrival spawns follow-ups that tie with the next
+                // arrivals' instants.
+                sched.in_(SimTime::from_secs(1.0), 100 + ev);
+                sched.immediately(200 + ev);
+            }
+        }
+        let run = |chained| {
+            let mut sim = Simulation::new(Stream {
+                chained,
+                base: 0,
+                order: Vec::new(),
+            });
+            sim.run_to_completion();
+            (sim.peak_pending(), sim.into_world().order)
+        };
+        let (peak_upfront, upfront) = run(false);
+        let (peak_chained, chained) = run(true);
+        assert_eq!(chained, upfront);
+        assert!(
+            peak_chained < peak_upfront,
+            "{peak_chained} vs {peak_upfront}"
+        );
     }
 
     #[test]

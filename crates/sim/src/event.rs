@@ -17,9 +17,18 @@
 //!   events are dropped when popped.
 //!
 //! The queue keeps two stores: a binary heap, and a sorted run that takes
-//! every push at or after its last entry. Arrivals known before the run
-//! starts and pushed in time order land in the run and cost O(1) each,
-//! so the heap holds only the events the model generates as it goes.
+//! every push whose `(time, sequence)` key is at or after its last
+//! entry's. Events pushed in time order land in the run and cost O(1)
+//! each, so the heap holds only the events that arrive out of order.
+//!
+//! A model that knows a stream of future events up front (a campaign's
+//! arrivals) need not queue them all at once: [`EventQueue::reserve`]
+//! sets aside one sequence number per event, and the model pushes each
+//! one later under its reserved number with
+//! [`EventQueue::push_reserved`] — for arrivals, each `Submit` pushes its
+//! successor. An entry's key is the same whenever it is pushed, so the
+//! pop order is the one an up-front push would give, while the pending
+//! set holds only the next event of the stream.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -89,15 +98,19 @@ impl<E> Ord for EventEntry<E> {
 /// The contract, pinned by the sorted-reference proptest below:
 ///
 /// * `pop` returns entries in ascending `(at, seq)` order — time order,
-///   FIFO within one instant;
-/// * `push` assigns strictly increasing sequence numbers across the queue's
-///   whole lifetime;
+///   FIFO within one instant (push order, or reserved order for entries
+///   pushed under a reserved number);
+/// * `push` and `reserve` hand out strictly increasing sequence numbers
+///   across the queue's whole lifetime, so every entry's key is unique;
 /// * `peek_time` reports the timestamp `pop` would return, without removal.
 ///
-/// A push at or after the run's last entry (or onto an empty run) is
-/// appended to the run; any other push goes into the heap. Both stores
-/// stay sorted by `(at, seq)` because `seq` strictly increases, so `pop`
-/// and `peek_time` take the smaller of the two fronts.
+/// A push whose `(at, seq)` is after the run's last entry's (or onto an
+/// empty run) is appended to the run; any other push goes into the heap.
+/// The run is therefore sorted by `(at, seq)` by construction, and the
+/// heap by its ordering, so `pop` and `peek_time` take the smaller of the
+/// two fronts. An entry pushed under a reserved number may carry a
+/// smaller `seq` than the run's tail at the same instant; it goes into
+/// the heap, which keeps the same-instant order exact.
 ///
 /// ```
 /// use cas_sim::{EventQueue, SimTime};
@@ -135,16 +148,46 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at `at`. Returns the sequence number
-    /// assigned to the entry (strictly increasing across all pushes).
+    /// assigned to the entry (strictly increasing across all pushes and
+    /// reservations).
     pub fn push(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = EventEntry { at, seq, event };
+        let seq = self.reserve(1);
+        self.insert(EventEntry { at, seq, event });
+        seq
+    }
+
+    /// Sets aside `n` consecutive sequence numbers for entries pushed
+    /// later through [`Self::push_reserved`], and returns the first. No
+    /// entry is queued; later pushes number on from the block's end.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` to fire at `at` under `seq`, a number handed out
+    /// by [`Self::reserve`]. The entry pops exactly where it would have,
+    /// had it been pushed when its number was reserved.
+    ///
+    /// # Panics
+    /// Panics if `seq` was never handed out. Pushing one reserved number
+    /// twice is a caller error the queue does not detect.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved (next is {})",
+            self.next_seq
+        );
+        self.insert(EventEntry { at, seq, event });
+    }
+
+    /// Appends `entry` to the run when its key follows the run's tail,
+    /// and pushes it into the heap otherwise.
+    fn insert(&mut self, entry: EventEntry<E>) {
         match self.run.back() {
-            Some(tail) if at < tail.at => self.heap.push(entry),
+            Some(tail) if (entry.at, entry.seq) < (tail.at, tail.seq) => self.heap.push(entry),
             _ => self.run.push_back(entry),
         }
-        seq
     }
 
     /// `true` when the heap's front pops before the run's front.
@@ -257,6 +300,31 @@ mod tests {
     }
 
     #[test]
+    fn reserved_entries_pop_in_reserved_order() {
+        let mut q = EventQueue::new();
+        let base = q.reserve(2);
+        q.push(t(1.0), "later-push");
+        assert_eq!(q.len(), 1, "a reservation queues nothing");
+        // Pushed after "later-push" at the same instant, but under an
+        // earlier number: it must pop first.
+        q.push_reserved(t(1.0), base + 1, "reserved-second");
+        q.push_reserved(t(1.0), base, "reserved-first");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(
+            order,
+            vec!["reserved-first", "reserved-second", "later-push"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn unreserved_number_panics() {
+        let mut q = EventQueue::new();
+        q.reserve(1);
+        q.push_reserved(t(0.0), 1, ());
+    }
+
+    #[test]
     fn pop_empty_is_none() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
@@ -310,18 +378,22 @@ mod proptests {
         }
 
         /// The queue is indistinguishable from a `Vec` kept sorted by
-        /// `(at, seq)` under any interleaving of pushes and pops. Push
-        /// times come in three kinds, so both stores fill and their
-        /// fronts tie: exactly the last popped time (a tie with the
-        /// front), `clock + raw / 100` (may land below the run's tail,
-        /// so it goes into the heap), and at or after the last pushed
-        /// time (appended to the run).
+        /// `(at, seq)` under any interleaving of pushes, reservations,
+        /// reserved pushes and pops. Push times come in four kinds, so
+        /// both stores fill and their fronts tie: exactly the last popped
+        /// time (a tie with the front), `clock + raw / 100` (may land
+        /// below the run's tail, so it goes into the heap), at or after
+        /// the last pushed time (appended to the run), and exactly the
+        /// run tail's time. Reserved numbers are pushed later and in any
+        /// order, so a reserved entry at the tail's instant carries a
+        /// smaller `seq` than the tail and must not join the run.
         #[test]
         fn queue_matches_sorted_reference(
-            ops in proptest::collection::vec((0u8..4, 0u8..3, 0u32..500), 1..300)
+            ops in proptest::collection::vec((0u8..6, 0u8..4, 0u32..500), 1..300)
         ) {
             let mut q = EventQueue::new();
             let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
+            let mut reserved: Vec<u64> = Vec::new();
             let mut clock = 0.0f64;
             let mut last_pushed = 0.0f64;
             for (i, &(op, kind, raw)) in ops.iter().enumerate() {
@@ -333,14 +405,28 @@ mod proptests {
                     if let Some((at, _, _)) = popped {
                         clock = at.as_secs();
                     }
+                } else if op == 4 {
+                    let n = 1 + u64::from(raw % 4);
+                    let first = q.reserve(n);
+                    reserved.extend(first..first + n);
                 } else {
                     let at = match kind {
                         0 => clock,
                         1 => clock + raw as f64 / 100.0,
-                        _ => last_pushed.max(clock) + (raw % 5) as f64,
+                        2 => last_pushed.max(clock) + (raw % 5) as f64,
+                        _ => q.run.back().map_or(clock, |tail| tail.at.as_secs()),
+                    };
+                    let seq = if op == 5 {
+                        if reserved.is_empty() {
+                            continue;
+                        }
+                        let seq = reserved.swap_remove(raw as usize % reserved.len());
+                        q.push_reserved(SimTime::from_secs(at), seq, i);
+                        seq
+                    } else {
+                        q.push(SimTime::from_secs(at), i)
                     };
                     last_pushed = at;
-                    let seq = q.push(SimTime::from_secs(at), i);
                     let entry = (SimTime::from_secs(at), seq, i);
                     let pos = reference.partition_point(|r| (r.0, r.1) < (entry.0, entry.1));
                     reference.insert(pos, entry);

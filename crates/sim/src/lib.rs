@@ -8,12 +8,14 @@
 //!   "never NaN" invariant at construction so the event queue ordering is a
 //!   genuine total order.
 //! * [`EventQueue`] — the one event queue: stable (events at equal
-//!   timestamps pop in insertion order, which makes simulations
-//!   deterministic and therefore reproducible across runs and platforms)
-//!   and earliest-first. A binary heap plus a sorted run that takes every
-//!   push at or after its last entry, so arrivals pushed in time order
-//!   before the run cost O(1) each and the heap holds only the events the
-//!   model generates as it goes.
+//!   timestamps pop in sequence order — push order, or the order of
+//!   numbers reserved up front — which makes simulations deterministic
+//!   and therefore reproducible across runs and platforms) and
+//!   earliest-first. A binary heap plus a sorted run that takes every
+//!   push whose (time, sequence) follows its last entry's, so events
+//!   pushed in time order cost O(1) each. A stream known in advance,
+//!   such as a campaign's arrivals, reserves its sequence numbers and is
+//!   pushed one event at a time, so the queue holds only its next event.
 //! * [`Simulation`] — a small driver that repeatedly pops the next event and
 //!   hands it to a user-provided [`World`].
 //! * [`pool`] — the fan-out the experiment runner runs replications on:

@@ -19,6 +19,7 @@
 
 use casgrid::core::heuristics::SchedView;
 use casgrid::prelude::*;
+use std::collections::HashMap;
 
 /// Minimum Maximum Perturbation: protect the worst-hit task.
 #[derive(Debug, Default)]
@@ -64,7 +65,9 @@ fn replay(
         .map(|i| casgrid::platform::LoadReport::initial(ServerId(i)))
         .collect();
     let mut rng = RngStream::derive(99, StreamKind::TieBreak);
-    let mut placements = Vec::new();
+    // The HTM hands out each task's simulated completion once the task
+    // leaves its trace; the tasks still active at the end are drained.
+    let mut completions = HashMap::new();
     for task in tasks {
         let mut view = SchedView::new(
             task.arrival,
@@ -77,9 +80,13 @@ fn replay(
         );
         let server = heuristic.select(&mut view).expect("candidates exist");
         htm.commit(task.arrival, server, task);
-        placements.push((task.id, server));
+        htm.take_completions(|id, when| {
+            completions.insert(id, when);
+        });
     }
-    let completions = htm.simulated_completions();
+    for s in 0..costs.n_servers() as u32 {
+        completions.extend(htm.completions_on(ServerId(s)));
+    }
     tasks
         .iter()
         .map(|t| {

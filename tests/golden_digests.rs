@@ -6,8 +6,10 @@
 //! cover every heuristic × {exhaustive, `topk:4`, `adaptive:2:8`} ×
 //! {single agent, three shards} on the `determinism.rs` farm, the same
 //! farm under crash churn, under admission backpressure and under both,
-//! and a 20-shard farm whose stage-1 walk goes through the group level
-//! of the shard tree.
+//! a 20-shard farm whose stage-1 walk goes through the group level of
+//! the shard tree, and last the paper farm under harsher churn behind
+//! the gate with a re-dispatch budget of two, where crash victims are
+//! dropped on budget as well as re-entered.
 //!
 //! Every row also checks the run invariants casbench checks per rep:
 //! nothing is left in flight, and the admission counters balance each
@@ -98,6 +100,7 @@ struct Run {
     group_visits: u64,
     rebalances: u64,
     admission: AdmissionStats,
+    budget_drops: u64,
 }
 
 type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>);
@@ -159,6 +162,7 @@ fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
         group_visits: world.agent().skyline_stats().group_visits,
         rebalances: world.churn_stats().rebalances,
         admission: adm,
+        budget_drops: dropped(DropReason::RedispatchBudget),
     }
 }
 
@@ -214,6 +218,27 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
                 cfg,
                 true,
             ));
+        }
+    }
+    // A harsher fault schedule behind the gate with a budget of two
+    // dispatches, so crash victims both re-enter the buffer and spend
+    // their budget.
+    for kind in HeuristicKind::ALL {
+        for (sel_name, selector) in [SELECTORS[0], SELECTORS[2]] {
+            for (shard_name, shards) in SHARDINGS {
+                let mut cfg = ExperimentConfig::paper(kind, 99)
+                    .with_selector(selector)
+                    .with_shards(shards)
+                    .with_churn(150.0, 60.0)
+                    .with_churn_seed(7)
+                    .with_admission(2, 6, 90.0);
+                cfg.redispatch_budget = 2;
+                let label = format!(
+                    "{}/{sel_name}/{shard_name}/churn+admission+budget",
+                    kind.name()
+                );
+                out.push((label, cfg, false));
+            }
         }
     }
     out
@@ -286,6 +311,13 @@ fn campaign_record_digests_match_the_golden_table() {
     assert!(
         gated.iter().any(|a| a.reentries > 0),
         "no admission row re-entered a crash victim"
+    );
+    // The re-entry balance above has two terms; some row must move both.
+    assert!(
+        rows.iter()
+            .filter(|(label, _)| label.contains("admission"))
+            .any(|(_, r)| r.budget_drops > 0 && r.admission.reentries > 0),
+        "no admission row both re-entered a crash victim and dropped one on budget"
     );
     let table = render(&rows);
     let expected = std::fs::read_to_string(GOLDEN).unwrap_or_default();

@@ -106,6 +106,46 @@ fn sync_policy_stays_consistent() {
     assert!(recs.iter().all(|r| r.predicted_completion.is_some()));
 }
 
+/// A crash-retracted task that completes on its next server reports
+/// that server's simulated completion. A retraction's crash instant is
+/// not a simulated completion: read as one, it would lie before the last
+/// placement's commit prediction by more than the task's whole unloaded
+/// duration, which no later commit on that server can bring about. Runs
+/// the waste-cpu farm under crash churn for three heuristics and counts
+/// such records among the completed multi-attempt tasks.
+#[test]
+fn retracted_tasks_keep_their_real_simulated_completion() {
+    let costs = casgrid::workload::wastecpu::cost_table();
+    let servers = casgrid::workload::testbed::set2_servers();
+    let tasks = MetataskSpec {
+        n_tasks: 400,
+        ..MetataskSpec::paper(15.0)
+    }
+    .generate(1);
+    let mut replaced = 0;
+    for kind in [HeuristicKind::Hmct, HeuristicKind::Mct, HeuristicKind::Msf] {
+        let cfg = ExperimentConfig::ideal(kind, 99)
+            .with_churn(400.0, 60.0)
+            .with_churn_seed(7);
+        let recs = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
+        for r in recs.iter().filter(|r| r.is_completed() && r.attempts > 1) {
+            replaced += 1;
+            let simulated = r
+                .predicted_completion
+                .expect("completed tasks were simulated");
+            let committed = r.commit_prediction.expect("completed tasks were committed");
+            assert!(
+                simulated.as_secs() >= committed.as_secs() - r.unloaded_duration,
+                "{kind:?}: task {} simulated to finish at {simulated:?}, before its last \
+                 commit prediction {committed:?} less its unloaded duration {}",
+                r.task,
+                r.unloaded_duration
+            );
+        }
+    }
+    assert!(replaced > 0, "the churn must re-place some task");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
