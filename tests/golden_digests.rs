@@ -7,9 +7,13 @@
 //! {single agent, three shards} on the `determinism.rs` farm, the same
 //! farm under crash churn, under admission backpressure and under both,
 //! a 20-shard farm whose stage-1 walk goes through the group level of
-//! the shard tree, and last the paper farm under harsher churn behind
-//! the gate with a re-dispatch budget of two, where crash victims are
-//! dropped on budget as well as re-entered.
+//! the shard tree, and the paper farm under harsher churn behind the
+//! gate with a re-dispatch budget of two, where crash victims are
+//! dropped on budget as well as re-entered. The last rows pin paths no
+//! row above reaches: the shared client link and `ForceFinish`
+//! synchronisation, each under churn behind the gate; aggregated
+//! per-shard reports under churn; and the golden CSV trace's three user
+//! classes behind gates whose whole-second deadlines tie with arrivals.
 //!
 //! Every row also checks the run invariants casbench checks per rep:
 //! nothing is left in flight, and the admission counters balance each
@@ -62,7 +66,7 @@ fn paper_farm(n: usize, seed: u64) -> Farm {
         ..MetataskSpec::paper(15.0)
     }
     .generate(seed);
-    (costs, servers, tasks)
+    (costs, servers, tasks, vec![0; n])
 }
 
 /// A 40-server synthetic farm: at 20 shards the default fan-out of 16
@@ -77,7 +81,31 @@ fn wide_farm(n: usize, seed: u64) -> Farm {
         ..MetataskSpec::paper(0.5)
     }
     .generate(seed);
-    (platform.cost_table(seed), platform.servers(seed), tasks)
+    (
+        platform.cost_table(seed),
+        platform.servers(seed),
+        tasks,
+        vec![0; n],
+    )
+}
+
+/// The golden CSV trace (`crates/workload/fixtures/golden_trace.csv`):
+/// 36 tasks of three user classes on three servers, arriving on whole
+/// and half seconds.
+fn trace_farm(seed: u64) -> Farm {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/workload/fixtures/golden_trace.csv"
+    );
+    let text = std::fs::read_to_string(path).expect("the golden trace is checked in");
+    let mut trace = CsvTrace::parse(&text).expect("the golden trace parses");
+    let c = TraceWorkload {
+        n_servers: 3,
+        ..TraceWorkload::default()
+    }
+    .compile(&mut trace, seed)
+    .expect("the golden trace compiles");
+    (c.costs, c.servers, c.tasks, c.users)
 }
 
 const SELECTORS: [(&str, SelectorKind); 3] = [
@@ -103,14 +131,23 @@ struct Run {
     budget_drops: u64,
 }
 
-type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>);
+/// A cost table, its servers, the tasks and each task's user class.
+type Farm = (CostTable, Vec<ServerSpec>, Vec<TaskInstance>, Vec<u32>);
+
+/// Which farm a row runs on.
+#[derive(Clone, Copy)]
+enum FarmKind {
+    Paper,
+    Wide,
+    Trace,
+}
 
 /// A named transformation of a row's config (churn, admission, …).
 type Variant = (&'static str, fn(ExperimentConfig) -> ExperimentConfig);
 
 fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
-    let (costs, servers, tasks) = farm.clone();
-    let mut sim = Simulation::new(GridWorld::new(cfg, costs, servers, tasks));
+    let (costs, servers, tasks, users) = farm.clone();
+    let mut sim = Simulation::new(GridWorld::new(cfg, costs, servers, tasks).with_users(users));
     sim.run_to_completion();
     let world = sim.into_world();
     assert_eq!(
@@ -167,8 +204,8 @@ fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
 }
 
 /// Every row of the table, in file order: its label, its config and
-/// whether it runs on the wide farm.
-fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
+/// the farm it runs on.
+fn jobs() -> Vec<(String, ExperimentConfig, FarmKind)> {
     let mut out = Vec::new();
     // The full heuristic × selector × sharding matrix, static farm.
     for kind in HeuristicKind::ALL {
@@ -178,7 +215,7 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
                     .with_selector(selector)
                     .with_shards(shards);
                 let label = format!("{}/{sel_name}/{shard_name}/static", kind.name());
-                out.push((label, cfg, false));
+                out.push((label, cfg, FarmKind::Paper));
             }
         }
     }
@@ -202,7 +239,7 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
                             .with_shards(shards),
                     );
                     let label = format!("{}/{sel_name}/{shard_name}/{variant}", kind.name());
-                    out.push((label, cfg, false));
+                    out.push((label, cfg, FarmKind::Paper));
                 }
             }
         }
@@ -216,7 +253,7 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
             out.push((
                 format!("{}/{sel_name}/fed20/static", kind.name()),
                 cfg,
-                true,
+                FarmKind::Wide,
             ));
         }
     }
@@ -237,8 +274,66 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
                     "{}/{sel_name}/{shard_name}/churn+admission+budget",
                     kind.name()
                 );
-                out.push((label, cfg, false));
+                out.push((label, cfg, FarmKind::Paper));
             }
+        }
+    }
+    // Paths the rows above leave out, each under churn: the shared
+    // client link and `ForceFinish` synchronisation behind the gate,
+    // and aggregated per-shard reports.
+    let variants: [Variant; 3] = [
+        ("churn+admission+shared-link", |mut c| {
+            c.shared_client_link = true;
+            c.with_churn(400.0, 60.0)
+                .with_churn_seed(7)
+                .with_admission(2, 6, 90.0)
+        }),
+        ("churn+admission+force-finish", |mut c| {
+            c.sync = SyncPolicy::ForceFinish;
+            c.with_churn(400.0, 60.0)
+                .with_churn_seed(7)
+                .with_admission(2, 6, 90.0)
+        }),
+        ("churn+aggregated", |c| {
+            c.with_churn(400.0, 60.0)
+                .with_churn_seed(7)
+                .with_aggregated_reports(true)
+        }),
+    ];
+    for (variant, apply) in variants {
+        let shardings: &[(&str, Sharding)] = if variant == "churn+aggregated" {
+            &SHARDINGS[1..]
+        } else {
+            &SHARDINGS
+        };
+        for kind in HeuristicKind::ALL {
+            for &(shard_name, shards) in shardings {
+                let cfg = apply(ExperimentConfig::paper(kind, 99).with_shards(shards));
+                let label = format!("{}/exhaustive/{shard_name}/{variant}", kind.name());
+                out.push((label, cfg, FarmKind::Paper));
+            }
+        }
+    }
+    // The golden trace's three classes behind tight gates: arrivals and
+    // deadlines fall on whole seconds, so deadlines tie with arrivals
+    // (and, without agent latency, with decisions); under churn crash
+    // victims re-enter the buffer.
+    let variants: [Variant; 3] = [
+        ("trace+admission", |c| c.with_admission(1, 4, 10.0)),
+        ("trace+admission/ideal", |c| {
+            ExperimentConfig::ideal(c.heuristic, c.seed).with_admission(1, 4, 10.0)
+        }),
+        ("trace+churn+admission", |c| {
+            c.with_churn(150.0, 30.0)
+                .with_churn_seed(7)
+                .with_admission(2, 4, 20.0)
+        }),
+    ];
+    for (variant, apply) in variants {
+        for kind in HeuristicKind::ALL {
+            let cfg = apply(ExperimentConfig::paper(kind, 17));
+            let label = format!("{}/exhaustive/single/{variant}", kind.name());
+            out.push((label, cfg, FarmKind::Trace));
         }
     }
     out
@@ -247,19 +342,18 @@ fn jobs() -> Vec<(String, ExperimentConfig, bool)> {
 /// Runs every job, spread over a few threads (each campaign is
 /// deterministic on its own, so the split cannot change a digest).
 fn rows() -> Vec<(String, Run)> {
-    let paper = paper_farm(100, 1);
-    let wide = wide_farm(150, 2);
+    let farms = [paper_farm(100, 1), wide_farm(150, 2), trace_farm(17)];
     let jobs = jobs();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     let mut runs: Vec<Option<Run>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (t, slots) in runs.chunks_mut(jobs.len().div_ceil(threads)).enumerate() {
-            let (jobs, paper, wide) = (&jobs, &paper, &wide);
+            let (jobs, farms) = (&jobs, &farms);
             scope.spawn(move || {
                 let first = t * jobs.len().div_ceil(threads);
                 for (i, slot) in slots.iter_mut().enumerate() {
-                    let (label, cfg, on_wide) = &jobs[first + i];
-                    *slot = Some(run(label, *cfg, if *on_wide { wide } else { paper }));
+                    let (label, cfg, farm) = &jobs[first + i];
+                    *slot = Some(run(label, *cfg, &farms[*farm as usize]));
                 }
             });
         }
@@ -318,6 +412,12 @@ fn campaign_record_digests_match_the_golden_table() {
             .filter(|(label, _)| label.contains("admission"))
             .any(|(_, r)| r.budget_drops > 0 && r.admission.reentries > 0),
         "no admission row both re-entered a crash victim and dropped one on budget"
+    );
+    assert!(
+        rows.iter()
+            .filter(|(label, _)| label.contains("/trace+"))
+            .any(|(_, r)| r.admission.shed_deadline > 0 && r.admission.reentries > 0),
+        "no multi-class row both shed a task at its deadline and re-entered a crash victim"
     );
     let table = render(&rows);
     let expected = std::fs::read_to_string(GOLDEN).unwrap_or_default();
