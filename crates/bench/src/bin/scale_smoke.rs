@@ -82,9 +82,7 @@ use cas_middleware::{
     run_experiment, run_experiment_with_users, AgentRouter, ChurnStats, ExperimentConfig,
     GridWorld, Sharding, SkylineStats,
 };
-use cas_platform::{
-    CostTable, IndexScoring, LoadReport, ProblemId, ServerId, StaticIndex, TaskId, TaskInstance,
-};
+use cas_platform::{CostTable, LoadReport, ProblemId, ServerId, StaticIndex, TaskId, TaskInstance};
 use cas_sim::{RngStream, SimTime, Simulation, StreamKind};
 use cas_workload::synthetic::{BurstArrivals, SyntheticPlatform};
 use cas_workload::trace::{AppProfile, FittedTraceSpec, TraceWorkload};
@@ -290,13 +288,7 @@ fn sharding_microbench(
         // standing state of a live campaign — and so the complete hook
         // exercises the incremental repair the federation routes to one
         // shard.
-        let mut router = AgentRouter::new(
-            costs,
-            shards,
-            selector,
-            IndexScoring::RemainingWork,
-            SyncPolicy::ForceFinish,
-        );
+        let mut router = AgentRouter::new(costs, shards, selector, SyncPolicy::ForceFinish);
         let mut heuristic = HeuristicKind::Hmct.build();
         let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
         let mut id = 50_000_000u64;
@@ -440,14 +432,8 @@ fn tree_walk_microbench(
     let selector = SelectorKind::TopK { k: width };
 
     let run = |grouped: bool| -> (f64, SkylineStats) {
-        let mut router = AgentRouter::new(
-            costs,
-            Some(n_shards),
-            selector,
-            IndexScoring::RemainingWork,
-            SyncPolicy::ForceFinish,
-        )
-        .with_group_size(if grouped { group_size } else { usize::MAX });
+        let mut router = AgentRouter::new(costs, Some(n_shards), selector, SyncPolicy::ForceFinish)
+            .with_group_size(if grouped { group_size } else { usize::MAX });
         let mut heuristic = HeuristicKind::Hmct.build();
         let mut tie_rng = RngStream::derive(9, StreamKind::TieBreak);
         let mut id = 70_000_000u64;

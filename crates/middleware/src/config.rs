@@ -2,7 +2,7 @@
 
 use cas_core::heuristics::HeuristicKind;
 use cas_core::{SelectorKind, SyncPolicy};
-use cas_platform::{IndexScoring, MemoryModel, ShardMap};
+use cas_platform::{MemoryModel, ShardMap};
 
 /// How the agent's decision state is partitioned across the farm.
 ///
@@ -124,9 +124,6 @@ pub struct ExperimentConfig {
     /// the single-agent path (default) or a shard federation behind the
     /// deterministic router.
     pub shards: Sharding,
-    /// Which static proxy orders the stage-1 index: predicted remaining
-    /// work (default) or the count-based baseline.
-    pub index_scoring: IndexScoring,
     /// Collapse the periodic per-server load-report events into one
     /// aggregated event per shard (default off): each firing refreshes
     /// the whole shard block in a single kernel event, cutting report
@@ -180,10 +177,6 @@ pub struct ExperimentConfig {
     /// Seed of the fault schedule, independent of `seed` so the same
     /// world can be replayed under different fault schedules.
     pub churn_seed: u64,
-    /// Delay before a crash-retracted task re-enters the decision
-    /// pipeline, seconds (a client would not observe the failure and
-    /// resubmit instantaneously).
-    pub redispatch_backoff: f64,
     /// Total dispatch attempts allowed per task across crash
     /// re-dispatches; beyond it the task is dropped with a reason code.
     pub redispatch_budget: u32,
@@ -212,7 +205,6 @@ impl ExperimentConfig {
             heuristic,
             selector: SelectorKind::Exhaustive,
             shards: Sharding::Single,
-            index_scoring: IndexScoring::RemainingWork,
             aggregated_reports: false,
             sync: SyncPolicy::None,
             seed,
@@ -227,7 +219,6 @@ impl ExperimentConfig {
             mtbf: f64::INFINITY,
             mttr: 60.0,
             churn_seed: 0,
-            redispatch_backoff: 1.0,
             redispatch_budget: 8,
             admission_capacity: 0,
             admission_buffer: 0,
@@ -243,7 +234,6 @@ impl ExperimentConfig {
             heuristic,
             selector: SelectorKind::Exhaustive,
             shards: Sharding::Single,
-            index_scoring: IndexScoring::RemainingWork,
             aggregated_reports: false,
             sync: SyncPolicy::None,
             seed,
@@ -258,7 +248,6 @@ impl ExperimentConfig {
             mtbf: f64::INFINITY,
             mttr: 60.0,
             churn_seed: 0,
-            redispatch_backoff: 1.0,
             redispatch_budget: 8,
             admission_capacity: 0,
             admission_buffer: 0,
@@ -289,12 +278,6 @@ impl ExperimentConfig {
     /// Returns a copy with a different sharding mode.
     pub fn with_shards(mut self, shards: Sharding) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Returns a copy with a different stage-1 index scoring proxy.
-    pub fn with_index_scoring(mut self, scoring: IndexScoring) -> Self {
-        self.index_scoring = scoring;
         self
     }
 
@@ -410,13 +393,7 @@ mod tests {
         );
         let c = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
         assert_eq!(c.shards, Sharding::Single);
-        assert_eq!(c.index_scoring, IndexScoring::RemainingWork);
         assert_eq!(c.with_shards(Sharding::AUTO).shards, Sharding::AUTO);
-        assert_eq!(
-            c.with_index_scoring(IndexScoring::ActiveCount)
-                .index_scoring,
-            IndexScoring::ActiveCount
-        );
     }
 
     #[test]
@@ -430,7 +407,6 @@ mod tests {
         assert_eq!(c.churn_seed, 9);
         assert!(c.churn_model().enabled());
         assert_eq!(c.redispatch_budget, 8);
-        assert_eq!(c.redispatch_backoff, 1.0);
     }
 
     #[test]

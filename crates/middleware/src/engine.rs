@@ -66,6 +66,37 @@ use std::collections::VecDeque;
 /// resource's recomputed completion time.
 const COMPLETION_EPS: f64 = 1e-6;
 
+/// Delay before a task re-enters the decision pipeline after a crash
+/// retraction (gate off) or after finding no live solver, seconds: a
+/// client would not observe the failure and resubmit instantaneously.
+const REDISPATCH_BACKOFF_S: f64 = 1.0;
+
+/// The outcome of a task the admission gate sheds, at its deadline or
+/// on a full buffer.
+const SHED: TaskOutcome = TaskOutcome::Dropped {
+    reason: DropReason::AdmissionDeadline,
+};
+
+/// What a completion check of generation `gen` on `res` finds at `now`:
+/// nothing when it is stale or `res` is idle, else the task that is
+/// done, or (`Err`) the true completion time of a check that fired
+/// early in the same instant, to re-arm at.
+fn due(
+    res: &cas_platform::FairShareResource<TaskId>,
+    gen: cas_sim::Generation,
+    now: SimTime,
+) -> Option<Result<TaskId, SimTime>> {
+    if !res.generation().is_current(gen) {
+        return None;
+    }
+    let (task, when) = res.next_completion(now)?;
+    Some(if when.as_secs() > now.as_secs() + COMPLETION_EPS {
+        Err(when)
+    } else {
+        Ok(task)
+    })
+}
+
 /// Lifecycle counters of one run: how often the farm changed shape and
 /// what the scheduler did about it. The cheap observability surface of
 /// the fault-injection subsystem, next to
@@ -128,32 +159,63 @@ struct BufferedTask {
     attempt: u32,
     excluded: Vec<ServerId>,
     enqueued: SimTime,
+    /// The kernel sequence number reserved on entry, under which the
+    /// entry's deadline event pops if its class arms it.
+    seq: u64,
+}
+
+/// One user class behind the gate: its FIFO queue and its deadline
+/// chain.
+#[derive(Debug, Default)]
+struct ClassQueue {
+    class: u32,
+    queue: VecDeque<BufferedTask>,
+    /// The sequence number of the class's pending `AdmissionTimeout`
+    /// (its head's when armed), or `None` when none is pending.
+    armed: Option<u64>,
+}
+
+impl ClassQueue {
+    /// Arms the chain at the head's deadline, under the head's reserved
+    /// number; returns that event, or `None` when the queue is empty.
+    fn arm(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        let head = self.queue.front()?;
+        self.armed = Some(head.seq);
+        Some((head.enqueued + deadline, head.seq))
+    }
 }
 
 /// The bounded admission buffer: per-user-class FIFO queues drained
 /// round-robin (so one flooding class cannot starve the others), a
-/// concurrency gate of `capacity` tasks, and a per-task deadline after
-/// which a buffered task is shed with
-/// [`DropReason::AdmissionDeadline`]. Built at `init` when
-/// `ExperimentConfig::admission_capacity > 0`; `None` otherwise, in
-/// which case submissions take the exact pre-backpressure path.
+/// concurrency gate of `capacity` tasks, and a deadline after which a
+/// buffered task is shed with [`DropReason::AdmissionDeadline`]. Built
+/// at `init` when `ExperimentConfig::admission_capacity > 0`; `None`
+/// otherwise, in which case submissions take the exact pre-backpressure
+/// path.
+///
+/// Deadlines run as one chain per class. A class queue is FIFO under
+/// one constant deadline, so only its head can expire next: a non-empty
+/// class has exactly one pending `AdmissionTimeout`, armed at its head's
+/// deadline. Every entry reserves a kernel sequence number as it joins
+/// the queue and the chain pops under the head's, so it fires exactly
+/// where an event pushed per entry would have, same-instant ties
+/// included. A firing sheds the head it was armed for if that head still
+/// waits, then re-arms at the current head's deadline; a head dequeued
+/// before its deadline leaves the chain armed until that firing.
+#[derive(Debug)]
 struct AdmissionState {
     capacity: usize,
     buffer_cap: usize,
+    /// How long an entry may wait; `None` waits forever.
+    deadline: Option<SimTime>,
     in_admission: usize,
     buffered_total: usize,
-    /// Per-class FIFO queues, sorted by class id so iteration order is
+    /// Per-class queues, sorted by class id so iteration order is
     /// deterministic in the workload alone.
-    queues: Vec<(u32, VecDeque<BufferedTask>)>,
+    queues: Vec<ClassQueue>,
     /// Round-robin cursor of the fair dequeue: index into `queues` of
     /// the class to serve next.
     rr: usize,
-    /// Whether task `idx` currently waits in the buffer.
-    buffered: Vec<bool>,
-    /// Admission generation per task, bumped on every buffer exit: a
-    /// deadline event armed for an earlier stay cannot shed a task
-    /// that was dequeued and re-buffered since.
-    gen: Vec<u32>,
     /// Total buffered seconds per task (the SLO "buffered time").
     waits: Vec<f64>,
     stats: AdmissionStats,
@@ -167,69 +229,99 @@ impl AdmissionState {
         AdmissionState {
             capacity: cfg.admission_capacity,
             buffer_cap: cfg.admission_buffer,
+            deadline: cfg
+                .admission_deadline
+                .is_finite()
+                .then(|| SimTime::from_secs(cfg.admission_deadline)),
             in_admission: 0,
             buffered_total: 0,
-            queues: classes.into_iter().map(|c| (c, VecDeque::new())).collect(),
+            queues: classes
+                .into_iter()
+                .map(|class| ClassQueue {
+                    class,
+                    ..ClassQueue::default()
+                })
+                .collect(),
             rr: 0,
-            buffered: vec![false; users.len()],
-            gen: vec![0; users.len()],
             waits: vec![0.0; users.len()],
             stats: AdmissionStats::default(),
         }
     }
 
-    fn queue_of(&mut self, class: u32) -> &mut VecDeque<BufferedTask> {
+    fn class_mut(&mut self, class: u32) -> &mut ClassQueue {
         let i = self
             .queues
-            .binary_search_by_key(&class, |(c, _)| *c)
+            .binary_search_by_key(&class, |q| q.class)
             .expect("every task's class is registered");
-        &mut self.queues[i].1
+        &mut self.queues[i]
     }
 
-    fn enqueue(&mut self, class: u32, entry: BufferedTask) {
-        self.buffered[entry.idx] = true;
+    /// Takes an admission slot if one is free.
+    fn take_slot(&mut self) -> bool {
+        if self.in_admission >= self.capacity {
+            return false;
+        }
+        self.in_admission += 1;
+        self.stats.peak_admitted = self.stats.peak_admitted.max(self.in_admission);
+        true
+    }
+
+    /// Queues `entry` under `class`; returns the deadline event to arm
+    /// (its instant and sequence number) when the class had none
+    /// pending.
+    fn enqueue(&mut self, class: u32, entry: BufferedTask) -> Option<(SimTime, u64)> {
         self.buffered_total += 1;
         self.stats.buffered += 1;
         self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered_total);
-        self.queue_of(class).push_back(entry);
+        let deadline = self.deadline;
+        let q = self.class_mut(class);
+        q.queue.push_back(entry);
+        match deadline {
+            Some(deadline) if q.armed.is_none() => q.arm(deadline),
+            _ => None,
+        }
     }
 
-    /// Fair dequeue: the oldest waiting task of the next non-empty
-    /// class, round-robin starting after the class served last.
-    fn dequeue(&mut self, now: SimTime) -> Option<BufferedTask> {
-        if self.buffered_total == 0 {
+    /// Fair dequeue into a free slot: the oldest waiting task of the
+    /// next non-empty class, round-robin starting after the class
+    /// served last. `None` when nothing waits or no slot is free.
+    fn admit_next(&mut self, now: SimTime) -> Option<BufferedTask> {
+        if self.buffered_total == 0 || !self.take_slot() {
             return None;
         }
         let n = self.queues.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
-            if let Some(entry) = self.queues[i].1.pop_front() {
+            if let Some(entry) = self.queues[i].queue.pop_front() {
                 self.rr = (i + 1) % n;
                 self.buffered_total -= 1;
-                self.buffered[entry.idx] = false;
-                self.gen[entry.idx] += 1;
                 self.waits[entry.idx] += now.as_secs() - entry.enqueued.as_secs();
                 self.stats.dequeued += 1;
                 return Some(entry);
             }
         }
-        None
+        unreachable!("a buffered task waits in some class queue")
     }
 
-    /// Removes a deadline-expired task from its class queue (the caller
-    /// has already checked `buffered` and the generation stamp).
-    fn expire(&mut self, class: u32, idx: usize, now: SimTime) {
-        let q = self.queue_of(class);
-        let pos = q
-            .iter()
-            .position(|e| e.idx == idx)
-            .expect("buffered task is queued under its class");
-        let entry = q.remove(pos).expect("position is in bounds");
-        self.buffered_total -= 1;
-        self.buffered[idx] = false;
-        self.gen[idx] += 1;
-        self.waits[idx] += now.as_secs() - entry.enqueued.as_secs();
-        self.stats.shed_deadline += 1;
+    /// `class`'s deadline event fired at `now`: sheds the head it was
+    /// armed for if that head still waits, and re-arms at the current
+    /// head's deadline. Returns the shed task and the event to arm.
+    fn expire(&mut self, class: u32, now: SimTime) -> (Option<usize>, Option<(SimTime, u64)>) {
+        let deadline = self.deadline.expect("deadline events need a deadline");
+        let q = self.class_mut(class);
+        let armed = q.armed.take().expect("a firing class is armed");
+        let shed = match q.queue.front() {
+            Some(head) if head.seq == armed => q.queue.pop_front(),
+            _ => None,
+        };
+        let next = q.arm(deadline);
+        let shed = shed.map(|entry| {
+            self.buffered_total -= 1;
+            self.waits[entry.idx] += now.as_secs() - entry.enqueued.as_secs();
+            self.stats.shed_deadline += 1;
+            entry.idx
+        });
+        (shed, next)
     }
 }
 
@@ -355,17 +447,11 @@ impl GridWorld {
         let n = server_specs.len();
         let churn = cfg.churn_model().process(n);
         let heuristic = cfg.heuristic.build();
-        let mut agent = AgentRouter::new(
-            &costs,
-            cfg.shards.resolve(n),
-            cfg.selector,
-            cfg.index_scoring,
-            cfg.sync,
-        )
-        // The run binds one heuristic for its whole lifetime, so the
-        // drain depth is a run-level property: a policy that never reads
-        // perturbations lets drains truncate at the probe's completion.
-        .with_completion_only(!heuristic.needs_perturbations());
+        let mut agent = AgentRouter::new(&costs, cfg.shards.resolve(n), cfg.selector, cfg.sync)
+            // The run binds one heuristic for its whole lifetime, so the
+            // drain depth is a run-level property: a policy that never reads
+            // perturbations lets drains truncate at the probe's completion.
+            .with_completion_only(!heuristic.needs_perturbations());
         if let Some(group_size) = cfg.shards.group_size() {
             agent = agent.with_group_size(group_size);
         }
@@ -412,11 +498,9 @@ impl GridWorld {
             reports: (0..n as u32)
                 .map(|i| LoadReport::initial(ServerId(i)))
                 .collect(),
-            client_link: if cfg.shared_client_link {
-                Some(cas_platform::FairShareResource::new(1.0))
-            } else {
-                None
-            },
+            client_link: cfg
+                .shared_client_link
+                .then(|| cas_platform::FairShareResource::new(1.0)),
             records,
             agent_known_dead: vec![false; n],
             live: vec![true; n],
@@ -569,6 +653,29 @@ impl GridWorld {
         }
     }
 
+    /// Applies `change` (a transfer starting or withdrawn) to the link
+    /// `phase`'s transfers run on — the shared client link when
+    /// `cfg.shared_client_link` is on, else `server`'s own — and re-arms
+    /// that link's completion event.
+    fn on_link(
+        &mut self,
+        server: ServerId,
+        phase: Phase,
+        sched: &mut Scheduler<'_, GridEvent>,
+        change: impl FnOnce(&mut cas_platform::FairShareResource<TaskId>),
+    ) {
+        match &mut self.client_link {
+            Some(link) => {
+                change(link);
+                self.resched_client_link(sched);
+            }
+            None => {
+                change(self.resource_mut(server, phase));
+                self.resched(server, phase, sched);
+            }
+        }
+    }
+
     /// The in-flight record of `task`.
     fn flight(&self, task: TaskId) -> Flight {
         self.flights[task.index()].expect("flight exists")
@@ -586,18 +693,6 @@ impl GridWorld {
         self.costs
             .costs(self.tasks[task.index()].problem, server)
             .expect("a placed task's server solves its problem")
-    }
-
-    /// A task finished its input transfer: move it onto the CPU.
-    fn input_arrived(&mut self, now: SimTime, task: TaskId, sched: &mut Scheduler<'_, GridEvent>) {
-        let flight = self.flight_mut(task);
-        debug_assert_eq!(flight.phase, Phase::Input);
-        flight.phase = Phase::Compute;
-        let server = flight.server;
-        let compute = self.placed_costs(task, server).compute;
-        self.touch_monitor(server, now);
-        self.servers[server.index()].begin_compute(now, task, compute);
-        self.resched(server, Phase::Compute, sched);
     }
 
     /// A task finished its output transfer: it is complete. The
@@ -628,12 +723,13 @@ impl GridWorld {
                 observed_flow,
                 predicted_flow,
             );
-            self.record_completions();
         }
-        let rec = self.record_mut(task);
-        rec.outcome = TaskOutcome::Completed { finished: now };
-        self.remaining -= 1;
-        self.release_admission(now, sched);
+        self.finish(
+            now,
+            task.index(),
+            TaskOutcome::Completed { finished: now },
+            sched,
+        );
     }
 
     /// Integrates the load monitor up to `now` with the run-queue length
@@ -644,15 +740,10 @@ impl GridWorld {
         self.monitors[server.index()].observe(now, len);
     }
 
-    fn record_mut(&mut self, task: TaskId) -> &mut TaskRecord {
-        // Task ids are dense indices into the metatask.
-        &mut self.records[task.index()]
-    }
-
     /// Writes the simulated completions the HTM handed out since the
     /// last call into the records (Table 1's "simulated completion date"
-    /// column). A re-placed task's later completion overwrites its
-    /// earlier one.
+    /// column); [`GridWorld::handle`] calls it once per event. A
+    /// re-placed task's later completion overwrites its earlier one.
     fn record_completions(&mut self) {
         let records = &mut self.records;
         self.agent.take_completions(|task, when| {
@@ -684,6 +775,24 @@ impl GridWorld {
         }
     }
 
+    /// Ends task `idx` with `outcome`: the record's outcome, one task
+    /// fewer remaining and, unless the gate shed it (a shed task holds
+    /// no admission slot), its slot freed for the tasks waiting behind
+    /// the gate.
+    fn finish(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        outcome: TaskOutcome,
+        sched: &mut Scheduler<'_, GridEvent>,
+    ) {
+        self.records[idx].outcome = outcome;
+        self.remaining -= 1;
+        if outcome != SHED {
+            self.release_admission(now, sched);
+        }
+    }
+
     fn fail_task(
         &mut self,
         idx: usize,
@@ -692,20 +801,17 @@ impl GridWorld {
         now: SimTime,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        let task = self.tasks[idx];
-        let rec = self.record_mut(task.id);
-        rec.outcome = TaskOutcome::Failed;
+        let rec = &mut self.records[idx];
         rec.attempts = attempts;
         rec.server = last_server;
-        self.remaining -= 1;
-        self.release_admission(now, sched);
+        self.finish(now, idx, TaskOutcome::Failed, sched);
     }
 
     /// A submission reaches the agent: straight into the decision
     /// pipeline when the admission gate is off (bit-identical to the
-    /// pre-backpressure build), through the bounded gate otherwise.
-    /// First it queues the next task's `Submit`, the next link of the
-    /// chain `init` starts.
+    /// pre-backpressure build) or has a free slot, into the gate's
+    /// buffer otherwise. First it queues the next task's `Submit`, the
+    /// next link of the chain `init` starts.
     fn handle_submit(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<'_, GridEvent>) {
         if let Some(next) = self.tasks.get(idx + 1) {
             sched.push_reserved(
@@ -714,22 +820,11 @@ impl GridWorld {
                 GridEvent::Submit { idx: idx + 1 },
             );
         }
-        if self.admission.is_none() {
-            let delay = SimTime::from_secs(self.cfg.agent_latency);
-            sched.in_(
-                delay,
-                GridEvent::Schedule {
-                    idx,
-                    attempt: 1,
-                    excluded: Vec::new(),
-                },
-            );
-            return;
-        }
-        let adm = self.admission.as_mut().expect("gate is on");
-        if adm.in_admission < adm.capacity {
-            adm.in_admission += 1;
-            adm.stats.peak_admitted = adm.stats.peak_admitted.max(adm.in_admission);
+        if self
+            .admission
+            .as_mut()
+            .is_none_or(AdmissionState::take_slot)
+        {
             sched.in_(
                 SimTime::from_secs(self.cfg.agent_latency),
                 GridEvent::Schedule {
@@ -743,9 +838,9 @@ impl GridWorld {
         }
     }
 
-    /// Buffers a task behind the full gate — arming its admission
-    /// deadline — or sheds it immediately when the buffer itself is
-    /// full.
+    /// Buffers a task behind the full gate, arming its class's deadline
+    /// chain if no deadline is pending there, or sheds it at once when
+    /// the buffer itself is full.
     fn buffer_or_shed(
         &mut self,
         now: SimTime,
@@ -757,38 +852,26 @@ impl GridWorld {
         let adm = self.admission.as_mut().expect("gate is on");
         if adm.buffered_total >= adm.buffer_cap {
             adm.stats.shed_overflow += 1;
-            self.shed_task(idx);
+            self.finish(now, idx, SHED, sched);
             return;
         }
-        let class = self.users[idx];
-        let gen = adm.gen[idx];
-        adm.enqueue(
-            class,
-            BufferedTask {
-                idx,
-                attempt,
-                excluded,
-                enqueued: now,
-            },
-        );
-        if self.cfg.admission_deadline.is_finite() {
-            sched.in_(
-                SimTime::from_secs(self.cfg.admission_deadline),
-                GridEvent::AdmissionTimeout { idx, gen },
-            );
-        }
-    }
-
-    /// Terminal admission shed: the task never (re)reached a server.
-    /// `attempts` and `server` keep whatever earlier dispatch attempts
-    /// recorded.
-    fn shed_task(&mut self, idx: usize) {
-        let task = self.tasks[idx];
-        let rec = self.record_mut(task.id);
-        rec.outcome = TaskOutcome::Dropped {
-            reason: DropReason::AdmissionDeadline,
+        // The number the entry's deadline event pops under, should its
+        // class arm it (see `AdmissionState`).
+        let seq = match adm.deadline {
+            Some(_) => sched.reserve(1),
+            None => 0,
         };
-        self.remaining -= 1;
+        let class = self.users[idx];
+        let entry = BufferedTask {
+            idx,
+            attempt,
+            excluded,
+            enqueued: now,
+            seq,
+        };
+        if let Some((at, seq)) = adm.enqueue(class, entry) {
+            sched.push_reserved(at, seq, GridEvent::AdmissionTimeout { class });
+        }
     }
 
     /// An admitted task left the pipeline (terminal, or re-buffered
@@ -801,10 +884,7 @@ impl GridWorld {
         };
         debug_assert!(adm.in_admission > 0, "release without a held slot");
         adm.in_admission -= 1;
-        while adm.in_admission < adm.capacity {
-            let Some(entry) = adm.dequeue(now) else { break };
-            adm.in_admission += 1;
-            adm.stats.peak_admitted = adm.stats.peak_admitted.max(adm.in_admission);
+        while let Some(entry) = adm.admit_next(now) {
             sched.in_(
                 SimTime::from_secs(self.cfg.agent_latency),
                 GridEvent::Schedule {
@@ -816,19 +896,25 @@ impl GridWorld {
         }
     }
 
-    /// A buffered task's admission deadline fired: shed it unless the
-    /// event is stale (the task was dequeued — and possibly re-buffered
-    /// — since the deadline was armed).
-    fn handle_admission_timeout(&mut self, now: SimTime, idx: usize, gen: u32) {
-        let Some(adm) = &mut self.admission else {
-            return;
-        };
-        if !adm.buffered[idx] || adm.gen[idx] != gen {
-            return;
+    /// `class`'s deadline chain fired: shed the head it was armed for if
+    /// that head still waits, and re-arm at the current head's deadline.
+    fn handle_admission_timeout(
+        &mut self,
+        now: SimTime,
+        class: u32,
+        sched: &mut Scheduler<'_, GridEvent>,
+    ) {
+        let adm = self
+            .admission
+            .as_mut()
+            .expect("deadline events exist only behind the gate");
+        let (shed, next) = adm.expire(class, now);
+        if let Some((at, seq)) = next {
+            sched.push_reserved(at, seq, GridEvent::AdmissionTimeout { class });
         }
-        let class = self.users[idx];
-        adm.expire(class, idx, now);
-        self.shed_task(idx);
+        if let Some(idx) = shed {
+            self.finish(now, idx, SHED, sched);
+        }
     }
 
     fn handle_schedule(
@@ -866,36 +952,32 @@ impl GridWorld {
             )
         };
         let Some(server) = pick else {
-            if self.churn.is_some() {
+            if self.churn.is_none() {
+                self.fail_task(idx, attempt, excluded.last().copied(), now, sched);
+            } else if attempt < self.cfg.redispatch_budget {
                 // Under churn "nobody can take it" is usually transient
                 // — the solvers are down, not gone. Re-enter the
                 // pipeline after the backoff (with a clean exclusion
                 // set: a rejoined server is a fresh candidate) until the
                 // dispatch budget runs out, then drop with a reason
                 // code so the campaign accounting stays exact.
-                if attempt < self.cfg.redispatch_budget {
-                    self.churn_stats.redispatches += 1;
-                    sched.in_(
-                        SimTime::from_secs(self.cfg.redispatch_backoff),
-                        GridEvent::Schedule {
-                            idx,
-                            attempt: attempt + 1,
-                            excluded: Vec::new(),
-                        },
-                    );
-                } else {
-                    self.churn_stats.drops += 1;
-                    let rec = self.record_mut(task.id);
-                    rec.outcome = TaskOutcome::Dropped {
-                        reason: DropReason::NoLiveSolver,
-                    };
-                    rec.attempts = attempt;
-                    self.remaining -= 1;
-                    self.release_admission(now, sched);
-                }
-                return;
+                self.churn_stats.redispatches += 1;
+                sched.in_(
+                    SimTime::from_secs(REDISPATCH_BACKOFF_S),
+                    GridEvent::Schedule {
+                        idx,
+                        attempt: attempt + 1,
+                        excluded: Vec::new(),
+                    },
+                );
+            } else {
+                self.churn_stats.drops += 1;
+                self.records[idx].attempts = attempt;
+                let outcome = TaskOutcome::Dropped {
+                    reason: DropReason::NoLiveSolver,
+                };
+                self.finish(now, idx, outcome, sched);
             }
-            self.fail_task(idx, attempt, excluded.last().copied(), now, sched);
             return;
         };
         let phase_costs = self
@@ -923,27 +1005,20 @@ impl GridWorld {
                 // hook pays back the same amount.
                 let work = phase_costs.total();
                 self.agent.on_commit(now, server, &task, work);
-                self.record_completions();
                 drop(commit_span);
-                {
-                    let rec = self.record_mut(task.id);
-                    rec.server = Some(server);
-                    rec.unloaded_duration = phase_costs.total();
-                    rec.commit_prediction = predicted;
-                    rec.attempts = attempt;
-                }
+                let rec = &mut self.records[idx];
+                rec.server = Some(server);
+                rec.unloaded_duration = phase_costs.total();
+                rec.commit_prediction = predicted;
+                rec.attempts = attempt;
                 self.flights[task.id.index()] = Some(Flight {
                     server,
                     phase: Phase::Input,
                 });
                 self.inflight[server.index()].push(task.id);
-                if let Some(link) = &mut self.client_link {
-                    link.add(now, task.id, phase_costs.input);
-                    self.resched_client_link(sched);
-                } else {
-                    self.servers[server.index()].start_input(now, task.id, phase_costs.input);
-                    self.resched(server, Phase::Input, sched);
-                }
+                self.on_link(server, Phase::Input, sched, |link| {
+                    link.add(now, task.id, phase_costs.input)
+                });
             }
             outcome @ (AdmitOutcome::Rejected | AdmitOutcome::Collapsed) => {
                 if outcome == AdmitOutcome::Collapsed || self.servers[server.index()].is_collapsed()
@@ -979,88 +1054,66 @@ impl GridWorld {
         gen: cas_sim::Generation,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        {
-            let res = self.resource(server, phase);
-            if !res.generation().is_current(gen) {
-                return; // stale: membership/capacity changed since scheduling
+        let task = match due(self.resource(server, phase), gen, now) {
+            None => return,
+            Some(Err(when)) => {
+                sched.at(when, GridEvent::PhaseDone { server, phase, gen });
+                return;
             }
-        }
-        let next = self.resource(server, phase).next_completion(now);
-        let Some((task, when)) = next else {
-            return;
+            Some(Ok(task)) => task,
         };
-        if when.as_secs() > now.as_secs() + COMPLETION_EPS {
-            // Not actually done yet (same generation but queried earlier in
-            // the same instant); re-arm at the true time.
-            sched.at(when, GridEvent::PhaseDone { server, phase, gen });
+        debug_assert_eq!(self.flight(task).server, server);
+        if phase != Phase::Compute {
+            self.transfer_done(now, task, sched);
             return;
         }
-        debug_assert_eq!(self.flight(task).server, server);
-        match phase {
-            Phase::Input => {
-                self.resource_mut(server, Phase::Input).remove(now, task);
-                self.resched(server, Phase::Input, sched);
-                self.input_arrived(now, task, sched);
-            }
-            Phase::Compute => {
-                self.touch_monitor(server, now);
-                self.servers[server.index()].finish_compute(now, task);
-                // Correction 2: the server notifies the agent of the
-                // completed computation.
-                self.reports[server.index()].note_completion();
-                self.flight_mut(task).phase = Phase::Output;
-                let output = self.placed_costs(task, server).output;
-                if let Some(link) = &mut self.client_link {
-                    link.add(now, task, output);
-                    self.resched(server, Phase::Compute, sched);
-                    self.resched_client_link(sched);
-                } else {
-                    self.servers[server.index()].start_output(now, task, output);
-                    self.resched(server, Phase::Compute, sched);
-                    self.resched(server, Phase::Output, sched);
-                }
-            }
-            Phase::Output => {
-                self.resource_mut(server, Phase::Output).remove(now, task);
-                self.resched(server, Phase::Output, sched);
-                self.output_arrived(now, task, sched);
-            }
-        }
+        self.touch_monitor(server, now);
+        self.servers[server.index()].finish_compute(now, task);
+        // Correction 2: the server notifies the agent of the completed
+        // computation.
+        self.reports[server.index()].note_completion();
+        self.flight_mut(task).phase = Phase::Output;
+        let output = self.placed_costs(task, server).output;
+        self.resched(server, Phase::Compute, sched);
+        self.on_link(server, Phase::Output, sched, |link| {
+            link.add(now, task, output)
+        });
     }
 
-    /// Shared-link transfer completion: dispatch on the task's phase.
+    /// Shared-link transfer completion.
     fn handle_client_link_done(
         &mut self,
         now: SimTime,
         gen: cas_sim::Generation,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
-        {
-            let link = self.client_link.as_ref().expect("shared link enabled");
-            if !link.generation().is_current(gen) {
-                return;
+        let link = self.client_link.as_ref().expect("shared link enabled");
+        match due(link, gen, now) {
+            None => {}
+            Some(Err(when)) => {
+                sched.at(when, GridEvent::ClientLinkDone { gen });
             }
+            Some(Ok(task)) => self.transfer_done(now, task, sched),
         }
-        let next = self
-            .client_link
-            .as_ref()
-            .expect("shared link enabled")
-            .next_completion(now);
-        let Some((task, when)) = next else { return };
-        if when.as_secs() > now.as_secs() + COMPLETION_EPS {
-            sched.at(when, GridEvent::ClientLinkDone { gen });
-            return;
-        }
-        self.client_link
-            .as_mut()
-            .expect("shared link enabled")
-            .remove(now, task);
-        let phase = self.flight(task).phase;
-        self.resched_client_link(sched);
+    }
+
+    /// `task`'s current transfer finished: it leaves its link, and its
+    /// input moves on to the CPU or its output completes the task.
+    fn transfer_done(&mut self, now: SimTime, task: TaskId, sched: &mut Scheduler<'_, GridEvent>) {
+        let Flight { server, phase } = self.flight(task);
+        self.on_link(server, phase, sched, |link| {
+            link.remove(now, task);
+        });
         match phase {
-            Phase::Input => self.input_arrived(now, task, sched),
+            Phase::Input => {
+                self.flight_mut(task).phase = Phase::Compute;
+                let compute = self.placed_costs(task, server).compute;
+                self.touch_monitor(server, now);
+                self.servers[server.index()].begin_compute(now, task, compute);
+                self.resched(server, Phase::Compute, sched);
+            }
             Phase::Output => self.output_arrived(now, task, sched),
-            Phase::Compute => unreachable!("compute never runs on the client link"),
+            Phase::Compute => unreachable!("compute is not a transfer"),
         }
     }
 
@@ -1169,13 +1222,9 @@ impl GridWorld {
         debug_assert_eq!(flight.server, server);
         match flight.phase {
             Phase::Input => {
-                if let Some(link) = &mut self.client_link {
+                self.on_link(server, Phase::Input, sched, |link| {
                     link.remove(now, task);
-                    self.resched_client_link(sched);
-                } else {
-                    self.resource_mut(server, Phase::Input).remove(now, task);
-                    self.resched(server, Phase::Input, sched);
-                }
+                });
                 // The commit-time memory reservation is still held;
                 // releasing it can ease thrashing, which changes the CPU
                 // capacity — keep the CPU event fresh.
@@ -1187,19 +1236,12 @@ impl GridWorld {
                 self.servers[server.index()].finish_compute(now, task);
                 self.resched(server, Phase::Compute, sched);
             }
-            Phase::Output => {
-                if let Some(link) = &mut self.client_link {
-                    link.remove(now, task);
-                    self.resched_client_link(sched);
-                } else {
-                    self.resource_mut(server, Phase::Output).remove(now, task);
-                    self.resched(server, Phase::Output, sched);
-                }
-            }
+            Phase::Output => self.on_link(server, Phase::Output, sched, |link| {
+                link.remove(now, task);
+            }),
         }
         let work = self.placed_costs(task, server).total();
         self.agent.on_retract(now, server, task, work);
-        self.record_completions();
         self.churn_stats.retractions += 1;
         let attempts = self.records[task.index()].attempts;
         if attempts < self.cfg.redispatch_budget {
@@ -1216,7 +1258,7 @@ impl GridWorld {
                 self.release_admission(now, sched);
             } else {
                 sched.in_(
-                    SimTime::from_secs(self.cfg.redispatch_backoff),
+                    SimTime::from_secs(REDISPATCH_BACKOFF_S),
                     GridEvent::Schedule {
                         idx: task.index(),
                         attempt: attempts + 1,
@@ -1226,12 +1268,10 @@ impl GridWorld {
             }
         } else {
             self.churn_stats.drops += 1;
-            let rec = self.record_mut(task);
-            rec.outcome = TaskOutcome::Dropped {
+            let outcome = TaskOutcome::Dropped {
                 reason: DropReason::RedispatchBudget,
             };
-            self.remaining -= 1;
-            self.release_admission(now, sched);
+            self.finish(now, task.index(), outcome, sched);
         }
     }
 
@@ -1500,8 +1540,8 @@ impl World for GridWorld {
     fn handle(&mut self, now: SimTime, event: GridEvent, sched: &mut Scheduler<'_, GridEvent>) {
         match event {
             GridEvent::Submit { idx } => self.handle_submit(now, idx, sched),
-            GridEvent::AdmissionTimeout { idx, gen } => {
-                self.handle_admission_timeout(now, idx, gen)
+            GridEvent::AdmissionTimeout { class } => {
+                self.handle_admission_timeout(now, class, sched)
             }
             GridEvent::Schedule {
                 idx,
@@ -1538,6 +1578,7 @@ impl World for GridWorld {
                 self.handle_server_leave(now, server, sched)
             }
         }
+        self.record_completions();
     }
 }
 
@@ -1591,6 +1632,7 @@ mod tests {
     use crate::config::Sharding;
     use cas_core::heuristics::HeuristicKind;
     use cas_platform::Problem;
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -1968,8 +2010,8 @@ mod tests {
     }
 
     /// Pruning selectors across a real federation (each shard adapting
-    /// its own width) must still complete every task, under both index
-    /// scoring proxies and auto sharding.
+    /// its own width) must still complete every task, under auto
+    /// sharding too.
     #[test]
     fn sharded_pruned_campaigns_complete() {
         let (costs, servers) = six_setup();
@@ -1979,20 +2021,14 @@ mod tests {
             cas_core::SelectorKind::Adaptive { k_min: 1, k_max: 2 },
         ] {
             for shards in [Sharding::AUTO, Sharding::Federated { shards: 3 }] {
-                for scoring in [
-                    cas_platform::IndexScoring::RemainingWork,
-                    cas_platform::IndexScoring::ActiveCount,
-                ] {
-                    let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 17)
-                        .with_selector(selector)
-                        .with_shards(shards)
-                        .with_index_scoring(scoring);
-                    let recs = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
-                    assert!(
-                        recs.iter().all(|r| r.is_completed()),
-                        "{selector:?}/{shards:?}/{scoring:?} left tasks unfinished"
-                    );
-                }
+                let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 17)
+                    .with_selector(selector)
+                    .with_shards(shards);
+                let recs = run_experiment(cfg, costs.clone(), servers.clone(), tasks.clone());
+                assert!(
+                    recs.iter().all(|r| r.is_completed()),
+                    "{selector:?}/{shards:?} left tasks unfinished"
+                );
             }
         }
     }
@@ -2735,5 +2771,425 @@ mod tests {
             "each re-entry was counted once as a redispatch"
         );
         assert_eq!(adm.buffered, adm.dequeued + adm.shed_deadline);
+    }
+
+    /// The admission deadlines before the per-class chains, kept as the
+    /// chains' oracle: every buffer entry pushes its own deadline event,
+    /// stamped with the task's admission generation (bumped on every
+    /// buffer exit), and a firing sheds the task only if it still waits
+    /// in the same stay, found by a linear scan of its class queue.
+    struct ReferenceGate {
+        capacity: usize,
+        buffer_cap: usize,
+        deadline: f64,
+        in_admission: usize,
+        buffered_total: usize,
+        /// Per-class FIFO queues of `(task, enqueued)`, sorted by class.
+        queues: Vec<(u32, VecDeque<(usize, SimTime)>)>,
+        rr: usize,
+        buffered: Vec<bool>,
+        gen: Vec<u32>,
+        waits: Vec<f64>,
+        stats: AdmissionStats,
+    }
+
+    impl ReferenceGate {
+        fn new(cfg: &ExperimentConfig, users: &[u32]) -> Self {
+            let mut classes: Vec<u32> = users.to_vec();
+            classes.sort_unstable();
+            classes.dedup();
+            ReferenceGate {
+                capacity: cfg.admission_capacity,
+                buffer_cap: cfg.admission_buffer,
+                deadline: cfg.admission_deadline,
+                in_admission: 0,
+                buffered_total: 0,
+                queues: classes.into_iter().map(|c| (c, VecDeque::new())).collect(),
+                rr: 0,
+                buffered: vec![false; users.len()],
+                gen: vec![0; users.len()],
+                waits: vec![0.0; users.len()],
+                stats: AdmissionStats::default(),
+            }
+        }
+
+        fn queue_of(&mut self, class: u32) -> &mut VecDeque<(usize, SimTime)> {
+            let i = self
+                .queues
+                .binary_search_by_key(&class, |(c, _)| *c)
+                .expect("registered class");
+            &mut self.queues[i].1
+        }
+
+        fn take_slot(&mut self) -> bool {
+            if self.in_admission >= self.capacity {
+                return false;
+            }
+            self.in_admission += 1;
+            self.stats.peak_admitted = self.stats.peak_admitted.max(self.in_admission);
+            true
+        }
+
+        fn dequeue(&mut self, now: SimTime) -> Option<usize> {
+            if self.buffered_total == 0 {
+                return None;
+            }
+            let n = self.queues.len();
+            for k in 0..n {
+                let i = (self.rr + k) % n;
+                if let Some((idx, enqueued)) = self.queues[i].1.pop_front() {
+                    self.rr = (i + 1) % n;
+                    self.buffered_total -= 1;
+                    self.buffered[idx] = false;
+                    self.gen[idx] += 1;
+                    self.waits[idx] += now.as_secs() - enqueued.as_secs();
+                    self.stats.dequeued += 1;
+                    return Some(idx);
+                }
+            }
+            None
+        }
+
+        /// The deadline event `(idx, gen)` fired: sheds the task unless
+        /// the event is stale.
+        fn expire(&mut self, idx: usize, gen: u32, class: u32, now: SimTime) -> bool {
+            if !self.buffered[idx] || self.gen[idx] != gen {
+                return false;
+            }
+            let q = self.queue_of(class);
+            let pos = q.iter().position(|&(i, _)| i == idx).expect("queued");
+            let (_, enqueued) = q.remove(pos).expect("in bounds");
+            self.buffered_total -= 1;
+            self.buffered[idx] = false;
+            self.gen[idx] += 1;
+            self.waits[idx] += now.as_secs() - enqueued.as_secs();
+            self.stats.shed_deadline += 1;
+            true
+        }
+    }
+
+    /// One step of a scripted gate session.
+    #[derive(Debug, Clone, Copy)]
+    enum GateOp {
+        /// The next task arrives from a class: it takes a free slot or
+        /// waits in the buffer.
+        Arrive(u32),
+        /// The oldest admitted task finishes and frees its slot.
+        Finish,
+        /// The oldest admitted task is retracted: it re-enters the
+        /// buffer (as a crash victim does), then frees its slot.
+        Reenter,
+    }
+
+    /// The gate a [`GateWorld`] drives: the production chains or their
+    /// oracle.
+    enum GateUnderTest {
+        Chains(AdmissionState),
+        Reference(ReferenceGate),
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum GateEvent {
+        /// Script step `i`.
+        Step(usize),
+        /// A class chain's deadline (the production gate).
+        Chain(u32),
+        /// One entry's deadline (the oracle).
+        Entry { idx: usize, gen: u32 },
+    }
+
+    /// What happened to a task, and when.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum GateLog {
+        Admitted(usize, f64),
+        ShedAtDeadline(usize, f64),
+        ShedOnOverflow(usize, f64),
+    }
+
+    /// A scripted session against one gate: steps `(gap, op, early)`
+    /// follow each other `gap` whole seconds apart, each queueing the
+    /// next before its own work when `early` is set and after it
+    /// otherwise, so steps and deadlines tie in both orders.
+    struct GateWorld {
+        script: Vec<(u32, GateOp, bool)>,
+        users: Vec<u32>,
+        gate: GateUnderTest,
+        next_task: usize,
+        admitted: VecDeque<usize>,
+        log: Vec<GateLog>,
+        /// Deadline events handled, and the most a class had pending.
+        firings: u64,
+        pending: Vec<u32>,
+        peak_pending: u32,
+    }
+
+    impl GateWorld {
+        fn new(script: Vec<(u32, GateOp, bool)>, cfg: &ExperimentConfig, chains: bool) -> Self {
+            let users: Vec<u32> = script
+                .iter()
+                .filter_map(|&(_, op, _)| match op {
+                    GateOp::Arrive(class) => Some(class),
+                    _ => None,
+                })
+                .collect();
+            let gate = if chains {
+                GateUnderTest::Chains(AdmissionState::new(cfg, &users))
+            } else {
+                GateUnderTest::Reference(ReferenceGate::new(cfg, &users))
+            };
+            let n_classes = users.iter().max().map_or(0, |&c| c as usize + 1);
+            GateWorld {
+                script,
+                users,
+                gate,
+                next_task: 0,
+                admitted: VecDeque::new(),
+                log: Vec::new(),
+                firings: 0,
+                pending: vec![0; n_classes],
+                peak_pending: 0,
+            }
+        }
+
+        fn stats(&self) -> AdmissionStats {
+            match &self.gate {
+                GateUnderTest::Chains(g) => g.stats,
+                GateUnderTest::Reference(g) => g.stats,
+            }
+        }
+
+        fn waits(&self) -> &[f64] {
+            match &self.gate {
+                GateUnderTest::Chains(g) => &g.waits,
+                GateUnderTest::Reference(g) => &g.waits,
+            }
+        }
+
+        fn take_slot(&mut self) -> bool {
+            match &mut self.gate {
+                GateUnderTest::Chains(g) => g.take_slot(),
+                GateUnderTest::Reference(g) => g.take_slot(),
+            }
+        }
+
+        /// `GridWorld::buffer_or_shed`, against either gate.
+        fn buffer(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<'_, GateEvent>) {
+            let class = self.users[idx];
+            let now_s = now.as_secs();
+            match &mut self.gate {
+                GateUnderTest::Chains(g) => {
+                    if g.buffered_total >= g.buffer_cap {
+                        g.stats.shed_overflow += 1;
+                        self.log.push(GateLog::ShedOnOverflow(idx, now_s));
+                        return;
+                    }
+                    let seq = match g.deadline {
+                        Some(_) => sched.reserve(1),
+                        None => 0,
+                    };
+                    let entry = BufferedTask {
+                        idx,
+                        attempt: 1,
+                        excluded: Vec::new(),
+                        enqueued: now,
+                        seq,
+                    };
+                    if let Some((at, seq)) = g.enqueue(class, entry) {
+                        sched.push_reserved(at, seq, GateEvent::Chain(class));
+                        self.armed(class);
+                    }
+                }
+                GateUnderTest::Reference(g) => {
+                    if g.buffered_total >= g.buffer_cap {
+                        g.stats.shed_overflow += 1;
+                        self.log.push(GateLog::ShedOnOverflow(idx, now_s));
+                        return;
+                    }
+                    let gen = g.gen[idx];
+                    g.buffered[idx] = true;
+                    g.buffered_total += 1;
+                    g.stats.buffered += 1;
+                    g.stats.peak_buffered = g.stats.peak_buffered.max(g.buffered_total);
+                    g.queue_of(class).push_back((idx, now));
+                    if g.deadline.is_finite() {
+                        sched.in_(
+                            SimTime::from_secs(g.deadline),
+                            GateEvent::Entry { idx, gen },
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Counts a deadline event pushed for `class`.
+        fn armed(&mut self, class: u32) {
+            let pending = &mut self.pending[class as usize];
+            *pending += 1;
+            self.peak_pending = self.peak_pending.max(*pending);
+        }
+
+        /// `GridWorld::release_admission`, against either gate.
+        fn release(&mut self, now: SimTime) {
+            match &mut self.gate {
+                GateUnderTest::Chains(g) => {
+                    g.in_admission -= 1;
+                    while let Some(entry) = g.admit_next(now) {
+                        self.admitted.push_back(entry.idx);
+                        self.log.push(GateLog::Admitted(entry.idx, now.as_secs()));
+                    }
+                }
+                GateUnderTest::Reference(g) => {
+                    g.in_admission -= 1;
+                    while g.in_admission < g.capacity {
+                        let Some(idx) = g.dequeue(now) else { break };
+                        g.in_admission += 1;
+                        g.stats.peak_admitted = g.stats.peak_admitted.max(g.in_admission);
+                        self.admitted.push_back(idx);
+                        self.log.push(GateLog::Admitted(idx, now.as_secs()));
+                    }
+                }
+            }
+        }
+
+        fn step(&mut self, now: SimTime, op: GateOp, sched: &mut Scheduler<'_, GateEvent>) {
+            match op {
+                GateOp::Arrive(_) => {
+                    let idx = self.next_task;
+                    self.next_task += 1;
+                    if self.take_slot() {
+                        self.admitted.push_back(idx);
+                        self.log.push(GateLog::Admitted(idx, now.as_secs()));
+                    } else {
+                        self.buffer(now, idx, sched);
+                    }
+                }
+                GateOp::Finish => {
+                    if self.admitted.pop_front().is_some() {
+                        self.release(now);
+                    }
+                }
+                GateOp::Reenter => {
+                    if let Some(idx) = self.admitted.pop_front() {
+                        self.buffer(now, idx, sched);
+                        self.release(now);
+                    }
+                }
+            }
+        }
+    }
+
+    impl World for GateWorld {
+        type Event = GateEvent;
+
+        fn init(&mut self, sched: &mut Scheduler<'_, GateEvent>) {
+            if let Some(&(gap, _, _)) = self.script.first() {
+                sched.at(SimTime::from_secs(f64::from(gap)), GateEvent::Step(0));
+            }
+        }
+
+        fn handle(&mut self, now: SimTime, event: GateEvent, sched: &mut Scheduler<'_, GateEvent>) {
+            match event {
+                GateEvent::Step(i) => {
+                    let (_, op, early) = self.script[i];
+                    let next = self.script.get(i + 1).map(|&(gap, _, _)| gap);
+                    let queue_next = |sched: &mut Scheduler<'_, GateEvent>| {
+                        if let Some(gap) = next {
+                            sched.in_(SimTime::from_secs(f64::from(gap)), GateEvent::Step(i + 1));
+                        }
+                    };
+                    if early {
+                        queue_next(sched);
+                        self.step(now, op, sched);
+                    } else {
+                        self.step(now, op, sched);
+                        queue_next(sched);
+                    }
+                }
+                GateEvent::Chain(class) => {
+                    self.firings += 1;
+                    self.pending[class as usize] -= 1;
+                    let GateUnderTest::Chains(g) = &mut self.gate else {
+                        unreachable!("chain events come from the chains")
+                    };
+                    let (shed, next) = g.expire(class, now);
+                    if let Some((at, seq)) = next {
+                        sched.push_reserved(at, seq, GateEvent::Chain(class));
+                        self.armed(class);
+                    }
+                    if let Some(idx) = shed {
+                        self.log.push(GateLog::ShedAtDeadline(idx, now.as_secs()));
+                    }
+                }
+                GateEvent::Entry { idx, gen } => {
+                    self.firings += 1;
+                    let class = self.users[idx];
+                    let GateUnderTest::Reference(g) = &mut self.gate else {
+                        unreachable!("entry events come from the oracle")
+                    };
+                    if g.expire(idx, gen, class, now) {
+                        self.log.push(GateLog::ShedAtDeadline(idx, now.as_secs()));
+                    }
+                }
+            }
+        }
+    }
+
+    prop_compose! {
+        /// A script step: whole-second gaps (ties are the rule), mostly
+        /// arrivals, with finishes and re-entries between them.
+        fn arb_gate_step()(
+            gap in 0u32..4,
+            kind in 0u32..7,
+            class in 0u32..4,
+            early in proptest::bool::ANY,
+        ) -> (u32, GateOp, bool) {
+            let op = match kind {
+                0..=3 => GateOp::Arrive(class),
+                4 | 5 => GateOp::Finish,
+                _ => GateOp::Reenter,
+            };
+            (gap, op, early)
+        }
+    }
+
+    proptest! {
+        /// The per-class deadline chains shed the same tasks at the same
+        /// instants as per-entry deadline events, admit the same tasks
+        /// at the same instants, and leave the same waits and counters,
+        /// with at most one deadline pending per class and no more
+        /// firings than the oracle's events.
+        #[test]
+        fn admission_chain_matches_per_entry_deadlines(
+            n_classes in 2u32..4,
+            script in proptest::collection::vec(arb_gate_step(), 1..80),
+            capacity in 1usize..4,
+            buffer in 1usize..8,
+            deadline_s in 0u32..7,
+        ) {
+            let script: Vec<(u32, GateOp, bool)> = script
+                .into_iter()
+                .map(|(gap, op, early)| match op {
+                    GateOp::Arrive(class) => (gap, GateOp::Arrive(class % n_classes), early),
+                    op => (gap, op, early),
+                })
+                .collect();
+            // 0 stands for no deadline at all.
+            let deadline = if deadline_s == 0 { f64::INFINITY } else { f64::from(deadline_s) };
+            let cfg = ExperimentConfig::ideal(HeuristicKind::Hmct, 1)
+                .with_admission(capacity, buffer, deadline);
+            let run = |chains: bool| {
+                let mut sim = Simulation::new(GateWorld::new(script.clone(), &cfg, chains));
+                sim.run_to_completion();
+                sim.into_world()
+            };
+            let (chains, oracle) = (run(true), run(false));
+            prop_assert_eq!(&chains.log, &oracle.log);
+            prop_assert_eq!(chains.waits(), oracle.waits());
+            prop_assert_eq!(chains.stats(), oracle.stats());
+            prop_assert!(chains.peak_pending <= 1, "{} deadlines pending in a class", chains.peak_pending);
+            let stats = chains.stats();
+            prop_assert!(chains.firings <= oracle.firings);
+            prop_assert!(chains.firings <= stats.shed_deadline + stats.dequeued);
+        }
     }
 }

@@ -86,16 +86,15 @@ pub enum GridEvent {
         /// The crashed server.
         server: ServerId,
     },
-    /// A buffered task's admission deadline fired. If the task is still
-    /// waiting in the admission buffer *and* its buffering generation
-    /// matches (it was not dequeued and re-buffered since), it is shed
-    /// with `DropReason::AdmissionDeadline`; otherwise the event is
-    /// stale and ignored.
+    /// The admission deadline of a user class's oldest buffered task
+    /// came due. The gate keeps at most one of these pending per class,
+    /// armed at the class head's deadline: if the head it was armed for
+    /// still waits, it is shed with `DropReason::AdmissionDeadline`;
+    /// either way the event re-arms at the current head's deadline, if
+    /// the class still has one.
     AdmissionTimeout {
-        /// Index into the experiment's task list.
-        idx: usize,
-        /// Admission generation of the task when the deadline was armed.
-        gen: u32,
+        /// The user class.
+        class: u32,
     },
 }
 

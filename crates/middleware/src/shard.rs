@@ -63,8 +63,8 @@ use cas_core::heuristics::{DecisionMemo, Heuristic, SchedView};
 use cas_core::selector::{CandidateSelector, SelectorInput};
 use cas_core::{Htm, MemoStats, Prediction, SelectorKind, SyncPolicy};
 use cas_platform::{
-    CostTable, IndexScoring, LoadReport, PhaseCosts, ProblemId, ServerId, ShardMap, ShardTree,
-    StaticIndex, TaskId, TaskInstance,
+    CostTable, LoadReport, PhaseCosts, ProblemId, ServerId, ShardMap, ShardTree, StaticIndex,
+    TaskId, TaskInstance,
 };
 use cas_sim::{prof, RngStream, SimTime};
 
@@ -303,7 +303,6 @@ pub struct AgentRouter {
     /// How the engines were built — needed to rebuild blocks when the
     /// partition changes under churn.
     selector_kind: SelectorKind,
-    scoring: IndexScoring,
 }
 
 impl AgentRouter {
@@ -314,7 +313,6 @@ impl AgentRouter {
         costs: &CostTable,
         shards: Option<usize>,
         selector: SelectorKind,
-        scoring: IndexScoring,
         sync: SyncPolicy,
     ) -> Self {
         let n = costs.n_servers();
@@ -326,7 +324,7 @@ impl AgentRouter {
         let shards: Vec<ShardEngine> = (0..map.n_shards())
             .map(|k| {
                 let (start, len) = (map.start(k), map.len(k));
-                let index = StaticIndex::with_scoring(&costs.restrict(start, len), scoring);
+                let index = StaticIndex::new(&costs.restrict(start, len));
                 ShardEngine::new(start, index, selector)
             })
             .collect();
@@ -352,7 +350,6 @@ impl AgentRouter {
             members: Vec::new(),
             candidates: Vec::new(),
             selector_kind: selector,
-            scoring,
         }
     }
 
@@ -906,7 +903,7 @@ impl AgentRouter {
                         })
                         .collect();
                     let local_costs = costs.restrict(start, len);
-                    let index = StaticIndex::with_ledgers(&local_costs, self.scoring, &ledgers);
+                    let index = StaticIndex::with_ledgers(&local_costs, &ledgers);
                     ShardEngine::new(start, index, self.selector_kind)
                 }
             };
@@ -1102,8 +1099,7 @@ mod oracles {
             self.shards = (0..new_map.n_shards())
                 .map(|k| {
                     let (start, len) = (new_map.start(k), new_map.len(k));
-                    let mut index =
-                        StaticIndex::with_scoring(&costs.restrict(start, len), self.scoring);
+                    let mut index = StaticIndex::new(&costs.restrict(start, len));
                     for &op in log {
                         let Some(l) = op.server().0.checked_sub(start).map(ServerId) else {
                             continue;
@@ -1162,20 +1158,8 @@ mod skyline_edge {
     }
 
     fn routers(table: &CostTable, selector: SelectorKind) -> (EagerMerge, AgentRouter) {
-        let eager = EagerMerge(AgentRouter::new(
-            table,
-            Some(3),
-            selector,
-            IndexScoring::default(),
-            SyncPolicy::None,
-        ));
-        let lazy = AgentRouter::new(
-            table,
-            Some(3),
-            selector,
-            IndexScoring::default(),
-            SyncPolicy::None,
-        );
+        let eager = EagerMerge(AgentRouter::new(table, Some(3), selector, SyncPolicy::None));
+        let lazy = AgentRouter::new(table, Some(3), selector, SyncPolicy::None);
         (eager, lazy)
     }
 
@@ -1200,14 +1184,9 @@ mod skyline_edge {
     #[test]
     fn rebuilt_blocks_keep_stage2_settings() {
         let table = edge_table();
-        let mut router = AgentRouter::new(
-            &table,
-            Some(3),
-            SelectorKind::Exhaustive,
-            IndexScoring::default(),
-            SyncPolicy::None,
-        )
-        .with_completion_only(true);
+        let mut router =
+            AgentRouter::new(&table, Some(3), SelectorKind::Exhaustive, SyncPolicy::None)
+                .with_completion_only(true);
         for i in 0..4u64 {
             let task = TaskInstance::new(TaskId(i), ProblemId(0), SimTime::from_secs(i as f64));
             router.on_commit(
@@ -1249,7 +1228,6 @@ mod skyline_edge {
             &table,
             Some(3),
             SelectorKind::TopK { k: 2 },
-            IndexScoring::default(),
             SyncPolicy::None,
         )
         .with_completion_only(true);
@@ -1512,15 +1490,7 @@ mod skyline_edge {
                 .collect(),
         );
         let selector = SelectorKind::TopK { k: 1 };
-        let router = || {
-            AgentRouter::new(
-                &costs,
-                Some(4),
-                selector,
-                IndexScoring::default(),
-                SyncPolicy::None,
-            )
-        };
+        let router = || AgentRouter::new(&costs, Some(4), selector, SyncPolicy::None);
         let mut eager = EagerMerge(router());
         let mut tree = router().with_group_size(2);
         assert_eq!(tree.tree().n_groups(), 2);
@@ -1549,19 +1519,16 @@ mod skyline_edge {
         let column = vec![Some(PhaseCosts::new(0.0, 9.0, 0.0)), None];
         let mut grown = table.clone();
         assert_eq!(grown.push_server(column.clone()), ServerId(6));
-        let scoring = IndexScoring::default();
         let mut fresh = AgentRouter::new(
             &grown,
             Some(1),
             SelectorKind::TopK { k: 2 },
-            scoring,
             SyncPolicy::None,
         );
         let mut joined = AgentRouter::new(
             &table,
             Some(1),
             SelectorKind::TopK { k: 2 },
-            scoring,
             SyncPolicy::None,
         );
         assert_eq!(joined.push_server(column), ServerId(6));
@@ -1599,16 +1566,10 @@ mod skyline_edge {
         ];
         let mut grown = table.clone();
         grown.push_server(column.clone());
-        let scoring = IndexScoring::default();
         let mut reference =
             SingleAgentReference::new(&grown, SelectorKind::Exhaustive, SyncPolicy::None);
-        let mut joined = AgentRouter::new(
-            &table,
-            Some(3),
-            SelectorKind::Exhaustive,
-            scoring,
-            SyncPolicy::None,
-        );
+        let mut joined =
+            AgentRouter::new(&table, Some(3), SelectorKind::Exhaustive, SyncPolicy::None);
         joined.push_server(column);
         let harness = DiffHarness::new(grown);
         let mut ops = decide_ops(6);
@@ -1639,38 +1600,20 @@ mod skyline_edge {
         let table = edge_table();
         let harness = DiffHarness::new(table.clone());
         // Exhaustive federated: full union semantics, no skyline.
-        let scoring = IndexScoring::default();
-        let mut a = AgentRouter::new(
-            &table,
-            Some(3),
-            SelectorKind::Exhaustive,
-            scoring,
-            SyncPolicy::None,
-        );
+        let mut a = AgentRouter::new(&table, Some(3), SelectorKind::Exhaustive, SyncPolicy::None);
         let mut b = EagerMerge(AgentRouter::new(
             &table,
             Some(3),
             SelectorKind::Exhaustive,
-            scoring,
             SyncPolicy::None,
         ));
         harness.run(&mut a, &mut b, &decide_ops(4)).unwrap();
         assert_eq!(a.skyline_stats(), SkylineStats::default());
         // Single-agent fast path.
-        let mut single = AgentRouter::new(
-            &table,
-            None,
-            SelectorKind::TopK { k: 2 },
-            scoring,
-            SyncPolicy::None,
-        );
-        let mut single_b = AgentRouter::new(
-            &table,
-            None,
-            SelectorKind::TopK { k: 2 },
-            scoring,
-            SyncPolicy::None,
-        );
+        let mut single =
+            AgentRouter::new(&table, None, SelectorKind::TopK { k: 2 }, SyncPolicy::None);
+        let mut single_b =
+            AgentRouter::new(&table, None, SelectorKind::TopK { k: 2 }, SyncPolicy::None);
         harness
             .run(&mut single, &mut single_b, &decide_ops(4))
             .unwrap();
@@ -1742,13 +1685,7 @@ mod proptests {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
         let mut reference = SingleAgentReference::new(&table, selector, sync);
-        let mut router = AgentRouter::new(
-            &table,
-            Some(n_shards),
-            selector,
-            IndexScoring::default(),
-            sync,
-        );
+        let mut router = AgentRouter::new(&table, Some(n_shards), selector, sync);
         prop_assert_eq!(router.n_shards(), n_shards);
         prop_assert!(router.is_federated());
         let ops: Vec<Op> = ops.into_iter().map(Op::from).collect();
@@ -1772,15 +1709,8 @@ mod proptests {
     ) -> Result<(), TestCaseError> {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
-        let scoring = IndexScoring::default();
-        let mut eager = EagerMerge(AgentRouter::new(
-            &table,
-            Some(n_shards),
-            selector,
-            scoring,
-            sync,
-        ));
-        let mut lazy = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync);
+        let mut eager = EagerMerge(AgentRouter::new(&table, Some(n_shards), selector, sync));
+        let mut lazy = AgentRouter::new(&table, Some(n_shards), selector, sync);
         let ops: Vec<Op> = ops.into_iter().map(Op::from).collect();
         if let Err(e) = harness.run(&mut eager, &mut lazy, &ops) {
             return Err(TestCaseError::fail(e));
@@ -1813,11 +1743,10 @@ mod proptests {
     ) -> Result<(), TestCaseError> {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
-        let scoring = IndexScoring::default();
-        let mut flat = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_group_size(usize::MAX);
-        let mut tree = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_group_size(group_size);
+        let mut flat =
+            AgentRouter::new(&table, Some(n_shards), selector, sync).with_group_size(usize::MAX);
+        let mut tree =
+            AgentRouter::new(&table, Some(n_shards), selector, sync).with_group_size(group_size);
         let n_shards = flat.n_shards() as u64; // post-clamp
         let n_groups = tree.tree().n_groups() as u64;
         let grouped = !tree.tree().is_empty();
@@ -1902,10 +1831,8 @@ mod proptests {
         assert_eq!(phases.len(), shards_after.len() + 1);
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
-        let scoring = IndexScoring::default();
-        let mut incremental =
-            AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
-        let mut full = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
+        let mut incremental = AgentRouter::new(&table, Some(shards_before), selector, sync);
+        let mut full = AgentRouter::new(&table, Some(shards_before), selector, sync);
         let mut session = harness.session();
         for (i, phase) in phases.into_iter().enumerate() {
             if i > 0 {
@@ -1944,10 +1871,9 @@ mod proptests {
     ) -> Result<(), TestCaseError> {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
-        let scoring = IndexScoring::default();
         let selector = SelectorKind::Exhaustive;
-        let mut fixed = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
-        let mut moved = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync);
+        let mut fixed = AgentRouter::new(&table, Some(shards_before), selector, sync);
+        let mut moved = AgentRouter::new(&table, Some(shards_before), selector, sync);
         let prefix: Vec<Op> = prefix.into_iter().map(Op::from).collect();
         let suffix: Vec<Op> = suffix.into_iter().map(Op::from).collect();
         let mut session = harness.session();
@@ -2158,12 +2084,11 @@ mod proptests {
             let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
             let table = build_table(N_SERVERS_WIDE, &costs, &solvable);
             let harness = DiffHarness::new(table.clone());
-            let scoring = IndexScoring::default();
             let selector = selector_of(selector_pick);
             let mut incremental =
-                AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
+                AgentRouter::new(&table, Some(shards_before), selector, sync)
                     .with_group_size(2);
-            let mut full = AgentRouter::new(&table, Some(shards_before), selector, scoring, sync)
+            let mut full = AgentRouter::new(&table, Some(shards_before), selector, sync)
                 .with_group_size(2);
             let prefix: Vec<Op> = prefix.into_iter().map(Op::from).collect();
             let suffix: Vec<Op> = suffix.into_iter().map(Op::from).collect();

@@ -1,5 +1,5 @@
 //! Proof that the steady-state decision loop performs no heap
-//! allocation.
+//! allocation, and that neither does an admission-deadline firing.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! warms the router up (growing every reusable buffer — shortlist
@@ -13,11 +13,12 @@
 use cas_core::heuristics::HeuristicKind;
 use cas_core::{SelectorKind, SyncPolicy};
 use cas_middleware::shard::{AgentRouter, DecisionInputs};
+use cas_middleware::{ExperimentConfig, GridEvent, GridWorld};
 use cas_platform::{
-    CostTable, IndexScoring, LoadReport, PhaseCosts, Problem, ProblemId, ServerId, TaskId,
+    CostTable, LoadReport, PhaseCosts, Problem, ProblemId, ServerId, ServerSpec, TaskId,
     TaskInstance,
 };
-use cas_sim::{RngStream, SimTime, StreamKind};
+use cas_sim::{RngStream, Scheduler, SimTime, Simulation, StreamKind, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,13 +98,7 @@ fn measured_decisions(
     let reports: Vec<LoadReport> = (0..n).map(|i| LoadReport::initial(ServerId(i))).collect();
     let server_mem = vec![f64::MAX; n as usize];
     let mut heuristic = heuristic.build();
-    let mut router = AgentRouter::new(
-        &costs,
-        shards,
-        selector,
-        IndexScoring::RemainingWork,
-        SyncPolicy::None,
-    );
+    let mut router = AgentRouter::new(&costs, shards, selector, SyncPolicy::None);
     let mut tie_rng = RngStream::derive(11, StreamKind::TieBreak);
     let admit = |_: ServerId| true;
 
@@ -203,4 +198,64 @@ fn wide_shortlist_decisions_allocate_nothing() {
             }
         }
     }
+}
+
+/// `GridWorld` plus the allocations made while it handles its
+/// `AdmissionTimeout` events.
+struct DeadlineAllocs {
+    world: GridWorld,
+    firings: u64,
+    allocs: u64,
+}
+
+impl World for DeadlineAllocs {
+    type Event = GridEvent;
+
+    fn init(&mut self, sched: &mut Scheduler<'_, GridEvent>) {
+        self.world.init(sched);
+    }
+
+    fn handle(&mut self, now: SimTime, event: GridEvent, sched: &mut Scheduler<'_, GridEvent>) {
+        if matches!(event, GridEvent::AdmissionTimeout { .. }) {
+            self.firings += 1;
+            let world = &mut self.world;
+            self.allocs += allocations_in(|| world.handle(now, event, sched));
+        } else {
+            self.world.handle(now, event, sched);
+        }
+    }
+}
+
+/// An admission-deadline firing allocates nothing, whether it sheds
+/// the class head it was armed for or finds that head dequeued, and
+/// re-arms either way: three classes arrive in turn every half second,
+/// far faster than eight servers drain them, behind a tight gate.
+#[test]
+fn admission_deadline_firings_allocate_nothing() {
+    let n_tasks = 600u64;
+    let servers = (0..8)
+        .map(|s| ServerSpec::new(format!("s{s}"), 1000.0, 1024.0, 1024.0))
+        .collect();
+    let tasks = (0..n_tasks).map(|i| task(i, 0.5 * i as f64)).collect();
+    let users = (0..n_tasks).map(|i| (i % 3) as u32).collect();
+    let cfg = ExperimentConfig::ideal(HeuristicKind::Mct, 1).with_admission(8, 40, 20.0);
+    let world = GridWorld::new(cfg, farm(8), servers, tasks).with_users(users);
+    let mut sim = Simulation::new(DeadlineAllocs {
+        world,
+        firings: 0,
+        allocs: 0,
+    });
+    sim.run_to_completion();
+    let probe = sim.into_world();
+    let adm = probe.world.admission_stats();
+    assert!(
+        adm.shed_deadline > 0 && probe.firings > adm.shed_deadline,
+        "firings must both shed and find their head dequeued: {} firings, {adm:?}",
+        probe.firings
+    );
+    assert_eq!(
+        probe.allocs, 0,
+        "{} deadline firings made {} allocations",
+        probe.firings, probe.allocs
+    );
 }

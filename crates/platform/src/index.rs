@@ -5,12 +5,10 @@
 //! two-stage pipeline: a cheap *static* filter proposes a shortlist, the
 //! expensive model scores only the shortlist. [`StaticIndex`] is that
 //! filter's data structure: for every problem it keeps the solvable
-//! servers ordered by a static completion proxy, selectable via
-//! [`IndexScoring`]:
+//! servers ordered by a static completion proxy:
 //!
 //! ```text
-//! RemainingWork:  score(p, s) = d(p, s) + remaining(s)
-//! ActiveCount:    score(p, s) = d(p, s) · (active(s) + 1)
+//! score(p, s) = d(p, s) + remaining(s)
 //! ```
 //!
 //! `remaining(s)` is the work still in flight on the server — each
@@ -21,10 +19,7 @@
 //! predicted residence times, sum to exactly the serial drain time of
 //! the backlog (residence includes queueing delay and would count the
 //! queue once per queued task); `d + remaining` is then the classic "my
-//! cost after the queue drains" proxy. `ActiveCount` is the original count-based scorer (unloaded
-//! duration stretched by the believed in-flight count, the CPU-sharing
-//! intuition of the NetSolve estimate) and stays available behind the
-//! experiment-config flag as the comparison baseline.
+//! cost after the queue drains" proxy.
 //!
 //! The index is **incremental**: the per-server believed load changes only
 //! on [`StaticIndex::on_commit`] / [`StaticIndex::on_retract`] /
@@ -68,11 +63,8 @@ type RankKey = (u64, u32);
 /// leave stale entries in the rankings (the `debug_assert` in `rerank`
 /// is compiled out in release) — so both call through here.
 #[inline]
-fn proxy_score(scoring: IndexScoring, d: f64, active: u32, remaining: f64) -> f64 {
-    match scoring {
-        IndexScoring::RemainingWork => d + remaining,
-        IndexScoring::ActiveCount => d * (active as f64 + 1.0),
-    }
+fn proxy_score(d: f64, remaining: f64) -> f64 {
+    d + remaining
 }
 
 /// Non-negative finite `f64` → order-preserving `u64` key.
@@ -83,40 +75,6 @@ fn score_bits(score: f64) -> u64 {
         "stage-1 scores must be non-negative finite, got {score}"
     );
     score.to_bits()
-}
-
-/// Which static completion proxy orders the stage-1 rankings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexScoring {
-    /// `d(p, s) + remaining(s)`: the unloaded duration behind the
-    /// server's remaining backlog of service demands (charged at commit,
-    /// paid back on completion). The default — sharper on heterogeneous
-    /// task mixes.
-    #[default]
-    RemainingWork,
-    /// `d(p, s) · (active(s) + 1)`: the original count-based scorer, kept
-    /// as the comparison baseline.
-    ActiveCount,
-}
-
-impl IndexScoring {
-    /// Parses `work` / `remaining` or `count` / `active`
-    /// (case-insensitive).
-    pub fn parse(s: &str) -> Option<IndexScoring> {
-        match s.to_ascii_lowercase().as_str() {
-            "work" | "remaining" => Some(IndexScoring::RemainingWork),
-            "count" | "active" => Some(IndexScoring::ActiveCount),
-            _ => None,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexScoring::RemainingWork => "work",
-            IndexScoring::ActiveCount => "count",
-        }
-    }
 }
 
 /// `current` stamp of a server absent from a ranking (down, or never
@@ -432,7 +390,6 @@ impl Iterator for FlatIter<'_> {
 #[derive(Debug, Clone)]
 pub struct StaticIndex {
     n_servers: usize,
-    scoring: IndexScoring,
     /// Tasks the scheduler believes are in flight per server (its own
     /// commit ledger, not the stale monitor reports).
     active: Vec<u32>,
@@ -456,17 +413,10 @@ pub struct StaticIndex {
 }
 
 impl StaticIndex {
-    /// Builds the index from the static cost table with the default
-    /// [`IndexScoring::RemainingWork`] proxy; every server starts with
-    /// zero believed load.
+    /// Builds the index from the static cost table; every server starts
+    /// live and idle.
     pub fn new(costs: &CostTable) -> Self {
-        Self::with_scoring(costs, IndexScoring::default())
-    }
-
-    /// Builds the index with an explicit scoring proxy; every server
-    /// starts live and idle.
-    pub fn with_scoring(costs: &CostTable, scoring: IndexScoring) -> Self {
-        Self::build(costs, scoring, |_| (0, 0.0, true))
+        Self::build(costs, |_| (0, 0.0, true))
     }
 
     /// Builds the index with every server's ledger given up front:
@@ -479,23 +429,15 @@ impl StaticIndex {
     ///
     /// # Panics
     /// Panics unless there is exactly one ledger per server.
-    pub fn with_ledgers(
-        costs: &CostTable,
-        scoring: IndexScoring,
-        ledgers: &[(u32, f64, bool)],
-    ) -> Self {
+    pub fn with_ledgers(costs: &CostTable, ledgers: &[(u32, f64, bool)]) -> Self {
         assert_eq!(ledgers.len(), costs.n_servers(), "one ledger per server");
-        Self::build(costs, scoring, |s| ledgers[s])
+        Self::build(costs, |s| ledgers[s])
     }
 
     /// The one constructor body: `ledger(s)` is server `s`'s `(active,
     /// remaining, available)`. A closure rather than a slice, so the
     /// all-idle build allocates no ledger table.
-    fn build(
-        costs: &CostTable,
-        scoring: IndexScoring,
-        ledger: impl Fn(usize) -> (u32, f64, bool),
-    ) -> Self {
+    fn build(costs: &CostTable, ledger: impl Fn(usize) -> (u32, f64, bool)) -> Self {
         let n_servers = costs.n_servers();
         let n_problems = costs.n_problems();
         let mut durations = Vec::with_capacity(n_problems * n_servers);
@@ -506,7 +448,6 @@ impl StaticIndex {
         }
         let mut idx = StaticIndex {
             n_servers,
-            scoring,
             active: (0..n_servers).map(|s| ledger(s).0).collect(),
             remaining: (0..n_servers).map(|s| ledger(s).1).collect(),
             durations,
@@ -518,9 +459,9 @@ impl StaticIndex {
         };
         for p in 0..n_problems {
             for s in 0..n_servers {
-                let (active, remaining, available) = ledger(s);
+                let (_, remaining, available) = ledger(s);
                 if let (Some(d), true) = (idx.durations[p * n_servers + s], available) {
-                    let bits = score_bits(proxy_score(scoring, d, active, remaining));
+                    let bits = score_bits(proxy_score(d, remaining));
                     idx.insert_key(p, s as u32, bits);
                 }
             }
@@ -543,11 +484,6 @@ impl StaticIndex {
     /// Number of servers covered.
     pub fn n_servers(&self) -> usize {
         self.n_servers
-    }
-
-    /// The scoring proxy in use.
-    pub fn scoring(&self) -> IndexScoring {
-        self.scoring
     }
 
     /// Tasks the index believes are in flight on `server`.
@@ -592,27 +528,24 @@ impl StaticIndex {
     pub fn score(&self, problem: ProblemId, server: ServerId) -> Option<f64> {
         let s = server.index();
         self.durations[problem.index() * self.n_servers + s]
-            .map(|d| proxy_score(self.scoring, d, self.active[s], self.remaining[s]))
+            .map(|d| proxy_score(d, self.remaining[s]))
     }
 
-    /// Re-ranks `server` in every problem set after its believed load
-    /// moved from `(old_active, old_remaining)` to the current values.
+    /// Re-ranks `server` in every problem set after its remaining-work
+    /// ledger moved from `old_remaining` to the current value.
     /// Unavailable servers own no ranking entries, so only their ledgers
     /// move (they re-enter the rankings at the updated score on
     /// [`StaticIndex::set_available`]).
-    fn rerank(&mut self, server: ServerId, old_active: u32, old_remaining: f64) {
+    fn rerank(&mut self, server: ServerId, old_remaining: f64) {
         let s = server.index();
         if !self.available[s] {
             return;
         }
-        let (new_active, new_remaining) = (self.active[s], self.remaining[s]);
-        let scoring = self.scoring;
+        let new_remaining = self.remaining[s];
         for p in 0..self.durations.len() / self.n_servers {
             if let Some(d) = self.durations[p * self.n_servers + s] {
-                let old = proxy_score(scoring, d, old_active, old_remaining);
-                self.remove_key(p, s as u32, score_bits(old));
-                let new = proxy_score(scoring, d, new_active, new_remaining);
-                self.insert_key(p, s as u32, score_bits(new));
+                self.remove_key(p, s as u32, score_bits(proxy_score(d, old_remaining)));
+                self.insert_key(p, s as u32, score_bits(proxy_score(d, new_remaining)));
             }
         }
     }
@@ -634,11 +567,10 @@ impl StaticIndex {
         } else {
             self.n_available -= 1;
         }
-        let (active, remaining) = (self.active[s], self.remaining[s]);
-        let scoring = self.scoring;
+        let remaining = self.remaining[s];
         for p in 0..self.durations.len() / self.n_servers {
             if let Some(d) = self.durations[p * self.n_servers + s] {
-                let bits = score_bits(proxy_score(scoring, d, active, remaining));
+                let bits = score_bits(proxy_score(d, remaining));
                 if up {
                     self.insert_key(p, s as u32, bits);
                 } else {
@@ -685,10 +617,9 @@ impl StaticIndex {
         for r in &mut self.ranked {
             r.push_slot();
         }
-        let scoring = self.scoring;
         for (p, d) in durations.iter().enumerate() {
             if let Some(d) = *d {
-                self.insert_key(p, old_n as u32, score_bits(proxy_score(scoring, d, 0, 0.0)));
+                self.insert_key(p, old_n as u32, score_bits(proxy_score(d, 0.0)));
             }
         }
     }
@@ -701,7 +632,7 @@ impl StaticIndex {
         let (old_active, old_remaining) = (self.active[s], self.remaining[s]);
         self.active[s] = old_active + 1;
         self.remaining[s] = old_remaining + work.max(0.0);
-        self.rerank(server, old_active, old_remaining);
+        self.rerank(server, old_remaining);
     }
 
     /// A committed task was retracted from `server` (the placement was
@@ -733,7 +664,7 @@ impl StaticIndex {
         } else {
             (old_remaining - work.max(0.0)).max(0.0)
         };
-        self.rerank(server, old_active, old_remaining);
+        self.rerank(server, old_remaining);
     }
 
     /// Walks `problem`'s ranking in ascending score order, best first,
@@ -813,9 +744,9 @@ mod tests {
 
     #[test]
     fn commit_reorders_and_complete_restores() {
-        let mut idx = StaticIndex::with_scoring(&table(), IndexScoring::ActiveCount);
-        // Two commits on S0: score(P0,S0) = 100·3 = 300, ties S2's 300 →
-        // id order keeps S0 ahead of S2.
+        let mut idx = StaticIndex::new(&table());
+        // Two commits on S0: score(P0,S0) = 100 + 200 = 300, ties S2's
+        // 300 → id order keeps S0 ahead of S2.
         idx.on_commit(ServerId(0), 100.0);
         idx.on_commit(ServerId(0), 100.0);
         assert_eq!(idx.active(ServerId(0)), 2);
@@ -879,18 +810,14 @@ mod tests {
     #[test]
     fn remaining_work_ranks_by_backlog_not_count() {
         // S0 (d=100) carries one long task (500 s of predicted work);
-        // S1 (d=150) carries two short ones (10 s each). The count scorer
-        // prefers S0 (100·2 = 200 < 150·3 = 450); the remaining-work
-        // scorer sees through the mix (100+500 = 600 > 150+20 = 170).
-        let mut by_count = StaticIndex::with_scoring(&table(), IndexScoring::ActiveCount);
+        // S1 (d=150) carries two short ones (10 s each). A count-based
+        // proxy would prefer S0 (100·2 = 200 < 150·3 = 450); the
+        // remaining-work score sees through the mix (100+500 = 600 >
+        // 150+20 = 170).
         let mut by_work = StaticIndex::new(&table());
-        assert_eq!(by_work.scoring(), IndexScoring::RemainingWork);
-        for idx in [&mut by_count, &mut by_work] {
-            idx.on_commit(ServerId(0), 500.0);
-            idx.on_commit(ServerId(1), 10.0);
-            idx.on_commit(ServerId(1), 10.0);
-        }
-        assert_eq!(best(&by_count, 0, 3), vec![0, 2, 1]);
+        by_work.on_commit(ServerId(0), 500.0);
+        by_work.on_commit(ServerId(1), 10.0);
+        by_work.on_commit(ServerId(1), 10.0);
         assert_eq!(best(&by_work, 0, 3), vec![1, 2, 0]);
         assert_eq!(by_work.score(ProblemId(0), ServerId(0)), Some(600.0));
         assert_eq!(by_work.remaining(ServerId(1)), 20.0);
@@ -917,22 +844,6 @@ mod tests {
         assert_eq!(idx.active(ServerId(0)), 0);
         assert_eq!(idx.remaining(ServerId(0)), 0.0);
         assert_eq!(idx.score(ProblemId(0), ServerId(0)), Some(100.0));
-    }
-
-    #[test]
-    fn scoring_parse_roundtrip() {
-        assert_eq!(
-            IndexScoring::parse("work"),
-            Some(IndexScoring::RemainingWork)
-        );
-        assert_eq!(
-            IndexScoring::parse("COUNT"),
-            Some(IndexScoring::ActiveCount)
-        );
-        assert_eq!(IndexScoring::parse("nope"), None);
-        for s in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            assert_eq!(IndexScoring::parse(s.name()), Some(s));
-        }
     }
 
     #[test]
@@ -981,7 +892,7 @@ mod tests {
         // A problem nobody solves has no skyline and zero width.
         let mut costs = table();
         costs.add_problem(Problem::new("p2", 0.0, 0.0, 0.0), vec![None, None, None]);
-        let idx = StaticIndex::with_scoring(&costs, IndexScoring::default());
+        let idx = StaticIndex::new(&costs);
         assert_eq!(idx.best_key(ProblemId(2)), None);
         assert_eq!(idx.solvable_count(ProblemId(2)), 0);
     }
@@ -1043,7 +954,7 @@ mod tests {
     }
 
     /// Online extension is bit-identical to a fresh build over the
-    /// extended table, for both scoring proxies.
+    /// extended table.
     #[test]
     fn push_server_matches_fresh_build() {
         let mut extended = table();
@@ -1051,35 +962,32 @@ mod tests {
             Some(PhaseCosts::new(0.0, 120.0, 0.0)),
             Some(PhaseCosts::new(0.0, 40.0, 0.0)),
         ]);
-        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            let mut grown = StaticIndex::with_scoring(&table(), scoring);
-            grown.push_server(&[Some(120.0), Some(40.0)]);
-            let fresh = StaticIndex::with_scoring(&extended, scoring);
-            assert_eq!(grown.n_servers(), 4);
-            for p in 0..2u32 {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                grown.k_best(ProblemId(p), 4, &|_| true, &mut a);
-                fresh.k_best(ProblemId(p), 4, &|_| true, &mut b);
-                assert_eq!(a, b, "{scoring:?} P{p}");
-                assert_eq!(grown.best_key(ProblemId(p)), fresh.best_key(ProblemId(p)));
-            }
-            // The new server takes P1's skyline (40 < 50) and ranks by
-            // load like any other afterwards.
-            assert_eq!(
-                grown.best_key(ProblemId(1)),
-                Some((40.0f64.to_bits(), ServerId(3)))
-            );
-            grown.on_commit(ServerId(3), 100.0);
-            assert_eq!(
-                grown.best_key(ProblemId(1)),
-                Some((50.0f64.to_bits(), ServerId(1)))
-            );
+        let mut grown = StaticIndex::new(&table());
+        grown.push_server(&[Some(120.0), Some(40.0)]);
+        let fresh = StaticIndex::new(&extended);
+        assert_eq!(grown.n_servers(), 4);
+        for p in 0..2u32 {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            grown.k_best(ProblemId(p), 4, &|_| true, &mut a);
+            fresh.k_best(ProblemId(p), 4, &|_| true, &mut b);
+            assert_eq!(a, b, "P{p}");
+            assert_eq!(grown.best_key(ProblemId(p)), fresh.best_key(ProblemId(p)));
         }
+        // The new server takes P1's skyline (40 < 50) and ranks by
+        // load like any other afterwards.
+        assert_eq!(
+            grown.best_key(ProblemId(1)),
+            Some((40.0f64.to_bits(), ServerId(3)))
+        );
+        grown.on_commit(ServerId(3), 100.0);
+        assert_eq!(
+            grown.best_key(ProblemId(1)),
+            Some((50.0f64.to_bits(), ServerId(1)))
+        );
     }
 
-    /// The incremental ranking always equals a from-scratch recompute,
-    /// under both scoring proxies.
+    /// The incremental ranking always equals a from-scratch recompute.
     #[test]
     fn incremental_matches_rescan_after_churn() {
         let costs = table();
@@ -1094,32 +1002,30 @@ mod tests {
             (2, false, 7.25),
             (1, false, 0.0),
         ];
-        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            let mut idx = StaticIndex::with_scoring(&costs, scoring);
-            for (s, up, work) in ops {
-                if up {
-                    idx.on_commit(ServerId(s), work);
-                } else {
-                    idx.on_complete(ServerId(s), work);
-                }
-                for p in 0..costs.n_problems() as u32 {
-                    let got = best(&idx, p, 3);
-                    let mut expect: Vec<(u64, u32)> = (0..3u32)
-                        .filter_map(|sv| {
-                            idx.score(ProblemId(p), ServerId(sv))
-                                .map(|sc| (sc.to_bits(), sv))
-                        })
-                        .collect();
-                    expect.sort_unstable();
-                    let expect: Vec<u32> = expect.into_iter().map(|(_, sv)| sv).collect();
-                    assert_eq!(got, expect, "{scoring:?} problem {p} after ({s}, {up})");
-                }
+        let mut idx = StaticIndex::new(&costs);
+        for (s, up, work) in ops {
+            if up {
+                idx.on_commit(ServerId(s), work);
+            } else {
+                idx.on_complete(ServerId(s), work);
+            }
+            for p in 0..costs.n_problems() as u32 {
+                let got = best(&idx, p, 3);
+                let mut expect: Vec<(u64, u32)> = (0..3u32)
+                    .filter_map(|sv| {
+                        idx.score(ProblemId(p), ServerId(sv))
+                            .map(|sc| (sc.to_bits(), sv))
+                    })
+                    .collect();
+                expect.sort_unstable();
+                let expect: Vec<u32> = expect.into_iter().map(|(_, sv)| sv).collect();
+                assert_eq!(got, expect, "problem {p} after ({s}, {up})");
             }
         }
     }
 
     /// Work values whose sums stay exactly representable, so a commit
-    /// with `work = 0` under `RemainingWork` re-ranks to the *same* key
+    /// with `work = 0` re-ranks to the *same* key
     /// — the revive-in-place corner of the flat ladder.
     fn arb_work() -> impl Strategy<Value = f64> {
         (0u32..8).prop_map(|w| w as f64 * 0.25)
@@ -1169,30 +1075,28 @@ mod tests {
     /// case.
     fn diff_against_model(n_servers: usize, ops: &[(u32, u32, f64)]) {
         let costs = model_table(n_servers);
-        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            let mut idx = StaticIndex::with_scoring(&costs, scoring);
-            let mut in_flight: Vec<Vec<f64>> = vec![Vec::new(); n_servers];
-            for &(kind, s, work) in ops {
-                let server = ServerId(s);
-                match kind {
-                    0 => {
-                        idx.on_commit(server, work);
-                        in_flight[s as usize].push(work);
-                    }
-                    1 => {
-                        if let Some(w) = in_flight[s as usize].pop() {
-                            idx.on_complete(server, w);
-                        }
-                    }
-                    2 => {
-                        idx.set_available(server, false);
-                    }
-                    _ => {
-                        idx.set_available(server, true);
+        let mut idx = StaticIndex::new(&costs);
+        let mut in_flight: Vec<Vec<f64>> = vec![Vec::new(); n_servers];
+        for &(kind, s, work) in ops {
+            let server = ServerId(s);
+            match kind {
+                0 => {
+                    idx.on_commit(server, work);
+                    in_flight[s as usize].push(work);
+                }
+                1 => {
+                    if let Some(w) = in_flight[s as usize].pop() {
+                        idx.on_complete(server, w);
                     }
                 }
-                assert_matches_model(&idx, costs.n_problems(), "hooks");
+                2 => {
+                    idx.set_available(server, false);
+                }
+                _ => {
+                    idx.set_available(server, true);
+                }
             }
+            assert_matches_model(&idx, costs.n_problems(), "hooks");
         }
     }
 
@@ -1243,36 +1147,34 @@ mod tests {
     fn diff_ledgers_against_hooks(ledgers: &[(u32, f64, bool)], order: &[usize]) {
         let n_servers = ledgers.len();
         let costs = model_table(n_servers);
-        for scoring in [IndexScoring::RemainingWork, IndexScoring::ActiveCount] {
-            let built = StaticIndex::with_ledgers(&costs, scoring, ledgers);
-            let mut driven = StaticIndex::with_scoring(&costs, scoring);
-            for &s in order {
-                let (active, remaining, available) = ledgers[s];
-                let server = ServerId(s as u32);
-                for i in 0..active {
-                    driven.on_commit(server, if i == 0 { remaining } else { 0.0 });
-                }
-                driven.set_available(server, available);
+        let built = StaticIndex::with_ledgers(&costs, ledgers);
+        let mut driven = StaticIndex::new(&costs);
+        for &s in order {
+            let (active, remaining, available) = ledgers[s];
+            let server = ServerId(s as u32);
+            for i in 0..active {
+                driven.on_commit(server, if i == 0 { remaining } else { 0.0 });
             }
-            for s in (0..n_servers as u32).map(ServerId) {
-                assert_eq!(built.active(s), driven.active(s), "{scoring:?} {s}");
-                assert_eq!(
-                    built.remaining(s).to_bits(),
-                    driven.remaining(s).to_bits(),
-                    "{scoring:?} {s}"
-                );
-                assert_eq!(built.is_available(s), driven.is_available(s));
-                for p in 0..costs.n_problems() as u32 {
-                    assert_eq!(built.score(ProblemId(p), s), driven.score(ProblemId(p), s));
-                    assert_eq!(
-                        built.solves(ProblemId(p), s),
-                        costs.costs(ProblemId(p), s).is_some()
-                    );
-                }
-            }
-            assert_matches_model(&built, costs.n_problems(), "with_ledgers");
-            assert_matches_model(&driven, costs.n_problems(), "hooks");
+            driven.set_available(server, available);
         }
+        for s in (0..n_servers as u32).map(ServerId) {
+            assert_eq!(built.active(s), driven.active(s), "{s}");
+            assert_eq!(
+                built.remaining(s).to_bits(),
+                driven.remaining(s).to_bits(),
+                "{s}"
+            );
+            assert_eq!(built.is_available(s), driven.is_available(s));
+            for p in 0..costs.n_problems() as u32 {
+                assert_eq!(built.score(ProblemId(p), s), driven.score(ProblemId(p), s));
+                assert_eq!(
+                    built.solves(ProblemId(p), s),
+                    costs.costs(ProblemId(p), s).is_some()
+                );
+            }
+        }
+        assert_matches_model(&built, costs.n_problems(), "with_ledgers");
+        assert_matches_model(&driven, costs.n_problems(), "hooks");
     }
 
     /// Arbitrary ledgers: an idle server carries no backlog (the hooks
@@ -1288,8 +1190,8 @@ mod tests {
     proptest! {
         /// An index built from ledgers equals one driven to the same
         /// ledgers through the hooks, in any server order, on every
-        /// query surface and under both scoring proxies — at farm widths
-        /// on both sides of the ladder's first merge.
+        /// query surface — at farm widths on both sides of the ladder's
+        /// first merge.
         #[test]
         fn with_ledgers_matches_hook_driven_index(
             ledgers in arb_ledgers(70),
@@ -1304,7 +1206,7 @@ mod tests {
 
         /// The flat ladder is bit-identical to the `BTreeSet` model under
         /// arbitrary commit/complete/crash/repair interleavings, for
-        /// every query surface and both scoring proxies.
+        /// every query surface.
         #[test]
         fn flat_rankings_match_btree_model(ops in arb_index_ops(7)) {
             diff_against_model(7, &ops);

@@ -43,7 +43,7 @@ pub mod task;
 pub use cost::{CostTable, PhaseCosts};
 pub use fairshare::FairShareResource;
 pub use ids::{ProblemId, ServerId, TaskId};
-pub use index::{IndexScoring, StaticIndex};
+pub use index::StaticIndex;
 pub use monitor::{LoadAverage, LoadReport};
 pub use server::{AdmitOutcome, MemoryModel, ServerRuntime, ServerSpec};
 pub use shard::{ShardMap, ShardTree};

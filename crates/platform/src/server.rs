@@ -250,22 +250,6 @@ impl ServerRuntime {
         }
     }
 
-    /// Reserves memory and starts computing in one step — the convenience
-    /// path for tasks with no input transfer.
-    pub fn admit_compute(
-        &mut self,
-        now: SimTime,
-        task: TaskId,
-        compute_cost: f64,
-        mem_mb: f64,
-    ) -> AdmitOutcome {
-        let outcome = self.reserve(now, task, mem_mb);
-        if outcome == AdmitOutcome::Admitted {
-            self.begin_compute(now, task, compute_cost);
-        }
-        outcome
-    }
-
     /// Completes (or aborts) a task's compute phase, releasing its memory.
     /// Returns the remaining CPU work (0 when it actually finished).
     pub fn finish_compute(&mut self, now: SimTime, task: TaskId) -> Option<f64> {
@@ -276,16 +260,6 @@ impl ServerRuntime {
         }
         self.apply_capacity(now);
         Some(left)
-    }
-
-    /// Starts an input transfer of `transfer_cost` unloaded-seconds.
-    pub fn start_input(&mut self, now: SimTime, task: TaskId, transfer_cost: f64) {
-        self.link_in.add(now, task, transfer_cost);
-    }
-
-    /// Starts an output transfer of `transfer_cost` unloaded-seconds.
-    pub fn start_output(&mut self, now: SimTime, task: TaskId, transfer_cost: f64) {
-        self.link_out.add(now, task, transfer_cost);
     }
 }
 
@@ -301,6 +275,21 @@ mod tests {
         ServerSpec::new("testbox", 500.0, 100.0, 50.0)
     }
 
+    /// Reserves memory and starts computing in one step.
+    fn admit_compute(
+        s: &mut ServerRuntime,
+        now: SimTime,
+        task: TaskId,
+        compute_cost: f64,
+        mem_mb: f64,
+    ) -> AdmitOutcome {
+        let outcome = s.reserve(now, task, mem_mb);
+        if outcome == AdmitOutcome::Admitted {
+            s.begin_compute(now, task, compute_cost);
+        }
+        outcome
+    }
+
     #[test]
     fn spec_totals() {
         assert_eq!(spec().total_mem_mb(), 150.0);
@@ -310,7 +299,7 @@ mod tests {
     fn admit_and_finish_tracks_memory() {
         let mut s = ServerRuntime::new(spec(), MemoryModel::default());
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(1), 10.0, 60.0),
+            admit_compute(&mut s, t(0.0), TaskId(1), 10.0, 60.0),
             AdmitOutcome::Admitted
         );
         assert_eq!(s.resident_mb(), 60.0);
@@ -324,18 +313,18 @@ mod tests {
     fn rejection_when_memory_exhausted() {
         let mut s = ServerRuntime::new(spec(), MemoryModel::default());
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(1), 10.0, 100.0),
+            admit_compute(&mut s, t(0.0), TaskId(1), 10.0, 100.0),
             AdmitOutcome::Admitted
         );
         // 100 + 60 > 150 → rejected.
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(2), 10.0, 60.0),
+            admit_compute(&mut s, t(0.0), TaskId(2), 10.0, 60.0),
             AdmitOutcome::Rejected
         );
         assert_eq!(s.rejections(), 1);
         // But a small task still fits.
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(3), 10.0, 40.0),
+            admit_compute(&mut s, t(0.0), TaskId(3), 10.0, 40.0),
             AdmitOutcome::Admitted
         );
     }
@@ -347,19 +336,19 @@ mod tests {
             ..MemoryModel::default()
         };
         let mut s = ServerRuntime::new(spec(), mm);
-        s.admit_compute(t(0.0), TaskId(1), 10.0, 150.0);
+        admit_compute(&mut s, t(0.0), TaskId(1), 10.0, 150.0);
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(2), 10.0, 1.0),
+            admit_compute(&mut s, t(0.0), TaskId(2), 10.0, 1.0),
             AdmitOutcome::Rejected
         );
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(3), 10.0, 1.0),
+            admit_compute(&mut s, t(0.0), TaskId(3), 10.0, 1.0),
             AdmitOutcome::Rejected
         );
         assert!(s.is_collapsed());
         // Even a zero-memory task is now refused.
         assert_eq!(
-            s.admit_compute(t(0.0), TaskId(4), 10.0, 0.0),
+            admit_compute(&mut s, t(0.0), TaskId(4), 10.0, 0.0),
             AdmitOutcome::Collapsed
         );
     }
@@ -369,7 +358,7 @@ mod tests {
         let mut s = ServerRuntime::new(spec(), MemoryModel::thrashing(4.0, 8));
         // 120 MB resident on 100 MB RAM: overcommit 0.2, slowdown 1 + 4*0.2
         // = 1.8.
-        s.admit_compute(t(0.0), TaskId(1), 18.0, 120.0);
+        admit_compute(&mut s, t(0.0), TaskId(1), 18.0, 120.0);
         let (_, when) = s.cpu.next_completion(t(0.0)).unwrap();
         assert!(when.approx_eq(t(18.0 * 1.8), 1e-9), "got {when:?}");
     }
@@ -377,9 +366,9 @@ mod tests {
     #[test]
     fn thrashing_recovers_on_release() {
         let mut s = ServerRuntime::new(spec(), MemoryModel::thrashing(4.0, 8));
-        s.admit_compute(t(0.0), TaskId(1), 100.0, 120.0);
+        admit_compute(&mut s, t(0.0), TaskId(1), 100.0, 120.0);
         s.finish_compute(t(1.0), TaskId(1));
-        s.admit_compute(t(1.0), TaskId(2), 10.0, 10.0);
+        admit_compute(&mut s, t(1.0), TaskId(2), 10.0, 10.0);
         let (_, when) = s.cpu.next_completion(t(1.0)).unwrap();
         assert!(when.approx_eq(t(11.0), 1e-9));
     }
@@ -389,7 +378,7 @@ mod tests {
         let mut s = ServerRuntime::new(spec(), MemoryModel::disabled());
         for i in 0..50 {
             assert_eq!(
-                s.admit_compute(t(0.0), TaskId(i), 10.0, 1000.0),
+                admit_compute(&mut s, t(0.0), TaskId(i), 10.0, 1000.0),
                 AdmitOutcome::Admitted
             );
         }
@@ -400,7 +389,7 @@ mod tests {
     fn noise_scales_speed() {
         let mut s = ServerRuntime::new(spec(), MemoryModel::disabled());
         s.set_noise(t(0.0), 0.5);
-        s.admit_compute(t(0.0), TaskId(1), 10.0, 0.0);
+        admit_compute(&mut s, t(0.0), TaskId(1), 10.0, 0.0);
         let (_, when) = s.cpu.next_completion(t(0.0)).unwrap();
         assert!(when.approx_eq(t(20.0), 1e-9));
     }
@@ -408,8 +397,8 @@ mod tests {
     #[test]
     fn links_are_independent_resources() {
         let mut s = ServerRuntime::new(spec(), MemoryModel::default());
-        s.start_input(t(0.0), TaskId(1), 4.0);
-        s.start_output(t(0.0), TaskId(2), 2.0);
+        s.link_in.add(t(0.0), TaskId(1), 4.0);
+        s.link_out.add(t(0.0), TaskId(2), 2.0);
         assert_eq!(s.link_in.len(), 1);
         assert_eq!(s.link_out.len(), 1);
         let (_, tin) = s.link_in.next_completion(t(0.0)).unwrap();

@@ -72,8 +72,8 @@ pub mod prelude {
         Sharding, SkylineStats,
     };
     pub use cas_platform::{
-        CostTable, IndexScoring, MemoryModel, PhaseCosts, Problem, ProblemId, ServerId, ServerSpec,
-        ShardMap, StaticIndex, TaskId, TaskInstance,
+        CostTable, MemoryModel, PhaseCosts, Problem, ProblemId, ServerId, ServerSpec, ShardMap,
+        StaticIndex, TaskId, TaskInstance,
     };
     pub use cas_sim::{RngStream, SimTime, StreamKind};
     pub use cas_workload::metatask::{GapDistribution, MetataskSpec};

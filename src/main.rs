@@ -60,7 +60,6 @@ struct Args {
     burst_period: f64,
     selector: String,
     shards: String,
-    index_scoring: String,
     /// Print the always-on phase profiler's per-phase wall-time table
     /// after the run. Replications fan out over threads as usual: each
     /// one flushes its spans into the process-wide ledger and the table
@@ -98,7 +97,6 @@ impl Default for Args {
             burst_period: 1800.0,
             selector: "exhaustive".into(),
             shards: "single".into(),
-            index_scoring: "work".into(),
             profile: false,
             mtbf: f64::INFINITY,
             mttr: 60.0,
@@ -149,9 +147,6 @@ fn usage() -> &'static str {
         "                             agent path; 1 runs the router over one\n",
         "                             shard, bit-identical to the single\n",
         "                             agent)  [single]\n",
-        "--index-scoring work|count   stage-1 static-index proxy: predicted\n",
-        "                             remaining work, or the count-based\n",
-        "                             baseline              [work]\n",
         "--profile                    print the always-on phase profiler's\n",
         "                             per-phase wall-time table after the\n",
         "                             run (merged across the threads of\n",
@@ -243,15 +238,6 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                     ));
                 }
                 args.shards = v;
-            }
-            "--index-scoring" => {
-                let v = take(&mut i)?;
-                if IndexScoring::parse(&v).is_none() {
-                    return Err(format!(
-                        "--index-scoring: expected \"work\" or \"count\", got {v:?}"
-                    ));
-                }
-                args.index_scoring = v;
             }
             "--profile" => args.profile = true,
             "--mtbf" => {
@@ -381,7 +367,6 @@ fn config_of(args: &Args, kind: HeuristicKind) -> ExperimentConfig {
     } else {
         Sharding::parse(&args.shards).expect("validated at parse time")
     };
-    cfg.index_scoring = IndexScoring::parse(&args.index_scoring).expect("validated at parse time");
     if !args.memory {
         cfg.memory = MemoryModel::disabled();
     }
@@ -755,6 +740,7 @@ mod tests {
             ("run --stage2 fast", "--stage2"),
             ("run --rankings btree", "--rankings"),
             ("run --skyline off", "--skyline"),
+            ("run --index-scoring count", "--index-scoring"),
         ] {
             let err = parse(&argv(cmdline)).unwrap_err();
             assert_eq!(
@@ -768,13 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_shards_and_index_scoring() {
-        let (_, args) = parse(&argv("run --shards auto --index-scoring count")).unwrap();
+    fn parse_shards_flag() {
+        let (_, args) = parse(&argv("run --shards auto")).unwrap();
         assert_eq!(args.shards, "auto");
-        assert_eq!(args.index_scoring, "count");
         let cfg = config_of(&args, HeuristicKind::Hmct);
         assert_eq!(cfg.shards, Sharding::AUTO);
-        assert_eq!(cfg.index_scoring, IndexScoring::ActiveCount);
         let (_, args) = parse(&argv("run --shards auto:4")).unwrap();
         assert_eq!(
             config_of(&args, HeuristicKind::Hmct).shards,
@@ -796,7 +780,6 @@ mod tests {
         assert!(parse(&argv("run --shards sideways")).is_err());
         assert!(parse(&argv("run --shards auto:0")).is_err());
         assert!(parse(&argv("run --shards auto:big")).is_err());
-        assert!(parse(&argv("run --index-scoring nope")).is_err());
     }
 
     #[test]
@@ -873,7 +856,6 @@ mod tests {
             ("run --shards none", "--shards"),
             ("run --shards auto:", "--shards"),
             ("run --selector best", "--selector"),
-            ("run --index-scoring vibes", "--index-scoring"),
             ("run --mtbf sometimes", "--mtbf"),
             ("run --mtbf 0", "--mtbf"),
             ("run --mtbf -100", "--mtbf"),

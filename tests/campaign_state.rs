@@ -1,11 +1,13 @@
 //! Campaign state bounded by the work in flight: the event kernel's
-//! pending set and the HTM's per-task state follow the servers and the
-//! tasks still in flight, not the length of the campaign.
+//! pending set, the HTM's per-task state and the admission gate's
+//! deadline events follow the servers, the user classes and the tasks
+//! still in flight, not the length of the campaign.
 
-use casgrid::middleware::GridWorld;
+use casgrid::middleware::{GridEvent, GridWorld};
 use casgrid::prelude::*;
-use casgrid::sim::Simulation;
+use casgrid::sim::{Scheduler, Simulation, World};
 use casgrid::workload::synthetic::{BurstArrivals, SyntheticPlatform};
+use casgrid::workload::trace::AppProfile;
 
 /// Runs `world` to completion; returns it with the kernel's peak pending
 /// event count.
@@ -118,4 +120,87 @@ fn pending_events_do_not_grow_with_the_task_count() {
         peaks.push(peak);
     }
     eprintln!("peak pending at 1,000 and 8,000 tasks: {peaks:?} (ceiling {ceiling})");
+}
+
+/// `GridWorld` plus a count of the `AdmissionTimeout` events it handles.
+struct CountDeadlines {
+    world: GridWorld,
+    deadlines: u64,
+}
+
+impl World for CountDeadlines {
+    type Event = GridEvent;
+
+    fn init(&mut self, sched: &mut Scheduler<'_, GridEvent>) {
+        self.world.init(sched);
+    }
+
+    fn handle(&mut self, now: SimTime, event: GridEvent, sched: &mut Scheduler<'_, GridEvent>) {
+        if matches!(event, GridEvent::AdmissionTimeout { .. }) {
+            self.deadlines += 1;
+        }
+        self.world.handle(now, event, sched);
+    }
+}
+
+/// A gated campaign of three user classes under churn: a steady class,
+/// a crest class that outruns the gate early on and a sparse class of
+/// long jobs. The gate keeps one deadline pending per class, not one per
+/// buffer entry, so the campaign handles fewer deadline events than it
+/// buffers entries: at most one per task shed at its deadline plus one
+/// per entry dequeued before it.
+#[test]
+fn admission_deadlines_fire_per_class_not_per_entry() {
+    let spec = FittedTraceSpec {
+        // (class, tasks, seconds it submits over, mean demand in s)
+        apps: [
+            (0, 600, 1000.0, 10.0),
+            (1, 350, 250.0, 10.0),
+            (2, 50, 1000.0, 120.0),
+        ]
+        .into_iter()
+        .map(|(user, n_tasks, span_s, mean_duration_s)| AppProfile {
+            user,
+            n_tasks,
+            mean_gap_s: span_s / n_tasks as f64,
+            mean_duration_s,
+        })
+        .collect(),
+    };
+    let compiled = TraceWorkload {
+        n_servers: 40,
+        ..TraceWorkload::default()
+    }
+    .compile(&mut spec.generate(5), 5)
+    .expect("a fitted trace is never empty");
+    let cfg = ExperimentConfig::ideal(HeuristicKind::Mct, 5)
+        .with_churn(300.0, 30.0)
+        .with_churn_seed(7)
+        .with_admission(30, 100, 60.0);
+    let world = GridWorld::new(cfg, compiled.costs, compiled.servers, compiled.tasks)
+        .with_users(compiled.users);
+    let mut sim = Simulation::new(CountDeadlines {
+        world,
+        deadlines: 0,
+    });
+    sim.run_to_completion();
+    let CountDeadlines { world, deadlines } = sim.into_world();
+    assert_eq!(world.remaining(), 0, "every task must end terminal");
+    let adm = world.admission_stats();
+    assert!(
+        adm.shed_deadline > 0 && adm.dequeued > 0 && adm.reentries > 0,
+        "the gate must shed at deadline, dequeue and re-enter: {adm:?}"
+    );
+    eprintln!("{deadlines} deadline events for {adm:?}");
+    assert!(
+        deadlines < adm.buffered,
+        "{deadlines} deadline events for {} buffer entries",
+        adm.buffered
+    );
+    assert!(
+        deadlines <= adm.shed_deadline + adm.dequeued,
+        "{deadlines} deadline events > {} shed at deadline + {} dequeued",
+        adm.shed_deadline,
+        adm.dequeued
+    );
 }
