@@ -166,7 +166,7 @@ struct BufferedTask {
 
 /// One user class behind the gate: its FIFO queue and its deadline
 /// chain.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct ClassQueue {
     class: u32,
     queue: VecDeque<BufferedTask>,
@@ -202,7 +202,6 @@ impl ClassQueue {
 /// included. A firing sheds the head it was armed for if that head still
 /// waits, then re-arms at the current head's deadline; a head dequeued
 /// before its deadline leaves the chain armed until that firing.
-#[derive(Debug)]
 struct AdmissionState {
     capacity: usize,
     buffer_cap: usize,
@@ -498,9 +497,11 @@ impl GridWorld {
             reports: (0..n as u32)
                 .map(|i| LoadReport::initial(ServerId(i)))
                 .collect(),
-            client_link: cfg
-                .shared_client_link
-                .then(|| cas_platform::FairShareResource::new(1.0)),
+            client_link: if cfg.shared_client_link {
+                Some(cas_platform::FairShareResource::new(1.0))
+            } else {
+                None
+            },
             records,
             agent_known_dead: vec![false; n],
             live: vec![true; n],
@@ -643,20 +644,10 @@ impl GridWorld {
         }
     }
 
-    /// (Re)schedules the completion event for the shared client link.
-    fn resched_client_link(&mut self, sched: &mut Scheduler<'_, GridEvent>) {
-        let now = sched.now();
-        let link = self.client_link.as_ref().expect("shared link enabled");
-        if let Some((_, when)) = link.next_completion(now) {
-            let gen = link.generation();
-            sched.at(when.max(now), GridEvent::ClientLinkDone { gen });
-        }
-    }
-
-    /// Applies `change` (a transfer starting or withdrawn) to the link
-    /// `phase`'s transfers run on — the shared client link when
-    /// `cfg.shared_client_link` is on, else `server`'s own — and re-arms
-    /// that link's completion event.
+    /// Applies `change` (a transfer starting or withdrawn, a capacity
+    /// redraw) to the link `server`'s `phase` transfers run on — the
+    /// shared client link when `cfg.shared_client_link` is on, else the
+    /// server's own — and re-arms that link's completion event.
     fn on_link(
         &mut self,
         server: ServerId,
@@ -667,7 +658,11 @@ impl GridWorld {
         match &mut self.client_link {
             Some(link) => {
                 change(link);
-                self.resched_client_link(sched);
+                let now = sched.now();
+                if let Some((_, when)) = link.next_completion(now) {
+                    let gen = link.generation();
+                    sched.at(when.max(now), GridEvent::ClientLinkDone { gen });
+                }
             }
             None => {
                 change(self.resource_mut(server, phase));
@@ -856,10 +851,12 @@ impl GridWorld {
             return;
         }
         // The number the entry's deadline event pops under, should its
-        // class arm it (see `AdmissionState`).
-        let seq = match adm.deadline {
-            Some(_) => sched.reserve(1),
-            None => 0,
+        // class arm it (see `AdmissionState`); none is needed without a
+        // deadline.
+        let seq = if adm.deadline.is_some() {
+            sched.reserve(1)
+        } else {
+            0
         };
         let class = self.users[idx];
         let entry = BufferedTask {
@@ -1188,11 +1185,9 @@ impl GridWorld {
             // client link's noise source (one redraw per period).
             if i == 0 && self.client_link.is_some() {
                 let factor = self.noise_dist.sample(&mut self.net_noise[0]);
-                self.client_link
-                    .as_mut()
-                    .expect("just checked")
-                    .set_capacity(now, factor);
-                self.resched_client_link(sched);
+                self.on_link(server, Phase::Input, sched, |link| {
+                    link.set_capacity(now, factor)
+                });
             }
         }
         if self.remaining > 0 {
