@@ -177,11 +177,18 @@ struct ClassQueue {
 
 impl ClassQueue {
     /// Arms the chain at the head's deadline, under the head's reserved
-    /// number; returns that event, or `None` when the queue is empty.
-    fn arm(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
-        let head = self.queue.front()?;
-        self.armed = Some(head.seq);
-        Some((head.enqueued + deadline, head.seq))
+    /// number (`timeout` builds the event); no-op when the queue is
+    /// empty.
+    fn arm<E>(
+        &mut self,
+        deadline: SimTime,
+        sched: &mut Scheduler<'_, E>,
+        timeout: impl FnOnce(u32) -> E,
+    ) {
+        if let Some(head) = self.queue.front() {
+            self.armed = Some(head.seq);
+            sched.push_reserved(head.enqueued + deadline, head.seq, timeout(self.class));
+        }
     }
 }
 
@@ -265,19 +272,38 @@ impl AdmissionState {
         true
     }
 
-    /// Queues `entry` under `class`; returns the deadline event to arm
-    /// (its instant and sequence number) when the class had none
-    /// pending.
-    fn enqueue(&mut self, class: u32, entry: BufferedTask) -> Option<(SimTime, u64)> {
+    /// Queues task `idx` of `class` now, with the Schedule arguments to
+    /// replay on dequeue. With a deadline, the entry reserves the
+    /// sequence number its deadline event pops under, and arms the
+    /// class's chain if none is pending (`timeout` builds the event).
+    fn enqueue<E>(
+        &mut self,
+        class: u32,
+        idx: usize,
+        attempt: u32,
+        excluded: Vec<ServerId>,
+        sched: &mut Scheduler<'_, E>,
+        timeout: impl FnOnce(u32) -> E,
+    ) {
         self.buffered_total += 1;
         self.stats.buffered += 1;
         self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered_total);
         let deadline = self.deadline;
+        let seq = if deadline.is_some() {
+            sched.reserve(1)
+        } else {
+            0
+        };
         let q = self.class_mut(class);
-        q.queue.push_back(entry);
-        match deadline {
-            Some(deadline) if q.armed.is_none() => q.arm(deadline),
-            _ => None,
+        q.queue.push_back(BufferedTask {
+            idx,
+            attempt,
+            excluded,
+            enqueued: sched.now(),
+            seq,
+        });
+        if let Some(deadline) = deadline.filter(|_| q.armed.is_none()) {
+            q.arm(deadline, sched, timeout);
         }
     }
 
@@ -302,10 +328,15 @@ impl AdmissionState {
         unreachable!("a buffered task waits in some class queue")
     }
 
-    /// `class`'s deadline event fired at `now`: sheds the head it was
-    /// armed for if that head still waits, and re-arms at the current
-    /// head's deadline. Returns the shed task and the event to arm.
-    fn expire(&mut self, class: u32, now: SimTime) -> (Option<usize>, Option<(SimTime, u64)>) {
+    /// `class`'s deadline event fired: sheds the head it was armed for
+    /// if that head still waits, returning its task, and re-arms at the
+    /// current head's deadline (`timeout` builds the event).
+    fn expire<E>(
+        &mut self,
+        class: u32,
+        sched: &mut Scheduler<'_, E>,
+        timeout: impl FnOnce(u32) -> E,
+    ) -> Option<usize> {
         let deadline = self.deadline.expect("deadline events need a deadline");
         let q = self.class_mut(class);
         let armed = q.armed.take().expect("a firing class is armed");
@@ -313,14 +344,12 @@ impl AdmissionState {
             Some(head) if head.seq == armed => q.queue.pop_front(),
             _ => None,
         };
-        let next = q.arm(deadline);
-        let shed = shed.map(|entry| {
-            self.buffered_total -= 1;
-            self.waits[entry.idx] += now.as_secs() - entry.enqueued.as_secs();
-            self.stats.shed_deadline += 1;
-            entry.idx
-        });
-        (shed, next)
+        q.arm(deadline, sched, timeout);
+        let entry = shed?;
+        self.buffered_total -= 1;
+        self.waits[entry.idx] += sched.now().as_secs() - entry.enqueued.as_secs();
+        self.stats.shed_deadline += 1;
+        Some(entry.idx)
     }
 }
 
@@ -611,16 +640,7 @@ impl GridWorld {
         self.admission.as_ref().map_or(&[], |a| a.waits.as_slice())
     }
 
-    fn resource(&self, server: ServerId, phase: Phase) -> &cas_platform::FairShareResource<TaskId> {
-        let s = &self.servers[server.index()];
-        match phase {
-            Phase::Input => &s.link_in,
-            Phase::Compute => &s.cpu,
-            Phase::Output => &s.link_out,
-        }
-    }
-
-    fn resource_mut(
+    fn resource(
         &mut self,
         server: ServerId,
         phase: Phase,
@@ -665,7 +685,7 @@ impl GridWorld {
                 }
             }
             None => {
-                change(self.resource_mut(server, phase));
+                change(self.resource(server, phase));
                 self.resched(server, phase, sched);
             }
         }
@@ -850,25 +870,10 @@ impl GridWorld {
             self.finish(now, idx, SHED, sched);
             return;
         }
-        // The number the entry's deadline event pops under, should its
-        // class arm it (see `AdmissionState`); none is needed without a
-        // deadline.
-        let seq = if adm.deadline.is_some() {
-            sched.reserve(1)
-        } else {
-            0
-        };
         let class = self.users[idx];
-        let entry = BufferedTask {
-            idx,
-            attempt,
-            excluded,
-            enqueued: now,
-            seq,
-        };
-        if let Some((at, seq)) = adm.enqueue(class, entry) {
-            sched.push_reserved(at, seq, GridEvent::AdmissionTimeout { class });
-        }
+        adm.enqueue(class, idx, attempt, excluded, sched, |class| {
+            GridEvent::AdmissionTimeout { class }
+        });
     }
 
     /// An admitted task left the pipeline (terminal, or re-buffered
@@ -905,10 +910,7 @@ impl GridWorld {
             .admission
             .as_mut()
             .expect("deadline events exist only behind the gate");
-        let (shed, next) = adm.expire(class, now);
-        if let Some((at, seq)) = next {
-            sched.push_reserved(at, seq, GridEvent::AdmissionTimeout { class });
-        }
+        let shed = adm.expire(class, sched, |class| GridEvent::AdmissionTimeout { class });
         if let Some(idx) = shed {
             self.finish(now, idx, SHED, sched);
         }
@@ -951,29 +953,11 @@ impl GridWorld {
         let Some(server) = pick else {
             if self.churn.is_none() {
                 self.fail_task(idx, attempt, excluded.last().copied(), now, sched);
-            } else if attempt < self.cfg.redispatch_budget {
-                // Under churn "nobody can take it" is usually transient
-                // — the solvers are down, not gone. Re-enter the
-                // pipeline after the backoff (with a clean exclusion
-                // set: a rejoined server is a fresh candidate) until the
-                // dispatch budget runs out, then drop with a reason
-                // code so the campaign accounting stays exact.
-                self.churn_stats.redispatches += 1;
-                sched.in_(
-                    SimTime::from_secs(REDISPATCH_BACKOFF_S),
-                    GridEvent::Schedule {
-                        idx,
-                        attempt: attempt + 1,
-                        excluded: Vec::new(),
-                    },
-                );
             } else {
-                self.churn_stats.drops += 1;
-                self.records[idx].attempts = attempt;
-                let outcome = TaskOutcome::Dropped {
-                    reason: DropReason::NoLiveSolver,
-                };
-                self.finish(now, idx, outcome, sched);
+                // Under churn "nobody can take it" is usually transient
+                // — the solvers are down, not gone. Retry with a clean
+                // exclusion set: a rejoined server is a fresh candidate.
+                self.redispatch(now, idx, attempt, None, DropReason::NoLiveSolver, sched);
             }
             return;
         };
@@ -1239,35 +1223,54 @@ impl GridWorld {
         self.agent.on_retract(now, server, task, work);
         self.churn_stats.retractions += 1;
         let attempts = self.records[task.index()].attempts;
-        if attempts < self.cfg.redispatch_budget {
-            self.churn_stats.redispatches += 1;
-            if let Some(adm) = &mut self.admission {
+        match &mut self.admission {
+            Some(adm) if attempts < self.cfg.redispatch_budget => {
                 // Under backpressure the bounded buffer replaces the
                 // re-dispatch backoff: the victim re-enters the queue
-                // (that one `redispatches` increment above is its only
-                // count — the dequeue does not count it again), its
-                // held slot is released below, and the fair dequeue
-                // decides when it reaches the pipeline again.
+                // (counted once in `redispatches` — the dequeue does not
+                // count it again), its held slot is released below, and
+                // the fair dequeue decides when it reaches the pipeline
+                // again.
                 adm.stats.reentries += 1;
+                self.churn_stats.redispatches += 1;
                 self.buffer_or_shed(now, task.index(), attempts + 1, vec![server], sched);
                 self.release_admission(now, sched);
-            } else {
-                sched.in_(
-                    SimTime::from_secs(REDISPATCH_BACKOFF_S),
-                    GridEvent::Schedule {
-                        idx: task.index(),
-                        attempt: attempts + 1,
-                        excluded: vec![server],
-                    },
-                );
             }
-        } else {
-            self.churn_stats.drops += 1;
-            let outcome = TaskOutcome::Dropped {
-                reason: DropReason::RedispatchBudget,
-            };
-            self.finish(now, task.index(), outcome, sched);
+            _ => {
+                let reason = DropReason::RedispatchBudget;
+                self.redispatch(now, task.index(), attempts, Some(server), reason, sched);
+            }
         }
+    }
+
+    /// Re-enters task `idx` into the decision pipeline for attempt
+    /// `attempt + 1` after the re-dispatch backoff, excluding `exclude`,
+    /// or, once its dispatch budget is spent, drops it with `reason` so
+    /// the campaign accounting stays exact.
+    fn redispatch(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        attempt: u32,
+        exclude: Option<ServerId>,
+        reason: DropReason,
+        sched: &mut Scheduler<'_, GridEvent>,
+    ) {
+        if attempt >= self.cfg.redispatch_budget {
+            self.churn_stats.drops += 1;
+            self.records[idx].attempts = attempt;
+            self.finish(now, idx, TaskOutcome::Dropped { reason }, sched);
+            return;
+        }
+        self.churn_stats.redispatches += 1;
+        sched.in_(
+            SimTime::from_secs(REDISPATCH_BACKOFF_S),
+            GridEvent::Schedule {
+                idx,
+                attempt: attempt + 1,
+                excluded: exclude.into_iter().collect(),
+            },
+        );
     }
 
     /// Re-partitions the federation when the live-server count has
@@ -2978,21 +2981,10 @@ mod tests {
                         self.log.push(GateLog::ShedOnOverflow(idx, now_s));
                         return;
                     }
-                    let seq = match g.deadline {
-                        Some(_) => sched.reserve(1),
-                        None => 0,
-                    };
-                    let entry = BufferedTask {
-                        idx,
-                        attempt: 1,
-                        excluded: Vec::new(),
-                        enqueued: now,
-                        seq,
-                    };
-                    if let Some((at, seq)) = g.enqueue(class, entry) {
-                        sched.push_reserved(at, seq, GateEvent::Chain(class));
-                        self.armed(class);
-                    }
+                    let (pending, peak) = (&mut self.pending, &mut self.peak_pending);
+                    g.enqueue(class, idx, 1, Vec::new(), sched, |class| {
+                        armed(pending, peak, class)
+                    });
                 }
                 GateUnderTest::Reference(g) => {
                     if g.buffered_total >= g.buffer_cap {
@@ -3014,13 +3006,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        /// Counts a deadline event pushed for `class`.
-        fn armed(&mut self, class: u32) {
-            let pending = &mut self.pending[class as usize];
-            *pending += 1;
-            self.peak_pending = self.peak_pending.max(*pending);
         }
 
         /// `GridWorld::release_admission`, against either gate.
@@ -3073,6 +3058,13 @@ mod tests {
         }
     }
 
+    /// The chains' deadline event for `class`, counted as pending.
+    fn armed(pending: &mut [u32], peak: &mut u32, class: u32) -> GateEvent {
+        pending[class as usize] += 1;
+        *peak = (*peak).max(pending[class as usize]);
+        GateEvent::Chain(class)
+    }
+
     impl World for GateWorld {
         type Event = GateEvent;
 
@@ -3106,12 +3098,8 @@ mod tests {
                     let GateUnderTest::Chains(g) = &mut self.gate else {
                         unreachable!("chain events come from the chains")
                     };
-                    let (shed, next) = g.expire(class, now);
-                    if let Some((at, seq)) = next {
-                        sched.push_reserved(at, seq, GateEvent::Chain(class));
-                        self.armed(class);
-                    }
-                    if let Some(idx) = shed {
+                    let (pending, peak) = (&mut self.pending, &mut self.peak_pending);
+                    if let Some(idx) = g.expire(class, sched, |class| armed(pending, peak, class)) {
                         self.log.push(GateLog::ShedAtDeadline(idx, now.as_secs()));
                     }
                 }
@@ -3131,11 +3119,12 @@ mod tests {
 
     prop_compose! {
         /// A script step: whole-second gaps (ties are the rule), mostly
-        /// arrivals, with finishes and re-entries between them.
-        fn arb_gate_step()(
+        /// arrivals from `n_classes` classes, with finishes and
+        /// re-entries between them.
+        fn arb_gate_step(n_classes: u32)(
             gap in 0u32..4,
             kind in 0u32..7,
-            class in 0u32..4,
+            class in 0..n_classes,
             early in proptest::bool::ANY,
         ) -> (u32, GateOp, bool) {
             let op = match kind {
@@ -3156,18 +3145,11 @@ mod tests {
         #[test]
         fn admission_chain_matches_per_entry_deadlines(
             n_classes in 2u32..4,
-            script in proptest::collection::vec(arb_gate_step(), 1..80),
+            script in proptest::collection::vec(arb_gate_step(n_classes), 1..80),
             capacity in 1usize..4,
             buffer in 1usize..8,
             deadline_s in 0u32..7,
         ) {
-            let script: Vec<(u32, GateOp, bool)> = script
-                .into_iter()
-                .map(|(gap, op, early)| match op {
-                    GateOp::Arrive(class) => (gap, GateOp::Arrive(class % n_classes), early),
-                    op => (gap, op, early),
-                })
-                .collect();
             // 0 stands for no deadline at all.
             let deadline = if deadline_s == 0 { f64::INFINITY } else { f64::from(deadline_s) };
             let cfg = ExperimentConfig::ideal(HeuristicKind::Hmct, 1)
