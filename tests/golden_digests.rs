@@ -1,8 +1,13 @@
 //! Golden whole-campaign record digests.
 //!
-//! Each row runs one campaign and hashes its records with FNV-1a 64 over
-//! every record's task id, server, outcome code, finish-time bits and
-//! attempts (the fields `casbench`'s `records_digest` hashes). The rows
+//! Each row runs one campaign and takes two FNV-1a 64 digests. The
+//! records digest hashes every record's task id, server, outcome code,
+//! finish-time bits and attempts (the fields `casbench`'s
+//! `records_digest` hashes), so it moves when a decision moves. The
+//! model digest hashes every record's commit-time and final simulated
+//! completion, every task's admission wait and the gate's counters, so
+//! it also moves when a what-if value or a wait shifts without moving a
+//! pick. The rows
 //! cover every heuristic × {exhaustive, `topk:4`, `adaptive:2:8`} ×
 //! {single agent, three shards} on the `determinism.rs` farm, the same
 //! farm under crash churn, under admission backpressure and under both,
@@ -14,13 +19,18 @@
 //! synchronisation, each under churn behind the gate; aggregated
 //! per-shard reports under churn; and the golden CSV trace's three user
 //! classes behind gates whose whole-second deadlines tie with arrivals.
+//! The bounded stage-2 heuristics (HMCT, MSF and their memory-aware
+//! wrappers) also run with a wide adaptive shortlist on a 32-server farm
+//! at about 0.9 load, with transfers at 2 % and at 50–100 % of compute,
+//! so their walks meet real queues, with busy and with idle input lanes.
 //!
 //! Every row also checks the run invariants casbench checks per rep:
 //! nothing is left in flight, and the admission counters balance each
 //! other and the records.
 //!
 //! `golden_digests.txt` holds the expected table. A change to the
-//! decision stack that moves any decision in any row fails here. On a
+//! decision stack that moves any decision or any prediction in any row
+//! fails here. On a
 //! mismatch the test prints the whole recomputed table; when the change
 //! in behaviour is intended, replace the file with it by hand.
 
@@ -31,15 +41,26 @@ use casgrid::sim::Simulation;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
 
+/// FNV-1a 64, fed bytes in order.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a 64 over the decision-bearing fields of every record.
 fn records_digest(records: &[TaskRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut eat = |bytes: &[u8]| h.eat(bytes);
     for r in records {
         eat(&r.task.0.to_le_bytes());
         eat(&r.server.map_or(u32::MAX, |s| s.0).to_le_bytes());
@@ -53,7 +74,35 @@ fn records_digest(records: &[TaskRecord]) -> u64 {
         eat(&finished.to_bits().to_le_bytes());
         eat(&r.attempts.to_le_bytes());
     }
-    h
+    h.0
+}
+
+/// FNV-1a 64 over what the HTM predicted and what the admission gate
+/// did: every record's commit-time and final simulated completion
+/// (`u64::MAX`, a NaN pattern no clock produces, when absent), every
+/// task's admission wait, then the gate's counters.
+fn model_digest(records: &[TaskRecord], waits: &[f64], adm: &AdmissionStats) -> u64 {
+    let mut h = Fnv::new();
+    let bits = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.as_secs().to_bits());
+    for r in records {
+        h.eat(&bits(r.commit_prediction).to_le_bytes());
+        h.eat(&bits(r.predicted_completion).to_le_bytes());
+    }
+    for w in waits {
+        h.eat(&w.to_bits().to_le_bytes());
+    }
+    for n in [
+        adm.buffered,
+        adm.dequeued,
+        adm.shed_deadline,
+        adm.shed_overflow,
+        adm.reentries,
+        adm.peak_buffered as u64,
+        adm.peak_admitted as u64,
+    ] {
+        h.eat(&n.to_le_bytes());
+    }
+    h.0
 }
 
 /// The `determinism.rs` farm: the paper's waste-cpu table on its
@@ -79,6 +128,34 @@ fn wide_farm(n: usize, seed: u64) -> Farm {
     let tasks = MetataskSpec {
         n_tasks: n,
         ..MetataskSpec::paper(0.5)
+    }
+    .generate(seed);
+    (
+        platform.cost_table(seed),
+        platform.servers(seed),
+        tasks,
+        vec![0; n],
+    )
+}
+
+/// A 32-server synthetic farm at about 0.9 load, so the bounded stage-2
+/// walks find queues at decision time. Capacity is compute-bound: the
+/// three problems average 28.7 s on the fastest server, speeds fall
+/// geometrically to half the fastest's, and the farm serves 0.81
+/// tasks/s, of which a 1.38 s mean gap offers 0.9. Transfers cost
+/// `comm_fraction` of the fastest server's compute, so 0.02 leaves
+/// input lanes nearly always idle and 1.0 (50–100 % of compute) keeps
+/// them busy.
+fn busy_farm(n: usize, comm_fraction: f64, seed: u64) -> Farm {
+    let platform = casgrid::workload::synthetic::SyntheticPlatform {
+        n_servers: 32,
+        heterogeneity: 2.0,
+        comm_fraction,
+        ..Default::default()
+    };
+    let tasks = MetataskSpec {
+        n_tasks: n,
+        ..MetataskSpec::paper(1.38)
     }
     .generate(seed);
     (
@@ -122,9 +199,10 @@ const SHARDINGS: [(&str, Sharding); 2] = [
     ("fed3", Sharding::Federated { shards: 3 }),
 ];
 
-/// What one campaign leaves behind besides its digest.
+/// What one campaign leaves behind besides its digests.
 struct Run {
     digest: u64,
+    model: u64,
     group_visits: u64,
     rebalances: u64,
     admission: AdmissionStats,
@@ -140,6 +218,8 @@ enum FarmKind {
     Paper,
     Wide,
     Trace,
+    BusyComm2,
+    BusyComm100,
 }
 
 /// A named transformation of a row's config (churn, admission, …).
@@ -196,6 +276,7 @@ fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
     }
     Run {
         digest: records_digest(records),
+        model: model_digest(records, world.admission_waits(), &adm),
         group_visits: world.agent().skyline_stats().group_visits,
         rebalances: world.churn_stats().rebalances,
         admission: adm,
@@ -336,13 +417,45 @@ fn jobs() -> Vec<(String, ExperimentConfig, FarmKind)> {
             out.push((label, cfg, FarmKind::Trace));
         }
     }
+    // The bounded stage-2 heuristics on a busy farm, with a shortlist
+    // wide enough that their walks have candidates left to skip.
+    let adaptive = SelectorKind::Adaptive {
+        k_min: 8,
+        k_max: 64,
+    };
+    let bounded = [
+        HeuristicKind::Hmct,
+        HeuristicKind::Msf,
+        HeuristicKind::MemHmct,
+        HeuristicKind::MemMsf,
+    ];
+    for (farm_name, farm) in [
+        ("busy32-comm2", FarmKind::BusyComm2),
+        ("busy32-comm100", FarmKind::BusyComm100),
+    ] {
+        for kind in bounded {
+            for (shard_name, shards) in SHARDINGS {
+                let cfg = ExperimentConfig::paper(kind, 99)
+                    .with_selector(adaptive)
+                    .with_shards(shards);
+                let label = format!("{}/adaptive:8:64/{shard_name}/{farm_name}", kind.name());
+                out.push((label, cfg, farm));
+            }
+        }
+    }
     out
 }
 
 /// Runs every job, spread over a few threads (each campaign is
 /// deterministic on its own, so the split cannot change a digest).
 fn rows() -> Vec<(String, Run)> {
-    let farms = [paper_farm(100, 1), wide_farm(150, 2), trace_farm(17)];
+    let farms = [
+        paper_farm(100, 1),
+        wide_farm(150, 2),
+        trace_farm(17),
+        busy_farm(250, 0.02, 3),
+        busy_farm(250, 1.0, 3),
+    ];
     let jobs = jobs();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     let mut runs: Vec<Option<Run>> = (0..jobs.len()).map(|_| None).collect();
@@ -366,10 +479,11 @@ fn rows() -> Vec<(String, Run)> {
 
 fn render(rows: &[(String, Run)]) -> String {
     let mut text = String::from(
-        "# FNV-1a 64 record digests, one campaign per row (tests/golden_digests.rs).\n",
+        "# One campaign per row (tests/golden_digests.rs): label, FNV-1a 64 records digest,\n\
+         # FNV-1a 64 model digest.\n",
     );
     for (label, r) in rows {
-        text.push_str(&format!("{label} {:016x}\n", r.digest));
+        text.push_str(&format!("{label} {:016x} {:016x}\n", r.digest, r.model));
     }
     text
 }
