@@ -5,7 +5,8 @@
 //! generation-cached, zero-clone engine. (The clone-and-drain oracle it
 //! is proven bit-identical to lives in `htm.rs`'s tests.) Every candidate
 //! is queried, as MP and MNI do; HMCT and MSF prune the walk by lower
-//! bound, which this per-query figure does not show.
+//! bound, which this per-query figure does not show. The bounded-walk
+//! section below does.
 //!
 //! Two workload modes bracket reality: `steady` issues decisions with no
 //! commits in between (every server's baseline cache stays warm) and
@@ -32,13 +33,23 @@
 //! first and reports the memo's hit-rate counters
 //! ([`cas_core::MemoStats`]).
 //!
+//! A fourth section times **whole bounded decisions**: HMCT and MSF
+//! select over every server through [`SchedView`], each walking its
+//! candidates in lower-bound order, skipping queues that cannot win
+//! before their drain and stopping at the incumbent. The winner is
+//! committed after each decision, outside the timing. Each row reports
+//! the drains run and the queries pruned at the backlog per decision.
+//!
 //! Writes `BENCH_decision_cost.json` (path overridable as `argv[1]`) with
 //! per-configuration timings, and exits non-zero when the memo section
 //! records no cross-task hit (a dead memo).
 
-use cas_core::{Htm, MemoStats, SyncPolicy};
-use cas_platform::{CostTable, PhaseCosts, Problem, ProblemId, ServerId, TaskId, TaskInstance};
-use cas_sim::SimTime;
+use cas_core::heuristics::HeuristicKind;
+use cas_core::{DecisionMemo, Htm, MemoStats, SchedView, SyncPolicy};
+use cas_platform::{
+    CostTable, LoadReport, PhaseCosts, Problem, ProblemId, ServerId, TaskId, TaskInstance,
+};
+use cas_sim::{RngStream, SimTime, StreamKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -227,6 +238,68 @@ fn run_memo_probe(per_server: usize, rounds: usize) -> (f64, f64, MemoStats) {
     )
 }
 
+/// What one bounded-walk row measured, per decision.
+struct BoundedWalk {
+    us: f64,
+    drains: f64,
+    pruned: f64,
+}
+
+/// Times `rounds` whole decisions of `kind` (HMCT or MSF) over every
+/// server, committing each winner untimed, and counts the drains and the
+/// queries pruned at the backlog.
+fn run_bounded_walk(kind: HeuristicKind, per_server: usize, rounds: usize) -> BoundedWalk {
+    let mut htm = loaded_htm(per_server);
+    let mut heuristic = kind.build();
+    htm.set_completion_only(!heuristic.needs_perturbations());
+    let costs = table64();
+    let loads: Vec<LoadReport> = (0..N_SERVERS)
+        .map(|s| LoadReport::initial(ServerId(s)))
+        .collect();
+    let candidates: Vec<ServerId> = (0..N_SERVERS).map(ServerId).collect();
+    let mut memo = DecisionMemo::new();
+    let mut rng = RngStream::derive(1, StreamKind::TieBreak);
+    let mut now = query_start(per_server);
+    let mut in_decisions = std::time::Duration::ZERO;
+    let (mut drains, mut pruned) = (0, 0);
+    // Three warm-up rounds, then the timed ones.
+    for round in 0..rounds + 3 {
+        now += 0.01;
+        let task = TaskInstance::new(
+            TaskId(600_000 + round as u64),
+            ProblemId((round % 3) as u32),
+            SimTime::from_secs(now),
+        );
+        let counters = (htm.memo_stats().drains, htm.pruned_queries());
+        let start = Instant::now();
+        let pick = {
+            let mut view = SchedView::new(
+                task.arrival,
+                task,
+                candidates.as_slice(),
+                &costs,
+                &loads,
+                &mut htm,
+                &mut rng,
+            )
+            .with_memo(&mut memo);
+            heuristic.select(&mut view)
+        };
+        if round >= 3 {
+            in_decisions += start.elapsed();
+            drains += htm.memo_stats().drains - counters.0;
+            pruned += htm.pruned_queries() - counters.1;
+        }
+        let server = pick.expect("some server solves every problem");
+        htm.commit(task.arrival, server, &task);
+    }
+    BoundedWalk {
+        us: in_decisions.as_secs_f64() * 1e6 / rounds as f64,
+        drains: drains as f64 / rounds as f64,
+        pruned: pruned as f64 / rounds as f64,
+    }
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -285,6 +358,36 @@ fn main() {
         memo.cross_task_hits
     );
     let memo_live = memo.cross_task_hits > 0;
+    let mut walk_results = Vec::new();
+    for &per_server in &[8usize, 32, 128] {
+        let active = mean_active_at_start(per_server);
+        let rounds = match per_server {
+            128 => 200,
+            32 => 600,
+            _ => 2000,
+        };
+        for kind in [HeuristicKind::Hmct, HeuristicKind::Msf] {
+            let w = run_bounded_walk(kind, per_server, rounds);
+            eprintln!(
+                "64 servers × {per_server:>3} tasks ({active:.2} active), {:<4} walk: \
+                 {:>8.1} µs/decision, {:.2} drains, {:.2} pruned",
+                kind.name(),
+                w.us,
+                w.drains,
+                w.pruned
+            );
+            walk_results.push(format!(
+                "      {{\"heuristic\": \"{}\", \"servers\": {N_SERVERS}, \
+                 \"per_server_tasks\": {per_server}, \"active_tasks_per_server\": {active:.2}, \
+                 \"rounds\": {rounds}, \"us_per_decision\": {:.2}, \
+                 \"drains_per_decision\": {:.2}, \"pruned_per_decision\": {:.2}}}",
+                kind.name(),
+                w.us,
+                w.drains,
+                w.pruned
+            ));
+        }
+    }
     let manifest = cas_bench::manifest_json();
     let json = format!(
         "{{\n  \"bench\": \"decision_cost\",\n  \"manifest\": {manifest},\n  \
@@ -300,13 +403,18 @@ fn main() {
     \"active_tasks_per_server\": {memo_active:.2},\n    \"first_probe_us_per_sweep\": {first_us:.2},\n    \
     \"same_problem_repeat_us_per_sweep\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
     \"drains\": {},\n    \"hits\": {},\n    \"cross_task_hits\": {},\n    \
-    \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }}\n}}\n",
+    \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }},\n\
+  \"bounded_walk\": {{\n    \"unit\": \"microseconds per whole HMCT or MSF decision over all 64 \
+         servers (lower-bound walk, queues that cannot win pruned before their drain; each \
+         winner committed untimed)\",\n    \
+         \"results\": [\n{}\n    ]\n  }}\n}}\n",
         results.join(",\n"),
         commit_results.join(",\n"),
         memo.drains,
         memo.hits,
         memo.cross_task_hits,
         memo.hit_rate(),
+        walk_results.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     eprintln!("wrote {out_path}; prediction memo live: {memo_live}");

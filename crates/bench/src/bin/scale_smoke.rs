@@ -115,6 +115,8 @@ struct CampaignRun {
     /// Stage-2 drain-engine counters, merged across shards: drains run,
     /// memo hits, truncations, prefix-cursor reuses.
     stage2: MemoStats,
+    /// What-if queries stopped at the backlog before their drain.
+    pruned: u64,
 }
 
 fn run_campaign(
@@ -136,12 +138,14 @@ fn run_campaign(
     let skyline = world.agent().skyline_stats();
     let churn = world.churn_stats();
     let stage2 = world.agent().stage2_stats();
+    let pruned = world.htm().pruned_queries();
     CampaignRun {
         metrics,
         report_events,
         skyline,
         churn,
         stage2,
+        pruned,
         records: world.into_records(),
         wall,
         events,
@@ -706,7 +710,8 @@ fn main() {
     eprintln!(
         "stage-2 drain engine over {compare_tasks} tasks at {stage2_load:.2} mean load: \
          stage2_predict {:.2} s; {} drains ({} truncated, {:.1}%), {} memo hits \
-         ({:.1}% hit rate), {} prefix-cursor reuses ({:.1}% of drains)",
+         ({:.1}% hit rate), {} prefix-cursor reuses ({:.1}% of drains), {} queries pruned \
+         at the backlog",
         stage2_ns as f64 / 1e9,
         s2.drains,
         s2.truncated,
@@ -715,6 +720,7 @@ fn main() {
         100.0 * s2.hit_rate(),
         s2.prefix_hits,
         100.0 * s2.prefix_reuse_rate(),
+        stage2_run.pruned,
     );
 
     // 4. The sharded campaign: same workload through the shard
@@ -1251,8 +1257,9 @@ fn main() {
          \"memo_hit_rate\": {:.4},\n      \"cross_task_hits\": {},\n      \
          \"truncated\": {},\n      \"truncation_rate\": {:.4},\n      \
          \"prefix_reuses\": {},\n      \"prefix_reuse_rate\": {:.4},\n      \
+         \"pruned_queries\": {},\n      \
          \"headline_campaign\": {{\"drains_run\": {}, \"truncated\": {}, \
-         \"prefix_reuses\": {}, \"memo_hit_rate\": {:.4}}},\n      \
+         \"prefix_reuses\": {}, \"memo_hit_rate\": {:.4}, \"pruned_queries\": {}}},\n      \
          \"acceptance\": {{\"required\": \"drains, truncations and prefix reuses all > 0 \
          (the drain engine must actually run, truncate and resume)\", \
          \"pass\": {ok_stage2_counters}}}\n    }}\n  }},\n",
@@ -1266,10 +1273,12 @@ fn main() {
         s2.truncation_rate(),
         s2.prefix_hits,
         s2.prefix_reuse_rate(),
+        stage2_run.pruned,
         headline.stage2.drains,
         headline.stage2.truncated,
         headline.stage2.prefix_hits,
         headline.stage2.hit_rate(),
+        headline.pruned,
     );
     let _ = write!(
         json,

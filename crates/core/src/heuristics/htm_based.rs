@@ -4,42 +4,140 @@
 //! All four share the same skeleton — ask the HTM a what-if question per
 //! candidate server, take an argmin — and differ only in the objective:
 //!
-//! | policy | objective                                   | tie-break      |
-//! |--------|---------------------------------------------|----------------|
-//! | HMCT   | `f(i, n_i+1)` (completion date)             | lowest id      |
-//! | MP     | `Σ_j π(i, j)` (sum of perturbations)        | completion date|
-//! | MSF    | `Σ_j π(i, j) + d(i, n_i+1)` (sum-flow delta)| lowest id      |
-//! | MNI    | number of tasks with `π > 0`                | completion date|
+//! | policy | objective                                   | tie-break      | lower bound         |
+//! |--------|---------------------------------------------|----------------|---------------------|
+//! | HMCT   | `f(i, n_i+1)` (completion date)             | lowest id      | `now + d + X`       |
+//! | MP     | `Σ_j π(i, j)` (sum of perturbations)        | completion date| none: full scan     |
+//! | MSF    | `Σ_j π(i, j) + d(i, n_i+1)` (sum-flow delta)| lowest id      | `d + max(X, 2X − P)`|
+//! | MNI    | number of tasks with `π > 0`                | completion date| none: full scan     |
 //!
 //! HMCT and MSF take their argmin through
-//! [`SchedView::argmin_bounded`]: under the HTM's fair-share lanes a
-//! probe never finishes sooner than it would alone, so the unloaded
-//! duration `d` bounds both objectives from below and the walk stops
-//! once no unvisited bound can beat the incumbent. MP and MNI keep the
-//! full scan — their objectives have no such bound.
+//! [`SchedView::argmin_bounded`]. The walk visits candidates in ascending
+//! order of the bound on an idle server (`now + d` and `d`, `d` being the
+//! probe's unloaded duration) and stops once no unvisited candidate can
+//! beat the incumbent. Each visited candidate first reads the queue the
+//! probe would join ([`Backlog`], after the HTM's shared prefix settles
+//! to `now`); when the bound on that queue already loses, the candidate
+//! is skipped without a drain ([`SchedView::objective_unless`]).
+//!
+//! # The lower bounds
+//!
+//! A probe with phase costs `(i, c, o)` and `d = i + c + o` joins a
+//! server at `now`. Each of the server's three lanes is an equal-share
+//! resource of capacity 1 (§2.3). The backlog gives `S = Σ_j min(r_j, c)`
+//! over the compute lane's tasks, `r_j` being each one's remaining
+//! compute; whether the input lane is idle; the output work `Σ_j o_j`
+//! still ahead of the `m` active tasks; and so `X = max(0, S − i)` and,
+//! in the table, `P = (m − 1)·Σ_j o_j`.
+//!
+//! **HMCT: the completion date is at least `now + d + X`.** The probe is
+//! served at a rate of at most 1 in each lane, so it reaches the compute
+//! lane at some `t1 ≥ now + i`. Until then the compute lane serves at
+//! most `t1 − now` of work in all, so `Σ_j min(r_j(t1), c) ≥ S − (t1 −
+//! now)`. From `t1` on, each task `j` present since `now` is served at
+//! the probe's own rate for as long as both are in the lane, so while
+//! the probe computes its `c`, `j` receives exactly `min(r_j(t1), c)`.
+//! The lane serves at most 1 per second, so the probe leaves it no
+//! earlier than `t1 + c + S − (t1 − now) = now + c + S`, and no earlier
+//! than `t1 + c ≥ now + i + c`. Output takes at least `o` more, so the
+//! probe completes no earlier than `now + c + o + max(S, i) = now + d +
+//! X`.
+//!
+//! **MSF: the objective is at least `d + X`, and, with the input lane
+//! idle, at least `d + 2X − P`.** The first follows from HMCT's bound,
+//! since every π is clamped at zero. For the second, `π_j = max(0, C'_j −
+//! C_j) ≥ C'_j − C_j`, `C` and `C'` being a task's completion without
+//! and with the probe, so `Σπ + flow` is at least the growth of the
+//! tasks' total time in system from `now`, which splits by lane. In one
+//! equal-share lane a task's sojourn is its own work plus what the lane
+//! serves the others while it is there, so `Σ sojourns = Σ work + 2·Σ
+//! overlap` over pairs, a pair's overlap being what each of the two
+//! receives while both are present. Lane by lane:
+//!
+//! * input: idle before, the probe alone after — exactly `i`, so the
+//!   probe reaches compute at `now + i`;
+//! * compute: nothing but the probe can enter, so the pairs present at
+//!   `now` keep their overlap `min(r_j, r_k)`; the probe adds its `c` and
+//!   pairs with overlaps `Σ_j min(r_j(now + i), c) ≥ S − i`, and `≥ 0`:
+//!   at least `c + 2X` in all;
+//! * output: the probe adds its `o`; a pair's overlap is at most
+//!   `min(o_j, o_k)` before and at least 0 after, so the pairs lose at
+//!   most `2·Σ_{j<k} min(o_j, o_k) ≤ (m − 1)·Σ_j o_j = P`.
+//!
+//! The three sum to `i + c + 2X + o − P`. When the input lane is busy,
+//! tasks still to enter the compute lane break the second step, and MSF
+//! falls back to `d + X`.
+//!
+//! The drain runs in floats, and its rounding grows with the clock, so
+//! every bound gives up `1e-9 · (now + d + W)`, `W` being all the work
+//! left in the lanes: some lane is busy until the drain ends, so none of
+//! its instants lies past `now + d + W`. A looser bound only costs
+//! pruning; a tighter one would move decisions. Proptests in `htm.rs`
+//! check both bounds against the clone-and-drain oracle, deep queues
+//! and clocks up to 1e7 s included.
 
 use super::{Heuristic, SchedView, TIE_EPS};
+use crate::prediction::Prediction;
+use crate::trace::Backlog;
 use cas_platform::ServerId;
 
-/// Relative slack on the stage-2 lower bounds. In exact arithmetic the
-/// probe's completion is at least `now + d`; the drain's float rounding
-/// grows with the absolute clock, so the slack scales with `now + d`. A
+/// Relative slack on the stage-2 lower bounds (see the module docs): a
 /// looser bound only costs pruning, a tighter one would move decisions.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// HMCT's lower bound on a server where the probe's unloaded duration is
-/// `d`: the probe's completion date is at least `now + d`, because it
-/// passes through three sequential fair-share lanes, each serving it at
-/// a rate of at most 1.
-pub(crate) fn hmct_lower_bound(now: f64, d: f64) -> f64 {
-    (now + d) * (1.0 - BOUND_SLACK)
+/// `X = max(0, S − i)`: the compute work the probe must see served to
+/// the tasks already in the compute lane, beyond what its own input
+/// transfer overlaps.
+fn queue_wait(q: &Backlog) -> f64 {
+    (q.compute_overlap - q.probe.input).max(0.0)
 }
 
-/// MSF's lower bound: its objective `Σπ + (completion − now)` is at
-/// least `d`, since every π is clamped at zero and the flow time is at
-/// least the unloaded duration (see [`hmct_lower_bound`]).
-pub(crate) fn msf_lower_bound(now: f64, d: f64) -> f64 {
-    d - BOUND_SLACK * (now + d)
+/// The rounding slack of a bound at `now`: `1e-9 · (now + d + W)`.
+fn slack(now: f64, q: &Backlog) -> f64 {
+    BOUND_SLACK * (now + q.probe.total() + q.work)
+}
+
+/// HMCT's lower bound on the probe's completion date: `now + d + X`.
+pub(crate) fn hmct_lower_bound(now: f64, q: &Backlog) -> f64 {
+    now + q.probe.total() + queue_wait(q) - slack(now, q)
+}
+
+/// MSF's two lower bounds on `Σπ + flow`, before the slack: the flow
+/// term `d + X`, and the pair term `d + 2X − (m − 1)·Σ o_j`, which holds
+/// only with the input lane idle (−∞ otherwise).
+pub(crate) fn msf_terms(q: &Backlog) -> (f64, f64) {
+    let (d, x) = (q.probe.total(), queue_wait(q));
+    let pairs = if q.input_idle {
+        d + 2.0 * x - q.tasks.saturating_sub(1) as f64 * q.output_work
+    } else {
+        f64::NEG_INFINITY
+    };
+    (d + x, pairs)
+}
+
+/// MSF's lower bound on `Σπ + flow`: the larger of its two terms.
+pub(crate) fn msf_lower_bound(now: f64, q: &Backlog) -> f64 {
+    let (flow, pairs) = msf_terms(q);
+    flow.max(pairs) - slack(now, q)
+}
+
+/// The bounded walk HMCT and MSF share: candidates in ascending order of
+/// `bound` on an idle server; each visited one answers `objective` of
+/// its prediction, or `bound` on its backlog when that already loses.
+fn bounded_argmin(
+    view: &mut SchedView<'_>,
+    bound: fn(f64, &Backlog) -> f64,
+    objective: fn(&Prediction) -> f64,
+) -> Option<ServerId> {
+    let now = view.now.as_secs();
+    view.argmin_bounded(
+        |v, s| {
+            v.costs()
+                .costs(v.task.problem, s)
+                .map(|c| bound(now, &Backlog::idle(c)))
+        },
+        |v, s, beat| v.objective_unless(s, beat, |q| bound(now, q), objective),
+    )
 }
 
 /// Historical Minimum Completion Time (Fig. 2): MCT's objective computed on
@@ -63,15 +161,7 @@ impl Heuristic for Hmct {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        let now = view.now.as_secs();
-        view.argmin_bounded(
-            |v, s| {
-                v.costs()
-                    .unloaded_duration(v.task.problem, s)
-                    .map(|d| hmct_lower_bound(now, d))
-            },
-            |v, s| v.predict(s).map(|p| p.completion.as_secs()),
-        )
+        bounded_argmin(view, hmct_lower_bound, |p| p.completion.as_secs())
     }
 }
 
@@ -127,15 +217,7 @@ impl Heuristic for Msf {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        let now = view.now.as_secs();
-        view.argmin_bounded(
-            |v, s| {
-                v.costs()
-                    .unloaded_duration(v.task.problem, s)
-                    .map(|d| msf_lower_bound(now, d))
-            },
-            |v, s| v.predict(s).map(|p| p.msf_objective()),
-        )
+        bounded_argmin(view, msf_lower_bound, Prediction::msf_objective)
     }
 }
 
@@ -284,6 +366,67 @@ mod tests {
         let s = select_once(&mut Mni, &mut htm, &loads, &costs, task(1, 0.0));
         // One victim on S1 or S2; S1 gives the earlier completion.
         assert_eq!(s, Some(ServerId(1)));
+    }
+
+    /// Both queue-aware bounds are exact on one shared CPU: at t = 6 task
+    /// 10 has 94 s of its 100 s left on S0 when a 100 s probe asks. Task
+    /// 10 then finishes at 194 and the probe at 200, so HMCT's `now + d +
+    /// X = 6 + 100 + 94` is the completion, and MSF's pair term `d + 2X =
+    /// 288` is `π + flow = 94 + 194`. An idle server's backlog gives back
+    /// `now + d` and `d`.
+    #[test]
+    fn queue_bounds_are_exact_on_a_shared_cpu() {
+        let costs = table3();
+        let mut htm = Htm::new(costs.clone(), SyncPolicy::None);
+        htm.commit(cas_sim::SimTime::ZERO, ServerId(0), &task(10, 0.0));
+        let probe = task(1, 6.0);
+        let mut seen = None;
+        let mut out = Prediction::empty();
+        htm.predict_into_unless(probe.arrival, ServerId(0), &probe, &mut out, |q| {
+            seen = Some(*q);
+            None
+        });
+        let q = seen.expect("the drain read the backlog");
+        assert_eq!(out.completion.as_secs(), 200.0);
+        assert_eq!(out.msf_objective(), 288.0);
+        assert_eq!(msf_terms(&q), (194.0, 288.0));
+        let close = |bound: f64, exact: f64| bound <= exact && bound > exact - 1e-6;
+        assert!(close(hmct_lower_bound(6.0, &q), 200.0));
+        assert!(close(msf_lower_bound(6.0, &q), 288.0));
+        let idle = Backlog::idle(q.probe);
+        assert!(close(hmct_lower_bound(6.0, &idle), 106.0));
+        assert!(close(msf_lower_bound(6.0, &idle), 100.0));
+    }
+
+    /// A candidate whose unloaded duration could still beat the incumbent
+    /// but whose queue cannot is skipped without a drain. At t = 40, S0
+    /// (100 s) has task 10 with 60 s left and S1 (150 s) has task 11 with
+    /// 110 s left; S2 (300 s) is idle. S0 answers 200 (HMCT) or 220
+    /// (MSF). S1's unloaded bound, 190 or 150, loses to neither, but its
+    /// queue bound, 300 or 370, loses to both. S2's unloaded bound ends
+    /// the walk.
+    #[test]
+    fn a_queue_that_cannot_win_is_pruned() {
+        let costs = table3();
+        let loads = loads3();
+        for kind in [
+            crate::heuristics::HeuristicKind::Hmct,
+            crate::heuristics::HeuristicKind::Msf,
+        ] {
+            let mut htm = Htm::new(costs.clone(), SyncPolicy::None);
+            htm.commit(cas_sim::SimTime::ZERO, ServerId(0), &task(10, 0.0));
+            htm.commit(cas_sim::SimTime::ZERO, ServerId(1), &task(11, 0.0));
+            let pick = select_once(
+                kind.build().as_mut(),
+                &mut htm,
+                &loads,
+                &costs,
+                task(1, 40.0),
+            );
+            assert_eq!(pick, Some(ServerId(0)), "{kind:?}");
+            assert_eq!(htm.pruned_queries(), 1, "{kind:?}: S1 is pruned");
+            assert_eq!(htm.predictions_made(), 1, "{kind:?}: only S0 drains");
+        }
     }
 
     #[test]

@@ -21,14 +21,15 @@ mod memaware;
 mod simple;
 
 #[cfg(test)]
-pub(crate) use htm_based::{hmct_lower_bound, msf_lower_bound};
+pub(crate) use htm_based::{hmct_lower_bound, msf_lower_bound, msf_terms};
 pub use htm_based::{Hmct, Mni, Mp, Msf};
 pub use mct::Mct;
 pub use memaware::MemAware;
 pub use simple::{Kpb, MinLoad, Olb, RandomChoice, RoundRobin};
 
-use crate::htm::Htm;
+use crate::htm::{Htm, QueryOutcome};
 use crate::prediction::Prediction;
+use crate::trace::Backlog;
 use cas_platform::{CostTable, LoadReport, ServerId, TaskInstance};
 use cas_sim::{RngStream, SimTime};
 use std::borrow::Cow;
@@ -107,12 +108,25 @@ impl DecisionMemo {
     /// Writes `server`'s slot in place: `fill` receives the slot's
     /// reusable [`Prediction`] storage and returns whether the server
     /// can solve (`false` memoises "cannot solve" without touching the
-    /// buffer). Every what-if query writes through here.
+    /// buffer).
     fn fill_with(&mut self, server: ServerId, fill: impl FnOnce(&mut Prediction) -> bool) {
+        self.try_fill_with(server, |out| Some(fill(out)));
+    }
+
+    /// [`Self::fill_with`] for a query that may stop short: `fill`
+    /// returning `None` leaves the slot unqueried. Every what-if query
+    /// writes through here.
+    fn try_fill_with(
+        &mut self,
+        server: ServerId,
+        fill: impl FnOnce(&mut Prediction) -> Option<bool>,
+    ) {
         self.grow_to(server.index() + 1);
         let i = server.index();
-        self.solvable[i] = fill(&mut self.preds[i]);
-        self.stamps[i] = self.stamp;
+        if let Some(solvable) = fill(&mut self.preds[i]) {
+            self.solvable[i] = solvable;
+            self.stamps[i] = self.stamp;
+        }
     }
 }
 
@@ -273,6 +287,48 @@ impl<'a> SchedView<'a> {
         self.memo.get().lookup(server)
     }
 
+    /// One candidate of a bounded walk: `objective` of `server`'s
+    /// prediction, unless the queue the probe would join already rules
+    /// it out. Before the drain, `bound` maps the server's [`Backlog`] to
+    /// a lower bound on the objective; when `beat` rules that bound out,
+    /// the query stops there and the bound is returned instead — a value
+    /// that loses to the incumbent and is at most the objective. A pruned
+    /// query memoises nothing. Returns `None` if the server cannot solve
+    /// the problem.
+    pub fn objective_unless(
+        &mut self,
+        server: ServerId,
+        beat: Incumbent,
+        bound: impl FnOnce(&Backlog) -> f64,
+        objective: impl FnOnce(&Prediction) -> f64,
+    ) -> Option<f64> {
+        if !self.memo.get().queried(server) {
+            let Self {
+                now,
+                ref task,
+                ref mut htm,
+                ref mut memo,
+                ..
+            } = *self;
+            let mut lost_with = None;
+            memo.get_mut().try_fill_with(server, |out| {
+                let prune = |q: &Backlog| Some(bound(q)).filter(|&b| beat.rules_out(b));
+                match htm.predict_into_unless(now, server, task, out, prune) {
+                    QueryOutcome::Unsolvable => Some(false),
+                    QueryOutcome::Predicted => Some(true),
+                    QueryOutcome::Pruned(b) => {
+                        lost_with = Some(b);
+                        None
+                    }
+                }
+            });
+            if lost_with.is_some() {
+                return lost_with;
+            }
+        }
+        self.memo.get().lookup(server).map(objective)
+    }
+
     /// The tie-break RNG stream (only [`RandomChoice`] uses it).
     pub fn rng(&mut self) -> &mut RngStream {
         self.rng
@@ -307,20 +363,25 @@ impl<'a> SchedView<'a> {
     /// server `argmin(objective)` returns, evaluating `objective` only
     /// where it could still matter.
     ///
-    /// `bound(view, s)` must never exceed `objective(view, s)` when the
+    /// `bound(view, s)` must never exceed `objective(view, s, _)` when the
     /// latter is `Some`; `None` means "no bound" and forces an
     /// evaluation. Candidates are visited in ascending `(bound, list
     /// position)` order, and the walk stops at the first candidate whose
-    /// bound exceeds the incumbent's value, or equals it from a later
-    /// list position — every candidate from there on is at least as bad
-    /// and loses the position tie-break. Ties between evaluated
-    /// candidates go to the earlier list position, so the pick equals
-    /// `argmin`'s first minimum for any list order. The visit order is
-    /// kept in the memo's reusable buffer: the walk allocates nothing.
+    /// bound the [`Incumbent`] rules out: above the incumbent's value, or
+    /// equal to it from a later list position — every candidate from
+    /// there on is at least as bad and loses the position tie-break.
+    /// Ties between evaluated candidates go to the earlier list position,
+    /// so the pick equals `argmin`'s first minimum for any list order.
+    ///
+    /// `objective` receives the incumbent the candidate must beat
+    /// ([`Incumbent::NONE`] before the first evaluation). It returns the
+    /// candidate's objective, or any lower bound on it that the incumbent
+    /// rules out — a proven loser needs no exact value. The visit order
+    /// is kept in the memo's reusable buffer: the walk allocates nothing.
     pub fn argmin_bounded<B, F>(&mut self, mut bound: B, mut objective: F) -> Option<ServerId>
     where
         B: FnMut(&Self, ServerId) -> Option<f64>,
-        F: FnMut(&mut Self, ServerId) -> Option<f64>,
+        F: FnMut(&mut Self, ServerId, Incumbent) -> Option<f64>,
     {
         let candidates = self.candidates.clone();
         let mut order = std::mem::take(&mut self.memo.get_mut().bounds);
@@ -341,27 +402,53 @@ impl<'a> SchedView<'a> {
         });
         let mut best: Option<(usize, f64)> = None;
         for &(b, pos) in &order {
-            if let Some((best_pos, best_v)) = best {
-                if b > best_v || (b == best_v && pos > best_pos) {
-                    break;
-                }
+            let beat = best.map_or(Incumbent::NONE, |(best_pos, value)| Incumbent {
+                value,
+                tie_loses: pos > best_pos,
+            });
+            if beat.rules_out(b) {
+                break;
             }
             let s = candidates[pos];
-            let Some(v) = objective(self, s) else {
+            let Some(v) = objective(self, s, beat) else {
                 continue;
             };
             debug_assert!(v.is_finite(), "objective for {s} is not finite");
             debug_assert!(b <= v, "lower bound {b} exceeds objective {v} on {s}");
-            best = match best {
-                Some((best_pos, best_v)) if v < best_v || (v == best_v && pos < best_pos) => {
-                    Some((pos, v))
-                }
-                None => Some((pos, v)),
-                other => other,
-            };
+            // Positions are distinct, so "not ruled out" is "strictly
+            // better, or tied from an earlier position".
+            if !beat.rules_out(v) {
+                best = Some((pos, v));
+            }
         }
         self.memo.get_mut().bounds = order;
         best.map(|(pos, _)| candidates[pos])
+    }
+}
+
+/// What a candidate of [`SchedView::argmin_bounded`] must beat to take
+/// the lead: the incumbent's objective value, where a tie loses when
+/// the candidate sits later in the list than the incumbent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Incumbent {
+    /// The incumbent's objective.
+    pub value: f64,
+    /// Whether a candidate equal to `value` loses (it sits later in the
+    /// list than the incumbent).
+    pub tie_loses: bool,
+}
+
+impl Incumbent {
+    /// No incumbent yet: nothing finite is ruled out.
+    pub const NONE: Incumbent = Incumbent {
+        value: f64::INFINITY,
+        tie_loses: false,
+    };
+
+    /// The walk's stop rule: whether a candidate whose objective is at
+    /// least `bound` cannot take the lead.
+    pub fn rules_out(&self, bound: f64) -> bool {
+        bound > self.value || (bound == self.value && self.tie_loses)
     }
 }
 
@@ -707,7 +794,7 @@ mod tests {
             let plain = view.argmin(|_, s| objective(s));
             let bounded = view.argmin_bounded(
                 |_, s| bound(s),
-                |_, s| {
+                |_, s, _| {
                     visited.push(s);
                     objective(s)
                 },
@@ -732,7 +819,7 @@ mod tests {
         let pick = with_view((0..4).map(ServerId).collect(), |view| {
             view.argmin_bounded(
                 |_, s| bound(s),
-                |_, s| {
+                |_, s, _| {
                     visited.push(s);
                     objective(s)
                 },
@@ -744,28 +831,82 @@ mod tests {
         assert_eq!(visited, [ServerId(1)]);
     }
 
+    /// The objective sees the incumbent it must beat, and a candidate
+    /// answered with a bound the incumbent rules out never takes the
+    /// lead.
+    #[test]
+    fn bounded_stage2_objective_sees_the_incumbent() {
+        let objective = |s: ServerId| [4.0, 2.0, 9.0][s.index()];
+        let bound = |s: ServerId| [1.0, 1.0, 1.0][s.index()];
+        let mut seen = Vec::new();
+        let pick = with_view((0..3).map(ServerId).collect(), |view| {
+            view.argmin_bounded(
+                |_, s| Some(bound(s)),
+                |_, s, beat| {
+                    seen.push((s, beat));
+                    // A queue-aware bound of 3.0 on S1 and S2: it cannot
+                    // rule S1 out against S0's 4.0, but it rules S2 out
+                    // against S1's 2.0.
+                    let q = if s == ServerId(0) { 1.0 } else { 3.0 };
+                    Some(if beat.rules_out(q) { q } else { objective(s) })
+                },
+            )
+        });
+        assert_eq!(pick, Some(ServerId(1)));
+        let tie_loses = |value| Incumbent {
+            value,
+            tie_loses: true,
+        };
+        assert_eq!(
+            seen,
+            [
+                (ServerId(0), Incumbent::NONE),
+                (ServerId(1), tie_loses(4.0)),
+                (ServerId(2), tie_loses(2.0)),
+            ]
+        );
+        assert!(!Incumbent::NONE.rules_out(f64::MAX));
+        assert!(Incumbent {
+            value: 2.0,
+            tie_loses: false
+        }
+        .rules_out(2.5));
+        assert!(!Incumbent {
+            value: 2.0,
+            tie_loses: false
+        }
+        .rules_out(2.0));
+    }
+
     proptest::proptest! {
         /// The bounded walk returns exactly `argmin`'s pick over arbitrary
         /// objective tables: small integer objectives force exact ties,
         /// `None` objectives carry arbitrary (even absurd) bounds, bounds
         /// sit anywhere from the objective itself down to "no bound" and
         /// a signed zero under a zero objective, and candidate lists are
-        /// unsorted with duplicates.
+        /// unsorted with duplicates. Each candidate also has a second,
+        /// queue-aware bound between its order bound and its objective
+        /// (often equal to the objective, so it ties the incumbent): the
+        /// objective answers with that bound whenever the incumbent
+        /// rules it out, as a pruned query does.
         #[test]
         fn bounded_stage2_argmin_matches_argmin(
             // Per server: (objective level, solvable draw, bound gap,
-            // bound kind).
-            table in proptest::collection::vec((0u32..4, 0u32..5, 0.0f64..3.0, 0u32..4), 1..12),
+            // bound kind, queue-bound lift in halves of the gap).
+            table in proptest::collection::vec(
+                (0u32..4, 0u32..5, 0.0f64..3.0, 0u32..4, 0u32..3),
+                1..12,
+            ),
             picks in proptest::collection::vec(0usize..64, 0..24),
         ) {
             let objective: Vec<Option<f64>> = table
                 .iter()
-                .map(|&(level, draw, _, _)| (draw > 0).then_some(f64::from(level)))
+                .map(|&(level, draw, _, _, _)| (draw > 0).then_some(f64::from(level)))
                 .collect();
             let bound: Vec<Option<f64>> = table
                 .iter()
                 .zip(&objective)
-                .map(|(&(_, _, gap, kind), v)| match (kind, *v) {
+                .map(|(&(_, _, gap, kind, _), v)| match (kind, *v) {
                     (2, _) => None,
                     // Unsolvable: the bound is never checked against
                     // anything, so it may be arbitrarily high.
@@ -777,6 +918,18 @@ mod tests {
                     (_, Some(v)) => Some(v - gap),
                 })
                 .collect();
+            // The queue-aware bound: at least the order bound, at most
+            // the objective.
+            let queue: Vec<f64> = table
+                .iter()
+                .zip(&objective)
+                .zip(&bound)
+                .map(|((&(_, _, _, _, lift), v), b)| {
+                    let v = v.unwrap_or(0.0);
+                    let b = b.unwrap_or(v - 3.0);
+                    b + (v - b) * f64::from(lift) / 2.0
+                })
+                .collect();
             let n = table.len();
             let candidates: Vec<ServerId> =
                 picks.iter().map(|&k| ServerId((k % n) as u32)).collect();
@@ -784,17 +937,21 @@ mod tests {
                 let plain = view.argmin(|_, s| objective[s.index()]);
                 let bounded = view.argmin_bounded(
                     |_, s| bound[s.index()],
-                    |_, s| objective[s.index()],
+                    |_, s, beat| {
+                        let q = queue[s.index()];
+                        objective[s.index()].map(|v| if beat.rules_out(q) { q } else { v })
+                    },
                 );
                 (plain, bounded)
             });
             proptest::prop_assert_eq!(
                 bounded,
                 plain,
-                "candidates {:?}, objectives {:?}, bounds {:?}",
+                "candidates {:?}, objectives {:?}, bounds {:?}, queue bounds {:?}",
                 &candidates,
                 &objective,
-                &bound
+                &bound,
+                &queue
             );
         }
     }

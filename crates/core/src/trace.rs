@@ -306,11 +306,12 @@ impl ServerTrace {
     /// *after* the probe's entry. When `truncate` is `false`, `out` is the
     /// complete after-schedule, bit for bit.
     ///
-    /// Returns `(prefix_hit, truncated)`: whether the shared prefix was
-    /// resumed from `prefix` instead of replayed from the live trace, and
-    /// whether `out` is a (probe-containing) prefix rather than the full
-    /// schedule. `prefix` is refreshed to this query's `(generation, now)`
-    /// on every call, so the next probe of the same decision round hits.
+    /// Between the settle to `now` and the probe's entry, `prune` reads
+    /// the [`Backlog`] the probe would join. When it returns a bound, the
+    /// drain stops there and returns [`DrainOutcome::Pruned`] with it:
+    /// the probe never enters and `out` is left as it was. `prefix` is
+    /// refreshed to this query's `(generation, now)` on every call, pruned
+    /// or not, so the next probe of the same decision round hits.
     ///
     /// # Panics
     /// Panics if `now` is before the cursor or names a task still active
@@ -325,9 +326,9 @@ impl ServerTrace {
         costs: PhaseCosts,
         truncate: bool,
         out: &mut Vec<(TaskId, SimTime)>,
-    ) -> (bool, bool) {
+        prune: impl FnOnce(&Backlog) -> Option<f64>,
+    ) -> DrainOutcome {
         assert!(now >= self.cursor(), "trace cannot rewind");
-        out.clear();
         let lanes = &mut scratch.lanes;
         let hit = prefix.usable_for(self, now);
         lanes.copy_from(if hit { &prefix.lanes } else { &self.lanes });
@@ -346,9 +347,77 @@ impl ServerTrace {
         // state: skip the copy-back and keep the older — strictly more
         // reusable — `events_until`.
         lanes.settle(now);
+        if let Some(bound) = prune(&lanes.backlog(costs)) {
+            return DrainOutcome::Pruned(bound);
+        }
+        out.clear();
         lanes.insert(task, costs);
         let truncated = lanes.drain(truncate.then_some(task), out);
-        (hit, truncated)
+        DrainOutcome::Drained {
+            prefix_hit: hit,
+            truncated,
+        }
+    }
+}
+
+/// How [`ServerTrace::drain_schedule_into_fast`] ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DrainOutcome {
+    /// The probe entered and the lanes drained into `out`.
+    Drained {
+        /// Whether the shared prefix was resumed from the cursor instead
+        /// of replayed from the live trace.
+        prefix_hit: bool,
+        /// Whether `out` is a probe-containing prefix of the schedule,
+        /// cut after the probe's completion, rather than all of it.
+        truncated: bool,
+    },
+    /// The backlog already proved the query loses, with this lower bound:
+    /// nothing was drained and `out` is untouched.
+    Pruned(f64),
+}
+
+/// The queue a probe would join on a server: the lanes' state at the
+/// query instant, after the shared prefix settles and before the probe
+/// enters. The queue-aware stage-2 lower bounds read it (the proofs are
+/// in `heuristics::htm_based`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Backlog {
+    /// The probe's phase costs `(i, c, o)`.
+    pub probe: PhaseCosts,
+    /// `S = Σ_j min(r_j, c)` over the compute lane, `r_j` being each
+    /// entry's remaining compute work: what those tasks are served
+    /// alongside the probe if the probe joins at once.
+    pub compute_overlap: f64,
+    /// Whether the input lane is empty, so that nothing but the probe can
+    /// enter the compute lane from now on.
+    pub input_idle: bool,
+    /// `Σ_j o_j`: the output work still ahead of the active tasks — the
+    /// remaining output work of the output lane's entries, the whole
+    /// output cost of every other entry.
+    pub output_work: f64,
+    /// `m`: the tasks active at the query instant.
+    pub tasks: usize,
+    /// All work left in the lanes, every phase of every active task.
+    /// Some lane is busy until the drain ends, so no event of the
+    /// what-if drain lies past `now + d + work`: the clock values whose
+    /// rounding the bounds' slack must cover.
+    pub work: f64,
+}
+
+impl Backlog {
+    /// The backlog of an idle server: no queue at all. The bounds it
+    /// gives hold on any server, so they order a walk before any lane
+    /// is read.
+    pub fn idle(probe: PhaseCosts) -> Self {
+        Backlog {
+            probe,
+            compute_overlap: 0.0,
+            input_idle: true,
+            output_work: 0.0,
+            tasks: 0,
+            work: 0.0,
+        }
     }
 }
 
@@ -608,6 +677,31 @@ impl LaneSet {
         self.cursor = to;
     }
 
+    /// The [`Backlog`] a probe with phase costs `probe` would join at the
+    /// cursor. One pass over the entries; call it on settled lanes.
+    fn backlog(&self, probe: PhaseCosts) -> Backlog {
+        let [input, compute, output] = &self.by_phase;
+        let mut q = Backlog {
+            input_idle: input.entries.is_empty(),
+            tasks: input.entries.len() + compute.entries.len() + output.entries.len(),
+            ..Backlog::idle(probe)
+        };
+        for e in &input.entries {
+            q.output_work += e.costs.output;
+            q.work += e.remaining + e.costs.compute + e.costs.output;
+        }
+        for e in &compute.entries {
+            q.compute_overlap += e.remaining.min(probe.compute);
+            q.output_work += e.costs.output;
+            q.work += e.remaining + e.costs.output;
+        }
+        for e in &output.entries {
+            q.output_work += e.remaining;
+            q.work += e.remaining;
+        }
+        q
+    }
+
     /// [`ServerTrace::drain`] without the trace: processes events until
     /// every lane is empty, appending completions to `out` in completion
     /// order.
@@ -681,12 +775,42 @@ impl PrefixCursor {
     }
 }
 
+#[cfg(test)]
+impl ServerTrace {
+    /// [`Self::drain_schedule_into_fast`] with nothing pruned, as
+    /// `(prefix_hit, truncated)`.
+    #[allow(clippy::too_many_arguments)]
+    fn drain_unpruned(
+        &self,
+        scratch: &mut DrainScratch,
+        prefix: &mut PrefixCursor,
+        now: SimTime,
+        task: TaskId,
+        costs: PhaseCosts,
+        truncate: bool,
+        out: &mut Vec<(TaskId, SimTime)>,
+    ) -> (bool, bool) {
+        let outcome =
+            self.drain_schedule_into_fast(scratch, prefix, now, task, costs, truncate, out, |_| {
+                None
+            });
+        match outcome {
+            DrainOutcome::Drained {
+                prefix_hit,
+                truncated,
+            } => (prefix_hit, truncated),
+            DrainOutcome::Pruned(_) => unreachable!("nothing prunes"),
+        }
+    }
+}
+
 /// The oracle: the trace as it stood before the lane kernel, trimmed to
 /// what the tests drive. Three `FairShareResource` lanes and a job table,
 /// with an event loop of its own; it shares no code with [`LaneSet`], so
 /// diffing against it checks the kernel against an independent model.
 #[cfg(test)]
 mod reference {
+    use super::Backlog;
     use cas_platform::{FairShareResource, Phase, PhaseCosts, TaskId};
     use cas_sim::SimTime;
     use std::collections::BTreeMap;
@@ -808,6 +932,43 @@ mod reference {
             let already = clone.finished.len();
             clone.drain();
             clone.finished.split_off(already)
+        }
+
+        /// The backlog oracle: the queue a probe with costs `probe` would
+        /// join at `now`, read off a clone advanced to `now` by taking
+        /// each active task's remaining work out of its stage.
+        pub(super) fn backlog(&self, now: SimTime, probe: PhaseCosts) -> Backlog {
+            let mut clone = self.clone();
+            clone.advance(now);
+            let jobs: Vec<(TaskId, (Phase, PhaseCosts))> =
+                clone.jobs.iter().map(|(&t, &job)| (t, job)).collect();
+            let mut q = Backlog {
+                tasks: jobs.len(),
+                ..Backlog::idle(probe)
+            };
+            for (task, (phase, costs)) in jobs {
+                let r = clone
+                    .resource_mut(phase)
+                    .remove(now, task)
+                    .expect("an active job is in its stage");
+                match phase {
+                    Phase::Input => {
+                        q.input_idle = false;
+                        q.output_work += costs.output;
+                        q.work += r + costs.compute + costs.output;
+                    }
+                    Phase::Compute => {
+                        q.compute_overlap += r.min(probe.compute);
+                        q.output_work += costs.output;
+                        q.work += r + costs.output;
+                    }
+                    Phase::Output => {
+                        q.output_work += r;
+                        q.work += r;
+                    }
+                }
+            }
+            q
         }
 
         /// The what-if oracle: clone, insert the probe at `now`, drain the
@@ -1121,7 +1282,7 @@ mod tests {
                 (TaskId(101), costs(0.0, 3.0, 0.0)),
             ] {
                 for truncate in [false, true] {
-                    let (hit, truncated) = tr.drain_schedule_into_fast(
+                    let (hit, truncated) = tr.drain_unpruned(
                         &mut scratch,
                         &mut prefix,
                         t(now),
@@ -1305,13 +1466,17 @@ mod proptests {
         /// The fast what-if drain is bit-identical to the reference trace's
         /// clone-and-drain for arbitrary resident schedules, probe costs,
         /// query times and truncation choices — including prefix-cursor
-        /// reuse across a monotone sequence of query times.
+        /// reuse across a monotone sequence of query times, and queries
+        /// pruned at the backlog in between. A pruned query hands its gate
+        /// the reference trace's backlog at `now`, leaves the output
+        /// untouched, and leaves the prefix cursor fit for the next drain.
         #[test]
         fn fast_drain_bitwise_equals_reference(
             specs in proptest::collection::vec((0.0f64..40.0, arb_costs()), 1..15),
             probe_costs in arb_costs(),
             nows in proptest::collection::vec(0.0f64..120.0, 1..6),
             truncate in proptest::bool::ANY,
+            prune_mask in 0u32..64,
         ) {
             let mut tr = ServerTrace::new();
             let mut reference = ReferenceTrace::new();
@@ -1329,8 +1494,31 @@ mod proptests {
             for (k, now) in sorted_nows.iter().enumerate() {
                 let now = t(now.max(tr.cursor().as_secs()));
                 let probe = TaskId(1000 + k as u64);
+                if prune_mask & (1 << k) != 0 {
+                    let before = fast.clone();
+                    let mut seen = None;
+                    let outcome = tr.drain_schedule_into_fast(
+                        &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
+                        |q| {
+                            seen = Some(*q);
+                            Some(-1.0)
+                        },
+                    );
+                    prop_assert_eq!(outcome, DrainOutcome::Pruned(-1.0));
+                    prop_assert_eq!(&fast, &before, "a pruned query left its output alone");
+                    let seen = seen.expect("the gate saw the backlog");
+                    let want = reference.backlog(now, probe_costs);
+                    prop_assert_eq!((seen.tasks, seen.input_idle), (want.tasks, want.input_idle));
+                    for (a, b) in [
+                        (seen.compute_overlap, want.compute_overlap),
+                        (seen.output_work, want.output_work),
+                        (seen.work, want.work),
+                    ] {
+                        prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{:?} vs {:?}", seen, want);
+                    }
+                }
                 let slow = reference.what_if(now, probe, probe_costs);
-                let (_, truncated) = tr.drain_schedule_into_fast(
+                let (_, truncated) = tr.drain_unpruned(
                     &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                 );
                 prop_assert!(fast.iter().any(|e| e.0 == probe));
@@ -1378,7 +1566,7 @@ mod proptests {
                 let now = t(f64::from(*now).max(tr.cursor().as_secs()));
                 let probe = TaskId(1000 + k as u64);
                 let slow = reference.what_if(now, probe, probe_costs);
-                let (_, truncated) = tr.drain_schedule_into_fast(
+                let (_, truncated) = tr.drain_unpruned(
                     &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                 );
                 prop_assert!(fast.iter().any(|e| e.0 == probe));
@@ -1506,7 +1694,7 @@ mod proptests {
                 }
                 _ => {
                     let probe = TaskId(1_000_000 + u64::from(pick));
-                    let (_, truncated) = flat.drain_schedule_into_fast(
+                    let (_, truncated) = flat.drain_unpruned(
                         &mut scratch,
                         &mut prefix,
                         when,

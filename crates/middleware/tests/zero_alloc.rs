@@ -85,15 +85,26 @@ fn task(id: u64, at: f64) -> TaskInstance {
     TaskInstance::new(TaskId(id), ProblemId(0), SimTime::from_secs(at))
 }
 
+/// What a measured run of decisions leaves behind.
+struct Measured {
+    /// The warm router.
+    router: AgentRouter,
+    /// Allocations made during the measured decisions.
+    allocs: u64,
+    /// What-if queries the measured decisions stopped at the backlog.
+    pruned: u64,
+}
+
 /// Warms a router over an `n`-server farm, then counts the allocations
 /// of 300 further decisions — stage-1 shortlist walk, stage-2 what-if
-/// queries through the memo, argmin — and returns the warm router.
+/// queries through the memo, argmin — and the queries among them that
+/// stopped at the backlog.
 fn measured_decisions(
     n: u32,
     selector: SelectorKind,
     heuristic: HeuristicKind,
     shards: Option<usize>,
-) -> (AgentRouter, u64) {
+) -> Measured {
     let costs = farm(n);
     let reports: Vec<LoadReport> = (0..n).map(|i| LoadReport::initial(ServerId(i))).collect();
     let server_mem = vec![f64::MAX; n as usize];
@@ -137,13 +148,19 @@ fn measured_decisions(
     }
 
     // Measured: pure decisions.
+    let pruned_before = router.htm().pruned_queries();
     let allocs = allocations_in(|| {
         for i in 3000..3300u64 {
             let pick = decide(&mut router, heuristic.as_mut(), i, 3.0 + 0.001 * i as f64);
             assert!(pick.is_some(), "decision {i} found no candidate");
         }
     });
-    (router, allocs)
+    let pruned = router.htm().pruned_queries() - pruned_before;
+    Measured {
+        router,
+        allocs,
+        pruned,
+    }
 }
 
 /// The steady-state decision loop allocates nothing once its reusable
@@ -151,8 +168,9 @@ fn measured_decisions(
 /// query.
 #[test]
 fn steady_state_decisions_allocate_nothing() {
-    let (mut router, allocs) =
-        measured_decisions(12, SelectorKind::Exhaustive, HeuristicKind::Hmct, None);
+    let Measured {
+        mut router, allocs, ..
+    } = measured_decisions(12, SelectorKind::Exhaustive, HeuristicKind::Hmct, None);
     assert_eq!(
         allocs, 0,
         "steady-state decision loop must not allocate (saw {allocs} allocations over 300 decisions)"
@@ -179,24 +197,37 @@ fn steady_state_decisions_allocate_nothing() {
 /// stay allocation-free under both bounded heuristics, both selector
 /// families and every agent shape: the single agent, the flat walk over
 /// 3 shards, and the group walk over 20 shards (two groups under the
-/// default fan-out).
+/// default fan-out). Every server holds four tasks, so the decisions
+/// stop queries at the backlog, and those allocate nothing either:
+/// every exhaustive walk prunes, and so does each heuristic overall.
+/// (Over 20 two-server shards the adaptive walk shortlists the two
+/// fastest servers, where nothing is left to prune.)
 #[test]
 fn wide_shortlist_decisions_allocate_nothing() {
     let adaptive = SelectorKind::Adaptive {
         k_min: 8,
         k_max: 64,
     };
-    for selector in [SelectorKind::Exhaustive, adaptive] {
-        for heuristic in [HeuristicKind::Hmct, HeuristicKind::Msf] {
+    for heuristic in [HeuristicKind::Hmct, HeuristicKind::Msf] {
+        let mut pruned = 0;
+        for selector in [SelectorKind::Exhaustive, adaptive] {
             for shards in [None, Some(3), Some(20)] {
-                let (_, allocs) = measured_decisions(40, selector, heuristic, shards);
+                let run = measured_decisions(40, selector, heuristic, shards);
                 assert_eq!(
-                    allocs, 0,
-                    "{selector:?} {heuristic:?} shards {shards:?}: saw {allocs} allocations \
-                     over 300 decisions"
+                    run.allocs, 0,
+                    "{selector:?} {heuristic:?} shards {shards:?}: saw {} allocations \
+                     over 300 decisions",
+                    run.allocs
                 );
+                assert!(
+                    run.pruned > 0 || selector != SelectorKind::Exhaustive,
+                    "{selector:?} {heuristic:?} shards {shards:?}: no query stopped at \
+                     its backlog"
+                );
+                pruned += run.pruned;
             }
         }
+        assert!(pruned > 0, "{heuristic:?}: no query stopped at its backlog");
     }
 }
 

@@ -22,7 +22,8 @@
 //! The bounded stage-2 heuristics (HMCT, MSF and their memory-aware
 //! wrappers) also run with a wide adaptive shortlist on a 32-server farm
 //! at about 0.9 load, with transfers at 2 % and at 50–100 % of compute,
-//! so their walks meet real queues, with busy and with idle input lanes.
+//! so their walks meet real queues, with busy and with idle input lanes;
+//! each of those rows must stop some what-if query at its backlog.
 //!
 //! Every row also checks the run invariants casbench checks per rep:
 //! nothing is left in flight, and the admission counters balance each
@@ -203,6 +204,7 @@ const SHARDINGS: [(&str, Sharding); 2] = [
 struct Run {
     digest: u64,
     model: u64,
+    pruned: u64,
     group_visits: u64,
     rebalances: u64,
     admission: AdmissionStats,
@@ -277,6 +279,7 @@ fn run(label: &str, cfg: ExperimentConfig, farm: &Farm) -> Run {
     Run {
         digest: records_digest(records),
         model: model_digest(records, world.admission_waits(), &adm),
+        pruned: world.htm().pruned_queries(),
         group_visits: world.agent().skyline_stats().group_visits,
         rebalances: world.churn_stats().rebalances,
         admission: adm,
@@ -495,6 +498,11 @@ fn campaign_record_digests_match_the_golden_table() {
         assert!(
             !label.contains("/fed20/") || r.group_visits > 0,
             "{label}: the group walk never ran"
+        );
+        // The busy-farm rows are there to reach the queue-aware bounds.
+        assert!(
+            !label.contains("/busy32-") || r.pruned > 0,
+            "{label}: no query stopped at its backlog"
         );
     }
     assert!(
