@@ -106,22 +106,39 @@
 //! # Bounded stage 2
 //!
 //! Queries are serial and answer one server each; HMCT and MSF decide
-//! how many to ask. Each lane of a trace is an equal-share resource of
-//! capacity 1, so a probe inserted at `now` gets a rate of at most 1 in
-//! each of its three sequential phases and completes no earlier than
-//! `now + d`, `d` being its unloaded duration
-//! ([`CostTable::unloaded_duration`]). That bounds HMCT's objective
-//! (the completion date) by `now + d` and MSF's (`Σπ` plus the flow
-//! time) by `d`, because every perturbation is clamped at zero — which
-//! also settles `Σπ ≥ 0` for the three-lane pipeline, where an insertion
-//! can otherwise speed a bystander up. The heuristics walk their
-//! shortlist in ascending bound order through
+//! how many to ask, and how far each one runs. Each lane of a trace is
+//! an equal-share resource of capacity 1, so a probe inserted at `now`
+//! gets a rate of at most 1 in each of its three sequential phases and
+//! completes no earlier than `now + d`, `d` being its unloaded duration
+//! ([`CostTable::unloaded_duration`]). That bounds HMCT's objective (the
+//! completion date) by `now + d` and MSF's (`Σπ` plus the flow time) by
+//! `d`, because every perturbation is clamped at zero — which also
+//! settles `Σπ ≥ 0` for the three-lane pipeline, where an insertion can
+//! otherwise speed a bystander up. The heuristics walk their shortlist
+//! in ascending order of these bounds through
 //! [`SchedView::argmin_bounded`](crate::heuristics::SchedView::argmin_bounded)
-//! and stop at the first bound that cannot beat the incumbent, so most
-//! candidates of a lightly loaded farm never run a drain at all. The
-//! bounds carry a slack of `1e-9 · (now + d)`, since the drain's rounding
-//! grows with the absolute clock; a proptest below checks both against
-//! the clone-and-drain oracle.
+//! and stop at the first one that cannot beat the incumbent, so most
+//! candidates of a lightly loaded farm never run a drain at all.
+//!
+//! A visited candidate's query then reads the queue the probe would
+//! join. [`Htm::predict_into_unless`] resumes the shared prefix and
+//! settles it to `now` as every drain does, and before the probe enters
+//! it shows the caller the lanes' [`Backlog`]: the compute work the
+//! probe would share, whether the input lane is idle, the output work
+//! ahead and the task count. From these HMCT bounds the completion by
+//! `now + d + max(0, S − i)` and MSF its objective by up to `d + 2·max(0,
+//! S − i) − (m − 1)·Σ o_j` (proofs and notation in
+//! `heuristics::htm_based`). When that bound already loses to the
+//! incumbent by the walk's own stop rule, the query ends there: it
+//! costs the prefix resume, runs no drain, memoises nothing and counts
+//! in [`Htm::pruned_queries`]. A query that survives drains from the
+//! lanes already settled, so it pays no second resume.
+//!
+//! Every bound carries a slack of `1e-9` times the latest instant the
+//! drain can reach, since its rounding grows with the absolute clock.
+//! The proptests below check the bounds, on the backlog and on an idle
+//! server's, against the clone-and-drain oracle, on three servers and
+//! on one server with queues up to 16 deep, at clocks up to 1e7 s.
 //!
 //! The oracle for all of this lives in the test module: it clones the
 //! trace, inserts the probe and drains the clone — the original what-if

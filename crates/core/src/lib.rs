@@ -74,10 +74,15 @@
 //!    over arbitrary interleavings.
 //! 6. **Bounds never exceed objectives.** HMCT and MSF skip candidates
 //!    whose lower bound cannot beat the incumbent
-//!    ([`heuristics::SchedView::argmin_bounded`]); the skip is exact
-//!    only while every bound stays at or below its objective, which a
-//!    proptest checks against the oracle and a `debug_assert!` checks on
-//!    every evaluated candidate.
+//!    ([`heuristics::SchedView::argmin_bounded`]): first by the bound on
+//!    an idle server, which orders and stops the walk, then by the bound
+//!    on the [`trace::Backlog`] the probe would join, which ends a query
+//!    before its drain ([`Htm::predict_into_unless`]). A pruned query
+//!    writes and memoises nothing, so no later answer can tell it ran.
+//!    The skips are exact only while every bound stays at or below its
+//!    objective, which proptests check against the oracle (deep queues
+//!    and clocks up to 1e7 s included) and a `debug_assert!` checks on
+//!    every candidate the walk visits.
 
 pub mod gantt;
 pub mod heuristics;

@@ -40,10 +40,13 @@
 //! performs the same floating-point operations in the same order as
 //! cloning the trace, inserting the task and draining the clone
 //! ([`ServerTrace::drain_schedule`]), so results agree **bit for bit**.
+//! Before the hypothetical task enters, the fast drain shows its caller
+//! the [`Backlog`] the task would join, and the caller may stop it there.
 //!
 //! The oracle is independent of the kernel: the test module keeps a
 //! reference trace built on three `FairShareResource`s and a job table,
-//! and the proptests diff the live trace and every drain against it.
+//! and the proptests diff the live trace, every drain and every backlog
+//! read against it.
 
 use cas_platform::{Phase, PhaseCosts, TaskId};
 use cas_sim::{Generation, SimTime};
