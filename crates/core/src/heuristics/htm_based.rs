@@ -429,6 +429,80 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// On real HTM state, HMCT's and MSF's bounded walks — the
+        /// idle-server order, the break and the queue-aware pruning —
+        /// pick exactly the server a full scan of every candidate's
+        /// prediction picks. Farms of six servers with whole-second costs
+        /// (so objectives tie), queues grown by commits and by committing
+        /// each pick, both sync policies, clocks up to 1e6 s, and unsorted
+        /// candidate lists with duplicates.
+        #[test]
+        fn bounded_stage2_walk_matches_the_full_scan(
+            // Per server: whole-second (input, compute, output).
+            phase_costs in proptest::collection::vec((0u32..3, 1u32..12, 0u32..3), 6),
+            // (decide when 0, else commit; server; time gap)
+            ops in proptest::collection::vec((0u32..3, 0u32..6, 0u32..3), 1..40),
+            picks in proptest::collection::vec(0u32..6, 1..10),
+            start in 0u32..1_000_000,
+            force_finish in proptest::bool::ANY,
+        ) {
+            let mut costs = cas_platform::CostTable::new(6);
+            costs.add_problem(
+                cas_platform::Problem::new("p", 0.0, 0.0, 0.0),
+                phase_costs
+                    .iter()
+                    .map(|&(i, c, o)| {
+                        Some(cas_platform::PhaseCosts::new(
+                            f64::from(i),
+                            f64::from(c),
+                            f64::from(o),
+                        ))
+                    })
+                    .collect(),
+            );
+            let loads: Vec<cas_platform::LoadReport> =
+                (0..6).map(|s| cas_platform::LoadReport::initial(ServerId(s))).collect();
+            let candidates: Vec<ServerId> = picks.iter().map(|&s| ServerId(s)).collect();
+            let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
+            for kind in [
+                crate::heuristics::HeuristicKind::Hmct,
+                crate::heuristics::HeuristicKind::Msf,
+            ] {
+                let mut heuristic = kind.build();
+                let objective = |p: &Prediction| match kind {
+                    crate::heuristics::HeuristicKind::Hmct => p.completion.as_secs(),
+                    _ => p.msf_objective(),
+                };
+                let mut htm = Htm::new(costs.clone(), sync);
+                htm.set_completion_only(!heuristic.needs_perturbations());
+                let mut now = f64::from(start);
+                for (id, &(op, server, gap)) in ops.iter().enumerate() {
+                    now += f64::from(gap);
+                    let t = task(id as u64, now);
+                    let mut rng = cas_sim::RngStream::derive(7, cas_sim::StreamKind::TieBreak);
+                    let target = if op == 0 {
+                        let mut view = crate::heuristics::SchedView::new(
+                            t.arrival, t, candidates.clone(), &costs, &loads, &mut htm, &mut rng,
+                        );
+                        let bounded = heuristic.select(&mut view);
+                        let mut view = crate::heuristics::SchedView::new(
+                            t.arrival, t, candidates.clone(), &costs, &loads, &mut htm, &mut rng,
+                        );
+                        let full = view.argmin(|v, s| v.predict(s).map(objective));
+                        proptest::prop_assert_eq!(
+                            bounded, full, "{:?} at {}, candidates {:?}", kind, now, &candidates
+                        );
+                        bounded.expect("every server solves the problem")
+                    } else {
+                        ServerId(server)
+                    };
+                    htm.commit(t.arrival, target, &t);
+                }
+            }
+        }
+    }
+
     #[test]
     fn all_policies_handle_empty_candidates() {
         let costs = table3();
