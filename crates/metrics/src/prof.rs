@@ -61,13 +61,13 @@ impl OverheadEstimate {
 }
 
 /// Renders the per-phase wall-time table `casgrid --profile` prints:
-/// one row per phase (declaration order), with span counts, phase
+/// one row per phase (declaration order), with occurrence counts, phase
 /// seconds, share of profiled time and share of wall time.
 pub fn render_profile_table(totals: &PhaseTotals, wall_s: f64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<16} {:>12} {:>12} {:>9} {:>9}\n",
-        "phase", "spans", "seconds", "of-prof", "of-wall"
+        "phase", "count", "seconds", "of-prof", "of-wall"
     ));
     for &phase in &ALL_PHASES {
         let secs = totals.nanos_of(phase) as f64 * 1e-9;
@@ -85,7 +85,7 @@ pub fn render_profile_table(totals: &PhaseTotals, wall_s: f64) -> String {
     out.push_str(&format!(
         "{:<16} {:>12} {:>12.3} {:>8.1}% {:>8.1}%\n",
         "total",
-        totals.total_spans(),
+        totals.counts.iter().sum::<u64>(),
         profiled,
         100.0,
         if wall_s > 0.0 {
@@ -98,7 +98,8 @@ pub fn render_profile_table(totals: &PhaseTotals, wall_s: f64) -> String {
 }
 
 /// Renders the `profile` JSON section the benches embed: per-phase
-/// nanos/spans/wall-shares, the overhead estimate, and the two gates
+/// counts/seconds/wall-shares, the overhead estimate (over the spans
+/// actually closed), and the two gates
 /// the caller folds into its acceptance block — `overhead_ok`
 /// (estimate ≤ `max_overhead_share` of wall) and `phases_live` (every
 /// phase closed at least one span). Returns the JSON object string and
@@ -116,7 +117,7 @@ pub fn render_profile_json(
         let secs = totals.nanos_of(phase) as f64 * 1e-9;
         let of_wall = if wall_s > 0.0 { secs / wall_s } else { 0.0 };
         s.push_str(&format!(
-            "        \"{}\": {{ \"spans\": {}, \"seconds\": {:.6}, \"share_of_wall\": {:.6} }}{}\n",
+            "        \"{}\": {{ \"count\": {}, \"seconds\": {:.6}, \"share_of_wall\": {:.6} }}{}\n",
             phase.name(),
             totals.count_of(phase),
             secs,
@@ -207,7 +208,7 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "balanced braces");
-        assert!(json.contains("\"reports\": { \"spans\": 60,"));
+        assert!(json.contains("\"reports\": { \"count\": 60,"));
         assert!(json.contains("\"wall_s\": 2.5"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
     }

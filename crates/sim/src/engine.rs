@@ -190,8 +190,9 @@ impl<W: World> Simulation<W> {
         self.ensure_init();
         let popped = {
             // The pop is the kernel's own share of every event: the
-            // front compare and the heap's sift land here.
-            let _sp = crate::prof::span(crate::prof::Phase::KernelPop);
+            // front compare and the heap's sift land here. One pop in a
+            // sampling period is timed for all of them.
+            let _sp = crate::prof::pop_span(self.processed);
             self.queue.pop()
         };
         let Some(entry) = popped else {

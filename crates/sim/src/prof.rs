@@ -14,9 +14,13 @@
 //! estimate).
 //!
 //! On x86_64 the counter is the invariant TSC read directly with
-//! `rdtsc` — a fraction of the cost of `Instant::now`'s vDSO call,
-//! which matters because the hottest span site (`kernel_pop`) brackets
-//! an operation of comparable size to the clock read itself.
+//! `rdtsc` — a fraction of the cost of `Instant::now`'s vDSO call.
+//! The kernel's pop is an operation of comparable size to the clock
+//! read itself and runs once per event, so it alone is sampled: one pop
+//! in [`POP_SAMPLE_PERIOD`] is timed ([`pop_span`]), and that span
+//! stands for the whole period in its phase's time and count. A phase's
+//! count is therefore the occurrences it covers, and the overhead
+//! estimate prices the spans actually closed ([`PhaseTotals::total_spans`]).
 //! Accumulators hold raw ticks; [`snapshot`] converts to nanoseconds
 //! through a once-measured ticks-per-nanosecond ratio. Other
 //! architectures fall back to [`std::time::Instant`].
@@ -134,6 +138,9 @@ pub enum Phase {
 /// Number of phases (array stride of the accumulators).
 pub const N_PHASES: usize = 6;
 
+/// One kernel pop in this many is timed; see [`pop_span`].
+pub const POP_SAMPLE_PERIOD: u64 = 64;
+
 /// Every phase, in declaration order (the order of [`PhaseTotals`]
 /// arrays and of every rendered table).
 pub const ALL_PHASES: [Phase; N_PHASES] = [
@@ -157,9 +164,18 @@ impl Phase {
             Phase::Reports => "reports",
         }
     }
+
+    /// Occurrences one closed span of this phase stands for: a sampled
+    /// kernel pop covers its whole period, every other span itself.
+    const fn weight(self) -> u64 {
+        match self {
+            Phase::KernelPop => POP_SAMPLE_PERIOD,
+            _ => 1,
+        }
+    }
 }
 
-/// One thread's live accumulators: raw clock ticks and closed-span
+/// One thread's live accumulators: raw clock ticks and occurrence
 /// counts per phase, updated in place (no whole-array copies on the
 /// span path).
 struct Acc {
@@ -204,16 +220,30 @@ fn set_raw_local(ticks: [u64; N_PHASES], counts: [u64; N_PHASES]) {
 #[must_use = "a span charges its scope's lifetime; dropping it immediately records nothing"]
 pub struct Span {
     phase: usize,
+    weight: u64,
     start: u64,
 }
 
-/// Opens a span on `phase` for the current scope.
+/// Opens a span on `phase` for the current scope. Kernel pops open
+/// theirs through [`pop_span`] instead.
 #[inline]
 pub fn span(phase: Phase) -> Span {
     Span {
         phase: phase as usize,
+        weight: phase.weight(),
         start: clock::now(),
     }
+}
+
+/// The span of a run's `pop`-th event-queue pop, counting from zero:
+/// `Some` for one pop in [`POP_SAMPLE_PERIOD`], whose time and count
+/// are charged to [`Phase::KernelPop`] that many times over, `None` for
+/// the pops it stands for. A run of `n` pops thus counts `n` rounded up
+/// to the period.
+#[inline]
+pub fn pop_span(pop: u64) -> Option<Span> {
+    pop.is_multiple_of(POP_SAMPLE_PERIOD)
+        .then(|| span(Phase::KernelPop))
 }
 
 impl Drop for Span {
@@ -222,9 +252,9 @@ impl Drop for Span {
         let dt = clock::now().wrapping_sub(self.start);
         ACC.with(|acc| {
             let t = &acc.ticks[self.phase];
-            t.set(t.get().wrapping_add(dt));
+            t.set(t.get().wrapping_add(dt.wrapping_mul(self.weight)));
             let c = &acc.counts[self.phase];
-            c.set(c.get() + 1);
+            c.set(c.get() + self.weight);
         });
     }
 }
@@ -234,7 +264,8 @@ impl Drop for Span {
 pub struct PhaseTotals {
     /// Nanoseconds per phase, indexed like [`ALL_PHASES`].
     pub nanos: [u64; N_PHASES],
-    /// Closed spans per phase, indexed like [`ALL_PHASES`].
+    /// Occurrences per phase, indexed like [`ALL_PHASES`]: closed spans,
+    /// each counted for what it stands for (see [`pop_span`]).
     pub counts: [u64; N_PHASES],
 }
 
@@ -244,7 +275,7 @@ impl PhaseTotals {
         self.nanos[phase as usize]
     }
 
-    /// Closed spans of `phase`.
+    /// Occurrences of `phase`.
     pub fn count_of(&self, phase: Phase) -> u64 {
         self.counts[phase as usize]
     }
@@ -254,9 +285,13 @@ impl PhaseTotals {
         self.nanos.iter().sum()
     }
 
-    /// Total closed spans across every phase.
+    /// Spans closed across every phase: each phase's count over what
+    /// one of its spans stands for (what the overhead estimate prices).
     pub fn total_spans(&self) -> u64 {
-        self.counts.iter().sum()
+        ALL_PHASES
+            .iter()
+            .map(|&p| self.count_of(p).div_ceil(p.weight()))
+            .sum()
     }
 
     /// `phase`'s share of the profiled time, in `[0, 1]` (zero when
@@ -357,7 +392,7 @@ pub fn calibrate_span_ns(iters: u32) -> f64 {
     let (ticks, counts) = raw_local();
     let t0 = Instant::now();
     for _ in 0..iters {
-        let _sp = span(Phase::KernelPop);
+        let _sp = span(Phase::Stage1Walk);
     }
     let per_span = t0.elapsed().as_nanos() as f64 / iters as f64;
     set_raw_local(ticks, counts);
@@ -470,6 +505,20 @@ mod tests {
         }
         let with_local = merged_snapshot().since(&before);
         assert!(with_local.count_of(Phase::Reports) >= 1);
+    }
+
+    /// One pop in the period is timed and stands for the whole period
+    /// in the phase's count; the overhead estimate sees the spans closed.
+    #[test]
+    fn sampled_pops_count_their_period() {
+        reset();
+        for pop in 0..=POP_SAMPLE_PERIOD {
+            let _sp = pop_span(pop);
+        }
+        let got = snapshot();
+        assert_eq!(got.count_of(Phase::KernelPop), 2 * POP_SAMPLE_PERIOD);
+        assert_eq!(got.total_spans(), 2);
+        reset();
     }
 
     #[test]
