@@ -384,7 +384,7 @@ mod tests {
         let mut out = Prediction::empty();
         htm.predict_into_unless(probe.arrival, ServerId(0), &probe, &mut out, |q| {
             seen = Some(*q);
-            None
+            false
         });
         let q = seen.expect("the drain read the backlog");
         assert_eq!(out.completion.as_secs(), 200.0);

@@ -27,7 +27,7 @@ pub use mct::Mct;
 pub use memaware::MemAware;
 pub use simple::{Kpb, MinLoad, Olb, RandomChoice, RoundRobin};
 
-use crate::htm::{Htm, QueryOutcome};
+use crate::htm::Htm;
 use crate::prediction::Prediction;
 use crate::trace::Backlog;
 use cas_platform::{CostTable, LoadReport, ServerId, TaskInstance};
@@ -310,20 +310,15 @@ impl<'a> SchedView<'a> {
                 ref mut memo,
                 ..
             } = *self;
-            let mut lost_with = None;
+            let mut lost = None;
             memo.get_mut().try_fill_with(server, |out| {
-                let prune = |q: &Backlog| Some(bound(q)).filter(|&b| beat.rules_out(b));
-                match htm.predict_into_unless(now, server, task, out, prune) {
-                    QueryOutcome::Unsolvable => Some(false),
-                    QueryOutcome::Predicted => Some(true),
-                    QueryOutcome::Pruned(b) => {
-                        lost_with = Some(b);
-                        None
-                    }
-                }
+                htm.predict_into_unless(now, server, task, out, |q| {
+                    lost = Some(bound(q)).filter(|&b| beat.rules_out(b));
+                    lost.is_some()
+                })
             });
-            if lost_with.is_some() {
-                return lost_with;
+            if lost.is_some() {
+                return lost;
             }
         }
         self.memo.get().lookup(server).map(objective)

@@ -278,8 +278,9 @@ impl PredictState {
     /// shared prefix.
     ///
     /// A drain first shows `prune` the backlog the probe would join.
-    /// When `prune` returns a bound, the query stops there and returns
-    /// it, and `after` keeps whatever answer it memoised before.
+    /// When `prune` returns `true`, the query stops there and this
+    /// returns `true`, and `after` keeps whatever answer it memoised
+    /// before.
     #[allow(clippy::too_many_arguments)]
     fn refresh_after(
         &mut self,
@@ -289,8 +290,8 @@ impl PredictState {
         task: TaskId,
         costs: PhaseCosts,
         truncate: bool,
-        prune: impl FnOnce(&Backlog) -> Option<f64>,
-    ) -> Option<f64> {
+        prune: impl FnOnce(&Backlog) -> bool,
+    ) -> bool {
         let key = AfterKey::new(costs, now, trace.generation());
         let usable = match &self.after_query {
             Some((memo_key, _)) => *memo_key == key && (self.after_complete || truncate),
@@ -316,7 +317,7 @@ impl PredictState {
                 self.cross_task_hits += 1;
             }
             self.memo_hits += 1;
-            return None;
+            return false;
         }
         match trace.drain_schedule_into_fast(
             scratch,
@@ -328,9 +329,9 @@ impl PredictState {
             &mut self.after,
             prune,
         ) {
-            DrainOutcome::Pruned(bound) => {
+            DrainOutcome::Pruned => {
                 self.pruned += 1;
-                Some(bound)
+                true
             }
             DrainOutcome::Drained {
                 prefix_hit,
@@ -341,7 +342,7 @@ impl PredictState {
                 self.after_complete = !truncated;
                 self.after_query = Some((key, task));
                 self.drains += 1;
-                None
+                false
             }
         }
     }
@@ -416,19 +417,6 @@ impl MemoStats {
             self.prefix_hits as f64 / self.drains as f64
         }
     }
-}
-
-/// How a what-if query through [`Htm::predict_into_unless`] ended.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryOutcome {
-    /// The server did not register the task's problem.
-    Unsolvable,
-    /// The drain ran (or the memo answered) and the prediction was
-    /// written.
-    Predicted,
-    /// The backlog proved the query loses, with this lower bound: nothing
-    /// was drained, written or memoised.
-    Pruned(f64),
 }
 
 /// What the HTM keeps per committed task: where it went and what problem it
@@ -625,13 +613,14 @@ impl Htm {
         task: &TaskInstance,
         out: &mut Prediction,
     ) -> bool {
-        self.predict_into_unless(now, server, task, out, |_| None) == QueryOutcome::Predicted
+        self.predict_into_unless(now, server, task, out, |_| false) == Some(true)
     }
 
     /// [`Self::predict_into`] that may stop before its drain: once the
     /// shared prefix has settled to `now`, `prune` sees the [`Backlog`]
-    /// the probe would join, and when it returns a lower bound the query
-    /// ends there as [`QueryOutcome::Pruned`] with it. A pruned query leaves
+    /// the probe would join, and when it returns `true` the query ends
+    /// there and this returns `None`. Otherwise it returns what
+    /// [`Self::predict_into`] returns, in `Some`. A pruned query leaves
     /// `out` untouched, memoises nothing, does not count toward
     /// `predictions_made` and counts toward [`Self::pruned_queries`]. A
     /// query the memo answers never reaches `prune`.
@@ -641,10 +630,10 @@ impl Htm {
         server: ServerId,
         task: &TaskInstance,
         out: &mut Prediction,
-        prune: impl FnOnce(&Backlog) -> Option<f64>,
-    ) -> QueryOutcome {
+        prune: impl FnOnce(&Backlog) -> bool,
+    ) -> Option<bool> {
         let Some(costs) = self.costs.costs(task.problem, server) else {
-            return QueryOutcome::Unsolvable;
+            return Some(false);
         };
         let trace = &self.traces[server.index()];
         let state = &mut self.predict_states[server.index()];
@@ -655,10 +644,8 @@ impl Htm {
         // is bit-identical — truncation only cuts the schedule *after* the
         // probe's entry.
         let truncate = self.completion_only;
-        if let Some(bound) =
-            state.refresh_after(trace, &mut self.scratch, now, task, costs, truncate, prune)
-        {
-            return QueryOutcome::Pruned(bound);
+        if state.refresh_after(trace, &mut self.scratch, now, task, costs, truncate, prune) {
+            return None;
         }
         self.predictions_made += 1;
         out.queried_at = now;
@@ -675,7 +662,7 @@ impl Htm {
                 .find(|&&(j, _)| j == task)
                 .expect("probe is in its own after-schedule")
                 .1;
-            return QueryOutcome::Predicted;
+            return Some(true);
         }
         state.refresh_baseline(trace, &mut self.scratch);
         // Small schedules answer by linear scan: rebuilding the task →
@@ -714,7 +701,7 @@ impl Htm {
                 // interference.
                 lookup(j).map(|f_after| (j, (f_after - f_before).as_secs().max(0.0)))
             }));
-        QueryOutcome::Predicted
+        Some(true)
     }
 
     /// Records that `task` has been allocated to `server` (Figs. 2–4, last
@@ -746,7 +733,7 @@ impl Htm {
         // entry (completion-only depth) is re-drained to the end here,
         // resuming the shared prefix the prediction saved.
         state.refresh_after(trace, &mut self.scratch, now, task.id, costs, false, |_| {
-            None
+            false
         });
         state.adopt_after_as_baseline();
         let trace = &mut self.traces[server.index()];
@@ -1419,9 +1406,9 @@ mod tests {
         let outcome =
             htm.predict_into_unless(t(6.0), ServerId(0), &task(101, 6.0), &mut out, |q| {
                 seen = Some(*q);
-                Some(7.0)
+                true
             });
-        assert_eq!(outcome, QueryOutcome::Pruned(7.0));
+        assert_eq!(outcome, None);
         assert_eq!(out, Prediction::empty(), "a pruned query writes nothing");
         assert_eq!((htm.memo_stats(), htm.predictions_made()), before);
         assert_eq!(htm.pruned_queries(), 1);
@@ -1435,10 +1422,8 @@ mod tests {
         // The t = 5 answer is still memoised, and a hit skips the gate.
         let again = htm.predict(t(5.0), ServerId(0), &task(102, 5.0)).unwrap();
         assert_eq!(again.completion, first.completion);
-        let hit = htm.predict_into_unless(t(5.0), ServerId(0), &task(103, 5.0), &mut out, |_| {
-            Some(0.0)
-        });
-        assert_eq!(hit, QueryOutcome::Predicted);
+        let hit = htm.predict_into_unless(t(5.0), ServerId(0), &task(103, 5.0), &mut out, |_| true);
+        assert_eq!(hit, Some(true));
         assert_eq!(htm.memo_stats().drains, before.0.drains);
         let mut only_s1 = CostTable::new(2);
         only_s1.add_problem(
@@ -1450,9 +1435,9 @@ mod tests {
             ServerId(0),
             &task(1, 0.0),
             &mut out,
-            |_| Some(0.0),
+            |_| true,
         );
-        assert_eq!(unsolvable, QueryOutcome::Unsolvable);
+        assert_eq!(unsolvable, Some(false));
         let full = htm.predict(t(6.0), ServerId(0), &task(101, 6.0)).unwrap();
         let oracle = predict_reference(&htm, t(6.0), ServerId(0), &task(101, 6.0)).unwrap();
         assert_eq!(full, oracle);
@@ -1599,7 +1584,7 @@ mod proptests {
             &mut Vec::new(),
             |q| {
                 seen = Some(*q);
-                Some(0.0)
+                true
             },
         );
         seen
@@ -1683,15 +1668,9 @@ mod proptests {
                             if kind == 0 {
                                 let mut out = Prediction::empty();
                                 let outcome = htm.predict_into_unless(
-                                    when, ServerId(s), &probe, &mut out, |_| Some(-1.0),
+                                    when, ServerId(s), &probe, &mut out, |_| true,
                                 );
-                                prop_assert!(matches!(
-                                    outcome,
-                                    QueryOutcome::Pruned(_)
-                                        | QueryOutcome::Predicted
-                                        | QueryOutcome::Unsolvable
-                                ));
-                                if outcome != QueryOutcome::Predicted {
+                                if outcome != Some(true) {
                                     prop_assert_eq!(out, Prediction::empty());
                                 }
                             }

@@ -93,10 +93,10 @@ pub mod trace;
 
 pub use gantt::{Gantt, GanttRow, GanttSegment};
 pub use heuristics::{
-    DecisionMemo, Heuristic, HeuristicKind, Hmct, Incumbent, Mct, MinLoad, Mni, Mp, Msf, Olb,
-    RandomChoice, RoundRobin, SchedView,
+    DecisionMemo, Heuristic, HeuristicKind, Hmct, Mct, MinLoad, Mni, Mp, Msf, Olb, RandomChoice,
+    RoundRobin, SchedView,
 };
-pub use htm::{Htm, MemoStats, QueryOutcome, SyncPolicy};
+pub use htm::{Htm, MemoStats, SyncPolicy};
 pub use prediction::Prediction;
 pub use selector::{Adaptive, CandidateSelector, Exhaustive, SelectorInput, SelectorKind, TopK};
-pub use trace::{Backlog, DrainOutcome, DrainScratch, PrefixCursor, ServerTrace};
+pub use trace::{DrainScratch, PrefixCursor, ServerTrace};

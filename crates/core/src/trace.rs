@@ -310,9 +310,9 @@ impl ServerTrace {
     /// complete after-schedule, bit for bit.
     ///
     /// Between the settle to `now` and the probe's entry, `prune` reads
-    /// the [`Backlog`] the probe would join. When it returns a bound, the
-    /// drain stops there and returns [`DrainOutcome::Pruned`] with it:
-    /// the probe never enters and `out` is left as it was. `prefix` is
+    /// the [`Backlog`] the probe would join. When it returns `true`, the
+    /// drain stops there and returns [`DrainOutcome::Pruned`]: the probe
+    /// never enters and `out` is left as it was. `prefix` is
     /// refreshed to this query's `(generation, now)` on every call, pruned
     /// or not, so the next probe of the same decision round hits.
     ///
@@ -329,7 +329,7 @@ impl ServerTrace {
         costs: PhaseCosts,
         truncate: bool,
         out: &mut Vec<(TaskId, SimTime)>,
-        prune: impl FnOnce(&Backlog) -> Option<f64>,
+        prune: impl FnOnce(&Backlog) -> bool,
     ) -> DrainOutcome {
         assert!(now >= self.cursor(), "trace cannot rewind");
         let lanes = &mut scratch.lanes;
@@ -350,8 +350,8 @@ impl ServerTrace {
         // state: skip the copy-back and keep the older — strictly more
         // reusable — `events_until`.
         lanes.settle(now);
-        if let Some(bound) = prune(&lanes.backlog(costs)) {
-            return DrainOutcome::Pruned(bound);
+        if prune(&lanes.backlog(costs)) {
+            return DrainOutcome::Pruned;
         }
         out.clear();
         lanes.insert(task, costs);
@@ -375,9 +375,9 @@ pub enum DrainOutcome {
         /// cut after the probe's completion, rather than all of it.
         truncated: bool,
     },
-    /// The backlog already proved the query loses, with this lower bound:
-    /// nothing was drained and `out` is untouched.
-    Pruned(f64),
+    /// The backlog already proved the query loses: nothing was drained
+    /// and `out` is untouched.
+    Pruned,
 }
 
 /// The queue a probe would join on a server: the lanes' state at the
@@ -795,14 +795,14 @@ impl ServerTrace {
     ) -> (bool, bool) {
         let outcome =
             self.drain_schedule_into_fast(scratch, prefix, now, task, costs, truncate, out, |_| {
-                None
+                false
             });
         match outcome {
             DrainOutcome::Drained {
                 prefix_hit,
                 truncated,
             } => (prefix_hit, truncated),
-            DrainOutcome::Pruned(_) => unreachable!("nothing prunes"),
+            DrainOutcome::Pruned => unreachable!("nothing prunes"),
         }
     }
 }
@@ -1504,10 +1504,10 @@ mod proptests {
                         &mut scratch, &mut prefix, now, probe, probe_costs, truncate, &mut fast,
                         |q| {
                             seen = Some(*q);
-                            Some(-1.0)
+                            true
                         },
                     );
-                    prop_assert_eq!(outcome, DrainOutcome::Pruned(-1.0));
+                    prop_assert_eq!(outcome, DrainOutcome::Pruned);
                     prop_assert_eq!(&fast, &before, "a pruned query left its output alone");
                     let seen = seen.expect("the gate saw the backlog");
                     let want = reference.backlog(now, probe_costs);
