@@ -16,7 +16,8 @@
 //! Every section queries from just after the last loaded arrival, while
 //! every loaded task is still running, so a row's `per_server_tasks` is
 //! the load it prices; each row records `active_tasks_per_server`, the
-//! mean count at its first query.
+//! mean count at its first query (over every measured decision in the
+//! bounded-walk section).
 //!
 //! A second section measures the **commit path**: the cost of absorbing a
 //! placement into the model, from the commit call to the next baseline
@@ -36,9 +37,12 @@
 //! A fourth section times **whole bounded decisions**: HMCT and MSF
 //! select over every server through [`SchedView`], each walking its
 //! candidates in lower-bound order, skipping queues that cannot win
-//! before their drain and stopping at the incumbent. The winner is
-//! committed after each decision, outside the timing. Each row reports
-//! the drains run and the queries pruned at the backlog per decision.
+//! before their drain and stopping at the incumbent. After each
+//! decision the winner is committed and retracted, outside the timing:
+//! one server's caches change per round, as after a live commit, while
+//! the load stays the row's. Each row reports the drains run and the
+//! queries pruned at the backlog per decision, and the mean tasks
+//! active per server over the measured decisions.
 //!
 //! Writes `BENCH_decision_cost.json` (path overridable as `argv[1]`) with
 //! per-configuration timings, and exits non-zero when the memo section
@@ -243,11 +247,12 @@ struct BoundedWalk {
     us: f64,
     drains: f64,
     pruned: f64,
+    active: f64,
 }
 
 /// Times `rounds` whole decisions of `kind` (HMCT or MSF) over every
-/// server, committing each winner untimed, and counts the drains and the
-/// queries pruned at the backlog.
+/// server, committing and retracting each winner untimed, and counts the
+/// drains, the queries pruned at the backlog and the tasks active.
 fn run_bounded_walk(kind: HeuristicKind, per_server: usize, rounds: usize) -> BoundedWalk {
     let mut htm = loaded_htm(per_server);
     let mut heuristic = kind.build();
@@ -261,7 +266,7 @@ fn run_bounded_walk(kind: HeuristicKind, per_server: usize, rounds: usize) -> Bo
     let mut rng = RngStream::derive(1, StreamKind::TieBreak);
     let mut now = query_start(per_server);
     let mut in_decisions = std::time::Duration::ZERO;
-    let (mut drains, mut pruned) = (0, 0);
+    let (mut drains, mut pruned, mut active) = (0, 0, 0);
     // Three warm-up rounds, then the timed ones.
     for round in 0..rounds + 3 {
         now += 0.01;
@@ -271,6 +276,7 @@ fn run_bounded_walk(kind: HeuristicKind, per_server: usize, rounds: usize) -> Bo
             SimTime::from_secs(now),
         );
         let counters = (htm.memo_stats().drains, htm.pruned_queries());
+        let tasks: usize = (0..N_SERVERS).map(|s| htm.active_on(ServerId(s))).sum();
         let start = Instant::now();
         let pick = {
             let mut view = SchedView::new(
@@ -289,14 +295,17 @@ fn run_bounded_walk(kind: HeuristicKind, per_server: usize, rounds: usize) -> Bo
             in_decisions += start.elapsed();
             drains += htm.memo_stats().drains - counters.0;
             pruned += htm.pruned_queries() - counters.1;
+            active += tasks;
         }
         let server = pick.expect("some server solves every problem");
         htm.commit(task.arrival, server, &task);
+        htm.retract(task.arrival, task.id);
     }
     BoundedWalk {
         us: in_decisions.as_secs_f64() * 1e6 / rounds as f64,
         drains: drains as f64 / rounds as f64,
         pruned: pruned as f64 / rounds as f64,
+        active: active as f64 / (rounds * N_SERVERS as usize) as f64,
     }
 }
 
@@ -360,7 +369,6 @@ fn main() {
     let memo_live = memo.cross_task_hits > 0;
     let mut walk_results = Vec::new();
     for &per_server in &[8usize, 32, 128] {
-        let active = mean_active_at_start(per_server);
         let rounds = match per_server {
             128 => 200,
             32 => 600,
@@ -369,8 +377,9 @@ fn main() {
         for kind in [HeuristicKind::Hmct, HeuristicKind::Msf] {
             let w = run_bounded_walk(kind, per_server, rounds);
             eprintln!(
-                "64 servers × {per_server:>3} tasks ({active:.2} active), {:<4} walk: \
+                "64 servers × {per_server:>3} tasks ({:.2} active), {:<4} walk: \
                  {:>8.1} µs/decision, {:.2} drains, {:.2} pruned",
+                w.active,
                 kind.name(),
                 w.us,
                 w.drains,
@@ -378,10 +387,11 @@ fn main() {
             );
             walk_results.push(format!(
                 "      {{\"heuristic\": \"{}\", \"servers\": {N_SERVERS}, \
-                 \"per_server_tasks\": {per_server}, \"active_tasks_per_server\": {active:.2}, \
+                 \"per_server_tasks\": {per_server}, \"active_tasks_per_server\": {:.2}, \
                  \"rounds\": {rounds}, \"us_per_decision\": {:.2}, \
                  \"drains_per_decision\": {:.2}, \"pruned_per_decision\": {:.2}}}",
                 kind.name(),
+                w.active,
                 w.us,
                 w.drains,
                 w.pruned
@@ -406,7 +416,8 @@ fn main() {
     \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {memo_live}}}\n  }},\n\
   \"bounded_walk\": {{\n    \"unit\": \"microseconds per whole HMCT or MSF decision over all 64 \
          servers (lower-bound walk, queues that cannot win pruned before their drain; each \
-         winner committed untimed)\",\n    \
+         winner committed and retracted untimed, so the load stays fixed; active tasks are \
+         the mean over the measured decisions)\",\n    \
          \"results\": [\n{}\n    ]\n  }}\n}}\n",
         results.join(",\n"),
         commit_results.join(",\n"),
