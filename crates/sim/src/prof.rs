@@ -392,7 +392,7 @@ pub fn calibrate_span_ns(iters: u32) -> f64 {
     let (ticks, counts) = raw_local();
     let t0 = Instant::now();
     for _ in 0..iters {
-        let _sp = span(Phase::Stage1Walk);
+        let _sp = span(Phase::KernelPop);
     }
     let per_span = t0.elapsed().as_nanos() as f64 / iters as f64;
     set_raw_local(ticks, counts);
